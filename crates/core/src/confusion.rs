@@ -87,29 +87,68 @@ pub fn aggregate(
 /// confidence plus {0, 1} and returns the value maximising aggregated-label
 /// accuracy over non-rejected instances. Ties break toward the smaller τ
 /// (more AL coverage); if every candidate rejects everything, returns 0.
+///
+/// Equivalent to scoring [`aggregate`] at every candidate with
+/// [`AggregatedLabels::accuracy_against`], in O(n log n): rows are sorted
+/// by AL confidence once, and the ascending candidate sweep moves each row
+/// from the AL branch to the label-model branch (or to rejection) exactly
+/// once, keeping integer covered/correct counts. The accuracies are the
+/// same integer ratios, so the chosen τ is identical to the bit.
+///
+/// # Panics
+/// Panics when the slice lengths disagree, as [`aggregate`] does.
 pub fn tune_threshold(
     al_probs: &[Vec<f64>],
     lm_probs: &[Vec<f64>],
     has_vote: &[bool],
     truth: &[usize],
 ) -> f64 {
-    let mut candidates: Vec<f64> = al_probs
-        .iter()
-        .map(|p| p.iter().fold(0.0_f64, |m, &v| m.max(v)))
-        .collect();
+    assert_eq!(al_probs.len(), lm_probs.len(), "probs length mismatch");
+    assert_eq!(al_probs.len(), has_vote.len(), "has_vote length mismatch");
+    let confidence = |p: &Vec<f64>| p.iter().fold(0.0_f64, |m, &v| m.max(v));
+    let mut candidates: Vec<f64> = al_probs.iter().map(confidence).collect();
     candidates.push(0.0);
     candidates.push(1.0);
     candidates.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite confidences"));
     candidates.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
 
+    // Rows that count toward accuracy (those with ground truth), each with
+    // its confidence and whether each branch would label it correctly.
+    let correct = |dist: &Vec<f64>, t: usize| argmax(dist).expect("non-empty distribution") == t;
+    let mut rows: Vec<(f64, bool, Option<bool>)> = al_probs
+        .iter()
+        .zip(lm_probs)
+        .zip(has_vote)
+        .zip(truth)
+        .map(|(((al, lm), &voted), &t)| {
+            (
+                confidence(al),
+                correct(al, t),
+                voted.then(|| correct(lm, t)),
+            )
+        })
+        .collect();
+    rows.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite confidences"));
+
+    // Below every candidate, every row takes the AL branch.
+    let mut covered = rows.len();
+    let mut n_correct = rows.iter().filter(|r| r.1).count();
+    let mut below = 0; // rows[..below] have confidence < τ
     let mut best_tau = 0.0;
     let mut best_acc = f64::NEG_INFINITY;
     for &tau in &candidates {
-        let agg = AggregatedLabels {
-            labels: aggregate(al_probs, lm_probs, has_vote, tau),
-            threshold: tau,
-        };
-        if let Some(acc) = agg.accuracy_against(truth) {
+        while below < rows.len() && rows[below].0 < tau {
+            let (_, al_correct, lm_correct) = rows[below];
+            covered -= 1;
+            n_correct -= usize::from(al_correct);
+            if let Some(lm_correct) = lm_correct {
+                covered += 1;
+                n_correct += usize::from(lm_correct);
+            }
+            below += 1;
+        }
+        if covered > 0 {
+            let acc = n_correct as f64 / covered as f64;
             // Strict improvement required: equal accuracy keeps the smaller
             // tau already recorded (candidates are scanned ascending).
             if acc > best_acc + 1e-12 {
@@ -124,6 +163,79 @@ pub fn tune_threshold(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The quadratic sweep [`tune_threshold`] replaced: a full
+    /// [`aggregate`] rescored at every candidate.
+    fn reference_tune_threshold(
+        al_probs: &[Vec<f64>],
+        lm_probs: &[Vec<f64>],
+        has_vote: &[bool],
+        truth: &[usize],
+    ) -> f64 {
+        let mut candidates: Vec<f64> = al_probs
+            .iter()
+            .map(|p| p.iter().fold(0.0_f64, |m, &v| m.max(v)))
+            .collect();
+        candidates.push(0.0);
+        candidates.push(1.0);
+        candidates.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite confidences"));
+        candidates.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+        let mut best_tau = 0.0;
+        let mut best_acc = f64::NEG_INFINITY;
+        for &tau in &candidates {
+            let agg = AggregatedLabels {
+                labels: aggregate(al_probs, lm_probs, has_vote, tau),
+                threshold: tau,
+            };
+            if let Some(acc) = agg.accuracy_against(truth) {
+                if acc > best_acc + 1e-12 {
+                    best_acc = acc;
+                    best_tau = tau;
+                }
+            }
+        }
+        best_tau
+    }
+
+    #[test]
+    fn sorted_sweep_matches_quadratic_reference_bitwise() {
+        // Confidences drawn from a coarse grid so ties (exact, and within
+        // the 1e-12 dedup window) are common; some rows carry no vote and
+        // some cases have fewer truth labels than rows.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |k: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % k
+        };
+        for case in 0..200 {
+            let n = 1 + next(60) as usize;
+            let grid = 2 + next(12);
+            let al: Vec<Vec<f64>> = (0..n)
+                .map(|_| {
+                    let mut pos = next(grid + 1) as f64 / grid as f64;
+                    if next(5) == 0 {
+                        pos += 1e-13;
+                    }
+                    vec![1.0 - pos, pos]
+                })
+                .collect();
+            let lm: Vec<Vec<f64>> = (0..n)
+                .map(|_| p(next(grid + 1) as f64 / grid as f64))
+                .collect();
+            let has_vote: Vec<bool> = (0..n).map(|_| next(3) != 0).collect();
+            let labelled = if case % 7 == 0 { n / 2 } else { n };
+            let truth: Vec<usize> = (0..labelled).map(|_| next(2) as usize).collect();
+            let fast = tune_threshold(&al, &lm, &has_vote, &truth);
+            let slow = reference_tune_threshold(&al, &lm, &has_vote, &truth);
+            assert_eq!(
+                fast.to_bits(),
+                slow.to_bits(),
+                "case {case}: {fast} vs {slow}"
+            );
+        }
+    }
 
     fn p(pos: f64) -> Vec<f64> {
         vec![1.0 - pos, pos]

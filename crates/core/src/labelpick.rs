@@ -324,7 +324,7 @@ mod tests {
     fn few_queries_keep_all_survivors() {
         let qm = LabelMatrix::from_votes(&[vec![1, 1], vec![0, 0]]).unwrap();
         let vm = LabelMatrix::from_votes(&[vec![1, 1], vec![0, 0]]).unwrap();
-        let pick = LabelPick::default(); // min_queries = 5 > 2 rows
+        let pick = LabelPick::default(); // min_queries = 30 > 2 rows
         let selected = pick.select(&qm, &[1, 0], &vm, &[1, 0], 2).unwrap();
         assert_eq!(selected, vec![0, 1]);
     }

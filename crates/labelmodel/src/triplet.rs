@@ -23,10 +23,10 @@ use adp_linalg::parallel::{self, Execution};
 
 /// Instances per parallel moment-accumulation chunk. Fixed
 /// (machine-independent) per the `adp_linalg::parallel` contract. The
-/// chunk partials are sums of ±1 products and 0/1 firing counts — exact
-/// small integers in `f64` — so merging them in chunk order is not merely
-/// bitwise-stable across thread counts, it equals the pre-chunking serial
-/// sum exactly.
+/// chunk partials are `i64` firing counts and sums of ±1 products over
+/// firing pairs, converted to `f64` once at the merge. Every total is an
+/// exact integer, so the result is independent of the thread count and
+/// equal to a straight `f64` sum over all instances and LF pairs.
 const MOMENT_CHUNK: usize = 256;
 
 /// Below this many instances the scoped-thread setup cannot pay off.
@@ -38,6 +38,9 @@ pub struct TripletMetal {
     n_classes: usize,
     /// Firing-conditional accuracy per LF.
     accuracies: Vec<f64>,
+    /// Naive-Bayes vote weight `ln(acc / (1 − acc))` per LF, filled with
+    /// `accuracies` so prediction does not recompute it per vote.
+    log_weights: Vec<f64>,
     prior: Vec<f64>,
     /// Accuracy assigned to LFs when moments are unusable (fewer than three
     /// LFs, or degenerate overlap). Matches the candidate filter's floor.
@@ -57,6 +60,7 @@ impl TripletMetal {
         TripletMetal {
             n_classes,
             accuracies: vec![],
+            log_weights: vec![],
             prior: vec![0.5, 0.5],
             default_accuracy: 0.7,
             clamp: 0.05,
@@ -75,6 +79,14 @@ impl TripletMetal {
             0 => -1.0,
             _ => 1.0,
         }
+    }
+
+    fn set_accuracies(&mut self, accuracies: Vec<f64>) {
+        self.log_weights = accuracies
+            .iter()
+            .map(|&acc| (acc / (1.0 - acc)).ln())
+            .collect();
+        self.accuracies = accuracies;
     }
 
     /// [`LabelModel::fit`] under an explicit execution policy. The pairwise
@@ -107,64 +119,33 @@ impl TripletMetal {
                 }
             }
         }
-        if m == 0 {
-            self.accuracies.clear();
-            return Ok(());
-        }
         if m < 3 || n == 0 {
-            self.accuracies = vec![self.default_accuracy; m];
+            self.set_accuracies(vec![self.default_accuracy; m]);
             return Ok(());
         }
+        let (fire_counts, pair_sums) = moment_sums(matrix, exec);
+        let accuracies = self.estimate_accuracies(fire_counts, pair_sums, n);
+        self.set_accuracies(accuracies);
+        Ok(())
+    }
 
-        // Firing counts and pairwise signed second-moment sums
-        // Σ_i λ_j(x_i)·λ_k(x_i), accumulated per fixed-size instance chunk
-        // and merged in chunk order. Every partial is a sum of 0/±1 terms —
-        // exact in f64 — so this equals the straight serial sum exactly.
-        let parts = parallel::map_chunks(n, MOMENT_CHUNK, exec, |range| {
-            let mut fire_part = vec![0.0f64; m];
-            let mut moment_part = vec![0.0f64; m * m];
-            for i in range {
-                let row = matrix.row(i);
-                for (j, &v) in row.iter().enumerate() {
-                    if v != ABSTAIN {
-                        fire_part[j] += 1.0;
-                    }
-                }
-                for j in 0..m {
-                    let sj = Self::signed(row[j]);
-                    if sj == 0.0 {
-                        continue;
-                    }
-                    for k in (j + 1)..m {
-                        let sk = Self::signed(row[k]);
-                        if sk != 0.0 {
-                            moment_part[j * m + k] += sj * sk;
-                        }
-                    }
-                }
-            }
-            (fire_part, moment_part)
-        });
-        let mut fire_rate = vec![0.0f64; m];
-        let mut moments = vec![vec![0.0f64; m]; m];
-        for (fire_part, moment_part) in parts {
-            for (total, part) in fire_rate.iter_mut().zip(&fire_part) {
-                *total += part;
-            }
-            for j in 0..m {
-                for k in (j + 1)..m {
-                    moments[j][k] += moment_part[j * m + k];
-                }
-            }
-        }
+    /// Turns firing counts and upper-triangular pair sums (flat `m × m`)
+    /// over `n > 0` instances into clamped firing-conditional accuracies.
+    fn estimate_accuracies(
+        &self,
+        mut fire_rate: Vec<f64>,
+        mut moments: Vec<f64>,
+        n: usize,
+    ) -> Vec<f64> {
+        let m = fire_rate.len();
         for f in &mut fire_rate {
             *f /= n.max(1) as f64;
         }
         let inv_n = 1.0 / n as f64;
         for j in 0..m {
             for k in (j + 1)..m {
-                moments[j][k] *= inv_n;
-                moments[k][j] = moments[j][k];
+                moments[j * m + k] *= inv_n;
+                moments[k * m + j] = moments[j * m + k];
             }
         }
 
@@ -182,7 +163,8 @@ impl TripletMetal {
                     if l == j {
                         continue;
                     }
-                    let (mjk, mjl, mkl) = (moments[j][k], moments[j][l], moments[k][l]);
+                    let (mjk, mjl, mkl) =
+                        (moments[j * m + k], moments[j * m + l], moments[k * m + l]);
                     if mjk.abs() < MIN_MOMENT || mjl.abs() < MIN_MOMENT || mkl.abs() < MIN_MOMENT {
                         continue;
                     }
@@ -207,9 +189,55 @@ impl TripletMetal {
             };
             accs.push(acc.clamp(self.clamp, 1.0 - self.clamp));
         }
-        self.accuracies = accs;
-        Ok(())
+        accs
     }
+}
+
+/// Firing counts and pairwise signed second-moment sums
+/// `Σ_i λ_j(x_i)·λ_k(x_i)` (flat `m × m`, upper triangle `j < k` only),
+/// accumulated per fixed-size instance chunk and merged in chunk order.
+/// Each row's firing LFs are gathered once as `(index, ±1)`, so only
+/// firing pairs are visited; an abstaining LF contributes nothing to
+/// either sum. The partials are exact `i64` integers, converted to `f64`
+/// after the merge.
+fn moment_sums(matrix: &LabelMatrix, exec: Execution) -> (Vec<f64>, Vec<f64>) {
+    let (n, m) = (matrix.n_instances(), matrix.n_lfs());
+    let parts = parallel::map_chunks(n, MOMENT_CHUNK, exec, |range| {
+        let mut fire_part = vec![0i64; m];
+        let mut pair_part = vec![0i64; m * m];
+        let mut firing: Vec<(usize, i64)> = Vec::with_capacity(m);
+        for i in range {
+            firing.clear();
+            firing.extend(
+                matrix
+                    .row(i)
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != ABSTAIN)
+                    .map(|(j, &v)| (j, if v == 0 { -1 } else { 1 })),
+            );
+            for (a, &(j, sj)) in firing.iter().enumerate() {
+                fire_part[j] += 1;
+                let pairs = &mut pair_part[j * m..(j + 1) * m];
+                for &(k, sk) in &firing[a + 1..] {
+                    pairs[k] += sj * sk;
+                }
+            }
+        }
+        (fire_part, pair_part)
+    });
+    let mut fire_total = vec![0i64; m];
+    let mut pair_total = vec![0i64; m * m];
+    for (fire_part, pair_part) in parts {
+        for (total, part) in fire_total.iter_mut().zip(&fire_part) {
+            *total += part;
+        }
+        for (total, part) in pair_total.iter_mut().zip(&pair_part) {
+            *total += part;
+        }
+    }
+    let to_f64 = |totals: Vec<i64>| totals.into_iter().map(|c| c as f64).collect();
+    (to_f64(fire_total), to_f64(pair_total))
 }
 
 impl LabelModel for TripletMetal {
@@ -229,13 +257,10 @@ impl LabelModel for TripletMetal {
     fn predict_proba(&self, votes: &[i8]) -> Vec<f64> {
         // Naive-Bayes log odds for Y = 1.
         let mut log_odds = (self.prior[1] / self.prior[0]).ln();
-        for (j, &v) in votes.iter().enumerate().take(self.accuracies.len()) {
-            if v == ABSTAIN {
-                continue;
+        for (&v, &w) in votes.iter().zip(&self.log_weights) {
+            if v != ABSTAIN {
+                log_odds += Self::signed(v) * w;
             }
-            let acc = self.accuracies[j];
-            let w = (acc / (1.0 - acc)).ln();
-            log_odds += Self::signed(v) * w;
         }
         let p1 = 1.0 / (1.0 + (-log_odds).exp());
         vec![1.0 - p1, p1]
@@ -250,6 +275,139 @@ impl LabelModel for TripletMetal {
 mod tests {
     use super::*;
     use crate::dawid_skene::tests::planted;
+    use rand::{Rng, SeedableRng};
+
+    /// The dense `f64` moment loop the firing-list kernel replaced, kept as
+    /// the bit-exactness reference: every LF pair of every row is visited.
+    fn dense_moment_sums(matrix: &LabelMatrix) -> (Vec<f64>, Vec<f64>) {
+        let m = matrix.n_lfs();
+        let mut fire = vec![0.0f64; m];
+        let mut pairs = vec![0.0f64; m * m];
+        for i in 0..matrix.n_instances() {
+            let row = matrix.row(i);
+            for (j, &v) in row.iter().enumerate() {
+                if v != ABSTAIN {
+                    fire[j] += 1.0;
+                }
+            }
+            for j in 0..m {
+                let sj = TripletMetal::signed(row[j]);
+                if sj == 0.0 {
+                    continue;
+                }
+                for k in (j + 1)..m {
+                    let sk = TripletMetal::signed(row[k]);
+                    if sk != 0.0 {
+                        pairs[j * m + k] += sj * sk;
+                    }
+                }
+            }
+        }
+        (fire, pairs)
+    }
+
+    /// The per-vote `ln` posterior the cached `log_weights` replaced.
+    fn reference_predict(t: &TripletMetal, votes: &[i8]) -> Vec<f64> {
+        let mut log_odds = (t.prior[1] / t.prior[0]).ln();
+        for (j, &v) in votes.iter().enumerate().take(t.accuracies.len()) {
+            if v == ABSTAIN {
+                continue;
+            }
+            let acc = t.accuracies[j];
+            let w = (acc / (1.0 - acc)).ln();
+            log_odds += TripletMetal::signed(v) * w;
+        }
+        let p1 = 1.0 / (1.0 + (-log_odds).exp());
+        vec![1.0 - p1, p1]
+    }
+
+    fn assert_bits(label: &str, a: &[f64], b: &[f64]) {
+        assert_eq!(a.len(), b.len(), "{label}: length");
+        for (k, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{label}[{k}]: {x:e} vs {y:e}");
+        }
+    }
+
+    /// Seeded votes with per-LF coverage and accuracy, plus a band of
+    /// all-abstain rows.
+    fn seeded_votes(n: usize, m: usize, seed: u64) -> LabelMatrix {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let lfs: Vec<(f64, f64)> = (0..m)
+            .map(|_| (rng.gen_range(0.05..0.9), rng.gen_range(0.3..0.95)))
+            .collect();
+        let mut data = Vec::with_capacity(n * m);
+        for i in 0..n {
+            let y = i8::from(rng.gen::<f64>() < 0.4);
+            for &(cov, acc) in &lfs {
+                data.push(if i % 11 == 3 || rng.gen::<f64>() >= cov {
+                    ABSTAIN
+                } else if rng.gen::<f64>() < acc {
+                    y
+                } else {
+                    1 - y
+                });
+            }
+        }
+        LabelMatrix::from_raw(n, m, data).unwrap()
+    }
+
+    #[test]
+    fn firing_list_moments_match_dense_reference_bitwise() {
+        for (seed, (n, m)) in [(0, 1), (1, 3), (300, 5), (513, 9), (1100, 24), (260, 64)]
+            .into_iter()
+            .enumerate()
+        {
+            let votes = seeded_votes(n, m, seed as u64);
+            let (dense_fire, dense_pairs) = dense_moment_sums(&votes);
+            for exec in [Execution::Serial, Execution::with_threads(3)] {
+                let (fire, pairs) = moment_sums(&votes, exec);
+                assert_bits(&format!("fire n={n} m={m}"), &fire, &dense_fire);
+                assert_bits(&format!("pairs n={n} m={m}"), &pairs, &dense_pairs);
+            }
+        }
+    }
+
+    #[test]
+    fn fit_and_predict_match_dense_reference_bitwise() {
+        for (seed, (n, m)) in [
+            (0, 0),
+            (40, 1),
+            (40, 2),
+            (0, 4),
+            (7, 3),
+            (600, 6),
+            (900, 17),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let votes = seeded_votes(n, m, 100 + seed as u64);
+            let mut t = TripletMetal::new(2);
+            t.fit(&votes, Some(&[0.35, 0.65])).unwrap();
+            if m >= 3 && n > 0 {
+                let (fire, pairs) = dense_moment_sums(&votes);
+                let expected = t.estimate_accuracies(fire, pairs, n);
+                assert_bits(
+                    &format!("accuracies n={n} m={m}"),
+                    t.accuracies(),
+                    &expected,
+                );
+            } else {
+                assert_eq!(t.accuracies(), vec![t.default_accuracy; m].as_slice());
+            }
+            let mut probes: Vec<Vec<i8>> = (0..n).map(|i| votes.row(i).to_vec()).collect();
+            probes.push(vec![ABSTAIN; m]);
+            probes.push(vec![]);
+            probes.push(vec![1; m + 2]);
+            for (i, row) in probes.iter().enumerate() {
+                assert_bits(
+                    &format!("posterior n={n} m={m} row {i}"),
+                    &t.predict_proba(row),
+                    &reference_predict(&t, row),
+                );
+            }
+        }
+    }
 
     #[test]
     fn recovers_planted_accuracies() {

@@ -23,6 +23,11 @@
 //! `Execution::with_threads`; the CI matrix additionally re-runs the whole
 //! suite under `ADP_NUM_THREADS=1` and `=4` to exercise the process-wide
 //! budget path.
+//!
+//! One golden pin sits alongside: a LabelPick-shaped glasso whose sweep
+//! count and output-bit hash are fixed, so a kernel rewrite that promises
+//! identical bits (the engine's golden trajectory stops before LabelPick
+//! reaches the glasso) is checked against recorded output.
 
 use activedp_repro::classifier::{LogRegConfig, LogisticRegression, Targets};
 use activedp_repro::core::Engine;
@@ -464,4 +469,86 @@ fn sampler_selection_serial_matches_parallel() {
         (0..3).map(|_| s.select(&ctx).unwrap()).collect::<Vec<_>>()
     };
     assert_eq!(draw_qbc(false), draw_qbc(true));
+}
+
+/// 64-bit FNV-1a over the little-endian bits of a sequence of floats.
+fn fnv1a_bits<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Golden glasso on a LabelPick-shaped problem: t = 100 signed-vote query
+/// rows over 64 LFs plus the pseudo-label column (p = 65, LabelPick's cap),
+/// standardised with `correlation_matrix` and solved at LabelPick's default
+/// ρ = 0.03. The last 16 LFs are noisy copies of earlier ones, so the
+/// precision has real off-diagonal structure and the coordinate-descent
+/// active sets change along the solve. The sweep count and an FNV-1a hash
+/// of the precision and covariance bits are pinned, so any kernel change
+/// that moves a single bit of the glasso output fails here.
+#[test]
+fn glasso_labelpick_shaped_golden() {
+    use activedp_repro::linalg::correlation_matrix;
+    const T: usize = 100;
+    const M: usize = 64;
+    let unit = |x: u64| (x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64;
+    let mut data = Matrix::zeros(T, M + 1);
+    for i in 0..T {
+        let y = if unit(i as u64 * 13 + 5) < 0.45 {
+            1.0
+        } else {
+            -1.0
+        };
+        for j in 0..M {
+            let h = (i * M + j) as u64;
+            let vote = if j >= 48 && unit(h * 17 + 1) < 0.85 {
+                data[(i, j - 48)]
+            } else {
+                let coverage = 0.2 + 0.4 * unit(j as u64 * 29 + 7);
+                let accuracy = 0.55 + 0.4 * unit(j as u64 * 31 + 11);
+                if unit(h * 5 + 2) >= coverage {
+                    0.0
+                } else if unit(h * 7 + 3) < accuracy {
+                    y
+                } else {
+                    -y
+                }
+            };
+            data[(i, j)] = vote;
+        }
+        data[(i, M)] = y;
+    }
+    let corr = correlation_matrix(&data).unwrap();
+    let cfg = GlassoConfig {
+        rho: 0.03,
+        ..GlassoConfig::default()
+    };
+    let out = graphical_lasso_with(&corr, cfg, Execution::Serial).unwrap();
+    let hash = fnv1a_bits(
+        out.precision
+            .as_slice()
+            .iter()
+            .chain(out.covariance.as_slice()),
+    );
+    let p = M + 1;
+    let zero_edges = (0..p)
+        .flat_map(|i| (0..p).map(move |j| (i, j)))
+        .filter(|&(i, j)| i != j && out.precision[(i, j)] == 0.0)
+        .count();
+    // The fixture must exercise both sides of the ℓ1 kink.
+    assert!(
+        zero_edges > 0 && zero_edges < p * (p - 1),
+        "{zero_edges} zero edges"
+    );
+    assert_eq!(
+        (out.sweeps, hash),
+        (5, 0x29ee_fec1_db8e_5782),
+        "glasso golden moved: sweeps {} hash {hash:#018x}",
+        out.sweeps
+    );
 }
