@@ -6,7 +6,7 @@ use adp_data::DatasetId;
 use adp_glasso::{graphical_lasso, graphical_lasso_with, GlassoConfig};
 use adp_labelmodel::{DawidSkene, LabelModel, TripletMetal};
 use adp_lf::CandidateSpace;
-use adp_linalg::{covariance_matrix, Cholesky, Execution, Matrix};
+use adp_linalg::{correlation_matrix, covariance_matrix, Cholesky, Execution, Matrix};
 use adp_text::TfidfVectorizer;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -38,6 +38,50 @@ fn bench_glasso(c: &mut Criterion) {
     let cov = covariance_matrix(&data).expect("non-empty data");
     c.bench_function("graphical_lasso_p20", |b| {
         b.iter(|| black_box(graphical_lasso(&cov, GlassoConfig::default()).expect("well-posed")))
+    });
+}
+
+/// The LabelPick-shaped glasso of the workspace golden
+/// (`tests/determinism.rs`): 100 signed-vote query rows over 64 LFs (the
+/// last 16 mostly noisy copies) plus the label, as correlations, at
+/// LabelPick's cap p = 65 and default ρ = 0.03.
+fn bench_glasso_labelpick(c: &mut Criterion) {
+    const T: usize = 100;
+    const M: usize = 64;
+    let unit = |x: u64| (x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64;
+    let mut data = Matrix::zeros(T, M + 1);
+    for i in 0..T {
+        let y = if unit(i as u64 * 13 + 5) < 0.45 {
+            1.0
+        } else {
+            -1.0
+        };
+        for j in 0..M {
+            let h = (i * M + j) as u64;
+            let vote = if j >= 48 && unit(h * 17 + 1) < 0.85 {
+                data[(i, j - 48)]
+            } else {
+                let coverage = 0.2 + 0.4 * unit(j as u64 * 29 + 7);
+                let accuracy = 0.55 + 0.4 * unit(j as u64 * 31 + 11);
+                if unit(h * 5 + 2) >= coverage {
+                    0.0
+                } else if unit(h * 7 + 3) < accuracy {
+                    y
+                } else {
+                    -y
+                }
+            };
+            data[(i, j)] = vote;
+        }
+        data[(i, M)] = y;
+    }
+    let corr = correlation_matrix(&data).expect("non-empty data");
+    let cfg = GlassoConfig {
+        rho: 0.03,
+        ..GlassoConfig::default()
+    };
+    c.bench_function("glasso_labelpick_p65", |b| {
+        b.iter(|| black_box(graphical_lasso(&corr, cfg).expect("well-posed")))
     });
 }
 
@@ -463,6 +507,7 @@ criterion_group!(
     targets = bench_tfidf,
         bench_cholesky,
         bench_glasso,
+        bench_glasso_labelpick,
         bench_label_models,
         bench_logreg,
         bench_logreg_grad_parallel,

@@ -464,6 +464,143 @@ mod tests {
         }
     }
 
+    /// Signed-vote query rows in LabelPick's shape, from the workspace
+    /// golden's generator (`tests/determinism.rs`) with a seed mixed in:
+    /// `t` queries, `p − 1` LFs of varied coverage and accuracy (the last
+    /// quarter mostly noisy copies of earlier ones) and the label last.
+    fn labelpick_shaped_corr(seed: u64, t: usize, p: usize) -> Matrix {
+        let unit = |x: u64| {
+            let x = x ^ seed.wrapping_mul(0xD1B5_4A32_D192_ED03);
+            (x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let m = p - 1;
+        let copies = m - m / 4;
+        let mut data = Matrix::zeros(t, p);
+        for i in 0..t {
+            let y = if unit(i as u64 * 13 + 5) < 0.45 {
+                1.0
+            } else {
+                -1.0
+            };
+            for j in 0..m {
+                let h = (i * m + j) as u64;
+                let vote = if j >= copies && unit(h * 17 + 1) < 0.85 {
+                    data[(i, j - copies)]
+                } else {
+                    let coverage = 0.2 + 0.4 * unit(j as u64 * 29 + 7);
+                    let accuracy = 0.55 + 0.4 * unit(j as u64 * 31 + 11);
+                    if unit(h * 5 + 2) >= coverage {
+                        0.0
+                    } else if unit(h * 7 + 3) < accuracy {
+                        y
+                    } else {
+                        -y
+                    }
+                };
+                data[(i, j)] = vote;
+            }
+            data[(i, m)] = y;
+        }
+        adp_linalg::correlation_matrix(&data).unwrap()
+    }
+
+    /// The plain coordinate-descent lasso loop: every `k ≠ j` enters the
+    /// residual, and the loop stops at `tol` with no active-set solve.
+    fn dense_cd(v: &Matrix, s: &[f64], rho: f64, beta: &mut [f64], tol: f64) {
+        for _ in 0..1000 {
+            let mut max_delta = 0.0_f64;
+            for j in 0..s.len() {
+                let mut r = s[j];
+                for (k, (&vjk, &bk)) in v.row(j).iter().zip(beta.iter()).enumerate() {
+                    if k != j {
+                        r -= vjk * bk;
+                    }
+                }
+                let new_bj = adp_linalg::soft_threshold(r, rho) / v[(j, j)];
+                max_delta = max_delta.max((new_bj - beta[j]).abs());
+                beta[j] = new_bj;
+            }
+            if max_delta < tol {
+                return;
+            }
+        }
+        panic!("dense reference did not converge");
+    }
+
+    /// Textbook block coordinate descent (Friedman et al. 2008) on the
+    /// dense lasso loop, with the same stopping rules as
+    /// [`graphical_lasso`]; returns the precision matrix.
+    fn dense_reference_glasso(s: &Matrix, cfg: GlassoConfig) -> Matrix {
+        let p = s.nrows();
+        let mut w = s.clone();
+        w.add_diagonal(cfg.rho).unwrap();
+        let others: Vec<Vec<usize>> = (0..p)
+            .map(|j| (0..p).filter(|&k| k != j).collect())
+            .collect();
+        let mut betas = vec![vec![0.0; p - 1]; p];
+        let off_sum: f64 = (0..p)
+            .flat_map(|i| (0..p).map(move |j| (i, j)))
+            .filter(|&(i, j)| i != j)
+            .map(|(i, j)| s[(i, j)].abs())
+            .sum();
+        let scale = (off_sum / (p * (p - 1)) as f64).max(1e-12);
+        for _ in 0..cfg.max_sweeps {
+            let mut delta_sum = 0.0;
+            for j in 0..p {
+                let idx = &others[j];
+                let w11 = w.submatrix(idx, idx);
+                let s12: Vec<f64> = idx.iter().map(|&k| s[(k, j)]).collect();
+                dense_cd(&w11, &s12, cfg.rho, &mut betas[j], 1e-6);
+                let w12 = w11.matvec(&betas[j]).unwrap();
+                for (pos, &k) in idx.iter().enumerate() {
+                    delta_sum += (w[(k, j)] - w12[pos]).abs();
+                    w[(k, j)] = w12[pos];
+                    w[(j, k)] = w12[pos];
+                }
+            }
+            if delta_sum / ((p * (p - 1)) as f64) < cfg.tol * scale {
+                break;
+            }
+        }
+        let mut prec = Matrix::zeros(p, p);
+        for j in 0..p {
+            let w12: Vec<f64> = others[j].iter().map(|&k| w[(k, j)]).collect();
+            let theta_jj = 1.0 / (w[(j, j)] - adp_linalg::dot(&w12, &betas[j])).max(1e-12);
+            prec[(j, j)] = theta_jj;
+            for (pos, &k) in others[j].iter().enumerate() {
+                prec[(k, j)] = -betas[j][pos] * theta_jj;
+            }
+        }
+        prec.symmetrize().unwrap();
+        prec
+    }
+
+    #[test]
+    fn label_blanket_matches_dense_reference_on_labelpick_shapes() {
+        // LabelPick's defaults: rho = 0.03, the label last, blanket_tol 1e-6.
+        let cfg = GlassoConfig {
+            rho: 0.03,
+            ..GlassoConfig::default()
+        };
+        let mut nonempty = 0;
+        for seed in 0..10 {
+            for p in [17, 33, 65] {
+                let corr = labelpick_shaped_corr(seed, 100, p);
+                let fast = graphical_lasso(&corr, cfg).unwrap().precision;
+                let reference = dense_reference_glasso(&corr, cfg);
+                let blanket = markov_blanket(&fast, p - 1, 1e-6);
+                assert_eq!(
+                    blanket,
+                    markov_blanket(&reference, p - 1, 1e-6),
+                    "seed {seed}, p {p}"
+                );
+                nonempty += usize::from(!blanket.is_empty() && blanket.len() < p - 1);
+            }
+        }
+        // The blankets must be proper subsets, or the check is vacuous.
+        assert!(nonempty >= 20, "{nonempty} informative blankets");
+    }
+
     #[test]
     fn markov_blanket_respects_tolerance() {
         let mut prec = Matrix::identity(3);

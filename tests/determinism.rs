@@ -488,9 +488,11 @@ fn fnv1a_bits<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
 /// standardised with `correlation_matrix` and solved at LabelPick's default
 /// ρ = 0.03. The last 16 LFs are noisy copies of earlier ones, so the
 /// precision has real off-diagonal structure and the coordinate-descent
-/// active sets change along the solve. The sweep count and an FNV-1a hash
-/// of the precision and covariance bits are pinned, so any kernel change
-/// that moves a single bit of the glasso output fails here.
+/// active sets change along the solve. Two pins: an FNV-1a hash of the
+/// precision's off-diagonal zero pattern (the graph LabelPick reads), and
+/// the sweep count with a hash of the precision and covariance bits, so
+/// any kernel change that moves a single bit of the glasso output fails
+/// here.
 #[test]
 fn glasso_labelpick_shaped_golden() {
     use activedp_repro::linalg::correlation_matrix;
@@ -536,14 +538,24 @@ fn glasso_labelpick_shaped_golden() {
             .chain(out.covariance.as_slice()),
     );
     let p = M + 1;
-    let zero_edges = (0..p)
+    // 1.0 where an off-diagonal precision entry is exactly zero.
+    let zero_pattern: Vec<f64> = (0..p)
         .flat_map(|i| (0..p).map(move |j| (i, j)))
-        .filter(|&(i, j)| i != j && out.precision[(i, j)] == 0.0)
-        .count();
+        .filter(|&(i, j)| i != j)
+        .map(|(i, j)| f64::from(u8::from(out.precision[(i, j)] == 0.0)))
+        .collect();
+    let zero_edges = zero_pattern.iter().filter(|&&z| z == 1.0).count();
     // The fixture must exercise both sides of the ℓ1 kink.
     assert!(
         zero_edges > 0 && zero_edges < p * (p - 1),
         "{zero_edges} zero edges"
+    );
+    // The support is pinned on its own: a solver change may move the
+    // nonzero values' bits (re-pinned below) but not which edges vanish.
+    let support = fnv1a_bits(&zero_pattern);
+    assert_eq!(
+        support, 0x27c7_7342_d6d0_2845,
+        "glasso golden support moved: zero-pattern hash {support:#018x}"
     );
     assert_eq!(
         (out.sweeps, hash),
