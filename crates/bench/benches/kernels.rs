@@ -184,10 +184,10 @@ fn bench_dawid_skene_parallel(c: &mut Criterion) {
     }
 }
 
-/// Serial vs parallel glasso column sweeps at p = 128 — above
-/// `MIN_PARALLEL_DIM`, where the per-column inner ops genuinely split into
-/// multiple chunks (LabelPick's cap-sized p = 65 problems stay on the
-/// zero-overhead serial path by design) — same bitwise-identical contract.
+/// Serial vs parallel glasso at p = 128 — above `MIN_PARALLEL_DIM`, where
+/// the precision recovery genuinely splits into multiple chunks
+/// (LabelPick's cap-sized p = 65 problems stay on the zero-overhead serial
+/// path by design) — same bitwise-identical contract.
 fn bench_glasso_sweep_parallel(c: &mut Criterion) {
     let data = Matrix::from_fn(600, 128, |i, j| {
         (((i * 7 + j * 13) % 23) as f64 - 11.0) * 0.1 + (i % 3) as f64 * 0.05 * (j % 9) as f64

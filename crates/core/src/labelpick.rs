@@ -41,9 +41,9 @@ pub struct LabelPickConfig {
     /// Minimum number of query rows before structure learning is attempted;
     /// below this every accuracy-surviving LF is kept.
     pub min_queries: usize,
-    /// Let the graphical lasso fan its per-column subproblem setup out over
-    /// scoped threads when the LF set is large enough. The selection is
-    /// bitwise identical either way; this switch only controls scheduling.
+    /// Let the graphical lasso fan its precision recovery out over scoped
+    /// threads when the LF set is large enough. The selection is bitwise
+    /// identical either way; this switch only controls scheduling.
     pub parallel: bool,
 }
 

@@ -11,17 +11,17 @@
 //! target form its Markov blanket (Pearl 1988), which LabelPick uses to
 //! select the LF subset adjacent to the class label.
 //!
-//! The column sweep itself is inherently sequential — each column's
-//! subproblem reads the `W` entries the previous columns just wrote
-//! (warm-start order is part of the algorithm) — but the O(p²) work *inside*
-//! one column update is not: gathering the `W₁₁` subproblem, the `s₁₂`
-//! right-hand side, the `w₁₂ = W₁₁ β` residual product, and the final
-//! per-column precision recovery are all pure per-element computations.
-//! Those fan out through [`adp_linalg::parallel::map_chunks`]; because no
-//! cross-element reduction is regrouped, serial and parallel runs are
-//! **bitwise identical** (pinned by `serial_matches_parallel` here and the
-//! workspace `tests/determinism.rs` harness), and the coordinate-descent
-//! inner solver stays serial.
+//! The column sweep is sequential — each column's subproblem reads the `W`
+//! entries the previous columns just wrote (warm-start order is part of
+//! the algorithm) — and runs on the calling thread. Its per-column setup
+//! is O(p): the `W₁₁` subproblem lives in one buffer that changes by a
+//! single row and column between consecutive columns, and the
+//! `w₁₂ = W₁₁ β` product visits the nonzero `β` only. The one parallel
+//! step is the final per-column precision recovery, which fans out through
+//! [`adp_linalg::parallel::map_chunks`] without regrouping any reduction,
+//! so serial and parallel runs are **bitwise identical** (pinned by
+//! `serial_matches_parallel` here and the workspace `tests/determinism.rs`
+//! harness).
 
 pub mod error;
 
@@ -31,26 +31,16 @@ use adp_linalg::lasso::LassoConfig;
 use adp_linalg::parallel::{self, Execution};
 use adp_linalg::{lasso_quadratic_cd, Matrix};
 
-/// Rows per chunk for the per-column inner ops (the `W₁₁` gather and the
-/// `w₁₂` residual product), which run once per column per sweep. Sized so
-/// one chunk carries ≥ 64·p elements of work: problems up to p ≈ 65 —
-/// LabelPick's cap — fall into a single chunk and take `map_chunks`'
-/// zero-overhead serial path, and a scoped spawn only happens where it
-/// amortises. Fixed (machine-independent); the fanned-out work is pure
-/// per-element, so the chunking never touches any float grouping.
-const COL_CHUNK: usize = 64;
-
 /// Columns per chunk for the one-shot precision recovery (each column is
 /// O(p) work, and the pass runs once per `graphical_lasso` call).
 const DIM_CHUNK: usize = 16;
 
-/// Minimum matrix dimension before threads pay for themselves: the
-/// per-column inner ops only split into multiple chunks once
-/// `p − 1 > COL_CHUNK`, and each chunk must carry enough O(p · COL_CHUNK)
-/// work to outweigh a scoped spawn — below this bound `auto` stays serial
-/// (identical bits, zero thread overhead). Public so callers that force a
-/// policy (e.g. LabelPick's config switch) can reuse the same threshold in
-/// their own [`parallel::auto`] call.
+/// Minimum matrix dimension before threads pay for themselves in the
+/// precision-recovery pass (`DIM_CHUNK` columns per chunk); below this
+/// bound [`parallel::auto`] stays serial (identical bits, zero thread
+/// overhead). Public so callers that force a policy (e.g. LabelPick's
+/// config switch) can reuse the same threshold in their own
+/// [`parallel::auto`] call.
 pub const MIN_PARALLEL_DIM: usize = 96;
 
 /// Graphical-lasso hyperparameters.
@@ -91,9 +81,9 @@ pub struct GlassoResult {
 /// `s` must be square and symmetric (within 1e-8). Zero-variance variables
 /// are handled by the ridge the penalty adds to the diagonal.
 ///
-/// Large problems fan the per-column subproblem setup out over scoped
-/// threads ([`parallel::auto`] picks the policy); the result is bitwise
-/// identical either way — see the module docs.
+/// Large problems fan the precision recovery out over scoped threads
+/// ([`parallel::auto`] picks the policy); the result is bitwise identical
+/// either way — see the module docs.
 pub fn graphical_lasso(s: &Matrix, cfg: GlassoConfig) -> Result<GlassoResult, GlassoError> {
     graphical_lasso_with(s, cfg, parallel::auto(s.nrows(), MIN_PARALLEL_DIM))
 }
@@ -163,27 +153,55 @@ pub fn graphical_lasso_with(
         tol: 1e-6,
         max_sweeps: 1000,
     };
+    // Column j's quadratic W₁₁ = W[others[j], others[j]], in one buffer.
+    // Consecutive columns' index sets differ in a single slot — position
+    // j − 1 holds index j for column j − 1 and index j − 1 for column j —
+    // and column j − 1 rewrote only W's row and column j − 1, so each
+    // column refreshes that one row and column; a sweep's first column
+    // gathers the whole buffer.
+    let mut w11 = Matrix::zeros(p - 1, p - 1);
+    let mut nonzero: Vec<(usize, f64)> = Vec::with_capacity(p - 1);
     let mut sweeps = 0;
     for sweep in 1..=cfg.max_sweeps {
         sweeps = sweep;
         let mut delta_sum = 0.0;
         for j in 0..p {
             let idx = &others[j];
-            // Subproblem setup: gather the (p−1)×(p−1) quadratic W₁₁ and
-            // its right-hand side s₁₂ — pure copies, fanned out row-wise.
-            let w11 = gather_submatrix(&w, idx, exec);
+            if j == 0 {
+                for (a, &ka) in idx.iter().enumerate() {
+                    for (b, &kb) in idx.iter().enumerate() {
+                        w11[(a, b)] = w[(ka, kb)];
+                    }
+                }
+            } else {
+                for (pos, &k) in idx.iter().enumerate() {
+                    w11[(j - 1, pos)] = w[(j - 1, k)];
+                    w11[(pos, j - 1)] = w[(k, j - 1)];
+                }
+            }
             let s12: Vec<f64> = idx.iter().map(|&k| s[(k, j)]).collect();
-            // The ℓ1 solve is cyclic coordinate descent — sequential by
-            // nature and warm-started from the previous sweep, so it stays
-            // on the calling thread; column order is the algorithm.
+            // The ℓ1 solve is cyclic coordinate descent, warm-started from
+            // the previous sweep; column order is the algorithm.
             lasso_quadratic_cd(&w11, &s12, cfg.rho, &mut betas[j], lasso_cfg)
                 .map_err(GlassoError::Inner)?;
-            // Residual product w₁₂ = W₁₁ · β: independent per-row dots.
-            let w12 = matvec_chunked(&w11, &betas[j], exec);
+            // w₁₂ = W₁₁ · β over the nonzero β only. Each sum runs in the
+            // dense product's order and omits only exact ±0 terms, so it
+            // equals the dense dot product bit for bit (the diagonal keeps
+            // an all-zero row's dense sum at +0.0, where this one starts).
+            nonzero.clear();
+            nonzero.extend(
+                betas[j]
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .filter(|&(_, b)| b != 0.0),
+            );
             for (pos, &k) in idx.iter().enumerate() {
-                delta_sum += (w[(k, j)] - w12[pos]).abs();
-                w[(k, j)] = w12[pos];
-                w[(j, k)] = w12[pos];
+                let row = w11.row(pos);
+                let w12 = nonzero.iter().fold(0.0, |acc, &(m, b)| acc + row[m] * b);
+                delta_sum += (w[(k, j)] - w12).abs();
+                w[(k, j)] = w12;
+                w[(j, k)] = w12;
             }
         }
         let avg_delta = delta_sum / (p * (p - 1)) as f64;
@@ -223,41 +241,6 @@ pub fn graphical_lasso_with(
         precision: prec,
         sweeps,
     })
-}
-
-/// `m.submatrix(idx, idx)` with the row gathers fanned out over fixed
-/// chunks — pure copies into one flat buffer per chunk, bit-identical to
-/// the serial gather.
-fn gather_submatrix(m: &Matrix, idx: &[usize], exec: Execution) -> Matrix {
-    let p = idx.len();
-    let chunks = parallel::map_chunks(p, COL_CHUNK, exec, |range| {
-        let mut flat = Vec::with_capacity(range.len() * p);
-        for i in range {
-            flat.extend(idx.iter().map(|&k| m[(idx[i], k)]));
-        }
-        flat
-    });
-    let mut out = Matrix::zeros(p, p);
-    let mut offset = 0;
-    for chunk in chunks {
-        out.as_mut_slice()[offset..offset + chunk.len()].copy_from_slice(&chunk);
-        offset += chunk.len();
-    }
-    out
-}
-
-/// `m.matvec(v)` with the per-row dot products fanned out over fixed
-/// chunks. Each element is the same serial [`adp_linalg::dot`] the dense
-/// kernel computes, so the output is bit-identical to `Matrix::matvec`.
-fn matvec_chunked(m: &Matrix, v: &[f64], exec: Execution) -> Vec<f64> {
-    parallel::map_chunks(m.nrows(), COL_CHUNK, exec, |range| {
-        range
-            .map(|i| adp_linalg::dot(m.row(i), v))
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// Variables with non-zero partial correlation to `target`: the indices `k`
