@@ -1,4 +1,5 @@
-//! ℓ1-penalised quadratic programs solved by coordinate descent.
+//! ℓ1-penalised quadratic programs: coordinate descent finds the support,
+//! one certified linear solve finishes it.
 //!
 //! The graphical lasso's inner step (Friedman, Hastie & Tibshirani 2008)
 //! repeatedly solves
@@ -7,25 +8,58 @@
 //!   minimize_β  ½ βᵀ V β − sᵀ β + ρ ‖β‖₁
 //! ```
 //!
-//! with `V` positive definite. Coordinate descent has the closed-form update
-//! `β_j ← soft(s_j − Σ_{k≠j} V_jk β_k, ρ) / V_jj`, which this module
-//! implements with warm starts.
+//! with `V` positive definite. [`lasso_quadratic_cd`] runs in two phases,
+//! the remedy glmnet uses for slow coordinate descent on correlated
+//! columns (Friedman, Hastie & Tibshirani 2010).
 //!
-//! **Skip-zero invariant.** The solver keeps an ascending list of the
-//! pairs `(k, β_k)` with `β_k ≠ 0` and forms the residual over that list
-//! only, in the same index order as the dense sum; a coefficient that
-//! enters or leaves zero is inserted into or removed from the list at the
-//! sweep's cursor, the list position where index `j` sits or belongs.
+//! **Phase 1: coordinate descent.** Warm-started cyclic sweeps of the
+//! closed-form update `β_j ← soft(s_j − Σ_{k≠j} V_jk β_k, ρ) / V_jj`. On
+//! collinear columns these settle the support and the signs of `β` within
+//! a few sweeps, then crawl towards the values for many more.
+//!
+//! **Phase 2: the active-set solve.** After a sweep that changes no
+//! coefficient's sign (zero counting as a sign of its own), the signs `σ`
+//! on the active set `A = {k : β_k ≠ 0}` are taken as a guess at the
+//! optimum's. With `β` zero off `A` and signs `σ` on it, the objective is
+//! a smooth quadratic in `β_A`, minimised where
+//! `V_AA x = s_A − ρ σ_A`; one Cholesky factorisation solves that.
+//!
+//! **Certificate.** `x` (zero off `A`) is kept only if every `x_i` is
+//! nonzero with sign `σ_i` and every inactive `k` has
+//! `|s_k − V_kA x| ≤ ρ`. Those are exactly the optimality (KKT)
+//! conditions: on `A` the gradient `(Vβ − s)_i` equals `−ρ σ_i`, the one
+//! subgradient of `ρ|β_i|`, and off `A` it lies in `[−ρ, ρ]`, the
+//! subdifferential at zero. `V` positive definite makes the objective
+//! strictly convex, so a point meeting them is its unique minimiser. An
+//! accepted solve is therefore the exact solution up to the rounding of
+//! one Cholesky solve, not an iterate within `tol` of it.
+//!
+//! **Backoff.** A rejected solve (a wrong sign guess, or a failed
+//! factorisation) touches nothing, and coordinate descent continues. Each
+//! rejection doubles the number of sign-stable sweeps the next attempt
+//! waits for (1, 2, 4, …), so `k` rejections take at least `2ᵏ − 1`
+//! sweeps and a call of `S` sweeps wastes at most `⌊log₂(S + 1)⌋` solves.
+//! A sweep that meets `tol` with unchanged signs gets one last attempt
+//! whatever the backoff; if that fails too, the coordinate-descent
+//! iterate is returned as before. Convergence, the sweep cap and the
+//! returned sweep count remain coordinate descent's.
+//!
+//! **Skip-zero invariant.** A sweep keeps an ascending list of the pairs
+//! `(k, β_k)` with `β_k ≠ 0` and forms the residual over that list only,
+//! in the same index order as the dense sum; a coefficient that enters or
+//! leaves zero is inserted into or removed from the list at the sweep's
+//! cursor, the list position where index `j` sits or belongs.
 //!
 //! This is exact, not an approximation: for finite `V`, a zero `β_k`
 //! contributes an exact ±0 product, subtracting ±0 leaves every nonzero
 //! partial sum unchanged, and a sum that ends at ±0 either way is mapped
-//! to `0.0` by [`soft_threshold`]. The skipping solver therefore returns
-//! the dense loop's coefficients and sweep count bit for bit (pinned
-//! against a dense reference in the tests below), while the ℓ1 sparsity
-//! of `β` — typically more than half zero inside the graphical lasso —
+//! to `0.0` by [`soft_threshold`]. A skipping sweep therefore computes the
+//! dense sweep's coefficients and largest change bit for bit (pinned
+//! against a dense sweep in the tests below), while the ℓ1 sparsity of
+//! `β` — typically more than half zero inside the graphical lasso —
 //! becomes saved work.
 
+use crate::cholesky::Cholesky;
 use crate::dense::Matrix;
 use crate::error::LinalgError;
 
@@ -59,10 +93,11 @@ impl Default for LassoConfig {
     }
 }
 
-/// Solves `minimize_β ½ βᵀVβ − sᵀβ + ρ‖β‖₁` by cyclic coordinate descent.
+/// Solves `minimize_β ½ βᵀVβ − sᵀβ + ρ‖β‖₁`: coordinate descent finds the
+/// support, a certified active-set solve finishes it (see the module docs).
 ///
 /// `beta` is used as the warm start and overwritten with the solution.
-/// Returns the number of sweeps performed.
+/// Returns the number of coordinate-descent sweeps performed.
 pub fn lasso_quadratic_cd(
     v: &Matrix,
     s: &[f64],
@@ -104,40 +139,21 @@ pub fn lasso_quadratic_cd(
         .filter(|&k| beta[k] != 0.0)
         .map(|k| (k, beta[k]))
         .collect();
+    // Consecutive sign-stable sweeps so far, and how many the next
+    // active-set solve waits for (doubled after each rejected solve).
+    let (mut stable, mut required) = (0, 1);
     for sweep in 1..=cfg.max_sweeps {
-        let mut max_delta = 0.0_f64;
-        // active[..at] are the nonzero coefficients below the current j
-        let mut at = 0;
-        for j in 0..p {
-            let listed = active.get(at).is_some_and(|&(k, _)| k == j);
-            let above = if listed { at + 1 } else { at };
-            // gradient residual excluding the j-th term, in ascending k
-            let row = v.row(j);
-            let mut r = s[j];
-            for &(k, bk) in &active[..at] {
-                r -= row[k] * bk;
+        let (max_delta, signs_moved) = cd_sweep(v, s, rho, beta, &mut active);
+        stable = if signs_moved { 0 } else { stable + 1 };
+        let converged = max_delta < cfg.tol;
+        if stable >= required || (converged && stable > 0) {
+            if certified_active_solve(v, s, rho, beta, &mut active) {
+                return Ok(sweep);
             }
-            for &(k, bk) in &active[above..] {
-                r -= row[k] * bk;
-            }
-            let new_bj = soft_threshold(r, rho) / v[(j, j)];
-            let delta = (new_bj - beta[j]).abs();
-            if delta > max_delta {
-                max_delta = delta;
-            }
-            let nonzero = new_bj != 0.0;
-            match (listed, nonzero) {
-                (true, true) => active[at].1 = new_bj,
-                (false, true) => active.insert(at, (j, new_bj)),
-                (true, false) => {
-                    active.remove(at);
-                }
-                (false, false) => {}
-            }
-            at += usize::from(nonzero);
-            beta[j] = new_bj;
+            stable = 0;
+            required *= 2;
         }
-        if max_delta < cfg.tol {
+        if converged {
             return Ok(sweep);
         }
     }
@@ -149,13 +165,135 @@ pub fn lasso_quadratic_cd(
     })
 }
 
+/// One cyclic coordinate-descent sweep over `j = 0..p`, forming each
+/// residual over the nonzero list `active` only (see the module docs).
+/// Returns the largest coefficient change and whether any coefficient
+/// changed sign, zero counting as a sign of its own.
+fn cd_sweep(
+    v: &Matrix,
+    s: &[f64],
+    rho: f64,
+    beta: &mut [f64],
+    active: &mut Vec<(usize, f64)>,
+) -> (f64, bool) {
+    let mut max_delta = 0.0_f64;
+    let mut signs_moved = false;
+    // active[..at] are the nonzero coefficients below the current j
+    let mut at = 0;
+    for j in 0..beta.len() {
+        let listed = active.get(at).is_some_and(|&(k, _)| k == j);
+        let above = if listed { at + 1 } else { at };
+        // gradient residual excluding the j-th term, in ascending k
+        let row = v.row(j);
+        let mut r = s[j];
+        for &(k, bk) in &active[..at] {
+            r -= row[k] * bk;
+        }
+        for &(k, bk) in &active[above..] {
+            r -= row[k] * bk;
+        }
+        let new_bj = soft_threshold(r, rho) / v[(j, j)];
+        let delta = (new_bj - beta[j]).abs();
+        if delta > max_delta {
+            max_delta = delta;
+        }
+        let nonzero = new_bj != 0.0;
+        signs_moved |= listed != nonzero || (new_bj > 0.0) != (beta[j] > 0.0);
+        match (listed, nonzero) {
+            (true, true) => active[at].1 = new_bj,
+            (false, true) => active.insert(at, (j, new_bj)),
+            (true, false) => {
+                active.remove(at);
+            }
+            (false, false) => {}
+        }
+        at += usize::from(nonzero);
+        beta[j] = new_bj;
+    }
+    (max_delta, signs_moved)
+}
+
+/// Solves the stationarity equations `V_AA x = s_A − ρ·sign(β_A)` on the
+/// active set A with the current signs, and installs `x` into `beta` and
+/// `active` only if it is certified optimal: every `x_i` nonzero with the
+/// sign assumed for it, and `|s_k − V_kA x| ≤ ρ` at every inactive `k`.
+/// Returns whether the solve was accepted; on rejection (including a
+/// failed factorisation) nothing is touched.
+fn certified_active_solve(
+    v: &Matrix,
+    s: &[f64],
+    rho: f64,
+    beta: &mut [f64],
+    active: &mut [(usize, f64)],
+) -> bool {
+    let n = active.len();
+    let v_aa = Matrix::from_fn(n, n, |a, b| v[(active[a].0, active[b].0)]);
+    let rhs: Vec<f64> = active
+        .iter()
+        .map(|&(k, bk)| s[k] - rho * bk.signum())
+        .collect();
+    let Ok(x) = Cholesky::factor(&v_aa).and_then(|chol| chol.solve(&rhs)) else {
+        return false;
+    };
+    if active
+        .iter()
+        .zip(&x)
+        .any(|(&(_, bk), &xk)| xk.is_nan() || xk * bk <= 0.0)
+    {
+        return false;
+    }
+    let mut at = 0;
+    for (k, &sk) in s.iter().enumerate() {
+        if active.get(at).is_some_and(|&(i, _)| i == k) {
+            at += 1;
+            continue;
+        }
+        let row = v.row(k);
+        let r = active
+            .iter()
+            .zip(&x)
+            .fold(sk, |r, (&(i, _), &xi)| r - row[i] * xi);
+        if r.is_nan() || r.abs() > rho {
+            return false;
+        }
+    }
+    for (entry, xk) in active.iter_mut().zip(x) {
+        entry.1 = xk;
+        beta[entry.0] = xk;
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The dense coordinate-descent loop the skip-zero solver replaced,
-    /// kept as the bit-exactness reference: every `k ≠ j` enters the
-    /// residual, zero coefficients included. Inputs are assumed valid.
+    /// One dense coordinate-descent sweep, the bit-exactness reference for
+    /// [`cd_sweep`]: every `k ≠ j` enters the residual, zero coefficients
+    /// included. Returns the largest coefficient change.
+    fn dense_sweep(v: &Matrix, s: &[f64], rho: f64, beta: &mut [f64]) -> f64 {
+        let mut max_delta = 0.0_f64;
+        for j in 0..s.len() {
+            let row = v.row(j);
+            let mut r = s[j];
+            for (k, (&vjk, &bk)) in row.iter().zip(beta.iter()).enumerate() {
+                if k != j {
+                    r -= vjk * bk;
+                }
+            }
+            let new_bj = soft_threshold(r, rho) / v[(j, j)];
+            let delta = (new_bj - beta[j]).abs();
+            if delta > max_delta {
+                max_delta = delta;
+            }
+            beta[j] = new_bj;
+        }
+        max_delta
+    }
+
+    /// Plain coordinate descent on [`dense_sweep`] until the largest change
+    /// falls below `cfg.tol`, with no active-set solve. Inputs are assumed
+    /// valid.
     fn dense_reference_cd(
         v: &Matrix,
         s: &[f64],
@@ -163,25 +301,8 @@ mod tests {
         beta: &mut [f64],
         cfg: LassoConfig,
     ) -> Result<usize, LinalgError> {
-        let p = s.len();
         for sweep in 1..=cfg.max_sweeps {
-            let mut max_delta = 0.0_f64;
-            for j in 0..p {
-                let row = v.row(j);
-                let mut r = s[j];
-                for (k, (&vjk, &bk)) in row.iter().zip(beta.iter()).enumerate() {
-                    if k != j {
-                        r -= vjk * bk;
-                    }
-                }
-                let new_bj = soft_threshold(r, rho) / v[(j, j)];
-                let delta = (new_bj - beta[j]).abs();
-                if delta > max_delta {
-                    max_delta = delta;
-                }
-                beta[j] = new_bj;
-            }
-            if max_delta < cfg.tol {
+            if dense_sweep(v, s, rho, beta) < cfg.tol {
                 return Ok(sweep);
             }
         }
@@ -218,25 +339,76 @@ mod tests {
         (v, s)
     }
 
-    /// Runs both solvers from the same warm start and asserts identical
-    /// outcomes, coefficient bits included. Returns (entered, left): how
-    /// many coefficients moved from zero to nonzero and back.
-    fn assert_matches_dense(v: &Matrix, s: &[f64], rho: f64, warm: &[f64]) -> (usize, usize) {
-        let cfg = LassoConfig {
-            tol: 1e-10,
-            max_sweeps: 2000,
-        };
+    /// Asserts that `beta` is the certified minimiser: on the support the
+    /// gradient `(Vβ − s)_k` equals `−ρ·sign(β_k)` within 1e-10, and off it
+    /// `|s_k − (Vβ)_k| ≤ ρ(1 + 1e-12)`.
+    fn assert_kkt(v: &Matrix, s: &[f64], rho: f64, beta: &[f64], label: &str) {
+        let vb = v.matvec(beta).unwrap();
+        for (k, ((&bk, &vbk), &sk)) in beta.iter().zip(&vb).zip(s).enumerate() {
+            let grad = vbk - sk;
+            if bk != 0.0 {
+                let gap = (grad + rho * bk.signum()).abs();
+                assert!(gap <= 1e-10, "{label}: support k={k} gap {gap:e}");
+            } else {
+                assert!(
+                    grad.abs() <= rho * (1.0 + 1e-12),
+                    "{label}: inactive k={k} |grad| {:e} > rho {rho:e}",
+                    grad.abs()
+                );
+            }
+        }
+    }
+
+    /// Checks one fixture against the dense coordinate-descent loop:
+    ///
+    /// * every skip-zero sweep of a trajectory from `warm` equals the dense
+    ///   sweep bit for bit, coefficients and largest change alike;
+    /// * the whole solve returns the certified minimiser (see [`assert_kkt`]);
+    /// * it matches dense coordinate descent run to `tol = 1e-12` within 1e-8.
+    ///
+    /// The tolerances are absolute in units of `β`, so a fixture whose `s`
+    /// and `ρ` are scaled by `scale` passes the same factor here: it is the
+    /// same problem, scaled.
+    ///
+    /// Returns (entered, left) along the sweep trajectory: how many
+    /// coefficients moved from zero to nonzero and back.
+    fn assert_matches_dense(
+        v: &Matrix,
+        s: &[f64],
+        rho: f64,
+        warm: &[f64],
+        scale: f64,
+    ) -> (usize, usize) {
+        let label = format!("p={}, rho={rho}", s.len());
         let mut dense = warm.to_vec();
         let mut skip = warm.to_vec();
-        let dense_out = dense_reference_cd(v, s, rho, &mut dense, cfg).map_err(|e| e.to_string());
-        let skip_out = lasso_quadratic_cd(v, s, rho, &mut skip, cfg).map_err(|e| e.to_string());
-        assert_eq!(skip_out, dense_out, "sweeps, rho={rho}");
-        for (k, (a, b)) in skip.iter().zip(&dense).enumerate() {
+        let mut active: Vec<(usize, f64)> = (0..skip.len())
+            .filter(|&k| skip[k] != 0.0)
+            .map(|k| (k, skip[k]))
+            .collect();
+        for sweep in 1..=2000 {
+            let dense_delta = dense_sweep(v, s, rho, &mut dense);
+            let (skip_delta, _) = cd_sweep(v, s, rho, &mut skip, &mut active);
             assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "beta[{k}] {a:e} vs {b:e}, rho={rho}"
+                skip_delta.to_bits(),
+                dense_delta.to_bits(),
+                "{label}: max delta, sweep {sweep}"
             );
+            for (k, (a, b)) in skip.iter().zip(&dense).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{label}: beta[{k}] {a:e} vs {b:e}, sweep {sweep}"
+                );
+            }
+            let listed: Vec<(usize, f64)> = (0..skip.len())
+                .filter(|&k| skip[k] != 0.0)
+                .map(|k| (k, skip[k]))
+                .collect();
+            assert_eq!(active, listed, "{label}: nonzero list, sweep {sweep}");
+            if dense_delta < 1e-10 * scale {
+                break;
+            }
         }
         let entered = warm
             .iter()
@@ -248,6 +420,26 @@ mod tests {
             .zip(&skip)
             .filter(|(w, b)| **w != 0.0 && **b == 0.0)
             .count();
+
+        let mut solved = warm.to_vec();
+        let cfg = LassoConfig {
+            tol: 1e-10 * scale,
+            max_sweeps: 2000,
+        };
+        lasso_quadratic_cd(v, s, rho, &mut solved, cfg).unwrap();
+        assert_kkt(v, s, rho, &solved, &label);
+        let mut reference = warm.to_vec();
+        let tight = LassoConfig {
+            tol: 1e-12 * scale,
+            max_sweeps: 200_000,
+        };
+        dense_reference_cd(v, s, rho, &mut reference, tight).unwrap();
+        for (k, (a, b)) in solved.iter().zip(&reference).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-8 * scale,
+                "{label}: beta[{k}] {a:e} vs {b:e}"
+            );
+        }
         (entered, left)
     }
 
@@ -259,7 +451,7 @@ mod tests {
             let ridge = 0.05 + 0.1 * rng.next().abs();
             let (v, s) = random_problem(&mut rng, p, ridge);
             for rho in [0.0, 0.01, 0.05, 0.2, 1.0] {
-                assert_matches_dense(&v, &s, rho, &vec![0.0; p]);
+                assert_matches_dense(&v, &s, rho, &vec![0.0; p], 1.0);
             }
         }
     }
@@ -282,7 +474,7 @@ mod tests {
                         _ => 2.0 * rng.next(),
                     })
                     .collect();
-                let (e, l) = assert_matches_dense(&v, &s, rho, &warm);
+                let (e, l) = assert_matches_dense(&v, &s, rho, &warm, 1.0);
                 entered += e;
                 left += l;
             }
@@ -299,9 +491,36 @@ mod tests {
             let (v, s) = random_problem(&mut rng, p, 0.1);
             let tiny: Vec<f64> = s.iter().map(|x| x * 1e-12).collect();
             let warm: Vec<f64> = (0..p).map(|k| 1e-13 * (k % 3) as f64).collect();
-            assert_matches_dense(&v, &tiny, 0.0, &warm);
-            assert_matches_dense(&v, &tiny, 1e-13, &vec![0.0; p]);
+            assert_matches_dense(&v, &tiny, 0.0, &warm, 1e-12);
+            assert_matches_dense(&v, &tiny, 1e-13, &vec![0.0; p], 1e-12);
         }
+    }
+
+    #[test]
+    fn active_set_solve_is_exact_where_coordinate_descent_crawls() {
+        // Near-collinear columns (a 0.01 ridge) at the glasso's tolerance:
+        // coordinate descent alone would stop within 1e-6 of the optimum
+        // after many sweeps; the certified solve returns the optimum itself
+        // after a few.
+        let mut rng = Stream(0xAC7_1FE);
+        let (mut sweeps, mut dense_sweeps) = (0, 0);
+        for case in 0..20 {
+            let p = 8 + case % 25;
+            let (v, s) = random_problem(&mut rng, p, 0.01);
+            for rho in [0.01, 0.05, 0.2] {
+                let mut beta = vec![0.0; p];
+                sweeps +=
+                    lasso_quadratic_cd(&v, &s, rho, &mut beta, LassoConfig::default()).unwrap();
+                assert_kkt(&v, &s, rho, &beta, &format!("case {case}, rho={rho}"));
+                let mut dense = vec![0.0; p];
+                dense_sweeps +=
+                    dense_reference_cd(&v, &s, rho, &mut dense, LassoConfig::default()).unwrap();
+            }
+        }
+        assert!(
+            3 * sweeps < dense_sweeps,
+            "{sweeps} sweeps vs {dense_sweeps} for coordinate descent alone"
+        );
     }
 
     #[test]
