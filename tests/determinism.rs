@@ -559,7 +559,7 @@ fn glasso_labelpick_shaped_golden() {
     );
     assert_eq!(
         (out.sweeps, hash),
-        (5, 0x29ee_fec1_db8e_5782),
+        (5, 0x5281_6cd4_1ad6_5caa),
         "glasso golden moved: sweeps {} hash {hash:#018x}",
         out.sweeps
     );
