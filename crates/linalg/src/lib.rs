@@ -7,8 +7,9 @@
 //! * [`Matrix`]: a row-major dense matrix with the usual arithmetic,
 //! * [`Cholesky`]: factorization/solves for symmetric positive-definite
 //!   systems (ridge regression, graphical-lasso book-keeping),
-//! * [`lasso_quadratic_cd`]: the ℓ1-penalised quadratic coordinate-descent
-//!   solver that powers the graphical lasso's inner loop,
+//! * [`lasso_quadratic_cd`]: the ℓ1-penalised quadratic solver behind the
+//!   graphical lasso's inner loop (coordinate descent finished by a
+//!   certified active-set Cholesky solve),
 //! * [`CsrMatrix`]: compressed sparse rows for TF-IDF feature matrices,
 //! * [`Features`]: the row-access abstraction that lets the logistic
 //!   regression in `adp-classifier` run unchanged over dense or sparse data,

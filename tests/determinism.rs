@@ -24,10 +24,11 @@
 //! suite under `ADP_NUM_THREADS=1` and `=4` to exercise the process-wide
 //! budget path.
 //!
-//! One golden pin sits alongside: a LabelPick-shaped glasso whose sweep
-//! count and output-bit hash are fixed, so a kernel rewrite that promises
-//! identical bits (the engine's golden trajectory stops before LabelPick
-//! reaches the glasso) is checked against recorded output.
+//! One golden pin sits alongside: a LabelPick-shaped glasso whose
+//! off-diagonal zero pattern, sweep count and output-bit hash are fixed,
+//! so a kernel rewrite is checked against recorded output (the engine
+//! trajectory that reaches the glasso is pinned in
+//! `tests/labelpick_golden.rs`).
 
 use activedp_repro::classifier::{LogRegConfig, LogisticRegression, Targets};
 use activedp_repro::core::Engine;
@@ -255,9 +256,9 @@ fn predict_all_bitwise_across_threads() {
     }
 }
 
-/// Glasso: the per-column subproblem setup, residual products and the
-/// precision recovery fan out; the warm-started column order is untouched,
-/// so covariance, precision and the sweep count must match exactly.
+/// Glasso: the precision recovery fans out; the warm-started column order
+/// is untouched, so covariance, precision and the sweep count must match
+/// exactly.
 #[test]
 fn glasso_bitwise_across_threads() {
     let data = Matrix::from_fn(350, 52, |i, j| {
