@@ -47,27 +47,12 @@ use adp_wire::{read_envelope, write_envelope, Decode, Encode, Reader, WireError,
 /// Magic bytes opening every encoded scenario spec.
 pub const SCENARIO_MAGIC: &[u8; 8] = b"ADPSCEN\0";
 
-/// Current scenario wire-format version. Bump deliberately: the
-/// golden-bytes fixture (`tests/fixtures/scenario_v3.bin`) pins the
-/// encoding, and decoders reject *future* versions with
-/// [`WireError::UnknownVersion`]. Prior versions stay decodable: v1
-/// (everything before the candidate strategy; pinned by
-/// `tests/fixtures/scenario_v1.bin`) decodes with
-/// [`CandidateStrategy::Exact`], and v2 (pre oracle/drift; pinned by
-/// `tests/fixtures/scenario_v2.bin`) with [`OracleKind::Simulated`] +
-/// [`DriftSpec::None`] — exactly what those specs ran.
-///
-/// [`CandidateStrategy::Exact`]: crate::config::CandidateStrategy::Exact
+/// Current scenario wire-format version, and the only one decoded. Bump
+/// deliberately: the golden-bytes fixture
+/// (`tests/fixtures/scenario_v3.bin`) pins the encoding, and decoders
+/// reject every other version — the v1/v2 layouts included (see
+/// MIGRATION.md) — with [`WireError::UnknownVersion`].
 pub const SCENARIO_VERSION: u32 = 3;
-
-/// First version carrying [`SessionConfig::candidates`] after the master
-/// seed; older bodies decode with the `Exact` default.
-const SCENARIO_VERSION_CANDIDATES: u32 = 2;
-
-/// First version carrying [`SessionConfig::oracle`] (after the candidate
-/// strategy, inside the config block) and [`ScenarioSpec::drift`] (after
-/// the budget); older bodies decode with `Simulated` + `None`.
-const SCENARIO_VERSION_ORACLE_DRIFT: u32 = 3;
 
 /// Default labelling budget for [`ScenarioSpec::new`] — the reduced
 /// protocol's iteration count (the paper's full protocol uses
@@ -415,33 +400,13 @@ impl ScenarioSpec {
     }
 
     /// Decodes a spec written by [`ScenarioSpec::to_bytes`], rejecting
-    /// foreign magic, future format versions, truncation and trailing
-    /// bytes with typed errors. Version 1 bodies (pre-candidate-strategy)
-    /// decode with [`CandidateStrategy::Exact`]; version 2 bodies (pre
-    /// oracle/drift) with [`OracleKind::Simulated`] + [`DriftSpec::None`].
-    ///
-    /// [`CandidateStrategy::Exact`]: crate::config::CandidateStrategy::Exact
+    /// foreign magic, every version but [`SCENARIO_VERSION`], truncation
+    /// and trailing bytes with typed errors.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ActiveDpError> {
-        let (mut r, version) = read_envelope(bytes, SCENARIO_MAGIC, SCENARIO_VERSION)?;
-        let spec = dec_spec_body(
-            &mut r,
-            version >= SCENARIO_VERSION_CANDIDATES,
-            version >= SCENARIO_VERSION_ORACLE_DRIFT,
-        )?;
+        let (mut r, _) = read_envelope(bytes, SCENARIO_MAGIC, SCENARIO_VERSION..=SCENARIO_VERSION)?;
+        let spec = r.get()?;
         r.finish()?;
         Ok(spec)
-    }
-
-    /// Decodes a spec body embedded in an *older enclosing format* that
-    /// predates the oracle/drift fields — e.g. a v1 WAL manifest, whose
-    /// own version stamp is the only record of which spec layout it
-    /// holds. The missing fields default to what those sessions ran
-    /// ([`OracleKind::Simulated`], [`DriftSpec::None`]). Current formats
-    /// embed the spec with the ordinary [`Decode`] impl instead.
-    ///
-    /// [`OracleKind::Simulated`]: adp_oracle::OracleKind::Simulated
-    pub fn decode_pre_oracle_body(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        dec_spec_body(r, true, false)
     }
 }
 
@@ -463,13 +428,12 @@ impl Decode for ScenarioSpec {
     }
 }
 
-/// Spec body decode with explicit back-compat control: `with_candidates`
-/// is false when the enclosing envelope predates the candidate-strategy
-/// field (scenario v1 / snapshot v2 bodies), `with_oracle_drift` when it
-/// predates the oracle kind + drift fields (scenario v1–v2 / snapshot
-/// v2–v3 bodies); the missing fields default to what those sessions ran
-/// (`Exact`, `Simulated`, `None`). The snapshot codec shares this so both
-/// formats migrate identically.
+/// Spec body decode with explicit back-compat control for the snapshot
+/// codec, which still reads older envelopes: `with_candidates` is false
+/// when the snapshot predates the candidate-strategy field (v2 bodies),
+/// `with_oracle_drift` when it predates the oracle kind + drift fields
+/// (v2–v3 bodies); the missing fields default to what those sessions ran
+/// (`Exact`, `Simulated`, `None`).
 pub(crate) fn dec_spec_body(
     r: &mut Reader<'_>,
     with_candidates: bool,
@@ -892,47 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_bodies_decode_with_exact_candidates() {
-        // A v1 body is a v3 body with every appended field excised: the
-        // `Exact` candidates tag and `Simulated` oracle tag (both inside
-        // the config block, after the seed) and the trailing `None` drift
-        // tag. Remove them, rewrite the envelope version, and the decoder
-        // must accept the result unchanged.
-        let spec = ScenarioSpec::new(dataset());
-        assert_eq!(spec.session.candidates, CandidateStrategy::Exact);
-        let tag_at = candidate_tag_offset(&spec);
-        let mut bytes = spec.to_bytes();
-        assert_eq!(bytes.pop(), Some(0), "the None drift tag");
-        assert_eq!(bytes.remove(tag_at), 0, "the Exact tag");
-        assert_eq!(bytes.remove(tag_at), 0, "the Simulated tag");
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let back = ScenarioSpec::from_bytes(&bytes).expect("v1 decodes");
-        assert_eq!(back, spec);
-    }
-
-    #[test]
-    fn v2_bodies_decode_with_simulated_oracle_and_no_drift() {
-        // A v2 body is a v3 body minus the oracle tag (after the
-        // candidates field, inside the config block) and the trailing
-        // drift tag; sessions written then always queried the simulated
-        // user over a static pool, so the defaults reproduce them.
-        let mut spec = ScenarioSpec::new(dataset());
-        let candidates_at = candidate_tag_offset(&spec);
-        spec.session.candidates = CandidateStrategy::ann();
-        let mut bytes = spec.to_bytes();
-        assert_eq!(bytes.pop(), Some(0), "the None drift tag");
-        // The Ann encoding is tag + 2 usize params; the oracle tag
-        // follows them.
-        let tag_at = candidates_at + 1 + 16;
-        assert_eq!(bytes.remove(tag_at), 0, "the Simulated tag");
-        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let back = ScenarioSpec::from_bytes(&bytes).expect("v2 decodes");
-        assert_eq!(back, spec);
-        assert_eq!(back.session.oracle, OracleKind::Simulated);
-        assert_eq!(back.drift, DriftSpec::None);
-    }
-
-    #[test]
     fn oracle_and_drift_round_trip_through_the_codec() {
         let mut spec = ScenarioSpec::paper(dataset(), 5);
         spec.session.oracle = OracleKind::Noisy {
@@ -982,8 +905,8 @@ mod tests {
 
     #[test]
     fn candidate_tag_is_not_read_from_v1_bodies() {
-        // The same tag-less body still marked version 2 must fail — the
-        // decoder really does read the extra field only at v2+.
+        // A v1-shaped body (no candidate tag) under the current stamp must
+        // fail: the decoder reads the current layout only.
         let spec = ScenarioSpec::new(dataset());
         let tag_at = candidate_tag_offset(&spec);
         let mut bytes = spec.to_bytes();
@@ -1000,15 +923,18 @@ mod tests {
             ScenarioSpec::from_bytes(&wrong),
             Err(ActiveDpError::SnapshotCodec(WireError::BadMagic { .. }))
         ));
-        let mut future = bytes.clone();
-        future[8..12].copy_from_slice(&9u32.to_le_bytes());
-        assert!(matches!(
-            ScenarioSpec::from_bytes(&future),
-            Err(ActiveDpError::SnapshotCodec(WireError::UnknownVersion {
-                found: 9,
-                ..
-            }))
-        ));
+        // Future and retired (v1/v2) stamps alike.
+        for stamp in [9u32, 1, 2] {
+            let mut other = bytes.clone();
+            other[8..12].copy_from_slice(&stamp.to_le_bytes());
+            assert!(matches!(
+                ScenarioSpec::from_bytes(&other),
+                Err(ActiveDpError::SnapshotCodec(WireError::UnknownVersion {
+                    found,
+                    supported: SCENARIO_VERSION,
+                })) if found == stamp
+            ));
+        }
         for cut in 0..bytes.len() {
             assert!(ScenarioSpec::from_bytes(&bytes[..cut]).is_err());
         }

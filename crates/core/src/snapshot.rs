@@ -129,14 +129,11 @@ impl SessionSnapshot {
     /// payloads with typed errors — a corrupt spill file can never panic
     /// the decoder or yield a half-restored session.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ActiveDpError> {
-        let (mut r, version) = read_envelope(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
-        if version < SNAPSHOT_VERSION_MIN {
-            return Err(WireError::UnknownVersion {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            }
-            .into());
-        }
+        let (mut r, version) = read_envelope(
+            bytes,
+            SNAPSHOT_MAGIC,
+            SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION,
+        )?;
         let spec = crate::scenario::dec_spec_body(
             &mut r,
             version >= SNAPSHOT_VERSION_CANDIDATES,

@@ -26,6 +26,5 @@ pub use protocol::{run_framework_curve, run_session_curve, Curve, Method, Protoc
 pub use sweep::{
     grid_table, run_grid, run_grid_jobs, run_grid_jobs_streaming, run_spec, run_spec_over,
     CellFailure, SweepCell, SweepGrid, SweepOutcome, SweepRow, SWEEP_ROW_MAGIC, SWEEP_ROW_VERSION,
-    SWEEP_ROW_VERSION_ROUTING,
 };
 pub use tables::{format_row, write_csv, TableWriter};

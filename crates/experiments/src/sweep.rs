@@ -160,12 +160,10 @@ pub struct SweepCell {
 
 /// Magic prefix of an encoded [`SweepRow`].
 pub const SWEEP_ROW_MAGIC: &[u8; 8] = b"ADPSWROW";
-/// Current [`SweepRow`] encoding version: v2 appended the routing/drift
-/// columns (cheap fraction, routed cost, recovery); v1 rows decode with
-/// those at 0 — exactly what every v1 run measured.
+/// Current [`SweepRow`] encoding version, and the only one decoded: v2
+/// appended the routing/drift columns (cheap fraction, routed cost,
+/// recovery), and v1 rows are rejected (see MIGRATION.md).
 pub const SWEEP_ROW_VERSION: u32 = 2;
-/// First version carrying the routing/drift columns.
-pub const SWEEP_ROW_VERSION_ROUTING: u32 = 2;
 
 /// One finished run of the sweep.
 #[derive(Debug, Clone)]
@@ -202,7 +200,7 @@ impl SweepRow {
         self.test_accuracy / self.refits.max(1) as f64
     }
 
-    /// Encodes the row as a versioned artefact (`ADPSWROW` v1) — the form
+    /// Encodes the row as a versioned artefact (`ADPSWROW` v2) — the form
     /// `adp-coord --spool` persists per completed cell, so an interrupted
     /// coordinator restart skips cells already computed.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -215,8 +213,6 @@ impl SweepRow {
         w.put_usize(self.refits);
         w.put_f64(self.test_accuracy);
         w.put_f64(self.wall_ms);
-        // v2: routing/drift columns, appended so v1 bodies are an exact
-        // prefix of v2 bodies.
         w.put_f64(self.cheap_fraction);
         w.put_f64(self.routed_cost);
         w.put_f64(self.recovery);
@@ -224,28 +220,28 @@ impl SweepRow {
     }
 
     /// Decodes a row written by [`SweepRow::to_bytes`], rejecting foreign
-    /// magic, newer versions, truncation and trailing garbage.
+    /// magic, every version but [`SWEEP_ROW_VERSION`], truncation and
+    /// trailing garbage.
     pub fn from_bytes(bytes: &[u8]) -> Result<SweepRow, ActiveDpError> {
-        let (mut r, version) = read_envelope(bytes, SWEEP_ROW_MAGIC, SWEEP_ROW_VERSION)?;
+        let (mut r, _) = read_envelope(
+            bytes,
+            SWEEP_ROW_MAGIC,
+            SWEEP_ROW_VERSION..=SWEEP_ROW_VERSION,
+        )?;
         let cell = r.get_u64()?;
         let spec_len = r.get_len("sweep row spec", 1)?;
         let spec = ScenarioSpec::from_bytes(r.get_bytes(spec_len)?)?;
-        let mut row = SweepRow {
+        let row = SweepRow {
             cell,
             spec,
             iterations: r.get_usize()?,
             refits: r.get_usize()?,
             test_accuracy: r.get_f64()?,
             wall_ms: r.get_f64()?,
-            cheap_fraction: 0.0,
-            routed_cost: 0.0,
-            recovery: 0.0,
+            cheap_fraction: r.get_f64()?,
+            routed_cost: r.get_f64()?,
+            recovery: r.get_f64()?,
         };
-        if version >= SWEEP_ROW_VERSION_ROUTING {
-            row.cheap_fraction = r.get_f64()?;
-            row.routed_cost = r.get_f64()?;
-            row.recovery = r.get_f64()?;
-        }
         r.finish()?;
         Ok(row)
     }
@@ -708,26 +704,16 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(SweepRow::from_bytes(&long).is_err());
-        // Future version.
-        let mut newer = bytes;
-        newer[8] = 0xFF;
-        assert!(SweepRow::from_bytes(&newer).is_err());
-    }
-
-    #[test]
-    fn v1_row_bodies_decode_with_zeroed_routing_columns() {
-        let row = run_spec(tiny_grid().expand().swap_remove(0)).unwrap();
-        let mut bytes = row.to_bytes();
-        // A v1 body is the exact prefix of a v2 body: drop the three
-        // appended routing f64s and rewind the version stamp.
-        bytes.truncate(bytes.len() - 24);
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let back = SweepRow::from_bytes(&bytes).unwrap();
-        assert_eq!(back.spec, row.spec);
-        assert_eq!(back.test_accuracy.to_bits(), row.test_accuracy.to_bits());
-        assert_eq!(back.cheap_fraction, 0.0);
-        assert_eq!(back.routed_cost, 0.0);
-        assert_eq!(back.recovery, 0.0);
+        // Future and retired (v1) versions.
+        for stamp in [0xFFu32, 1] {
+            let mut other = bytes.clone();
+            other[8..12].copy_from_slice(&stamp.to_le_bytes());
+            assert!(matches!(
+                SweepRow::from_bytes(&other),
+                Err(ActiveDpError::SnapshotCodec(adp_wire::WireError::UnknownVersion { found, .. }))
+                    if found == stamp
+            ));
+        }
     }
 
     /// A routed, drifted grid for the oracle/drift axis tests: one cell

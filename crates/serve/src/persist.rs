@@ -73,7 +73,7 @@ impl SpillRecord {
     /// snapshot included (the file was tampered with; restoring it would
     /// serve a session whose spec misdescribes its data).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ActiveDpError> {
-        let (mut r, _version) = read_envelope(bytes, SPILL_MAGIC, SPILL_VERSION)?;
+        let (mut r, _version) = read_envelope(bytes, SPILL_MAGIC, SPILL_VERSION..=SPILL_VERSION)?;
         let session = r.get_u64()?;
         let spec: DatasetSpec = r.get()?;
         let snapshot_bytes: Vec<u8> = r.get()?;

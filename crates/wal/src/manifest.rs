@@ -18,11 +18,9 @@ use std::path::Path;
 
 /// Magic bytes opening the manifest file.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"ADPWMAN\0";
-/// Current manifest format version: v2 embeds the current scenario body
-/// (oracle + drift fields); v1 manifests embed the pre-oracle body and
-/// decode with the simulated-oracle defaults — the manifest's own version
-/// stamp is the only record of which spec layout it holds, since the
-/// embedded body carries no envelope of its own.
+/// Current manifest format version, and the only one decoded: v2 embeds
+/// the current scenario body (oracle + drift fields). v1 manifests, which
+/// embedded the pre-oracle body, are rejected (see MIGRATION.md).
 pub const MANIFEST_VERSION: u32 = 2;
 
 /// The decoded manifest (see the [module docs](self)).
@@ -67,14 +65,10 @@ impl Manifest {
             path: path.to_path_buf(),
             reason,
         };
-        let (mut r, version) =
-            read_envelope(bytes, MANIFEST_MAGIC, MANIFEST_VERSION).map_err(codec)?;
+        let (mut r, _) = read_envelope(bytes, MANIFEST_MAGIC, MANIFEST_VERSION..=MANIFEST_VERSION)
+            .map_err(codec)?;
         let session = r.get_u64().map_err(codec)?;
-        let spec: ScenarioSpec = if version >= 2 {
-            r.get().map_err(codec)?
-        } else {
-            ScenarioSpec::decode_pre_oracle_body(&mut r).map_err(codec)?
-        };
+        let spec: ScenarioSpec = r.get().map_err(codec)?;
         let checkpoint = r.get_usize().map_err(codec)?;
         let n = r
             .get_len("manifest sealed-segment list", 16)
@@ -168,13 +162,18 @@ mod tests {
             Manifest::from_bytes(&p(), &bytes),
             Err(WalError::Codec { .. })
         ));
-        // Future version.
-        let mut bytes = sample().to_bytes();
-        bytes[8..12].copy_from_slice(&(MANIFEST_VERSION + 1).to_le_bytes());
-        assert!(matches!(
-            Manifest::from_bytes(&p(), &bytes),
-            Err(WalError::Codec { .. })
-        ));
+        // Future and retired (v1) versions.
+        for stamp in [MANIFEST_VERSION + 1, 1] {
+            let mut bytes = sample().to_bytes();
+            bytes[8..12].copy_from_slice(&stamp.to_le_bytes());
+            assert!(matches!(
+                Manifest::from_bytes(&p(), &bytes),
+                Err(WalError::Codec {
+                    source: adp_wire::WireError::UnknownVersion { found, .. },
+                    ..
+                }) if found == stamp
+            ));
+        }
         // Trailing garbage.
         let mut bytes = sample().to_bytes();
         bytes.push(0);

@@ -59,8 +59,8 @@ pub struct DecodedSegment {
 /// strict — a file that does not even open as a WAL segment is corrupt in
 /// both modes.
 pub fn decode_segment(path: &Path, bytes: &[u8], strict: bool) -> Result<DecodedSegment, WalError> {
-    let (reader, _version) =
-        read_envelope(bytes, SEGMENT_MAGIC, SEGMENT_VERSION).map_err(|source| WalError::Codec {
+    let (reader, _version) = read_envelope(bytes, SEGMENT_MAGIC, SEGMENT_VERSION..=SEGMENT_VERSION)
+        .map_err(|source| WalError::Codec {
             path: path.to_path_buf(),
             source,
         })?;

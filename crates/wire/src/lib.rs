@@ -10,8 +10,8 @@
 //!   golden-bytes fixture pin the format;
 //! * a **versioned envelope** ([`write_envelope`] / [`read_envelope`]):
 //!   an 8-byte magic plus a `u32` format version, so a decoder can reject
-//!   foreign files and future format bumps with a typed error instead of
-//!   misparsing them;
+//!   foreign files and every version it does not read with a typed error
+//!   instead of misparsing them;
 //! * typed, non-panicking errors ([`WireError`]) for truncation, bad tags,
 //!   bad lengths and trailing garbage.
 //!
@@ -59,7 +59,7 @@ pub enum WireError {
         /// The magic found in the buffer.
         found: [u8; 8],
     },
-    /// The envelope's format version is not supported by this decoder.
+    /// The envelope's format version is not one this decoder reads.
     UnknownVersion {
         /// The version found in the buffer.
         found: u32,
@@ -88,7 +88,7 @@ impl fmt::Display for WireError {
             WireError::UnknownVersion { found, supported } => {
                 write!(
                     f,
-                    "unknown format version {found} (decoder supports <= {supported})"
+                    "unknown format version {found} (newest supported: {supported})"
                 )
             }
             WireError::TrailingBytes { remaining } => {
@@ -433,14 +433,14 @@ pub fn write_envelope(magic: &[u8; 8], version: u32) -> Writer {
 }
 
 /// Opens an encoded artefact: checks the magic, reads the version, and
-/// rejects versions newer than `supported` with
+/// rejects every version outside `versions` (older and newer alike) with
 /// [`WireError::UnknownVersion`]. Returns the payload reader and the
-/// version actually found (≤ `supported`), so decoders can branch on old
-/// formats.
+/// version actually found, so a decoder that still reads older formats
+/// can branch on it. Version 0 is reserved: ranges start at 1.
 pub fn read_envelope<'a>(
     buf: &'a [u8],
     magic: &[u8; 8],
-    supported: u32,
+    versions: std::ops::RangeInclusive<u32>,
 ) -> Result<(Reader<'a>, u32), WireError> {
     let mut r = Reader::new(buf);
     let found = r.get_bytes(8)?;
@@ -451,10 +451,10 @@ pub fn read_envelope<'a>(
         });
     }
     let version = r.get_u32()?;
-    if version > supported || version == 0 {
+    if version == 0 || !versions.contains(&version) {
         return Err(WireError::UnknownVersion {
             found: version,
-            supported,
+            supported: *versions.end(),
         });
     }
     Ok((r, version))
@@ -629,26 +629,35 @@ mod tests {
         let mut w = write_envelope(MAGIC, 3);
         w.put_u64(99);
         let bytes = w.into_bytes();
-        let (mut r, version) = read_envelope(&bytes, MAGIC, 3).unwrap();
+        let (mut r, version) = read_envelope(&bytes, MAGIC, 3..=3).unwrap();
         assert_eq!(version, 3);
         assert_eq!(r.get_u64().unwrap(), 99);
         r.finish().unwrap();
-        // Older versions still open (decoder branches on the version).
+        // Older versions inside the range still open (the decoder branches
+        // on the version)...
         let old = write_envelope(MAGIC, 2).into_bytes();
-        let (_, v) = read_envelope(&old, MAGIC, 3).unwrap();
+        let (_, v) = read_envelope(&old, MAGIC, 2..=3).unwrap();
         assert_eq!(v, 2);
+        // ...and ones below it are rejected like future ones.
+        assert!(matches!(
+            read_envelope(&old, MAGIC, 3..=3),
+            Err(WireError::UnknownVersion {
+                found: 2,
+                supported: 3
+            })
+        ));
     }
 
     #[test]
     fn envelope_rejects_wrong_magic_and_future_versions() {
         let bytes = write_envelope(b"NOTADP!\0", 1).into_bytes();
         assert!(matches!(
-            read_envelope(&bytes, MAGIC, 1),
+            read_envelope(&bytes, MAGIC, 1..=1),
             Err(WireError::BadMagic { .. })
         ));
         let bytes = write_envelope(MAGIC, 9).into_bytes();
         assert!(matches!(
-            read_envelope(&bytes, MAGIC, 1),
+            read_envelope(&bytes, MAGIC, 1..=1),
             Err(WireError::UnknownVersion {
                 found: 9,
                 supported: 1
@@ -657,12 +666,12 @@ mod tests {
         // Version 0 is reserved/invalid.
         let bytes = write_envelope(MAGIC, 0).into_bytes();
         assert!(matches!(
-            read_envelope(&bytes, MAGIC, 1),
+            read_envelope(&bytes, MAGIC, 0..=1),
             Err(WireError::UnknownVersion { .. })
         ));
         // Truncated before the version.
         assert!(matches!(
-            read_envelope(&MAGIC[..5], MAGIC, 1),
+            read_envelope(&MAGIC[..5], MAGIC, 1..=1),
             Err(WireError::UnexpectedEof { .. })
         ));
     }

@@ -11,13 +11,8 @@
 //! shared vocabulary: silently re-encoding it would orphan every spill
 //! file and every stored sweep description at once.
 //!
-//! `tests/fixtures/scenario_v2.bin` (no oracle/drift fields) and
-//! `tests/fixtures/scenario_v1.bin` (no candidate-strategy field either)
-//! are the same spec in the previous formats and pin the back-compat
-//! decode paths: old bytes must keep decoding, with each missing field at
-//! the default every old run effectively used (`Exact` candidates,
-//! `Simulated` oracle, no drift). They are never regenerated — old bytes
-//! don't change.
+//! The decoder reads the current version only: every other stamp, the
+//! retired v1 and v2 layouts included, is a typed `UnknownVersion` error.
 //!
 //! Regenerate the current fixture after an intentional bump with:
 //! `ADP_REGEN_FIXTURES=1 cargo test --test scenario_golden`.
@@ -33,14 +28,6 @@ use std::path::PathBuf;
 
 const FIXTURE: &str = "tests/fixtures/scenario_v3.bin";
 
-/// The spec in the v2 format (no oracle/drift), committed when
-/// `SCENARIO_VERSION` was 2. Never regenerated — old bytes don't change.
-const FIXTURE_V2: &str = "tests/fixtures/scenario_v2.bin";
-
-/// The spec in the v1 format (no candidate strategy either), committed
-/// when `SCENARIO_VERSION` was 1.
-const FIXTURE_V1: &str = "tests/fixtures/scenario_v1.bin";
-
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(FIXTURE)
 }
@@ -50,39 +37,6 @@ fn fixture_path() -> PathBuf {
 /// phased schedule, ANN candidate strategy, a fully non-default routed
 /// oracle and a covariate drift at a phase-2 batch boundary.
 fn fixture_spec() -> ScenarioSpec {
-    let mut spec = v2_fixture_spec();
-    spec.session.oracle = OracleKind::Noisy {
-        confusion: ConfusionSpec::Biased {
-            accuracy: 0.75,
-            bias: 1,
-        },
-        latency: LatencyModel {
-            cheap_cost: 0.5,
-            expensive_cost: 24.0,
-        },
-        policy: RoutePolicy::UncertaintyThreshold { tau: 0.3 },
-    };
-    spec.drift = DriftSpec::CovariateDrift {
-        at: 26,
-        rotation: 0.35,
-    };
-    spec
-}
-
-/// What the committed v2 fixture described — everything above except the
-/// oracle and drift fields, which v2 could not express.
-fn v2_fixture_spec() -> ScenarioSpec {
-    let mut spec = v1_fixture_spec();
-    spec.session.candidates = CandidateStrategy::Ann {
-        nprobe: 8,
-        refresh_every: 2,
-    };
-    spec
-}
-
-/// What the committed v1 fixture described — no candidate strategy, no
-/// oracle, no drift.
-fn v1_fixture_spec() -> ScenarioSpec {
     let mut spec = ScenarioSpec::new(DatasetSpec {
         id: DatasetId::Census,
         scale: Scale::Custom(0.125),
@@ -102,6 +56,25 @@ fn v1_fixture_spec() -> ScenarioSpec {
         ],
     };
     spec.budget = 200;
+    spec.session.candidates = CandidateStrategy::Ann {
+        nprobe: 8,
+        refresh_every: 2,
+    };
+    spec.session.oracle = OracleKind::Noisy {
+        confusion: ConfusionSpec::Biased {
+            accuracy: 0.75,
+            bias: 1,
+        },
+        latency: LatencyModel {
+            cheap_cost: 0.5,
+            expensive_cost: 24.0,
+        },
+        policy: RoutePolicy::UncertaintyThreshold { tau: 0.3 },
+    };
+    spec.drift = DriftSpec::CovariateDrift {
+        at: 26,
+        rotation: 0.35,
+    };
     spec
 }
 
@@ -140,45 +113,20 @@ fn committed_fixture_still_decodes_and_validates() {
 }
 
 #[test]
-fn v2_format_bytes_still_decode_with_simulated_oracle_and_no_drift() {
-    // The committed v2 bytes predate the oracle and drift fields; they
-    // must keep decoding with both at their defaults — exactly the
-    // scenario every v2 spec ran.
-    let old = std::fs::read(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(FIXTURE_V2))
-        .expect("committed v2 fixture exists");
-    let spec = ScenarioSpec::from_bytes(&old).expect("v2 decodes");
-    assert_eq!(spec, v2_fixture_spec());
-    assert_eq!(spec.session.oracle, OracleKind::Simulated);
-    assert_eq!(spec.drift, DriftSpec::None);
-    spec.validate().expect("v2 fixture spec is valid");
-}
-
-#[test]
-fn v1_format_bytes_still_decode_with_exact_candidates() {
-    // The committed v1 bytes predate the candidate-strategy field too.
-    let old = std::fs::read(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(FIXTURE_V1))
-        .expect("committed v1 fixture exists");
-    let spec = ScenarioSpec::from_bytes(&old).expect("v1 decodes");
-    assert_eq!(spec, v1_fixture_spec());
-    assert_eq!(spec.session.candidates, CandidateStrategy::Exact);
-    assert_eq!(spec.session.oracle, OracleKind::Simulated);
-    assert_eq!(spec.drift, DriftSpec::None);
-    spec.validate().expect("v1 fixture spec is valid");
-}
-
-#[test]
 fn unknown_versions_are_rejected_with_a_typed_error_not_a_panic() {
-    let mut future = fixture_spec().to_bytes();
-    let next = SCENARIO_VERSION + 1;
-    future[8..12].copy_from_slice(&next.to_le_bytes());
-    let err = ScenarioSpec::from_bytes(&future).unwrap_err();
-    match err {
-        activedp_repro::core::ActiveDpError::SnapshotCodec(
-            activedp_repro::wire::WireError::UnknownVersion { found, supported },
-        ) => {
-            assert_eq!(found, next);
-            assert_eq!(supported, SCENARIO_VERSION);
+    // The next version, and the retired v1/v2 stamps.
+    for stamp in [SCENARIO_VERSION + 1, 1, 2] {
+        let mut bytes = fixture_spec().to_bytes();
+        bytes[8..12].copy_from_slice(&stamp.to_le_bytes());
+        let err = ScenarioSpec::from_bytes(&bytes).unwrap_err();
+        match err {
+            activedp_repro::core::ActiveDpError::SnapshotCodec(
+                activedp_repro::wire::WireError::UnknownVersion { found, supported },
+            ) => {
+                assert_eq!(found, stamp);
+                assert_eq!(supported, SCENARIO_VERSION);
+            }
+            other => panic!("expected UnknownVersion, got {other:?}"),
         }
-        other => panic!("expected UnknownVersion, got {other:?}"),
     }
 }

@@ -11,11 +11,8 @@
 //! length/payload/CRC record framing, and the per-event route tag that
 //! keeps replays of routed sessions bitwise.
 //!
-//! `tests/fixtures/wal_v1.bin` is the previous format — plain simulated
-//! session, events without the route tag, manifest embedding a v2
-//! scenario — and pins the back-compat path: old journals must keep
-//! opening and replaying. It is never regenerated — old bytes don't
-//! change.
+//! The manifest decoder reads the current version only; a v1 manifest
+//! (embedding the pre-oracle scenario body) is a typed codec error.
 //!
 //! Today's writer must reproduce the current bytes **exactly**: the event
 //! stream, the codec and the CRC are all deterministic and
@@ -35,10 +32,6 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 
 const FIXTURE: &str = "tests/fixtures/wal_v2.bin";
-
-/// The previous-format journal (simulated session, pre-route events).
-/// Never regenerated — old bytes don't change.
-const FIXTURE_V1: &str = "tests/fixtures/wal_v1.bin";
 
 const STEPS: usize = 6;
 
@@ -193,26 +186,6 @@ fn committed_fixture_still_opens_and_replays() {
         journal.spec().drift,
         DriftSpec::LabelShift { at: 4, prior: 0.8 }
     );
-    drop(journal);
-    assert_replays_bitwise(&dir);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn previous_format_journals_still_open_and_replay() {
-    // The committed v1 bytes predate the route tag and embed a v2-era
-    // scenario in the manifest; both must keep decoding — the spec with
-    // the simulated-oracle defaults, the events with no route — and the
-    // replay must still land bitwise on the uninterrupted run.
-    let golden = std::fs::read(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(FIXTURE_V1))
-        .expect("committed v1 fixture exists");
-    let dir = unique_tempdir("v1");
-    unpack_fixture(&golden, &dir);
-    let journal = Journal::open(&dir).expect("v1 journal opens");
-    assert_eq!(journal.spec().session.oracle, OracleKind::Simulated);
-    assert_eq!(journal.spec().drift, DriftSpec::None);
-    let events = journal.events().expect("v1 events decode");
-    assert!(events.iter().all(|e| e.route.is_none()));
     drop(journal);
     assert_replays_bitwise(&dir);
     let _ = std::fs::remove_dir_all(&dir);
