@@ -33,7 +33,7 @@ pub use nemo::Nemo;
 pub use rlf::RevisingLf;
 pub use us::UncertaintySampling;
 
-use activedp::{ActiveDpError, ActiveDpSession};
+use activedp::{ActiveDpError, Engine};
 use adp_classifier::{LogRegConfig, LogisticRegression, Targets};
 use adp_data::SplitDataset;
 
@@ -61,13 +61,13 @@ pub trait Framework: Send {
     fn evaluate(&self) -> Result<FrameworkEval, ActiveDpError>;
 }
 
-impl Framework for ActiveDpSession {
+impl Framework for Engine {
     fn name(&self) -> &'static str {
         "ActiveDP"
     }
 
     fn step(&mut self) -> Result<(), ActiveDpError> {
-        ActiveDpSession::step(self).map(|_| ())
+        Engine::step(self).map(|_| ())
     }
 
     fn evaluate(&self) -> Result<FrameworkEval, ActiveDpError> {
@@ -166,7 +166,7 @@ mod tests {
     fn activedp_session_implements_framework() {
         let data = tiny_text();
         let cfg = SessionConfig::paper_defaults(true, 1);
-        let mut session = ActiveDpSession::new(data, cfg).unwrap();
+        let mut session = Engine::builder(data).config(cfg).build().unwrap();
         assert_eq!(Framework::name(&session), "ActiveDP");
         let eval = drive(&mut session, 10);
         assert!(eval.test_accuracy > 0.4);

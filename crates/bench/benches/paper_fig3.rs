@@ -1,7 +1,7 @@
 //! One benchmark per Figure 3 method: ActiveDP and all four baselines
 //! driven through the same bench-scale protocol on a common dataset.
 
-use activedp::{ActiveDpSession, SessionConfig};
+use activedp::{Engine, SessionConfig};
 use adp_baselines::{Framework, Iws, Nemo, RevisingLf, UncertaintySampling};
 use adp_bench::bench_dataset;
 use adp_data::DatasetId;
@@ -25,7 +25,10 @@ fn bench_fig3(c: &mut Criterion) {
     group.bench_function("activedp", |b| {
         b.iter(|| {
             let cfg = SessionConfig::paper_defaults(true, 9);
-            let mut fw = ActiveDpSession::new(data.clone(), cfg).expect("session builds");
+            let mut fw = Engine::builder(data.clone())
+                .config(cfg)
+                .build()
+                .expect("session builds");
             black_box(drive(&mut fw))
         })
     });

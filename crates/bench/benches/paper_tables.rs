@@ -4,7 +4,7 @@
 //! runnable end to end. The binaries in `adp-experiments` regenerate the
 //! full artefacts.
 
-use activedp::{ActiveDpSession, SamplerChoice, SessionConfig};
+use activedp::{Engine, SamplerChoice, SessionConfig};
 use adp_bench::bench_dataset;
 use adp_data::{generate, DatasetId, Scale};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -13,7 +13,10 @@ use std::hint::black_box;
 const BUDGET: usize = 20;
 
 fn session_auc(data: &adp_data::SharedDataset, cfg: SessionConfig) -> f64 {
-    let mut session = ActiveDpSession::new(data.clone(), cfg).expect("session builds");
+    let mut session = Engine::builder(data.clone())
+        .config(cfg)
+        .build()
+        .expect("session builds");
     let mut acc = 0.0;
     let mut evals = 0;
     for it in 1..=BUDGET {

@@ -1,9 +1,10 @@
 //! Validating construction of the owned [`Engine`].
 //!
-//! The builder is the single construction path for engines (the
-//! `ActiveDpSession` facade goes through it too): dataset first, then the
-//! oracle, the sampler, the ablation switches, and the seed last —
-//! mirroring how a session is described in the paper. [`SessionConfig`]
+//! The builder is the ergonomic construction path for engines: dataset
+//! first, then the oracle, the sampler, the ablation switches, and the
+//! seed last — mirroring how a session is described in the paper.
+//! `Engine::builder(data).config(cfg).build()?` is the plain "run this
+//! configuration" session every experiment drives. [`SessionConfig`]
 //! stays the serialisable core underneath; the builder starts from
 //! [`SessionConfig::paper_defaults`] for the dataset's modality and every
 //! setter edits that config, so `.config(cfg)` followed by individual
@@ -12,10 +13,10 @@
 use super::{Engine, StepObserver};
 use crate::config::{CandidateStrategy, SamplerChoice, SessionConfig};
 use crate::error::ActiveDpError;
-use crate::oracle::{Oracle, OracleKind};
 use crate::scenario::{BudgetSchedule, ScenarioSpec, DEFAULT_BUDGET};
 use adp_data::{DriftSpec, SharedDataset};
 use adp_labelmodel::LabelModelKind;
+use adp_oracle::{Oracle, OracleKind};
 
 /// Builder for [`Engine`]: `Engine::builder(data).seed(7).build()?`.
 ///
@@ -394,7 +395,7 @@ mod tests {
     #[test]
     fn snapshot_rejects_oracles_without_state() {
         struct Mute;
-        impl crate::oracle::Oracle for Mute {
+        impl adp_oracle::Oracle for Mute {
             fn respond(
                 &mut self,
                 _space: &adp_lf::CandidateSpace,

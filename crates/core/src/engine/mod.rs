@@ -1,4 +1,4 @@
-//! The staged ActiveDP engine.
+//! The staged ActiveDP engine — the crate's one API for running the loop.
 //!
 //! The training loop of paper Figure 1 is decomposed into four stages, each
 //! an independently testable module operating on a shared
@@ -17,10 +17,9 @@
 //! `Send + 'static`, so sessions can be stored in registries, moved across
 //! threads, and served concurrently (see the `adp-serve` crate's
 //! `SessionHub`). Construction goes through the validating
-//! [`EngineBuilder`]; the [`ActiveDpSession`](crate::ActiveDpSession)
-//! facade preserves the original monolithic API on top, and the
-//! `engine_matches_golden_trajectory` integration test pins the staged
-//! loop to the pre-refactor trajectory seed-for-seed.
+//! [`EngineBuilder`], and the `engine_matches_golden_trajectory`
+//! integration test pins the staged loop to the pre-refactor trajectory
+//! seed-for-seed.
 
 pub mod builder;
 pub mod inference;
@@ -39,34 +38,10 @@ pub use training::TrainingStage;
 use crate::config::SessionConfig;
 use crate::error::ActiveDpError;
 use crate::event::StepEvent;
-use crate::oracle::{RouteChoice, RoutedStep};
 use crate::scenario::{BudgetSchedule, ScenarioSpec};
 use adp_data::{DatasetSpec, DriftSpec, SharedDataset, SplitDataset};
 use adp_lf::{LabelFunction, LabelMatrix};
-
-/// One phase of the loop: a named transformation of the shared state.
-///
-/// `Input`/`Output` differ per stage (the sampler produces a query index,
-/// the querying stage consumes it), so the trait is generic over both; the
-/// uniform shape is what makes each stage drivable in isolation from tests
-/// and from custom outer loops.
-pub trait Stage {
-    /// Per-call input (e.g. the query instance for the querying stage).
-    type Input<'i>;
-    /// What the stage produces.
-    type Output;
-
-    /// Stage name for diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// Runs the stage once against the shared state.
-    fn run(
-        &mut self,
-        data: &SplitDataset,
-        state: &mut SessionState,
-        input: Self::Input<'_>,
-    ) -> Result<Self::Output, ActiveDpError>;
-}
+use adp_oracle::{RouteChoice, RoutedStep};
 
 /// What one training iteration did.
 #[derive(Debug, Clone)]
@@ -259,7 +234,7 @@ impl Engine {
         schedule: BudgetSchedule,
         budget: usize,
         drift: DriftSpec,
-        oracle: Option<Box<dyn crate::oracle::Oracle>>,
+        oracle: Option<Box<dyn adp_oracle::Oracle>>,
         observers: Vec<Box<dyn StepObserver>>,
     ) -> Result<Engine, ActiveDpError> {
         config.validate()?;
@@ -406,7 +381,7 @@ impl Engine {
     /// routes between two oracles
     /// ([`OracleKind::Noisy`](crate::OracleKind)); `None` for plain
     /// simulated-user sessions.
-    pub fn route_stats(&self) -> Option<crate::oracle::RouteStats> {
+    pub fn route_stats(&self) -> Option<adp_oracle::RouteStats> {
         self.querying.route_stats()
     }
 
@@ -421,35 +396,10 @@ impl Engine {
     }
 
     /// One training iteration of Figure 1 (left): sampling → querying →
-    /// training.
+    /// training — the single outcome of `step_batch(1)`.
     pub fn step(&mut self) -> Result<StepOutcome, ActiveDpError> {
-        self.maybe_apply_drift()?;
-        self.state.iteration += 1;
-        let visible = self.visible_len();
-        let query =
-            self.sampling
-                .select(&self.data, self.querying.space(), &mut self.state, visible);
-        let Some(query) = query else {
-            let event = self.capture_event(self.state.iteration, None, None, true, None);
-            let outcome = self.outcome(self.state.iteration, None, None, None);
-            self.notify(std::slice::from_ref(&outcome));
-            self.notify_events(event.as_slice());
-            return Ok(outcome);
-        };
-        let hint = self.uncertainty_hint(query);
-        let (lf, route) = self
-            .querying
-            .query(&self.data, &mut self.state, query, hint)?;
-        // RNG positions are already final here: the refit below draws none.
-        let event = self.capture_event(self.state.iteration, Some(query), lf.as_ref(), true, route);
-        if lf.is_some() {
-            self.training.refit(&self.data, &mut self.state)?;
-            self.sampling.note_refit();
-        }
-        let outcome = self.outcome(self.state.iteration, Some(query), lf, route);
-        self.notify(std::slice::from_ref(&outcome));
-        self.notify_events(event.as_slice());
-        Ok(outcome)
+        let outcome = self.step_batch(1)?.pop();
+        Ok(outcome.expect("a batch of one yields one outcome"))
     }
 
     /// Batched stepping: samples and queries up to `k` instances against
@@ -460,7 +410,8 @@ impl Engine {
     /// time at the end of the batch — the batching the ROADMAP's
     /// budget/latency studies trade accuracy-per-refit against. Because the
     /// per-outcome counters are read after that one refit,
-    /// `step_batch(1)` is bitwise identical to [`Engine::step`].
+    /// `step_batch(1)` is the paper's one-query-per-refit step
+    /// ([`Engine::step`] is exactly that).
     ///
     /// The batch stops early when the pool is exhausted (final outcome has
     /// `query: None`, matching [`Engine::step`]). `k = 0` is a no-op.
@@ -524,10 +475,24 @@ impl Engine {
         Ok(outcomes)
     }
 
-    /// Runs `iterations` training steps.
+    /// Runs up to `iterations` training steps, returning early once the
+    /// pool is exhausted for good: a step that finds no query while the
+    /// whole pool is visible. Under [`DriftSpec::ArrivingPool`] an empty
+    /// visible prefix is not terminal while later rows may still arrive,
+    /// i.e. until the budget's last batch has completed.
     pub fn run(&mut self, iterations: usize) -> Result<(), ActiveDpError> {
         for _ in 0..iterations {
-            self.step()?;
+            let exhausted = self.step()?.query.is_none();
+            // `visible_len` reads the iteration just stepped, so it is the
+            // window that step sampled from; it counts batches completed
+            // before that iteration, which stop growing past the budget.
+            let window_final = self.state.iteration > self.budget
+                || self
+                    .visible_len()
+                    .map_or(true, |v| v >= self.data.train.len());
+            if exhausted && window_final {
+                break;
+            }
         }
         Ok(())
     }
@@ -807,8 +772,8 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SamplerChoice;
     use adp_data::{generate, DatasetId, Scale};
-    use adp_lf::SimulatedUser;
     use std::sync::mpsc;
 
     fn tiny(seed: u64) -> SharedDataset {
@@ -827,19 +792,248 @@ mod tests {
         assert!((0.0..=1.0).contains(&r.test_accuracy));
     }
 
+    fn tiny_of(id: DatasetId) -> SharedDataset {
+        generate(id, Scale::Tiny, 42)
+            .expect("tiny dataset generates")
+            .into_shared()
+    }
+
+    fn build(data: &SharedDataset, config: SessionConfig) -> Engine {
+        Engine::builder(data.clone())
+            .config(config)
+            .build()
+            .unwrap()
+    }
+
+    fn run_session(
+        data: &SharedDataset,
+        config: SessionConfig,
+        iters: usize,
+    ) -> (EvalReport, usize) {
+        let mut e = build(data, config);
+        e.run(iters).unwrap();
+        let n_lfs = e.state().lfs.len();
+        (e.evaluate_downstream().unwrap(), n_lfs)
+    }
+
     #[test]
-    fn stage_names_are_distinct() {
+    fn text_session_learns_something() {
+        let data = tiny_of(DatasetId::Youtube);
+        let cfg = SessionConfig::paper_defaults(true, 3);
+        let (report, n_lfs) = run_session(&data, cfg, 25);
+        assert!(n_lfs > 5, "only {n_lfs} LFs collected");
+        assert!(report.downstream_trained);
+        assert!(
+            report.label_coverage > 0.3,
+            "coverage {}",
+            report.label_coverage
+        );
+        // Well above chance on an easy dataset.
+        assert!(
+            report.test_accuracy > 0.6,
+            "test accuracy {}",
+            report.test_accuracy
+        );
+        assert!(report.threshold.is_some());
+    }
+
+    #[test]
+    fn tabular_session_learns_something() {
+        let data = tiny_of(DatasetId::Occupancy);
+        let cfg = SessionConfig::paper_defaults(false, 2);
+        let (report, n_lfs) = run_session(&data, cfg, 25);
+        assert!(n_lfs > 5);
+        assert!(
+            report.test_accuracy > 0.7,
+            "test accuracy {}",
+            report.test_accuracy
+        );
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let data = tiny_of(DatasetId::Youtube);
+        let run = |seed| {
+            let mut e = build(&data, SessionConfig::paper_defaults(true, seed));
+            e.run(15).unwrap();
+            let r = e.evaluate_downstream().unwrap();
+            (e.state().lfs.len(), r.test_accuracy, r.label_coverage)
+        };
+        assert_eq!(run(7), run(7));
+    }
+
+    #[test]
+    fn ablation_switches_change_behaviour() {
+        let data = tiny_of(DatasetId::Youtube);
+        let full = SessionConfig::paper_defaults(true, 3);
+        let baseline = SessionConfig::ablation_baseline(true, 3);
+        let confusion_only = SessionConfig {
+            use_labelpick: false,
+            ..SessionConfig::paper_defaults(true, 3)
+        };
+        let (r_full, _) = run_session(&data, full, 20);
+        let (r_base, _) = run_session(&data, baseline, 20);
+        let (r_conf, _) = run_session(&data, confusion_only, 20);
+        assert!(r_full.threshold.is_some());
+        assert!(r_base.threshold.is_none());
+        // With the same LF set (LabelPick off in both), ConFusion's covered
+        // set {conf >= tau} ∪ {has vote} is a superset of the baseline's
+        // {has vote}.
+        assert!(r_conf.label_coverage >= r_base.label_coverage - 1e-9);
+    }
+
+    #[test]
+    fn all_sampler_choices_run() {
+        let data = tiny_of(DatasetId::Youtube);
+        for sampler in [
+            SamplerChoice::Adp,
+            SamplerChoice::Passive,
+            SamplerChoice::Uncertainty,
+            SamplerChoice::Lal,
+            SamplerChoice::Seu,
+            SamplerChoice::Qbc,
+        ] {
+            let cfg = SessionConfig {
+                sampler,
+                ..SessionConfig::paper_defaults(true, 4)
+            };
+            let mut e = build(&data, cfg);
+            e.run(8).unwrap();
+            assert!(e.state().iteration == 8, "{}", sampler.label());
+        }
+    }
+
+    #[test]
+    fn pool_exhaustion_is_graceful() {
+        let data = tiny_of(DatasetId::Youtube);
+        let n = data.train.len();
+        let mut e = build(&data, SessionConfig::paper_defaults(true, 5));
+        e.run(n + 10).unwrap();
+        // Steps past exhaustion return query=None without erroring.
+        let out = e.step().unwrap();
+        assert!(out.query.is_none());
+        assert!(e.evaluate_downstream().is_ok());
+    }
+
+    #[test]
+    fn run_returns_at_pool_exhaustion() {
         let data = tiny(5);
-        let cfg = SessionConfig::paper_defaults(true, 5);
-        let sampling = SamplingStage::from_config(&cfg);
-        let training = TrainingStage::from_config(&data, &cfg);
-        let querying = QueryingStage::new(&data, Box::new(SimulatedUser::with_defaults(0)));
-        let names = [
-            Stage::name(&sampling),
-            Stage::name(&querying),
-            Stage::name(&training),
-        ];
-        assert_eq!(names, ["sampling", "querying", "training"]);
+        let n = data.train.len();
+        let (tx, rx) = mpsc::channel();
+        let mut e = Engine::builder(data)
+            .seed(5)
+            .observer(move |o: &StepOutcome| tx.send(o.query).unwrap())
+            .build()
+            .unwrap();
+        e.run(100 * n).unwrap();
+        let seen: Vec<Option<usize>> = rx.try_iter().collect();
+        assert!(
+            seen.len() <= n + 1,
+            "{} steps over a pool of {n}",
+            seen.len()
+        );
+        assert_eq!(e.state().iteration, seen.len());
+        assert_eq!(seen.last(), Some(&None));
+        assert!(seen[..seen.len() - 1].iter().all(Option::is_some));
+    }
+
+    #[test]
+    fn run_waits_for_arriving_rows_past_a_visible_prefix_exhaustion() {
+        // Half the pool is visible at first and one more row arrives per
+        // completed batch of 4, so single steps exhaust the visible prefix
+        // long before the pool has fully arrived.
+        let data = tiny(5);
+        let n = data.train.len();
+        let arriving = || {
+            Engine::builder(data.clone())
+                .seed(5)
+                .schedule(BudgetSchedule::FixedBatch { k: 4 })
+                .budget(4 * n)
+                .drift(DriftSpec::ArrivingPool { per_refit: 1 })
+                .build()
+                .unwrap()
+        };
+        let (mut stepped, mut ran) = (arriving(), arriving());
+        let iters = 3 * n;
+        let queries: Vec<Option<usize>> =
+            (0..iters).map(|_| stepped.step().unwrap().query).collect();
+        let first_none = queries.iter().position(Option::is_none).unwrap();
+        assert!(first_none < n, "the visible prefix runs dry first");
+        assert!(
+            queries[first_none..].iter().any(Option::is_some),
+            "rows arriving after the prefix ran dry are still queried"
+        );
+        // `run` keeps going past the early `None`s: same queries as
+        // stepping, and every row of the pool is queried in the end.
+        ran.run(iters).unwrap();
+        assert_eq!(ran.state().query_indices, stepped.state().query_indices);
+        assert!(ran.state().queried.iter().all(|&q| q));
+        // Once the whole pool has arrived and been queried, it stops.
+        assert!(ran.state().iteration < iters);
+
+        // A budget that ends before the pool has fully arrived freezes
+        // the window (n/2 + 2 rows): `run` stops once it is queried.
+        let mut frozen = Engine::builder(data.clone())
+            .seed(5)
+            .schedule(BudgetSchedule::FixedBatch { k: 4 })
+            .budget(8)
+            .drift(DriftSpec::ArrivingPool { per_refit: 1 })
+            .build()
+            .unwrap();
+        frozen.run(100 * n).unwrap();
+        let window = n.div_ceil(2) + 2;
+        let queried = frozen.state().queried.iter().filter(|&&q| q).count();
+        assert_eq!(queried, window);
+        assert!(frozen.state().iteration <= window + 1);
+    }
+
+    #[test]
+    fn rejects_invalid_config() {
+        let data = tiny_of(DatasetId::Youtube);
+        let mut cfg = SessionConfig::paper_defaults(true, 0);
+        cfg.alpha = 1.5;
+        assert!(Engine::builder(data.clone()).config(cfg).build().is_err());
+        let mut cfg = SessionConfig::paper_defaults(true, 0);
+        cfg.noise_rate = -0.1;
+        assert!(Engine::builder(data).config(cfg).build().is_err());
+    }
+
+    #[test]
+    fn label_noise_degrades_label_quality() {
+        let data = tiny_of(DatasetId::Youtube);
+        let clean = SessionConfig::paper_defaults(true, 6);
+        let noisy = SessionConfig {
+            noise_rate: 0.5,
+            ..SessionConfig::paper_defaults(true, 6)
+        };
+        let (r_clean, _) = run_session(&data, clean, 30);
+        let (r_noisy, _) = run_session(&data, noisy, 30);
+        let a_clean = r_clean.label_accuracy.unwrap_or(0.0);
+        let a_noisy = r_noisy.label_accuracy.unwrap_or(0.0);
+        assert!(
+            a_clean > a_noisy,
+            "clean {a_clean:.3} should beat noisy {a_noisy:.3}"
+        );
+    }
+
+    #[test]
+    fn pseudo_labels_match_lf_votes() {
+        let data = tiny_of(DatasetId::Youtube);
+        let mut e = build(&data, SessionConfig::paper_defaults(true, 8));
+        e.run(15).unwrap();
+        let state = e.state();
+        for ((qi, pseudo), lf) in state.pseudo_labelled().zip(&state.lfs) {
+            assert_eq!(lf.apply(&data.train, qi) as usize, pseudo);
+        }
+    }
+
+    #[test]
+    fn evaluation_before_any_step_is_defined() {
+        let data = tiny_of(DatasetId::Youtube);
+        let e = build(&data, SessionConfig::paper_defaults(true, 9));
+        let r = e.evaluate_downstream().unwrap();
+        assert!(!r.downstream_trained || r.label_coverage > 0.0);
+        assert!(r.test_accuracy >= 0.0 && r.test_accuracy <= 1.0);
     }
 
     #[test]

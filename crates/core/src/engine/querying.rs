@@ -3,11 +3,10 @@
 //! matrices, pseudo-labelled pool; paper §3.1).
 
 use super::state::SessionState;
-use super::Stage;
 use crate::error::ActiveDpError;
-use crate::oracle::{Oracle, RouteChoice, RouteStats, RoutedState};
 use adp_data::SplitDataset;
 use adp_lf::{CandidateSpace, LabelFunction, ABSTAIN};
+use adp_oracle::{Oracle, RouteChoice, RouteStats, RoutedState};
 
 /// Owns the oracle and the candidate-LF space it draws from.
 pub struct QueryingStage {
@@ -109,24 +108,6 @@ impl QueryingStage {
             state.pseudo_labels.push(vote as usize);
         }
         Ok((lf, route))
-    }
-}
-
-impl Stage for QueryingStage {
-    type Input<'i> = usize;
-    type Output = Option<LabelFunction>;
-
-    fn name(&self) -> &'static str {
-        "querying"
-    }
-
-    fn run(
-        &mut self,
-        data: &SplitDataset,
-        state: &mut SessionState,
-        query: usize,
-    ) -> Result<Option<LabelFunction>, ActiveDpError> {
-        Ok(self.query(data, state, query, None)?.0)
     }
 }
 

@@ -3,10 +3,8 @@
 //! alternatives).
 
 use super::state::SessionState;
-use super::Stage;
 use crate::adp_sampler::AdpSampler;
 use crate::config::{CandidateStrategy, SamplerChoice, SessionConfig};
-use crate::error::ActiveDpError;
 use adp_data::SplitDataset;
 use adp_index::{IvfIndex, IvfParams};
 use adp_lf::CandidateSpace;
@@ -249,24 +247,6 @@ impl SamplingStage {
             state.queried[query] = true;
         }
         query
-    }
-}
-
-impl Stage for SamplingStage {
-    type Input<'i> = &'i CandidateSpace;
-    type Output = Option<usize>;
-
-    fn name(&self) -> &'static str {
-        "sampling"
-    }
-
-    fn run(
-        &mut self,
-        data: &SplitDataset,
-        state: &mut SessionState,
-        space: &CandidateSpace,
-    ) -> Result<Option<usize>, ActiveDpError> {
-        Ok(self.select(data, space, state, None))
     }
 }
 

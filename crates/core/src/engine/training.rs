@@ -3,7 +3,6 @@
 //! the refresh of both models' cached training-split predictions.
 
 use super::state::SessionState;
-use super::Stage;
 use crate::config::SessionConfig;
 use crate::error::ActiveDpError;
 use crate::labelpick::LabelPick;
@@ -151,24 +150,6 @@ impl TrainingStage {
             return vec![vec![1.0 / n_classes as f64; n_classes]; n];
         }
         self.al_model.predict_proba_all(features)
-    }
-}
-
-impl Stage for TrainingStage {
-    type Input<'i> = ();
-    type Output = ();
-
-    fn name(&self) -> &'static str {
-        "training"
-    }
-
-    fn run(
-        &mut self,
-        data: &SplitDataset,
-        state: &mut SessionState,
-        _input: (),
-    ) -> Result<(), ActiveDpError> {
-        self.refit(data, state)
     }
 }
 

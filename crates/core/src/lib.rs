@@ -28,10 +28,11 @@
 //! `Send + 'static`; it is built with the validating [`EngineBuilder`]
 //! (`Engine::builder(data).seed(7).build()?`), steps singly
 //! ([`Engine::step`]) or in refit-saving batches ([`Engine::step_batch`]),
-//! and reports every iteration to registered [`StepObserver`] hooks.
-//! [`ActiveDpSession`] preserves the original monolithic API as a facade
-//! over it, exposing the ablation switches of Table 3 (`use_labelpick`,
-//! `use_confusion`) plus the sampler choices of Table 4. Serving many
+//! and reports every iteration to registered [`StepObserver`] hooks. The
+//! engine is the crate's one API for the loop: `.config(cfg)` selects the
+//! ablation switches of Table 3 (`use_labelpick`, `use_confusion`) and the
+//! sampler choices of Table 4, and [`Engine::state`] exposes the collected
+//! LFs, LabelPick's selection and the pseudo-labelled set. Serving many
 //! concurrent sessions is the `adp-serve` crate's `SessionHub`.
 //!
 //! A complete run is described declaratively by a [`ScenarioSpec`] —
@@ -49,14 +50,16 @@ pub mod engine;
 pub mod error;
 pub mod event;
 pub mod labelpick;
-pub mod oracle;
 pub mod replay;
 pub mod scenario;
-pub mod session;
 pub mod snapshot;
 
 pub use adp_classifier::LogRegConfig;
 pub use adp_labelmodel::LabelModelKind;
+pub use adp_oracle::{
+    ConfusionSpec, LatencyModel, NoisyOracle, Oracle, OracleKind, OracleRouter, RouteChoice,
+    RoutePolicy, RouteStats, RoutedState, RoutedStep, UnknownOracleKind,
+};
 pub use adp_sampler::AdpSampler;
 pub use config::{
     CandidateStrategy, SamplerChoice, SessionConfig, UnknownCandidateStrategy, UnknownSampler,
@@ -64,18 +67,13 @@ pub use config::{
 pub use confusion::{aggregate, tune_threshold, AggregatedLabels};
 pub use engine::{
     Engine, EngineBuilder, EvalReport, QueryingStage, SamplingStage, ScheduleRun, SessionState,
-    Stage, StepObserver, StepOutcome, TrainingStage,
+    StepObserver, StepOutcome, TrainingStage,
 };
 pub use error::ActiveDpError;
 pub use event::StepEvent;
 pub use labelpick::{LabelPick, LabelPickConfig};
-pub use oracle::{
-    ConfusionSpec, LatencyModel, NoisyOracle, Oracle, OracleKind, OracleRouter, RouteChoice,
-    RoutePolicy, RouteStats, RoutedState, RoutedStep, UnknownOracleKind,
-};
 pub use replay::replay_snapshot;
 pub use scenario::{
     BudgetSchedule, PhaseSegment, ScenarioSpec, DEFAULT_BUDGET, SCENARIO_MAGIC, SCENARIO_VERSION,
 };
-pub use session::ActiveDpSession;
 pub use snapshot::{SessionSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};

@@ -19,10 +19,10 @@
 
 use crate::error::ActiveDpError;
 use crate::event::StepEvent;
-use crate::oracle::{LatencyModel, OracleKind, RouteChoice};
 use crate::snapshot::SessionSnapshot;
 use adp_data::{DriftSpec, SplitDataset};
 use adp_lf::LabelMatrix;
+use adp_oracle::{LatencyModel, OracleKind, RouteChoice};
 
 fn replay_err(reason: String) -> ActiveDpError {
     ActiveDpError::Replay { reason }

@@ -5,7 +5,7 @@
 //! whether LabelPick kept it — the pipeline Figure 2 depicts: accuracy
 //! filter, dependency-structure estimation, Markov-blanket selection.
 
-use activedp::{ActiveDpSession, SessionConfig};
+use activedp::{Engine, SessionConfig};
 use adp_data::{generate, DatasetId};
 use adp_experiments::{write_csv, RunOpts, TableWriter};
 use adp_lf::LabelMatrix;
@@ -39,12 +39,16 @@ fn main() {
         .expect("generation succeeds")
         .into_shared();
     let session_cfg = SessionConfig::paper_defaults(id.is_textual(), cfg.seeds[0]);
-    let mut session = ActiveDpSession::new(data.clone(), session_cfg).expect("session builds");
+    let mut session = Engine::builder(data.clone())
+        .config(session_cfg)
+        .build()
+        .expect("session builds");
     session.run(iterations).expect("session runs");
 
-    let lfs = session.lfs().to_vec();
-    let selected: std::collections::HashSet<usize> = session.selected().iter().copied().collect();
-    let valid_matrix = LabelMatrix::from_lfs(&lfs, &data.valid);
+    let lfs = &session.state().lfs;
+    let selected: std::collections::HashSet<usize> =
+        session.state().selected.iter().copied().collect();
+    let valid_matrix = LabelMatrix::from_lfs(lfs, &data.valid);
 
     let mut table = TableWriter::new(&["LF", "Rule", "Valid acc", "Coverage", "LabelPick"]);
     for (j, lf) in lfs.iter().enumerate() {

@@ -1,6 +1,6 @@
 //! Protocol runner: iterate → evaluate every k → average over seeds.
 
-use activedp::{ActiveDpError, ActiveDpSession, SessionConfig};
+use activedp::{ActiveDpError, Engine, SessionConfig};
 use adp_baselines::{Framework, Iws, Nemo, RevisingLf, UncertaintySampling};
 use adp_data::{generate, DatasetId, Scale};
 
@@ -159,7 +159,7 @@ pub fn run_framework_curve(
         match method {
             Method::ActiveDp => {
                 let session_cfg = SessionConfig::paper_defaults(id.is_textual(), seed);
-                let mut fw = ActiveDpSession::new(data, session_cfg)?;
+                let mut fw = Engine::builder(data).config(session_cfg).build()?;
                 drive(&mut fw, cfg)
             }
             Method::Nemo => {
@@ -195,7 +195,9 @@ pub fn run_session_curve(
         let data = generate(id, cfg.scale, seed).map_err(|e| ActiveDpError::BadConfig {
             reason: format!("dataset generation failed: {e}"),
         })?;
-        let mut fw = ActiveDpSession::new(data, make_session(id.is_textual(), seed))?;
+        let mut fw = Engine::builder(data)
+            .config(make_session(id.is_textual(), seed))
+            .build()?;
         drive(&mut fw, cfg)
     })?;
     Ok(average_seed_points(per_seed, label.to_string()))

@@ -9,7 +9,7 @@
 //! (pass a dataset name to switch, e.g. `-- Occupancy`)
 
 use activedp_repro::baselines::{Framework, Iws, Nemo, RevisingLf, UncertaintySampling};
-use activedp_repro::core::{ActiveDpSession, SessionConfig};
+use activedp_repro::core::{Engine, SessionConfig};
 use activedp_repro::data::{generate, DatasetId, Scale};
 
 const BUDGET: usize = 60;
@@ -54,11 +54,10 @@ fn main() {
 
     let mut results: Vec<(String, Vec<f64>)> = Vec::new();
 
-    let mut adp = ActiveDpSession::new(
-        data.clone(),
-        SessionConfig::paper_defaults(id.is_textual(), seed),
-    )
-    .expect("session builds");
+    let mut adp = Engine::builder(data.clone())
+        .config(SessionConfig::paper_defaults(id.is_textual(), seed))
+        .build()
+        .expect("session builds");
     results.push(("ActiveDP".into(), run(&mut adp)));
     if id.is_textual() {
         // Nemo's SEU strategy is text-specific (paper §4.1.2).

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example spam_detection`
 
-use activedp_repro::core::{ActiveDpSession, SessionConfig};
+use activedp_repro::core::{Engine, SessionConfig};
 use activedp_repro::data::{generate, DatasetId, Scale};
 use activedp_repro::lf::LabelMatrix;
 
@@ -24,7 +24,10 @@ fn main() {
     );
 
     let config = SessionConfig::paper_defaults(true, 11);
-    let mut session = ActiveDpSession::new(data.clone(), config).expect("session builds");
+    let mut session = Engine::builder(data.clone())
+        .config(config)
+        .build()
+        .expect("session builds");
 
     println!("-- training phase (Figure 1, left) --");
     let texts = data
@@ -43,6 +46,7 @@ fn main() {
                 excerpt.push('…');
             }
             let (_, pseudo) = session
+                .state()
                 .pseudo_labelled()
                 .last()
                 .expect("LF was just recorded");
@@ -57,9 +61,10 @@ fn main() {
     }
 
     println!("\n-- LF portfolio after 30 iterations (Figure 2 view) --");
-    let lfs = session.lfs().to_vec();
-    let selected: std::collections::HashSet<usize> = session.selected().iter().copied().collect();
-    let valid_matrix = LabelMatrix::from_lfs(&lfs, &data.valid);
+    let lfs = &session.state().lfs;
+    let selected: std::collections::HashSet<usize> =
+        session.state().selected.iter().copied().collect();
+    let valid_matrix = LabelMatrix::from_lfs(lfs, &data.valid);
     for (j, lf) in lfs.iter().enumerate().take(12) {
         let acc = valid_matrix
             .lf_accuracy(j, &data.valid.labels)
@@ -86,7 +91,7 @@ fn main() {
         "ConFusion threshold τ = {:.3}; {}/{} LFs selected",
         report.threshold.unwrap_or(f64::NAN),
         report.n_selected,
-        session.lfs().len()
+        lfs.len()
     );
     println!(
         "labels: {:.1}% coverage at {:.1}% accuracy",

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example tabular_census`
 
-use activedp_repro::core::{ActiveDpSession, SessionConfig};
+use activedp_repro::core::{Engine, SessionConfig};
 use activedp_repro::data::{generate, DatasetId, Scale};
 
 fn main() {
@@ -25,7 +25,10 @@ fn main() {
     // α = 0.99: the paper's tabular setting.
     let config = SessionConfig::paper_defaults(false, 3);
     assert!((config.alpha - 0.99).abs() < 1e-12);
-    let mut session = ActiveDpSession::new(data, config).expect("session builds");
+    let mut session = Engine::builder(data)
+        .config(config)
+        .build()
+        .expect("session builds");
 
     println!("budget  LFs  selected  τ      coverage  label acc  test acc");
     for block in 0..6 {
@@ -34,7 +37,7 @@ fn main() {
         println!(
             "{:>5}  {:>4}  {:>8}  {:.3}  {:>7.1}%  {:>8.1}%  {:>7.1}%",
             (block + 1) * 10,
-            session.lfs().len(),
+            session.state().lfs.len(),
             report.n_selected,
             report.threshold.unwrap_or(f64::NAN),
             report.label_coverage * 100.0,
@@ -44,12 +47,12 @@ fn main() {
     }
 
     println!("\nFirst few decision stumps the simulated user returned:");
-    for (j, lf) in session.lfs().iter().take(8).enumerate() {
+    for (j, lf) in session.state().lfs.iter().take(8).enumerate() {
         println!("  λ{:<2} {}", j + 1, lf.describe(None));
     }
 
     // Show the pseudo-labelled set that trains the AL model (§3.1): each
     // query instance paired with its LF's vote.
-    let n_pseudo = session.pseudo_labelled().count();
+    let n_pseudo = session.state().pseudo_labelled().count();
     println!("\npseudo-labelled AL training set: {n_pseudo} instances");
 }

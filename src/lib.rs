@@ -5,9 +5,9 @@
 //! every workspace crate under one roof so the examples and downstream
 //! users can depend on a single package:
 //!
-//! * [`core`] (`activedp`) — the ActiveDP framework itself: the
-//!   [`core::ActiveDpSession`] loop, ConFusion aggregation, the ADP
-//!   sampler and LabelPick LF selection;
+//! * [`core`] (`activedp`) — the ActiveDP framework itself: the staged
+//!   [`core::Engine`] loop, ConFusion aggregation, the ADP sampler and
+//!   LabelPick LF selection;
 //! * [`baselines`] — Nemo, IWS, Revising-LF and uncertainty sampling under
 //!   a common [`baselines::Framework`] trait;
 //! * [`serve`] — the concurrent [`serve::SessionHub`]: many sessions by

@@ -1,11 +1,14 @@
 //! Integration tests for the paper's comparative studies: Table 3 ablation
 //! switches, Table 4 sampler choices, Table 5 label noise.
 
-use activedp_repro::core::{ActiveDpSession, SamplerChoice, SessionConfig};
+use activedp_repro::core::{Engine, SamplerChoice, SessionConfig};
 use activedp_repro::data::{generate, DatasetId, Scale, SharedDataset};
 
 fn auc(data: &SharedDataset, cfg: SessionConfig, iters: usize) -> f64 {
-    let mut session = ActiveDpSession::new(data.clone(), cfg).expect("session builds");
+    let mut session = Engine::builder(data.clone())
+        .config(cfg)
+        .build()
+        .expect("session builds");
     let mut points = Vec::new();
     for it in 1..=iters {
         session.step().expect("step succeeds");
@@ -97,7 +100,10 @@ fn label_noise_degrades_gracefully() {
                 noise_rate: *noise,
                 ..SessionConfig::paper_defaults(true, seed)
             };
-            let mut session = ActiveDpSession::new(data.clone(), cfg).expect("session builds");
+            let mut session = Engine::builder(data.clone())
+                .config(cfg)
+                .build()
+                .expect("session builds");
             session.run(30).expect("session runs");
             label_acc[k] += session
                 .evaluate_downstream()

@@ -3,7 +3,7 @@
 //! are reproducible.
 
 use activedp_repro::baselines::{Framework, Iws, Nemo, RevisingLf, UncertaintySampling};
-use activedp_repro::core::{ActiveDpSession, SessionConfig};
+use activedp_repro::core::{Engine, SessionConfig};
 use activedp_repro::data::{generate, DatasetId, Scale};
 
 fn drive(fw: &mut dyn Framework, iters: usize) -> f64 {
@@ -18,7 +18,10 @@ fn activedp_beats_chance_on_text_and_tabular() {
     for (id, floor) in [(DatasetId::Youtube, 0.60), (DatasetId::Occupancy, 0.80)] {
         let data = generate(id, Scale::Tiny, 21).expect("dataset generates");
         let cfg = SessionConfig::paper_defaults(id.is_textual(), 21);
-        let mut session = ActiveDpSession::new(data, cfg).expect("session builds");
+        let mut session = Engine::builder(data)
+            .config(cfg)
+            .build()
+            .expect("session builds");
         let acc = drive(&mut session, 30);
         assert!(acc > floor, "{}: accuracy {acc}", id.name());
     }
@@ -31,7 +34,12 @@ fn every_framework_completes_the_protocol_on_text() {
         .into_shared();
     let cfg = SessionConfig::paper_defaults(true, 22);
     let mut frameworks: Vec<Box<dyn Framework>> = vec![
-        Box::new(ActiveDpSession::new(data.clone(), cfg).expect("session builds")),
+        Box::new(
+            Engine::builder(data.clone())
+                .config(cfg)
+                .build()
+                .expect("session builds"),
+        ),
         Box::new(Nemo::new(&data, 22)),
         Box::new(Iws::new(&data, 22)),
         Box::new(RevisingLf::new(&data, 22)),
@@ -54,7 +62,12 @@ fn every_non_nemo_framework_completes_on_tabular() {
         .into_shared();
     let cfg = SessionConfig::paper_defaults(false, 23);
     let mut frameworks: Vec<Box<dyn Framework>> = vec![
-        Box::new(ActiveDpSession::new(data.clone(), cfg).expect("session builds")),
+        Box::new(
+            Engine::builder(data.clone())
+                .config(cfg)
+                .build()
+                .expect("session builds"),
+        ),
         Box::new(Iws::new(&data, 23)),
         Box::new(RevisingLf::new(&data, 23)),
         Box::new(UncertaintySampling::new(&data, 23)),
@@ -70,12 +83,15 @@ fn runs_are_deterministic_given_seed() {
     let run = || {
         let data = generate(DatasetId::Imdb, Scale::Tiny, 24).expect("dataset generates");
         let cfg = SessionConfig::paper_defaults(true, 24);
-        let mut session = ActiveDpSession::new(data, cfg).expect("session builds");
+        let mut session = Engine::builder(data)
+            .config(cfg)
+            .build()
+            .expect("session builds");
         let acc = drive(&mut session, 15);
         (
             acc.to_bits(),
-            session.lfs().len(),
-            session.selected().to_vec(),
+            session.state().lfs.len(),
+            session.state().selected.clone(),
         )
     };
     assert_eq!(run(), run());
@@ -86,9 +102,13 @@ fn different_seeds_explore_differently() {
     let run = |seed: u64| {
         let data = generate(DatasetId::Imdb, Scale::Tiny, seed).expect("dataset generates");
         let cfg = SessionConfig::paper_defaults(true, seed);
-        let mut session = ActiveDpSession::new(data, cfg).expect("session builds");
+        let mut session = Engine::builder(data)
+            .config(cfg)
+            .build()
+            .expect("session builds");
         session.run(10).expect("session runs");
         session
+            .state()
             .pseudo_labelled()
             .map(|(q, _)| q)
             .collect::<Vec<_>>()
@@ -105,7 +125,10 @@ fn learning_improves_with_budget() {
     for seed in 40..43 {
         let data = generate(DatasetId::Occupancy, Scale::Tiny, seed).expect("dataset generates");
         let cfg = SessionConfig::paper_defaults(false, seed);
-        let mut session = ActiveDpSession::new(data, cfg).expect("session builds");
+        let mut session = Engine::builder(data)
+            .config(cfg)
+            .build()
+            .expect("session builds");
         session.run(10).expect("session runs");
         short += session
             .evaluate_downstream()

@@ -1,13 +1,14 @@
-//! Determinism/parity tests for the staged `Engine` refactor.
+//! Determinism/parity tests for the staged `Engine`.
 //!
-//! The golden fixture below was captured from the *pre-refactor* monolithic
-//! `ActiveDpSession` (single `session.rs`, serial kernels) on
-//! `DatasetId::Youtube` at `Scale::Tiny`, dataset seed 7, session seed 7,
-//! 15 iterations. The staged engine — and the facade on top of it — must
-//! reproduce that trajectory seed-for-seed: same query instances, same LF
-//! picks, same LabelPick selections, same final accuracy to the last bit.
+//! The golden fixture below was captured from the pre-refactor monolithic
+//! session loop (serial kernels) on `DatasetId::Youtube` at `Scale::Tiny`,
+//! dataset seed 7, session seed 7, 15 iterations. The staged engine must
+//! reproduce that trajectory seed-for-seed through every way of driving
+//! it — `step`, `step_batch(1)`, `run_schedule` and snapshot/resume: same
+//! query instances, same LF picks, same LabelPick selections, same final
+//! accuracy to the last bit.
 
-use activedp_repro::core::{ActiveDpSession, CandidateStrategy, Engine, SessionConfig};
+use activedp_repro::core::{CandidateStrategy, Engine, SessionConfig};
 use activedp_repro::data::{generate, DatasetId, Scale, SharedDataset};
 
 const ITERS: usize = 15;
@@ -200,52 +201,6 @@ fn ann_strategy_runs_deterministically_and_resumes() {
     );
 }
 
-#[test]
-fn facade_matches_golden_trajectory() {
-    let (data, cfg) = fixture();
-    let mut session = ActiveDpSession::new(data, cfg).unwrap();
-    let mut queries = Vec::new();
-    let mut lf_keys = Vec::new();
-    let mut n_selected = Vec::new();
-    for _ in 0..ITERS {
-        let out = session.step().unwrap();
-        queries.push(out.query);
-        lf_keys.push(out.lf.as_ref().map(|lf| format!("{:?}", lf.key())));
-        n_selected.push(out.n_selected);
-    }
-    assert_golden_trajectory(&queries, &lf_keys, &n_selected);
-    assert_eq!(session.selected(), GOLDEN_SELECTED);
-    let report = session.evaluate_downstream().unwrap();
-    assert_eq!(
-        report.test_accuracy.to_bits(),
-        GOLDEN_TEST_ACCURACY.to_bits()
-    );
-}
-
-#[test]
-fn facade_and_engine_agree_step_for_step() {
-    let (data, cfg) = fixture();
-    let mut session = ActiveDpSession::new(data.clone(), cfg.clone()).unwrap();
-    let mut engine = Engine::builder(data).config(cfg).build().unwrap();
-    for it in 0..ITERS {
-        let s = session.step().unwrap();
-        let e = engine.step().unwrap();
-        assert_eq!(s.query, e.query, "iteration {it}");
-        assert_eq!(
-            s.lf.as_ref().map(|l| l.key()),
-            e.lf.as_ref().map(|l| l.key()),
-            "iteration {it}"
-        );
-        assert_eq!(s.n_selected, e.n_selected, "iteration {it}");
-    }
-    let (rs, re) = (
-        session.evaluate_downstream().unwrap(),
-        engine.evaluate_downstream().unwrap(),
-    );
-    assert_eq!(rs.test_accuracy.to_bits(), re.test_accuracy.to_bits());
-    assert_eq!(rs.label_coverage.to_bits(), re.label_coverage.to_bits());
-}
-
 /// `step_batch(1)` must be the identity batching: same query sequence,
 /// same LF picks, same LabelPick trajectory, bitwise-identical final
 /// metrics as the `step()` loop that produced the golden fixture.
@@ -378,7 +333,6 @@ fn run_schedule_fixed_batch_one_equals_fixed_step() {
 fn engine_is_send_and_static() {
     fn assert_send<T: Send + 'static>() {}
     assert_send::<Engine>();
-    assert_send::<ActiveDpSession>();
 }
 
 /// The durable-session acceptance bar: `run k steps → snapshot → restore
