@@ -235,13 +235,16 @@ impl EngineBuilder {
 
     /// Assembles an engine that resumes `snapshot` exactly where it was
     /// taken: the snapshot's embedded [`ScenarioSpec`] replaces any edits
-    /// made on this builder, the loop state is restored verbatim, both RNG
-    /// streams are repositioned, and the models are rebuilt with one
-    /// deterministic refit (every fit resets its parameters and runs under
-    /// the fixed-chunk contract, so the rebuilt weights equal the
-    /// snapshot-time ones bit for bit). Running the resumed engine to the
-    /// end reproduces the uninterrupted trajectory exactly — queries, LF
-    /// picks and evaluation metrics included.
+    /// made on this builder, the loop state — LabelPick's selection and
+    /// both probability caches included — is validated and restored
+    /// verbatim, and both RNG streams are repositioned. No model is fitted
+    /// here: sampling and querying read only the restored state, the next
+    /// refit fits the models as it would have anyway, and inference before
+    /// that refit fits them to the restored selection (every fit resets
+    /// its parameters and runs under the fixed-chunk contract, so those
+    /// weights equal the snapshot-time ones bit for bit). Running the
+    /// resumed engine to the end reproduces the uninterrupted trajectory
+    /// exactly — queries, LF picks and evaluation metrics included.
     ///
     /// The dataset must be the one the snapshot was taken over (typically
     /// regenerated from the spec — [`Engine::resume`] does exactly that);
@@ -301,19 +304,13 @@ impl EngineBuilder {
                 });
             }
         }
-        // Re-derive the drift swap before the refit: a snapshot taken past
-        // the boundary carries state computed against the mutated pool, so
-        // the refit below must run against it too. (A snapshot exactly at
-        // the boundary stays on the base pool — the uninterrupted run's
+        // Re-derive the drift swap: a snapshot taken past the boundary
+        // carries state computed against the mutated pool, so the next
+        // refit must run against it too. (A snapshot exactly at the
+        // boundary stays on the base pool — the uninterrupted run's
         // boundary refit did as well.)
         engine.sync_drift()?;
-        // Rebuild the fitted models. The refit consumes no RNG and resets
-        // every parameter, so it reproduces exactly the state the models
-        // were in when the snapshot was taken (`state.selected` and the
-        // cached probability tables are overwritten with identical values).
-        if !engine.state.lfs.is_empty() {
-            engine.training.refit(&engine.data, &mut engine.state)?;
-        }
+        engine.training.stale = true;
         Ok(engine)
     }
 }
@@ -441,7 +438,8 @@ mod tests {
             assert!(matches!(err, Err(ActiveDpError::BadConfig { .. })));
         };
         // Empty-but-Some probability cache: would index out of bounds in
-        // the sampler on the first step (no LFs, so no refit rebuilds it).
+        // the sampler on the first step (resume does not refit, so
+        // nothing rebuilds it).
         reject(&|s| s.state.al_probs_train = Some(vec![]));
         // Wrong row width.
         reject(&|s| {
@@ -468,6 +466,201 @@ mod tests {
             )
             .unwrap();
         });
+    }
+
+    #[test]
+    fn resume_rejects_non_probability_caches() {
+        // Resume hands the caches to the samplers without refitting, so a
+        // NaN or out-of-range entry must be a typed error here, not a
+        // panic in the sampler's sort on the next step.
+        let mut engine = Engine::builder(tiny()).seed(5).build().unwrap();
+        engine.run(4).unwrap();
+        let pristine = engine.snapshot().unwrap();
+        assert!(pristine.state.al_probs_train.is_some());
+        assert!(pristine.state.lm_probs_train.is_some());
+        for bad in [f64::NAN, f64::INFINITY, -0.1, 1.5] {
+            for lm in [false, true] {
+                let mut snap = pristine.clone();
+                let cache = if lm {
+                    &mut snap.state.lm_probs_train
+                } else {
+                    &mut snap.state.al_probs_train
+                };
+                cache.as_mut().unwrap()[3][0] = bad;
+                let err = Engine::builder(tiny()).resume(snap);
+                assert!(
+                    matches!(err, Err(ActiveDpError::BadConfig { .. })),
+                    "{bad} in the {} cache was accepted",
+                    if lm { "lm" } else { "al" }
+                );
+            }
+        }
+    }
+
+    /// Every bit of an evaluation report.
+    fn report_bits(r: &crate::EvalReport) -> [u64; 6] {
+        [
+            r.test_accuracy.to_bits(),
+            r.label_accuracy.map_or(u64::MAX, f64::to_bits),
+            r.label_coverage.to_bits(),
+            r.threshold.map_or(u64::MAX, f64::to_bits),
+            r.n_selected as u64,
+            r.downstream_trained as u64,
+        ]
+    }
+
+    fn cache_bits(cache: &Option<Vec<Vec<f64>>>) -> Option<Vec<Vec<u64>>> {
+        cache.as_ref().map(|rows| {
+            rows.iter()
+                .map(|r| r.iter().map(|p| p.to_bits()).collect())
+                .collect()
+        })
+    }
+
+    /// Runs `steps` uninterrupted iterations, and at each of `splits`
+    /// checks what refit-free resume relies on: (a) a resumed engine
+    /// evaluates, twice, bitwise like the uninterrupted one; (b) forcing
+    /// the refit resume skips reproduces the snapshot's selection and
+    /// both caches bit for bit; and (c) where the next step collects no
+    /// LF (so no refit follows the resume), stepping then evaluating still
+    /// matches. Returns how many (c) cases the run offered.
+    fn assert_refit_free_resume(
+        build: &dyn Fn() -> EngineBuilder,
+        steps: usize,
+        splits: &[usize],
+    ) -> usize {
+        let mut engine = build().build().unwrap();
+        let (mut snaps, mut reports, mut collected) = (vec![], vec![], vec![]);
+        for _ in 0..steps {
+            snaps.push(engine.snapshot().unwrap());
+            reports.push(report_bits(&engine.evaluate_downstream().unwrap()));
+            collected.push(engine.step().unwrap().lf.is_some());
+        }
+        snaps.push(engine.snapshot().unwrap());
+        reports.push(report_bits(&engine.evaluate_downstream().unwrap()));
+        let mut no_lf_splits = 0;
+        for k in (0..steps).filter(|k| !collected[*k]) {
+            no_lf_splits += 1;
+            let mut resumed = build().resume(snaps[k].clone()).unwrap();
+            assert!(resumed.step().unwrap().lf.is_none(), "split {k}");
+            assert!(resumed.training.stale, "split {k}: a refit ran");
+            let report = report_bits(&resumed.evaluate_downstream().unwrap());
+            assert_eq!(report, reports[k + 1], "(c) split {k}");
+        }
+        for &k in splits {
+            let snap = &snaps[k];
+            assert!(
+                !snap.state.lfs.is_empty(),
+                "split {k} precedes the first LF"
+            );
+            let mut resumed = build().resume(snap.clone()).unwrap();
+            assert_eq!(resumed.state(), &snap.state, "split {k}");
+            for _ in 0..2 {
+                let report = report_bits(&resumed.evaluate_downstream().unwrap());
+                assert_eq!(report, reports[k], "(a) split {k}");
+            }
+            resumed
+                .training
+                .refit(&resumed.data, &mut resumed.state)
+                .unwrap();
+            assert_eq!(resumed.state.selected, snap.state.selected, "(b) split {k}");
+            assert_eq!(
+                cache_bits(&resumed.state.lm_probs_train),
+                cache_bits(&snap.state.lm_probs_train),
+                "(b) split {k}"
+            );
+            assert_eq!(
+                cache_bits(&resumed.state.al_probs_train),
+                cache_bits(&snap.state.al_probs_train),
+                "(b) split {k}"
+            );
+            // And the resumed engine finishes the run exactly.
+            resumed.run(steps - k).unwrap();
+            assert_eq!(resumed.snapshot().unwrap(), snaps[steps], "split {k}");
+        }
+        no_lf_splits
+    }
+
+    #[test]
+    fn refit_free_resume_across_label_models_and_ablations() {
+        let data = tiny();
+        for (kind, labelpick, confusion) in [
+            (LabelModelKind::Triplet, true, true),
+            (LabelModelKind::Triplet, false, false),
+            (LabelModelKind::MajorityVote, true, false),
+            (LabelModelKind::MajorityVote, false, true),
+            (LabelModelKind::DawidSkene, true, true),
+            (LabelModelKind::DawidSkene, false, false),
+        ] {
+            let build = || {
+                Engine::builder(data.clone())
+                    .seed(5)
+                    .label_model(kind)
+                    .labelpick(labelpick)
+                    .confusion(confusion)
+            };
+            assert_refit_free_resume(&build, 14, &[3, 8, 13]);
+        }
+    }
+
+    #[test]
+    fn refit_free_resume_when_the_next_step_collects_no_lf() {
+        // A user who mislabels a query rarely finds an LF accurate enough
+        // for the wrong label, so several resumes are followed by no refit.
+        let data = tiny();
+        let build = || Engine::builder(data.clone()).seed(5).noise_rate(0.4);
+        let offered = assert_refit_free_resume(&build, 20, &[4, 12]);
+        assert!(offered >= 2, "only {offered} steps collected no LF");
+    }
+
+    #[test]
+    fn resume_past_a_boundary_keeps_the_selection_of_the_pre_swap_refit() {
+        // Iteration 9, the first after the label shift at 8, collects no
+        // LF: the selection at 9 is still the one the refit at 8 made on
+        // the base pool. A refit on the shifted pool selects differently,
+        // so a resume that refitted would evaluate a session that never
+        // existed; refit-free resume keeps the snapshot's selection.
+        let data = tiny();
+        let build = || {
+            Engine::builder(data.clone())
+                .seed(5)
+                .noise_rate(0.4)
+                .label_model(LabelModelKind::DawidSkene)
+                .drift(DriftSpec::LabelShift { at: 8, prior: 0.8 })
+        };
+        let mut engine = build().build().unwrap();
+        engine.run(9).unwrap();
+        let snap = engine.snapshot().unwrap();
+        let mut resumed = build().resume(snap.clone()).unwrap();
+        assert_eq!(resumed.state(), &snap.state);
+        assert_eq!(
+            report_bits(&resumed.evaluate_downstream().unwrap()),
+            report_bits(&engine.evaluate_downstream().unwrap())
+        );
+        resumed
+            .training
+            .refit(&resumed.data, &mut resumed.state)
+            .unwrap();
+        assert_ne!(resumed.state.selected, snap.state.selected);
+        let offered = assert_refit_free_resume(&build, 20, &[6, 12, 16]);
+        assert!(offered >= 2, "only {offered} steps collected no LF");
+    }
+
+    #[test]
+    fn refit_free_resume_past_a_drift_boundary_and_under_a_noisy_oracle() {
+        let data = tiny();
+        let drifted = || {
+            Engine::builder(data.clone())
+                .seed(5)
+                .drift(DriftSpec::LabelShift { at: 6, prior: 0.8 })
+        };
+        assert_refit_free_resume(&drifted, 14, &[6, 7, 10, 13]);
+        let noisy = || {
+            Engine::builder(data.clone())
+                .seed(5)
+                .oracle_kind(OracleKind::noisy())
+        };
+        assert_refit_free_resume(&noisy, 14, &[3, 8, 13]);
     }
 
     #[test]

@@ -28,13 +28,22 @@ pub struct EvalReport {
 }
 
 /// Tunes τ on the validation split (when ConFusion is enabled) and
-/// aggregates labels for the training pool.
+/// aggregates labels for the training pool. A resumed stage that has not
+/// refitted yet has unfitted models; they are fitted to `state`'s
+/// selection on a throwaway copy first.
 pub fn aggregate_train_labels(
     data: &SplitDataset,
     config: &SessionConfig,
     training: &TrainingStage,
     state: &SessionState,
 ) -> Result<AggregatedLabels, ActiveDpError> {
+    let fitted;
+    let training = if training.stale {
+        fitted = TrainingStage::fitted_to(data, config, state)?;
+        &fitted
+    } else {
+        training
+    };
     let n_classes = data.train.n_classes;
     let lm_train = training.lm_probs_for(n_classes, state, &state.train_matrix);
     let has_vote_train = state.has_vote_for(&state.train_matrix);

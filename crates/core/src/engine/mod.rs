@@ -328,7 +328,14 @@ impl Engine {
         data: SharedDataset,
     ) -> Result<Engine, ActiveDpError> {
         let synth = crate::replay::replay_snapshot(checkpoint, &data, events, k)?;
-        EngineBuilder::new(data).resume(synth)
+        let mut engine = EngineBuilder::new(data).resume(synth)?;
+        // The fold leaves the selection and probability caches at the
+        // checkpoint's values; one RNG-free refit rebuilds them exactly as
+        // the original run's refit at `k` did.
+        if !engine.state.lfs.is_empty() {
+            engine.training.refit(&engine.data, &mut engine.state)?;
+        }
+        Ok(engine)
     }
 
     /// The dataset split the engine runs over.

@@ -59,7 +59,9 @@ impl SessionState {
 
     /// Structural validation against the dataset a session is being
     /// resumed over: every index in bounds, every matrix and cache shaped
-    /// for the split. Snapshot decoding guarantees *well-formed* fields;
+    /// for the split, every cached probability a finite number in `[0, 1]`
+    /// (resume hands the caches to the samplers unrefitted, and a NaN
+    /// would panic their sort). Snapshot decoding guarantees *well-formed* fields;
     /// this guards *consistency*, so a corrupt-but-parseable spill file is
     /// rejected with a typed error at resume instead of panicking the
     /// first `step()` that indexes into it.
@@ -121,6 +123,9 @@ impl SessionState {
                     return bad(format!(
                         "snapshot {name} cache is not {expected_rows}x{n_classes}"
                     ));
+                }
+                if let Some(p) = rows.iter().flatten().find(|p| !(0.0..=1.0).contains(*p)) {
+                    return bad(format!("snapshot {name} cache holds probability {p}"));
                 }
             }
         }

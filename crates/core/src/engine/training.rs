@@ -22,6 +22,12 @@ pub struct TrainingStage {
     /// Scheduling switch for the bulk label-model prediction pass
     /// (bitwise-identical output either way).
     parallel: bool,
+    /// Whether the models have not been fitted to the state they serve:
+    /// set by a resume, which trusts the snapshot's selection and caches
+    /// instead of refitting, and cleared by the next [`TrainingStage::refit`].
+    /// Inference on a stale stage fits a throwaway copy first
+    /// ([`TrainingStage::fitted_to`]).
+    pub(super) stale: bool,
 }
 
 impl TrainingStage {
@@ -46,7 +52,24 @@ impl TrainingStage {
             class_balance: data.valid.class_balance(),
             use_labelpick: config.use_labelpick,
             parallel: config.parallel,
+            stale: false,
         }
+    }
+
+    /// A fresh stage whose models are fitted to `state`'s current
+    /// selection — what [`TrainingStage::refit`] fits, minus LabelPick and
+    /// the cache refresh. Every fit resets its parameters, so these models
+    /// equal the ones the refit that produced `state.selected` left
+    /// behind, bit for bit.
+    pub(crate) fn fitted_to(
+        data: &SplitDataset,
+        config: &SessionConfig,
+        state: &SessionState,
+    ) -> Result<Self, ActiveDpError> {
+        let mut stage = TrainingStage::from_config(data, config);
+        stage.fit_label_model(state)?;
+        stage.fit_al_model(data, state)?;
+        Ok(stage)
     }
 
     /// Re-reads the dataset-derived fit inputs after a drift boundary
@@ -80,40 +103,65 @@ impl TrainingStage {
         };
 
         // Label model on the selected columns.
-        if state.selected.is_empty() {
-            state.lm_probs_train = None;
-        } else {
-            let selected_train = state.train_matrix.select_columns(&state.selected)?;
-            self.label_model
-                .fit(&selected_train, Some(&self.class_balance))?;
-            let exec = if self.parallel {
-                adp_linalg::parallel::auto(
-                    selected_train.n_instances(),
-                    adp_labelmodel::MIN_PARALLEL_PREDICT,
-                )
-            } else {
-                adp_linalg::Execution::Serial
-            };
-            state.lm_probs_train = Some(adp_labelmodel::predict_all_with(
-                self.label_model.as_ref(),
-                &selected_train,
-                exec,
-            ));
-        }
+        state.lm_probs_train = match self.fit_label_model(state)? {
+            None => None,
+            Some(selected_train) => {
+                let exec = if self.parallel {
+                    adp_linalg::parallel::auto(
+                        selected_train.n_instances(),
+                        adp_labelmodel::MIN_PARALLEL_PREDICT,
+                    )
+                } else {
+                    adp_linalg::Execution::Serial
+                };
+                Some(adp_labelmodel::predict_all_with(
+                    self.label_model.as_ref(),
+                    &selected_train,
+                    exec,
+                ))
+            }
+        };
 
         // AL model on the pseudo-labelled set.
-        if state.query_indices.is_empty() {
-            state.al_probs_train = None;
-        } else {
-            self.al_model.fit(
-                &data.train.features,
-                &state.query_indices,
-                Targets::Hard(&state.pseudo_labels),
-                None,
-            )?;
-            state.al_probs_train = Some(self.al_model.predict_proba_all(&data.train.features));
-        }
+        state.al_probs_train = self
+            .fit_al_model(data, state)?
+            .then(|| self.al_model.predict_proba_all(&data.train.features));
+        self.stale = false;
         Ok(())
+    }
+
+    /// Fits the label model on the selected columns of the training votes
+    /// and returns them; `None` (and no fit) while nothing is selected.
+    fn fit_label_model(
+        &mut self,
+        state: &SessionState,
+    ) -> Result<Option<LabelMatrix>, ActiveDpError> {
+        if state.selected.is_empty() {
+            return Ok(None);
+        }
+        let selected_train = state.train_matrix.select_columns(&state.selected)?;
+        self.label_model
+            .fit(&selected_train, Some(&self.class_balance))?;
+        Ok(Some(selected_train))
+    }
+
+    /// Fits the AL model on the pseudo-labelled set; `false` (and no fit)
+    /// while it is empty.
+    fn fit_al_model(
+        &mut self,
+        data: &SplitDataset,
+        state: &SessionState,
+    ) -> Result<bool, ActiveDpError> {
+        if state.query_indices.is_empty() {
+            return Ok(false);
+        }
+        self.al_model.fit(
+            &data.train.features,
+            &state.query_indices,
+            Targets::Hard(&state.pseudo_labels),
+            None,
+        )?;
+        Ok(true)
     }
 
     /// Label-model probabilities for every row of `matrix`, restricted to

@@ -6,10 +6,12 @@
 //! every event says which instance was queried, which LF (if any) came
 //! back, and where both RNG streams landed. [`replay_snapshot`] performs
 //! that fold as plain data; [`Engine::replay_to`](crate::Engine::replay_to)
-//! wraps it and resumes the result, whose single RNG-free refit rebuilds
-//! the model caches (LabelPick selection, probability tables) exactly as
-//! the original run's refit at `k` did — which is why the fold can leave
-//! those caches stale and still hit bitwise parity.
+//! wraps it, resumes the result and runs one RNG-free refit, which
+//! rebuilds the model caches (LabelPick selection, probability tables)
+//! exactly as the original run's refit at `k` did — which is why the fold
+//! can leave those caches stale and still hit bitwise parity. A folded
+//! snapshot is therefore not a resumable one on its own: resume trusts
+//! the caches it restores.
 //!
 //! The fold is also where a corrupt or mis-assembled journal is caught:
 //! gaps, duplicates and out-of-order iterations, targets that are not
@@ -60,7 +62,9 @@ fn validate_contiguous(events: &[StepEvent]) -> Result<(), ActiveDpError> {
 /// skipped) and extend past `k` (later events are ignored), but must be
 /// contiguous and must cover `checkpoint+1 ..= k` exactly; the event at
 /// `k` must have [`StepEvent::commit`] set. `k` equal to the checkpoint's
-/// iteration returns the checkpoint itself.
+/// iteration returns the checkpoint itself. The result's selection and
+/// probability caches are still the checkpoint's; resume it through
+/// [`Engine::replay_to`](crate::Engine::replay_to), which refits them.
 pub fn replay_snapshot(
     checkpoint: &SessionSnapshot,
     data: &SplitDataset,

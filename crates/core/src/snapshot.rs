@@ -11,11 +11,14 @@
 //!   spec, so only the provenance travels);
 //! * the candidate space and class balance rebuild from the dataset;
 //! * the sampler rebuilds from the config, then has its stream repositioned;
-//! * the fitted models (LabelPick selection, label model, AL model) rebuild
-//!   with one [`TrainingStage::refit`](crate::TrainingStage) — every fit in
-//!   the workspace resets its parameters and runs under the fixed-chunk
-//!   reduction contract, so the refit reproduces the exact weights the
-//!   snapshot-time models had.
+//! * the fitted models (label model, AL model) are not rebuilt at resume:
+//!   the state already carries LabelPick's selection and both models'
+//!   training-split probabilities, which is all sampling and querying
+//!   read. The next [`TrainingStage::refit`](crate::TrainingStage) fits the
+//!   models, and inference before it fits them to the restored selection
+//!   — every fit in the workspace resets its parameters and runs under the
+//!   fixed-chunk reduction contract, so either fit reproduces the exact
+//!   weights the snapshot-time models had.
 //!
 //! Consequently *snapshot at iteration k → restore → run to the end* is
 //! **bitwise identical** to the uninterrupted run (pinned by

@@ -168,6 +168,36 @@ pub struct HealthReply {
     pub resumed_total: u64,
 }
 
+/// One protocol round trip: writes `request` as one line with one `write`
+/// ([`Json::write_line`]), reads the reply line and maps `"ok":false` to
+/// [`ClientError::Server`].
+fn exchange(
+    reader: &mut impl BufRead,
+    writer: &mut impl Write,
+    request: &Json,
+) -> Result<Json, ClientError> {
+    request.write_line(writer)?;
+    let mut line = String::new();
+    if reader.read_line(&mut line)? == 0 {
+        return Err(ClientError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "server closed the connection",
+        )));
+    }
+    let reply = Json::parse(line.trim_end()).map_err(|e| ClientError::Protocol(e.to_string()))?;
+    match reply.get("ok").and_then(Json::as_bool) {
+        Some(true) => Ok(reply),
+        Some(false) => Err(ClientError::Server(
+            reply
+                .get("error")
+                .and_then(Json::as_str)
+                .unwrap_or("unspecified")
+                .to_string(),
+        )),
+        None => Err(ClientError::Protocol(format!("reply without ok: {reply}"))),
+    }
+}
+
 /// A blocking `adp-served` connection.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -178,8 +208,8 @@ impl Client {
     /// Connects to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
-        // One request line, one reply line: without TCP_NODELAY every
-        // call risks a Nagle/delayed-ACK stall.
+        // One request line in one `write`, one reply line: without
+        // TCP_NODELAY every call risks a Nagle/delayed-ACK stall.
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
@@ -189,27 +219,7 @@ impl Client {
     }
 
     fn call(&mut self, request: Json) -> Result<Json, ClientError> {
-        writeln!(self.writer, "{request}")?;
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            )));
-        }
-        let reply =
-            Json::parse(line.trim_end()).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        match reply.get("ok").and_then(Json::as_bool) {
-            Some(true) => Ok(reply),
-            Some(false) => Err(ClientError::Server(
-                reply
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unspecified")
-                    .to_string(),
-            )),
-            None => Err(ClientError::Protocol(format!("reply without ok: {reply}"))),
-        }
+        exchange(&mut self.reader, &mut self.writer, &request)
     }
 
     fn expect_u64(reply: &Json, key: &str) -> Result<u64, ClientError> {
@@ -524,5 +534,35 @@ impl Client {
             ("session", Json::int(session)),
         ]))?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::json::WriteLog;
+
+    #[test]
+    fn every_request_is_one_write() {
+        let request = Json::obj([
+            ("cmd", Json::Str("step_batch".into())),
+            ("session", Json::int(3)),
+            ("k", Json::int(5)),
+        ]);
+        let mut log = WriteLog::default();
+        let reply = exchange(&mut &b"{\"ok\":true,\"x\":1}\n"[..], &mut log, &request).unwrap();
+        assert_eq!(reply.get("x").and_then(Json::as_u64), Some(1));
+        assert_eq!(log.writes, vec![format!("{request}\n").into_bytes()]);
+        // Server-side failures and a closed connection still type apart.
+        let mut log = WriteLog::default();
+        let err = exchange(
+            &mut &b"{\"ok\":false,\"error\":\"no\"}\n"[..],
+            &mut log,
+            &request,
+        );
+        assert!(matches!(err, Err(ClientError::Server(e)) if e == "no"));
+        assert_eq!(log.writes.len(), 1);
+        let err = exchange(&mut &b""[..], &mut WriteLog::default(), &request);
+        assert!(matches!(err, Err(ClientError::Io(_))));
     }
 }

@@ -1189,7 +1189,11 @@ impl ShardState {
 
     /// Rebuilds a cold session's engine from its spill file and re-arms
     /// its journal observer. The spill is written at eviction time and the
-    /// session cannot step while cold, so the file is always current.
+    /// session cannot step while cold, so the file is always current. The
+    /// resume fits no model: it restores the spilled selection and
+    /// probability caches verbatim (see [`EngineBuilder::resume`]), so a
+    /// cold touch costs a read, a decode and a validation; the session's
+    /// next refit fits the models.
     fn resume_session(&self, id: u64) -> Result<Engine, ServeError> {
         let dir = self
             .shared

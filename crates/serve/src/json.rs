@@ -9,6 +9,7 @@
 //! preserved (no maps), so encoding is deterministic.
 
 use std::fmt;
+use std::io::{self, Write};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,6 +114,37 @@ impl Json {
             return Err(p.err("trailing characters after value"));
         }
         Ok(value)
+    }
+
+    /// Writes the value as one protocol line (the value, then `\n`) with a
+    /// single `write_all`. `Display` emits one fragment per token, and on a
+    /// TCP_NODELAY socket every fragment would be its own `send` and
+    /// possibly its own segment; formatting into one buffer first keeps a
+    /// message to one syscall.
+    pub fn write_line(&self, writer: &mut impl Write) -> io::Result<()> {
+        let mut line = self.to_string();
+        line.push('\n');
+        writer.write_all(line.as_bytes())
+    }
+}
+
+/// A `Write` sink that records every `write` call separately, so tests can
+/// count the syscalls a message would cost on a socket.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct WriteLog {
+    pub(crate) writes: Vec<Vec<u8>>,
+}
+
+#[cfg(test)]
+impl Write for WriteLog {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writes.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
@@ -437,6 +469,19 @@ mod tests {
         roundtrip(&Json::Num(1e-12));
         roundtrip(&Json::int(u64::MAX >> 12));
         roundtrip(&Json::Str("hello".into()));
+    }
+
+    #[test]
+    fn write_line_is_one_write_of_the_display_text_and_a_newline() {
+        let value =
+            Json::parse(r#"{"ok":true,"outcomes":[{"q":1},{"q":null}],"s":"a\"b"}"#).unwrap();
+        let mut log = WriteLog::default();
+        value.write_line(&mut log).unwrap();
+        assert_eq!(log.writes, vec![format!("{value}\n").into_bytes()]);
+        // What it replaces: `writeln!` costs one write per token.
+        let mut tokens = WriteLog::default();
+        writeln!(tokens, "{value}").unwrap();
+        assert!(tokens.writes.len() > 10, "{}", tokens.writes.len());
     }
 
     #[test]

@@ -472,8 +472,8 @@ fn accept_loop(
             break;
         }
         let Ok(stream) = stream else { continue };
-        // Request/response with small line-framed writes: Nagle's
-        // algorithm would add a delayed-ACK stall to every exchange.
+        // Request/response, one `write` per reply: Nagle's algorithm would
+        // hold each reply back for the peer's delayed ACK.
         let _ = stream.set_nodelay(true);
         let hub = hub.clone();
         if let Ok(handle) = std::thread::Builder::new()
@@ -494,21 +494,36 @@ fn accept_loop(
 /// a line buffer without bound.
 const MAX_LINE_BYTES: u64 = 1 << 20;
 
-fn connection_loop(stream: TcpStream, hub: &SessionHub, read_timeout: Option<Duration>) {
+fn connection_loop(mut stream: TcpStream, hub: &SessionHub, read_timeout: Option<Duration>) {
     // The timeout applies to the shared socket, so it covers both the
     // reader clone below and (harmlessly) writes.
     let _ = stream.set_read_timeout(read_timeout);
     let Ok(reader_stream) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(reader_stream);
-    let mut writer = stream;
+    serve_lines(
+        &mut BufReader::new(reader_stream),
+        &mut stream,
+        hub,
+        read_timeout,
+    );
+}
+
+/// The protocol loop of one connection: reads request lines until EOF, an
+/// error or the read timeout, and writes each reply as one line with one
+/// `write` ([`Json::write_line`]).
+fn serve_lines(
+    reader: &mut impl BufRead,
+    writer: &mut impl Write,
+    hub: &SessionHub,
+    read_timeout: Option<Duration>,
+) {
     loop {
         let mut line = String::new();
         // A fresh `take` budget per line bounds each read; a line that
         // fills the whole budget without a newline is hostile or garbage —
         // drop the connection rather than resynchronise mid-stream.
-        match std::io::Read::take(&mut reader, MAX_LINE_BYTES).read_line(&mut line) {
+        match std::io::Read::take(&mut *reader, MAX_LINE_BYTES).read_line(&mut line) {
             Ok(0) => break,
             Ok(_) if !line.ends_with('\n') && line.len() as u64 == MAX_LINE_BYTES => break,
             Ok(_) => {}
@@ -528,7 +543,7 @@ fn connection_loop(stream: TcpStream, hub: &SessionHub, read_timeout: Option<Dur
                     "idle timeout: no request within {} s",
                     timeout.as_secs()
                 ));
-                let _ = writeln!(writer, "{reply}");
+                let _ = reply.write_line(writer);
                 break;
             }
             Err(_) => break,
@@ -536,14 +551,13 @@ fn connection_loop(stream: TcpStream, hub: &SessionHub, read_timeout: Option<Dur
         // HTTP shim: a connection whose first line is an HTTP request is a
         // scrape, not a protocol client — answer it one-shot and close.
         if line.starts_with("GET ") || line.starts_with("HEAD ") {
-            serve_http(&mut reader, &mut writer, hub, &line);
+            serve_http(reader, writer, hub, &line);
             break;
         }
         if line.trim().is_empty() {
             continue;
         }
-        let reply = handle_line(hub, &line);
-        if writeln!(writer, "{reply}").is_err() {
+        if handle_line(hub, &line).write_line(writer).is_err() {
             break;
         }
     }
@@ -554,7 +568,7 @@ fn connection_loop(stream: TcpStream, hub: &SessionHub, read_timeout: Option<Dur
 /// (the health JSON; `503` when a shard is dead), `404` for anything
 /// else. Always `Connection: close` — the shim serves exactly one
 /// response.
-fn serve_http(reader: &mut impl BufRead, writer: &mut TcpStream, hub: &SessionHub, first: &str) {
+fn serve_http(reader: &mut impl BufRead, writer: &mut impl Write, hub: &SessionHub, first: &str) {
     // Drain the request headers (bounded — a scraper sends a handful).
     let mut header = String::new();
     for _ in 0..100 {
@@ -590,14 +604,15 @@ fn serve_http(reader: &mut impl BufRead, writer: &mut TcpStream, hub: &SessionHu
             "not found\n".to_string(),
         ),
     };
-    let _ = write!(
-        writer,
+    // Header and body leave in one `write`, like a protocol reply.
+    let mut response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
     if method != "HEAD" {
-        let _ = writer.write_all(body.as_bytes());
+        response.push_str(&body);
     }
+    let _ = writer.write_all(response.as_bytes());
 }
 
 #[cfg(test)]
@@ -928,6 +943,72 @@ mod tests {
             .unwrap();
         assert!(line.contains("\"ok\":true"), "{line}");
         server.shutdown();
+    }
+
+    /// The text of each `write` call in `log`.
+    fn written(log: &crate::json::WriteLog) -> Vec<String> {
+        log.writes
+            .iter()
+            .map(|w| String::from_utf8(w.clone()).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn every_protocol_reply_is_one_write() {
+        let hub = hub();
+        let requests = format!(
+            "{}\n{{\"cmd\":\"step\",\"session\":0}}\n\n{{\"cmd\":\"evaluate\",\"session\":0}}\n\
+             {{\"cmd\":\"health\"}}\nnot json\n",
+            create_line(1)
+        );
+        let mut log = crate::json::WriteLog::default();
+        serve_lines(&mut requests.as_bytes(), &mut log, &hub, None);
+        let writes = written(&log);
+        assert_eq!(writes.len(), 5, "{writes:?}");
+        for reply in &writes {
+            assert!(reply.ends_with('\n') && reply.matches('\n').count() == 1);
+            assert!(Json::parse(reply.trim_end()).is_ok(), "{reply}");
+        }
+        assert!(writes[4].contains("\"ok\":false"), "{}", writes[4]);
+    }
+
+    #[test]
+    fn the_idle_timeout_reply_is_one_write() {
+        struct Silent;
+        impl std::io::Read for Silent {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::WouldBlock.into())
+            }
+        }
+        let mut log = crate::json::WriteLog::default();
+        let timeout = Some(Duration::from_secs(7));
+        serve_lines(&mut BufReader::new(Silent), &mut log, &hub(), timeout);
+        let writes = written(&log);
+        assert_eq!(writes.len(), 1, "{writes:?}");
+        assert!(writes[0].contains("idle timeout: no request within 7 s"));
+        assert!(writes[0].ends_with("}\n"));
+    }
+
+    #[test]
+    fn every_http_shim_response_is_one_write() {
+        let hub = hub();
+        for (request, status, has_body) in [
+            ("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n", "200 OK", true),
+            ("GET /health HTTP/1.1\r\n\r\n", "200 OK", true),
+            ("HEAD /metrics HTTP/1.1\r\n\r\n", "200 OK", false),
+            ("GET /nope HTTP/1.1\r\n\r\n", "404 Not Found", true),
+        ] {
+            let mut log = crate::json::WriteLog::default();
+            serve_lines(&mut request.as_bytes(), &mut log, &hub, None);
+            let writes = written(&log);
+            assert_eq!(writes.len(), 1, "{request:?}: {writes:?}");
+            let (header, body) = writes[0].split_once("\r\n\r\n").unwrap();
+            assert!(header.starts_with(&format!("HTTP/1.1 {status}\r\n")));
+            assert_eq!(!body.is_empty(), has_body, "{request:?}");
+            if has_body {
+                assert!(header.contains(&format!("Content-Length: {}", body.len())));
+            }
+        }
     }
 
     #[test]
