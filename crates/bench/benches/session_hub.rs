@@ -6,7 +6,7 @@ use activedp::{Engine, SessionConfig};
 use adp_bench::bench_dataset;
 use adp_data::{DatasetId, DatasetSpec, Scale, SharedDataset};
 use adp_serve::{HubMetrics, Op, SessionHub};
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -100,9 +100,13 @@ fn bench_hub_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// One evict → resume-on-touch roundtrip: snapshot + atomic spill write +
-/// WAL checkpoint + engine drop, then spill read + rebuild + journal
-/// re-attach. This is the latency a cold session adds to its next touch.
+/// Eviction and resume as separate rows, so each shows its own cost.
+/// `hub_evict` times snapshot + atomic spill write + WAL checkpoint +
+/// engine drop (the spill's fsync included); the untimed set-up resumes
+/// the session first. `hub_resume` times the touch of a cold session over
+/// a spill the untimed set-up has just written: spill read + rebuild +
+/// journal re-attach, plus the snapshot the touch returns. Neither
+/// advances the trajectory.
 fn bench_evict_resume(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("adp-bench-evict-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -118,16 +122,17 @@ fn bench_evict_resume(c: &mut Criterion) {
         )
         .expect("session opens");
     hub.run(id, 5).expect("warms up");
+    // Snapshot touches the session, resuming it if it is cold.
+    let resume = || black_box(hub.snapshot(id).expect("resumes"));
+    let evict = || assert!(hub.evict(id).expect("evicts"));
 
     let mut group = c.benchmark_group("session_hub");
     group.sample_size(10);
-    group.bench_function("hub_evict_resume_roundtrip", |b| {
-        b.iter(|| {
-            assert!(hub.evict(id).expect("evicts"));
-            // Snapshot touches the session, resuming it from the spill
-            // without advancing the trajectory — a pure resume.
-            black_box(hub.snapshot(id).expect("resumes"));
-        })
+    group.bench_function("hub_evict", |b| {
+        b.iter_batched(|| drop(resume()), |()| evict(), BatchSize::PerIteration)
+    });
+    group.bench_function("hub_resume", |b| {
+        b.iter_batched(evict, |()| resume(), BatchSize::PerIteration)
     });
     group.finish();
     drop(hub);

@@ -3,6 +3,7 @@
 use crate::error::ClassifierError;
 use adp_linalg::parallel::{self, Execution};
 use adp_linalg::{Features, Matrix};
+use std::sync::{Mutex, PoisonError};
 
 /// Rows per parallel gradient chunk. Fixed (machine-independent): the
 /// gradient is always accumulated chunk-wise and reduced in chunk order, so
@@ -169,13 +170,17 @@ impl LogisticRegression {
         let lipschitz = 0.5 * mean_sq + self.config.l2;
         let step = 1.0 / lipschitz.max(1e-12);
 
-        // Nesterov: v is the look-ahead point, params live in self.
+        // Nesterov: v is the look-ahead point, params live in self (which
+        // also serve as the previous iterate the momentum term reads).
         let mut v_w = self.weights.clone();
         let mut v_b = self.bias.clone();
-        let mut prev_w = self.weights.clone();
-        let mut prev_b = self.bias.clone();
         let mut grad_w = Matrix::zeros(k, d);
         let mut grad_b = vec![0.0; k];
+        // One gradient buffer per chunk (weights, bias, class scores),
+        // zeroed and refilled every iteration.
+        let chunk_grads: Vec<_> = (0..n.div_ceil(GRAD_CHUNK))
+            .map(|_| Mutex::new((vec![0.0; k * d], vec![0.0; k], vec![0.0; k])))
+            .collect();
         let mut summary = FitSummary {
             iterations: 0,
             grad_norm: f64::INFINITY,
@@ -186,16 +191,19 @@ impl LogisticRegression {
             // fixed-size row chunks and reduced in chunk order (bitwise
             // deterministic regardless of thread count).
             let (v_w_ref, v_b_ref, w_ref) = (&v_w, &v_b, &w);
-            let parts = parallel::map_chunks(n, GRAD_CHUNK, exec, |range| {
-                let mut gw = vec![0.0; k * d];
-                let mut gb = vec![0.0; k];
-                let mut scores = vec![0.0; k];
+            parallel::map_chunks(n, GRAD_CHUNK, exec, |range| {
+                let mut buffers = chunk_grads[range.start / GRAD_CHUNK]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                let (gw, gb, scores) = &mut *buffers;
+                gw.fill(0.0);
+                gb.fill(0.0);
                 for pos in range {
                     let r = rows[pos];
                     for c in 0..k {
                         scores[c] = x.row_dot(r, v_w_ref.row(c)) + v_b_ref[c];
                     }
-                    adp_linalg::softmax_inplace(&mut scores);
+                    adp_linalg::softmax_inplace(scores);
                     let wi = w_ref[pos] / n as f64;
                     for c in 0..k {
                         let target_c = match &targets {
@@ -215,11 +223,12 @@ impl LogisticRegression {
                         }
                     }
                 }
-                (gw, gb)
             });
             grad_w.scale(0.0);
             grad_b.iter_mut().for_each(|g| *g = 0.0);
-            for (gw, gb) in parts {
+            for buffers in &chunk_grads {
+                let buffers = buffers.lock().unwrap_or_else(PoisonError::into_inner);
+                let (gw, gb, _) = &*buffers;
                 for c in 0..k {
                     for (acc, g) in grad_w.row_mut(c).iter_mut().zip(&gw[c * d..(c + 1) * d]) {
                         *acc += g;
@@ -239,26 +248,27 @@ impl LogisticRegression {
                 converged: grad_norm < self.config.tol,
             };
 
-            // Gradient step from the look-ahead point.
-            let mut new_w = v_w.clone();
-            new_w.scaled_add(-step, &grad_w).expect("same shape");
-            let new_b: Vec<f64> = v_b.iter().zip(&grad_b).map(|(b, g)| b - step * g).collect();
-
-            // Nesterov momentum.
+            // Gradient step from the look-ahead point, then Nesterov
+            // momentum against the previous iterate, element by element:
+            //   new = v − step·g;  v = new + momentum·new − momentum·prev.
             let momentum = (iter as f64 - 1.0) / (iter as f64 + 2.0);
-            v_w = new_w.clone();
-            v_w.scaled_add(momentum, &new_w).expect("same shape");
-            v_w.scaled_add(-momentum, &prev_w).expect("same shape");
-            v_b = new_b
-                .iter()
-                .zip(&prev_b)
-                .map(|(nb, pb)| nb + momentum * (nb - pb))
-                .collect();
-
-            prev_w = new_w.clone();
-            prev_b = new_b.clone();
-            self.weights = new_w;
-            self.bias = new_b;
+            for ((prev, v), g) in self
+                .weights
+                .as_mut_slice()
+                .iter_mut()
+                .zip(v_w.as_mut_slice())
+                .zip(grad_w.as_slice())
+            {
+                let new = *v + -step * g;
+                *v = new + momentum * new;
+                *v += -momentum * *prev;
+                *prev = new;
+            }
+            for ((prev, v), g) in self.bias.iter_mut().zip(&mut v_b).zip(&grad_b) {
+                let new = *v - step * g;
+                *v = new + momentum * (new - *prev);
+                *prev = new;
+            }
 
             if summary.converged {
                 break;

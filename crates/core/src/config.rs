@@ -273,13 +273,15 @@ pub struct SessionConfig {
     pub al_logreg: LogRegConfig,
     /// Downstream-model training hyperparameters.
     pub downstream_logreg: LogRegConfig,
-    /// Master switch for the refit-stage data-parallel kernels: label-model
-    /// EM and bulk prediction, LabelPick's glasso, and the AL/downstream
-    /// logreg fits. Trajectories are bitwise identical either way — every
-    /// kernel obeys the `adp_linalg::parallel` fixed-chunk reduction
-    /// contract — so this only controls scheduling. Note it does *not*
-    /// reach kernels outside the refit path (LF application in
-    /// `LabelMatrix::push_lf`, covariance assembly), which keep their own
+    /// Master switch for the refit-stage data-parallel kernels: Dawid–Skene
+    /// EM, bulk label-model prediction, LabelPick's glasso, and the
+    /// AL/downstream logreg fits. (The triplet fit has nothing to fan out:
+    /// it reads the label matrix's moment ledger.) Trajectories are bitwise
+    /// identical either way — every kernel obeys the `adp_linalg::parallel`
+    /// fixed-chunk reduction contract — so this only controls scheduling.
+    /// Note it does *not* reach kernels outside the refit path (the LF
+    /// application in `LabelMatrix::push_lf`, whose ledger extension runs
+    /// on the calling thread; covariance assembly), which keep their own
     /// `auto` thresholds; pin the whole process with `ADP_NUM_THREADS=1`
     /// when a deployment needs strictly single-threaded sessions.
     pub parallel: bool,

@@ -141,19 +141,21 @@ impl SessionState {
     }
 
     /// Votes of every LF on every past query instance (rows in iteration
-    /// order) — the `L_Λ` table of Figure 2 without its label column.
+    /// order) — the `L_Λ` table of Figure 2 without its label column. The
+    /// rows are read out of `train_matrix`, which already holds every LF's
+    /// vote on every pool instance; `data` must be the split the state was
+    /// built over.
     pub fn query_votes_matrix(&self, data: &SplitDataset) -> Result<LabelMatrix, ActiveDpError> {
-        let rows: Vec<Vec<i8>> = self
-            .query_indices
-            .iter()
-            .map(|&qi| {
-                self.lfs
-                    .iter()
-                    .map(|lf| lf.apply(&data.train, qi))
-                    .collect()
-            })
-            .collect();
-        Ok(LabelMatrix::from_votes(&rows)?)
+        if self.train_matrix.n_instances() != data.train.len() {
+            return Err(ActiveDpError::BadConfig {
+                reason: format!(
+                    "train matrix has {} rows, the training split {}",
+                    self.train_matrix.n_instances(),
+                    data.train.len()
+                ),
+            });
+        }
+        Ok(self.train_matrix.select_rows(&self.query_indices)?)
     }
 
     /// Per-instance flag: does any *selected* LF fire on instance `i` of
@@ -180,6 +182,55 @@ mod tests {
         assert!(s.lfs.is_empty());
         assert!(s.pseudo_labelled().next().is_none());
         assert!(s.query_votes_matrix(&data).unwrap().n_instances() == 0);
+    }
+
+    /// `query_votes_matrix` reads the query rows out of `train_matrix`:
+    /// pinned, after every step, equal to re-applying every LF to every
+    /// query instance of the engine's current data, across drift
+    /// boundaries that rebuild the train matrix (a label shift, feature
+    /// drift that changes votes) and over an arriving pool.
+    #[test]
+    fn query_votes_from_the_store_equal_reapplied_lfs_across_drift() {
+        use crate::engine::Engine;
+        use adp_data::DriftSpec;
+        for (id, drift) in [
+            (
+                DatasetId::Youtube,
+                DriftSpec::LabelShift { at: 6, prior: 0.8 },
+            ),
+            (
+                DatasetId::Youtube,
+                DriftSpec::ArrivingPool { per_refit: 10 },
+            ),
+            (
+                DatasetId::Census,
+                DriftSpec::CovariateDrift {
+                    at: 6,
+                    rotation: 0.7,
+                },
+            ),
+        ] {
+            let data = generate(id, Scale::Tiny, 5).unwrap();
+            let mut engine = Engine::builder(data).seed(5).drift(drift).build().unwrap();
+            for step in 0..14 {
+                engine.step().unwrap();
+                let (state, data) = (engine.state(), engine.data());
+                let reapplied: Vec<i8> = state
+                    .query_indices
+                    .iter()
+                    .flat_map(|&qi| state.lfs.iter().map(move |lf| lf.apply(&data.train, qi)))
+                    .collect();
+                let expected =
+                    LabelMatrix::from_raw(state.query_indices.len(), state.lfs.len(), reapplied)
+                        .unwrap();
+                assert_eq!(
+                    state.query_votes_matrix(data).unwrap(),
+                    expected,
+                    "{drift:?} step {step}"
+                );
+            }
+            assert!(!engine.state().lfs.is_empty(), "{drift:?}: no LF collected");
+        }
     }
 
     #[test]

@@ -291,7 +291,7 @@ fn dec_keys(r: &mut Reader<'_>) -> Result<Vec<LfKey>, WireError> {
 fn enc_matrix(w: &mut Writer, m: &LabelMatrix) {
     w.put_usize(m.n_instances());
     w.put_usize(m.n_lfs());
-    w.put_i8_slice(m.votes());
+    w.put_i8_slice(&m.votes());
 }
 
 fn dec_matrix(r: &mut Reader<'_>) -> Result<LabelMatrix, ActiveDpError> {
@@ -377,6 +377,37 @@ mod tests {
         // Canonical encoding: re-encoding the decoded snapshot reproduces
         // the bytes (HashSet iteration order cannot leak into the file).
         assert_eq!(bytes, back.to_bytes());
+    }
+
+    /// A grown label matrix keeps spare columns and a moment ledger;
+    /// neither reaches the bytes. A 40-step Census Tiny session encodes to
+    /// the bytes its packed, ledger-free decode re-encodes to, the decoded
+    /// state equals the live one, and the ledger it scans on demand equals
+    /// the one the live matrix carried.
+    #[test]
+    fn grown_matrices_encode_packed_and_decode_equal() {
+        let data = generate(DatasetId::Census, Scale::Tiny, 7)
+            .unwrap()
+            .into_shared();
+        let mut e = Engine::builder(data).seed(7).build().unwrap();
+        e.run(40).unwrap();
+        let live = e.state();
+        assert!(
+            live.lfs.len() > 8,
+            "{} LFs fill no widened row",
+            live.lfs.len()
+        );
+        let bytes = e.snapshot().unwrap().to_bytes();
+        let back = SessionSnapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(&back.state, live);
+        assert_eq!(bytes, back.to_bytes());
+        for (decoded, grown) in [
+            (&back.state.train_matrix, &live.train_matrix),
+            (&back.state.valid_matrix, &live.valid_matrix),
+        ] {
+            assert_eq!(decoded.votes(), grown.votes());
+            assert_eq!(decoded.moments(), grown.moments());
+        }
     }
 
     #[test]

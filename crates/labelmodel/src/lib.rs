@@ -175,9 +175,10 @@ pub fn make_model(kind: LabelModelKind, n_classes: usize) -> Box<dyn LabelModel>
 }
 
 /// [`make_model`] with an explicit scheduling switch: `parallel: false`
-/// forces models with threaded fits ([`DawidSkene`]'s EM sweeps,
-/// [`TripletMetal`]'s moment accumulation) onto the calling thread. Output
-/// is bitwise identical either way.
+/// forces [`DawidSkene`]'s threaded EM sweeps onto the calling thread
+/// (output is bitwise identical either way). The other models' fits are
+/// serial: [`TripletMetal`] reads the matrix's moment ledger, and majority
+/// vote has nothing to fit.
 pub fn make_model_with(
     kind: LabelModelKind,
     n_classes: usize,
@@ -190,11 +191,7 @@ pub fn make_model_with(
             ds.parallel = parallel;
             Box::new(ds)
         }
-        LabelModelKind::Triplet => {
-            let mut t = TripletMetal::new(n_classes);
-            t.parallel = parallel;
-            Box::new(t)
-        }
+        LabelModelKind::Triplet => Box::new(TripletMetal::new(n_classes)),
     }
 }
 

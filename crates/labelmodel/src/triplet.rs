@@ -19,18 +19,6 @@
 use crate::error::{resolve_balance, LabelModelError};
 use crate::LabelModel;
 use adp_lf::{LabelMatrix, ABSTAIN};
-use adp_linalg::parallel::{self, Execution};
-
-/// Instances per parallel moment-accumulation chunk. Fixed
-/// (machine-independent) per the `adp_linalg::parallel` contract. The
-/// chunk partials are `i64` firing counts and sums of ±1 products over
-/// firing pairs, converted to `f64` once at the merge. Every total is an
-/// exact integer, so the result is independent of the thread count and
-/// equal to a straight `f64` sum over all instances and LF pairs.
-const MOMENT_CHUNK: usize = 256;
-
-/// Below this many instances the scoped-thread setup cannot pay off.
-const MIN_PARALLEL_MOMENTS: usize = 2 * MOMENT_CHUNK;
 
 /// Triplet-estimated label model for binary tasks.
 #[derive(Debug, Clone)]
@@ -38,9 +26,11 @@ pub struct TripletMetal {
     n_classes: usize,
     /// Firing-conditional accuracy per LF.
     accuracies: Vec<f64>,
-    /// Naive-Bayes vote weight `ln(acc / (1 − acc))` per LF, filled with
-    /// `accuracies` so prediction does not recompute it per vote.
-    log_weights: Vec<f64>,
+    /// Each LF's log-odds term per vote [`outcome`]: `[0, −w, +w]` with the
+    /// naive-Bayes weight `w = ln(acc / (1 − acc))`, filled with
+    /// `accuracies` so prediction neither recomputes the weight nor
+    /// branches on the vote.
+    vote_terms: Vec<[f64; 3]>,
     prior: Vec<f64>,
     /// Accuracy assigned to LFs when moments are unusable (fewer than three
     /// LFs, or degenerate overlap). Matches the candidate filter's floor.
@@ -48,10 +38,6 @@ pub struct TripletMetal {
     /// Accuracy estimates are clamped into `[clamp, 1 − clamp]` so log-odds
     /// stay finite.
     pub clamp: f64,
-    /// Run the pairwise-agreement moment accumulation on scoped threads
-    /// when the matrix is large enough. The result is bitwise identical
-    /// either way; this switch only controls scheduling.
-    pub parallel: bool,
 }
 
 impl TripletMetal {
@@ -60,11 +46,10 @@ impl TripletMetal {
         TripletMetal {
             n_classes,
             accuracies: vec![],
-            log_weights: vec![],
+            vote_terms: vec![],
             prior: vec![0.5, 0.5],
             default_accuracy: 0.7,
             clamp: 0.05,
-            parallel: true,
         }
     }
 
@@ -82,51 +67,14 @@ impl TripletMetal {
     }
 
     fn set_accuracies(&mut self, accuracies: Vec<f64>) {
-        self.log_weights = accuracies
+        self.vote_terms = accuracies
             .iter()
-            .map(|&acc| (acc / (1.0 - acc)).ln())
+            .map(|&acc| {
+                let w = (acc / (1.0 - acc)).ln();
+                [0.0, Self::signed(0) * w, Self::signed(1) * w]
+            })
             .collect();
         self.accuracies = accuracies;
-    }
-
-    /// [`LabelModel::fit`] under an explicit execution policy. The pairwise
-    /// moment accumulation fans fixed-size instance chunks out over scoped
-    /// threads; the per-chunk partials are exact integers, so serial and
-    /// parallel fits agree bit for bit at every thread count (pinned by the
-    /// workspace `tests/determinism.rs` harness). `fit` picks the policy
-    /// with [`parallel::auto`] when [`TripletMetal::parallel`] is set.
-    pub fn fit_with(
-        &mut self,
-        matrix: &LabelMatrix,
-        class_balance: Option<&[f64]>,
-        exec: Execution,
-    ) -> Result<(), LabelModelError> {
-        if self.n_classes != 2 {
-            return Err(LabelModelError::BinaryOnly {
-                n_classes: self.n_classes,
-            });
-        }
-        self.prior = resolve_balance(class_balance, 2)?;
-        let n = matrix.n_instances();
-        let m = matrix.n_lfs();
-        for i in 0..n {
-            for &v in matrix.row(i) {
-                if v != ABSTAIN && v as usize >= 2 {
-                    return Err(LabelModelError::VoteOutOfRange {
-                        vote: v,
-                        n_classes: 2,
-                    });
-                }
-            }
-        }
-        if m < 3 || n == 0 {
-            self.set_accuracies(vec![self.default_accuracy; m]);
-            return Ok(());
-        }
-        let (fire_counts, pair_sums) = moment_sums(matrix, exec);
-        let accuracies = self.estimate_accuracies(fire_counts, pair_sums, n);
-        self.set_accuracies(accuracies);
-        Ok(())
     }
 
     /// Turns firing counts and upper-triangular pair sums (flat `m × m`)
@@ -193,74 +141,61 @@ impl TripletMetal {
     }
 }
 
-/// Firing counts and pairwise signed second-moment sums
-/// `Σ_i λ_j(x_i)·λ_k(x_i)` (flat `m × m`, upper triangle `j < k` only),
-/// accumulated per fixed-size instance chunk and merged in chunk order.
-/// Each row's firing LFs are gathered once as `(index, ±1)`, so only
-/// firing pairs are visited; an abstaining LF contributes nothing to
-/// either sum. The partials are exact `i64` integers, converted to `f64`
-/// after the merge.
-fn moment_sums(matrix: &LabelMatrix, exec: Execution) -> (Vec<f64>, Vec<f64>) {
-    let (n, m) = (matrix.n_instances(), matrix.n_lfs());
-    let parts = parallel::map_chunks(n, MOMENT_CHUNK, exec, |range| {
-        let mut fire_part = vec![0i64; m];
-        let mut pair_part = vec![0i64; m * m];
-        let mut firing: Vec<(usize, i64)> = Vec::with_capacity(m);
-        for i in range {
-            firing.clear();
-            firing.extend(
-                matrix
-                    .row(i)
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &v)| v != ABSTAIN)
-                    .map(|(j, &v)| (j, if v == 0 { -1 } else { 1 })),
-            );
-            for (a, &(j, sj)) in firing.iter().enumerate() {
-                fire_part[j] += 1;
-                let pairs = &mut pair_part[j * m..(j + 1) * m];
-                for &(k, sk) in &firing[a + 1..] {
-                    pairs[k] += sj * sk;
-                }
-            }
-        }
-        (fire_part, pair_part)
-    });
-    let mut fire_total = vec![0i64; m];
-    let mut pair_total = vec![0i64; m * m];
-    for (fire_part, pair_part) in parts {
-        for (total, part) in fire_total.iter_mut().zip(&fire_part) {
-            *total += part;
-        }
-        for (total, part) in pair_total.iter_mut().zip(&pair_part) {
-            *total += part;
-        }
-    }
-    let to_f64 = |totals: Vec<i64>| totals.into_iter().map(|c| c as f64).collect();
-    (to_f64(fire_total), to_f64(pair_total))
+/// A vote's index into [`TripletMetal`]'s per-LF log-odds terms: 0 for an
+/// abstain, 1 for class 0, 2 for any other vote (which
+/// [`TripletMetal::signed`] counts as +1).
+#[inline]
+fn outcome(v: i8) -> usize {
+    usize::from(v != ABSTAIN) + usize::from(v != ABSTAIN && v != 0)
 }
 
 impl LabelModel for TripletMetal {
+    /// Reads the matrix's moment ledger ([`LabelMatrix::moments`]) instead
+    /// of its votes: a matrix that carries one (a column selection of a
+    /// grown training matrix) costs O(m²) here, any other is scanned once.
+    /// The ledger's sums are exact integers, so the estimator sees the same
+    /// `f64` inputs as from a scan of every row.
     fn fit(
         &mut self,
         matrix: &LabelMatrix,
         class_balance: Option<&[f64]>,
     ) -> Result<(), LabelModelError> {
-        let exec = if self.parallel {
-            parallel::auto(matrix.n_instances(), MIN_PARALLEL_MOMENTS)
-        } else {
-            Execution::Serial
-        };
-        self.fit_with(matrix, class_balance, exec)
+        if self.n_classes != 2 {
+            return Err(LabelModelError::BinaryOnly {
+                n_classes: self.n_classes,
+            });
+        }
+        self.prior = resolve_balance(class_balance, 2)?;
+        let n = matrix.n_instances();
+        let m = matrix.n_lfs();
+        let moments = matrix.moments();
+        if let Some(vote) = moments.vote_outside(2) {
+            return Err(LabelModelError::VoteOutOfRange { vote, n_classes: 2 });
+        }
+        if m < 3 || n == 0 {
+            self.set_accuracies(vec![self.default_accuracy; m]);
+            return Ok(());
+        }
+        let fire_counts = moments.fire_counts().iter().map(|&c| c as f64).collect();
+        let mut pair_sums = vec![0.0; m * m];
+        for j in 0..m {
+            for k in (j + 1)..m {
+                pair_sums[j * m + k] = moments.pair_sum(j, k) as f64;
+            }
+        }
+        let accuracies = self.estimate_accuracies(fire_counts, pair_sums, n);
+        self.set_accuracies(accuracies);
+        Ok(())
     }
 
     fn predict_proba(&self, votes: &[i8]) -> Vec<f64> {
-        // Naive-Bayes log odds for Y = 1.
+        // Naive-Bayes log odds for Y = 1. An abstain adds +0.0, which
+        // leaves every value but −0.0 unchanged, and the sum is never −0.0:
+        // it starts at an `ln`, and x + y is −0.0 only when both are. So
+        // the branch-free sum equals one that skips abstains, bit for bit.
         let mut log_odds = (self.prior[1] / self.prior[0]).ln();
-        for (&v, &w) in votes.iter().zip(&self.log_weights) {
-            if v != ABSTAIN {
-                log_odds += Self::signed(v) * w;
-            }
+        for (&v, terms) in votes.iter().zip(&self.vote_terms) {
+            log_odds += terms[outcome(v)];
         }
         let p1 = 1.0 / (1.0 + (-log_odds).exp());
         vec![1.0 - p1, p1]
@@ -306,7 +241,8 @@ mod tests {
         (fire, pairs)
     }
 
-    /// The per-vote `ln` posterior the cached `log_weights` replaced.
+    /// The per-vote `ln` posterior, skipping abstains, that the cached
+    /// vote terms replaced.
     fn reference_predict(t: &TripletMetal, votes: &[i8]) -> Vec<f64> {
         let mut log_odds = (t.prior[1] / t.prior[0]).ln();
         for (j, &v) in votes.iter().enumerate().take(t.accuracies.len()) {
@@ -359,12 +295,183 @@ mod tests {
         {
             let votes = seeded_votes(n, m, seed as u64);
             let (dense_fire, dense_pairs) = dense_moment_sums(&votes);
-            for exec in [Execution::Serial, Execution::with_threads(3)] {
-                let (fire, pairs) = moment_sums(&votes, exec);
-                assert_bits(&format!("fire n={n} m={m}"), &fire, &dense_fire);
-                assert_bits(&format!("pairs n={n} m={m}"), &pairs, &dense_pairs);
+            let (fire, pairs) = ledger_sums(&votes);
+            assert_bits(&format!("fire n={n} m={m}"), &fire, &dense_fire);
+            assert_bits(&format!("pairs n={n} m={m}"), &pairs, &dense_pairs);
+        }
+    }
+
+    /// The matrix's moment ledger in [`dense_moment_sums`]' shape: `f64`
+    /// fire counts and the flat `m × m` upper triangle.
+    fn ledger_sums(matrix: &LabelMatrix) -> (Vec<f64>, Vec<f64>) {
+        let moments = matrix.moments();
+        let m = matrix.n_lfs();
+        assert_eq!(moments.fire_counts().len(), m, "ledger width");
+        let mut pairs = vec![0.0f64; m * m];
+        for j in 0..m {
+            for k in (j + 1)..m {
+                pairs[j * m + k] = moments.pair_sum(j, k) as f64;
+                assert_eq!(moments.pair_sum(k, j), moments.pair_sum(j, k));
             }
         }
+        let fire = moments.fire_counts().iter().map(|&c| c as f64).collect();
+        (fire, pairs)
+    }
+
+    /// The ledger equals a dense scan of the votes, the out-of-range vote
+    /// record included.
+    fn assert_ledger_exact(label: &str, matrix: &LabelMatrix) {
+        let (dense_fire, dense_pairs) = dense_moment_sums(matrix);
+        let (fire, pairs) = ledger_sums(matrix);
+        assert_bits(&format!("{label}: fire"), &fire, &dense_fire);
+        assert_bits(&format!("{label}: pairs"), &pairs, &dense_pairs);
+        let outside = (0..matrix.n_instances())
+            .flat_map(|i| matrix.row(i).iter().copied())
+            .filter(|&v| v != ABSTAIN && v as usize >= 2)
+            .max_by_key(|&v| v as u8);
+        assert_eq!(matrix.moments().vote_outside(2), outside, "{label}: vote");
+        let (n, m) = (matrix.n_instances(), matrix.n_lfs());
+        let rescanned = LabelMatrix::from_raw(n, m, matrix.votes().into_owned()).unwrap();
+        assert_eq!(
+            matrix.moments(),
+            rescanned.moments(),
+            "{label}: whole ledger"
+        );
+    }
+
+    /// A dense one-feature-per-column dataset for `push_lf`.
+    fn stump_dataset(n: usize, rng: &mut rand::rngs::StdRng) -> adp_data::Dataset {
+        let x = adp_linalg::Matrix::from_fn(n, 4, |_, _| rng.gen_range(0.0..1.0));
+        adp_data::Dataset {
+            name: "stumps".into(),
+            task: adp_data::Task::OccupancyPrediction,
+            n_classes: 2,
+            features: adp_data::FeatureSet::Dense(x),
+            labels: (0..n).map(|i| i % 2).collect(),
+            texts: None,
+            encoded_docs: None,
+        }
+    }
+
+    fn random_stump(rng: &mut rand::rngs::StdRng) -> adp_lf::LabelFunction {
+        adp_lf::LabelFunction::Stump {
+            feature: rng.gen_range(0..4),
+            threshold: rng.gen_range(0.0..1.0),
+            op: if rng.gen() {
+                adp_lf::StumpOp::Ge
+            } else {
+                adp_lf::StumpOp::Le
+            },
+            label: rng.gen_range(0..2),
+        }
+    }
+
+    /// Random sequences of `push_lf`, `set`, `select_columns` (any order,
+    /// repeats allowed) and `select_rows` over matrices from every
+    /// constructor: after each operation the ledger, carried or rebuilt,
+    /// equals the dense reference exactly.
+    #[test]
+    fn ledger_tracks_dense_reference_under_random_edits() {
+        for seed in 0..12u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(900 + seed);
+            let n = [1, 7, 40, 333][seed as usize % 4];
+            let data = stump_dataset(n, &mut rng);
+            let lfs: Vec<_> = (0..rng.gen_range(0..5))
+                .map(|_| random_stump(&mut rng))
+                .collect();
+            let from_lfs = adp_lf::LabelMatrix::from_lfs(&lfs, &data);
+            let mut matrix = match seed % 4 {
+                0 => LabelMatrix::empty(n),
+                1 => from_lfs,
+                2 => {
+                    let rows: Vec<Vec<i8>> = (0..n).map(|i| from_lfs.row(i).to_vec()).collect();
+                    LabelMatrix::from_votes(&rows).unwrap()
+                }
+                _ => LabelMatrix::from_raw(n, lfs.len(), from_lfs.votes().to_vec()).unwrap(),
+            };
+            for step in 0..60 {
+                let label = format!("seed {seed} step {step}");
+                let m = matrix.n_lfs();
+                match rng.gen_range(0..10) {
+                    0..=3 => matrix.push_lf(&random_stump(&mut rng), &data).unwrap(),
+                    4..=6 if m > 0 => {
+                        let vote = [ABSTAIN, 0, 1, 1, 0, 2][rng.gen_range(0..6usize)];
+                        let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..m));
+                        matrix.set(i, j, vote).unwrap();
+                    }
+                    7 if m > 0 => {
+                        let cols: Vec<usize> = (0..rng.gen_range(1..=m + 1))
+                            .map(|_| rng.gen_range(0..m))
+                            .collect();
+                        matrix = matrix.select_columns(&cols).unwrap();
+                    }
+                    8 => {
+                        let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+                        matrix = matrix.select_rows(&rows).unwrap();
+                    }
+                    _ => {}
+                }
+                assert_ledger_exact(&label, &matrix);
+            }
+        }
+    }
+
+    /// A fit on a column selection that carries the grown matrix's ledger
+    /// equals, bit for bit, a fit on a fresh copy of the same votes whose
+    /// ledger is scanned.
+    #[test]
+    fn fit_on_a_ledger_sub_matrix_matches_a_fresh_copy_bitwise() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        let n = 1500;
+        let data = stump_dataset(n, &mut rng);
+        let mut grown = LabelMatrix::empty(n);
+        for _ in 0..20 {
+            grown.push_lf(&random_stump(&mut rng), &data).unwrap();
+        }
+        for cols in [
+            vec![3, 0, 7, 12, 19, 5],
+            (0..20).rev().collect(),
+            vec![4, 9, 2],
+        ] {
+            let sub = grown.select_columns(&cols).unwrap();
+            let fresh = LabelMatrix::from_raw(n, cols.len(), sub.votes().to_vec()).unwrap();
+            let mut carried = TripletMetal::new(2);
+            carried.fit(&sub, Some(&[0.45, 0.55])).unwrap();
+            let mut scanned = TripletMetal::new(2);
+            scanned.fit(&fresh, Some(&[0.45, 0.55])).unwrap();
+            assert_bits(
+                &format!("accuracies {cols:?}"),
+                carried.accuracies(),
+                scanned.accuracies(),
+            );
+        }
+    }
+
+    /// A vote of 2 is a typed `VoteOutOfRange`, whether the ledger is
+    /// scanned or carried through `set` and `select_columns`; overwriting
+    /// it again clears the error.
+    #[test]
+    fn vote_of_two_is_a_typed_error_through_the_ledger() {
+        let lm = LabelMatrix::from_votes(&[vec![1, 2, 0], vec![ABSTAIN, 0, 1]]).unwrap();
+        let mut t = TripletMetal::new(2);
+        assert!(matches!(
+            t.fit(&lm, None).unwrap_err(),
+            LabelModelError::VoteOutOfRange {
+                vote: 2,
+                n_classes: 2
+            }
+        ));
+        let mut carried = seeded_votes(50, 4, 5);
+        carried.moments();
+        carried.set(9, 2, 2).unwrap();
+        let sub = carried.select_columns(&[2, 0, 1]).unwrap();
+        assert!(matches!(
+            t.fit(&sub, None).unwrap_err(),
+            LabelModelError::VoteOutOfRange { vote: 2, .. }
+        ));
+        carried.set(9, 2, 0).unwrap();
+        t.fit(&carried.select_columns(&[2, 0, 1]).unwrap(), None)
+            .unwrap();
     }
 
     #[test]
@@ -405,6 +512,38 @@ mod tests {
                     &t.predict_proba(row),
                     &reference_predict(&t, row),
                 );
+            }
+        }
+    }
+
+    /// The bulk posterior over a matrix (serial and chunk-parallel) equals
+    /// the per-vote reference that skips abstains, bit for bit, including
+    /// a model whose weights are all ±0.0 under a log-odds prior of +0.0,
+    /// where adding an abstain's +0.0 term is most delicate.
+    #[test]
+    fn bulk_predict_matches_the_skipping_reference_bitwise() {
+        let votes = seeded_votes(3 * 512 + 77, 12, 41);
+        let mut fitted = TripletMetal::new(2);
+        fitted.fit(&votes, Some(&[0.3, 0.7])).unwrap();
+        let mut zero_weights = TripletMetal::new(2);
+        zero_weights.default_accuracy = 0.5;
+        let two_lfs = votes.select_columns(&[4, 9]).unwrap();
+        zero_weights.fit(&two_lfs, Some(&[0.5, 0.5])).unwrap();
+        assert_eq!(zero_weights.accuracies(), &[0.5, 0.5]);
+        for (label, model, matrix) in [
+            ("fitted", &fitted, &votes),
+            ("zero", &zero_weights, &two_lfs),
+        ] {
+            for exec in [
+                adp_linalg::Execution::Serial,
+                adp_linalg::Execution::with_threads(3),
+            ] {
+                let bulk = crate::predict_all_with(model, matrix, exec);
+                assert_eq!(bulk.len(), matrix.n_instances());
+                for (i, row) in bulk.iter().enumerate() {
+                    let expected = reference_predict(model, matrix.row(i));
+                    assert_bits(&format!("{label} {exec:?} row {i}"), row, &expected);
+                }
             }
         }
     }

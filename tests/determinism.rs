@@ -11,8 +11,6 @@
 //! * the logreg batch gradient (`LogisticRegression::fit_with`);
 //! * TF-IDF vectorisation (`TfidfVectorizer::fit_transform_with`);
 //! * the Dawid–Skene EM sweeps (`DawidSkene::fit_with`);
-//! * the triplet label model's pairwise-agreement moments
-//!   (`TripletMetal::fit_with`);
 //! * the glasso column sweep (`graphical_lasso_with`);
 //! * the samplers' per-instance scoring (`adp_sampler::score_items` and
 //!   whole ADP/US/QBC selections, parallel vs serial);
@@ -323,38 +321,6 @@ fn engine_trajectory_serial_matches_parallel() {
         )
     };
     assert_eq!(run(false), run(true));
-}
-
-/// Triplet label model: the pairwise-agreement moment accumulation fans
-/// instance chunks out; partials are exact ±1 sums, so accuracies, priors
-/// and posteriors must match serial to the bit at any thread count.
-#[test]
-fn triplet_fit_bitwise_across_threads() {
-    use activedp_repro::labelmodel::TripletMetal;
-    let votes = planted_votes(2100, &[0.93, 0.81, 0.72, 0.64, 0.58, 0.52], 0.6);
-    let mut serial = TripletMetal::new(2);
-    serial
-        .fit_with(&votes, Some(&[0.4, 0.6]), Execution::Serial)
-        .unwrap();
-    let serial_probs = predict_all_with(&serial, &votes, Execution::Serial);
-    for t in THREADS {
-        let mut par = TripletMetal::new(2);
-        par.fit_with(&votes, Some(&[0.4, 0.6]), Execution::with_threads(t))
-            .unwrap();
-        for (j, (a, b)) in serial.accuracies().iter().zip(par.accuracies()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "triplet accuracy[{j}], threads={t}"
-            );
-        }
-        let par_probs = predict_all_with(&par, &votes, Execution::with_threads(t));
-        assert_rows_bitwise(
-            &format!("triplet posteriors, threads={t}"),
-            &serial_probs,
-            &par_probs,
-        );
-    }
 }
 
 /// The sampler scoring helper: chunked per-item scores must come back in
