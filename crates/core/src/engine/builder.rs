@@ -689,4 +689,35 @@ mod tests {
         e.run(5).unwrap();
         assert_eq!(e.state().iteration, 5);
     }
+
+    #[test]
+    fn resumed_sessions_push_lfs_onto_a_moment_ledger() {
+        // A resume decodes the vote matrices without a ledger; the first
+        // LF pushed after it scans once, so later triplet fits read the
+        // selected sub-block of a ledger instead of rescanning votes.
+        let data = generate(DatasetId::Census, Scale::Tiny, 7)
+            .unwrap()
+            .into_shared();
+        let build =
+            || Engine::builder(data.clone()).config(SessionConfig::paper_defaults(false, 7));
+        let mut engine = build().build().unwrap();
+        engine.run(6).unwrap();
+        let bytes = engine.snapshot().unwrap().to_bytes();
+        let snapshot = crate::SessionSnapshot::from_bytes(&bytes).unwrap();
+        let mut resumed = build().resume(snapshot).unwrap();
+        assert!(resumed.state().train_matrix.carried_moments().is_none());
+        let lfs = resumed.state().lfs.len();
+        while resumed.state().lfs.len() == lfs {
+            resumed.step().unwrap();
+        }
+        let state = resumed.state();
+        assert!(!state.selected.is_empty(), "LabelPick selected nothing");
+        let all: Vec<usize> = (0..state.lfs.len()).collect();
+        for cols in [&state.selected, &all] {
+            let sub = state.train_matrix.select_columns(cols).unwrap();
+            let (n, m) = (sub.n_instances(), sub.n_lfs());
+            let fresh = adp_lf::LabelMatrix::from_raw(n, m, sub.votes().into_owned()).unwrap();
+            assert_eq!(sub.carried_moments(), Some(fresh.moments()), "{cols:?}");
+        }
+    }
 }

@@ -48,9 +48,7 @@ pub struct StepEvent {
     /// Which oracle answered and where the cheap oracle's RNG stream ended
     /// up, when the session routes between two oracles
     /// ([`OracleKind::Noisy`](crate::OracleKind)). `None` for plain
-    /// simulated-user sessions — and for every event written before the
-    /// dual-oracle subsystem existed: the field rides as a lenient trailer,
-    /// so pre-routing journals decode with `route: None`.
+    /// simulated-user sessions.
     pub route: Option<RoutedStep>,
 }
 
@@ -68,9 +66,6 @@ impl Encode for StepEvent {
         w.put(&self.sampler_rng);
         w.put(&self.oracle_rng);
         w.put_bool(self.commit);
-        // Lenient trailer (see the `route` field docs): always written by
-        // current encoders, tolerated as absent by the decoder so journals
-        // that predate oracle routing keep replaying.
         match &self.route {
             None => w.put_bool(false),
             Some(step) => {
@@ -95,7 +90,7 @@ impl Decode for StepEvent {
             sampler_rng: r.get()?,
             oracle_rng: r.get()?,
             commit: r.get_bool()?,
-            route: if r.remaining() > 0 && r.get_bool()? {
+            route: if r.get_bool()? {
                 let tag = r.get_u8()?;
                 let choice = RouteChoice::from_tag(tag).ok_or(WireError::BadTag {
                     what: "route choice",
@@ -178,18 +173,9 @@ mod tests {
         let mut w = Writer::new();
         w.put(&sample());
         let bytes = w.into_bytes();
-        // The route trailer is lenient by design, so cutting it off
-        // entirely is the one valid truncation — it decodes as a
-        // pre-routing event. Every other cut is a typed error.
-        let legacy_len = bytes.len() - 1;
+        // Every cut is a typed error, the route flag's included.
         for cut in 0..bytes.len() {
             let mut r = Reader::new(&bytes[..cut]);
-            if cut == legacy_len {
-                let back: StepEvent = r.get().unwrap();
-                r.finish().unwrap();
-                assert_eq!(back, sample());
-                continue;
-            }
             assert!(r.get::<StepEvent>().is_err() || r.finish().is_err());
         }
         // An LF-presence byte that is neither 0 nor 1.
@@ -214,28 +200,16 @@ mod tests {
         let mut w = Writer::new();
         w.put(&routed);
         let bytes = w.into_bytes();
-        let legacy_len = bytes.len() - (1 + 1 + 32);
+        let trailer_at = bytes.len() - (1 + 1 + 32);
         for cut in 0..bytes.len() {
             let mut r = Reader::new(&bytes[..cut]);
-            if cut == legacy_len {
-                // The whole trailer gone: a valid pre-routing event.
-                let back: StepEvent = r.get().unwrap();
-                r.finish().unwrap();
-                assert_eq!(
-                    back,
-                    StepEvent {
-                        route: None,
-                        ..routed.clone()
-                    }
-                );
-                continue;
-            }
-            // Partial trailers are corruption, not leniency.
+            // The whole trailer gone (a pre-routing event) is an error as
+            // much as a partial one: every current writer emits it.
             assert!(r.get::<StepEvent>().is_err() || r.finish().is_err());
         }
         // A route-choice tag outside the enum.
         let mut garbled = bytes.clone();
-        let tag_at = legacy_len + 1;
+        let tag_at = trailer_at + 1;
         garbled[tag_at] = 9;
         let mut r = Reader::new(&garbled);
         assert!(matches!(

@@ -416,45 +416,25 @@ impl Encode for ScenarioSpec {
         enc_config(w, &self.session);
         w.put(&self.schedule);
         w.put_usize(self.budget);
-        // v3: drift, appended after the budget so v2 bodies are an exact
-        // prefix of v3 bodies.
         w.put(&self.drift);
     }
 }
 
 impl Decode for ScenarioSpec {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        dec_spec_body(r, true, true)
+        Ok(ScenarioSpec {
+            dataset: r.get()?,
+            session: dec_config(r)?,
+            schedule: r.get()?,
+            budget: r.get_usize()?,
+            drift: r.get()?,
+        })
     }
 }
 
-/// Spec body decode with explicit back-compat control for the snapshot
-/// codec, which still reads older envelopes: `with_candidates` is false
-/// when the snapshot predates the candidate-strategy field (v2 bodies),
-/// `with_oracle_drift` when it predates the oracle kind + drift fields
-/// (v2–v3 bodies); the missing fields default to what those sessions ran
-/// (`Exact`, `Simulated`, `None`).
-pub(crate) fn dec_spec_body(
-    r: &mut Reader<'_>,
-    with_candidates: bool,
-    with_oracle_drift: bool,
-) -> Result<ScenarioSpec, WireError> {
-    Ok(ScenarioSpec {
-        dataset: r.get()?,
-        session: dec_config(r, with_candidates, with_oracle_drift)?,
-        schedule: r.get()?,
-        budget: r.get_usize()?,
-        drift: if with_oracle_drift {
-            r.get()?
-        } else {
-            DriftSpec::None
-        },
-    })
-}
-
-/// [`SessionConfig`] body encoding, shared by the scenario codec and the
-/// session snapshot (which embeds a whole [`ScenarioSpec`]).
-pub(crate) fn enc_config(w: &mut Writer, c: &SessionConfig) {
+/// [`SessionConfig`] body encoding, part of every encoded
+/// [`ScenarioSpec`] (scenario files, snapshots, WAL manifests).
+fn enc_config(w: &mut Writer, c: &SessionConfig) {
     use crate::config::SamplerChoice;
     use adp_labelmodel::LabelModelKind;
     w.put_f64(c.alpha);
@@ -485,8 +465,6 @@ pub(crate) fn enc_config(w: &mut Writer, c: &SessionConfig) {
     enc_logreg(w, &c.downstream_logreg);
     w.put_bool(c.parallel);
     w.put_u64(c.seed);
-    // v2: candidate strategy, appended after the seed so v1 bodies are an
-    // exact prefix of v2 bodies.
     match c.candidates {
         CandidateStrategy::Exact => w.put_u8(0),
         CandidateStrategy::Ann {
@@ -498,8 +476,6 @@ pub(crate) fn enc_config(w: &mut Writer, c: &SessionConfig) {
             w.put_usize(refresh_every);
         }
     }
-    // v3: oracle kind, appended after the candidate strategy so v2 bodies
-    // are an exact prefix of v3 bodies.
     match c.oracle {
         OracleKind::Simulated => w.put_u8(0),
         OracleKind::Noisy {
@@ -533,11 +509,7 @@ pub(crate) fn enc_config(w: &mut Writer, c: &SessionConfig) {
     }
 }
 
-pub(crate) fn dec_config(
-    r: &mut Reader<'_>,
-    with_candidates: bool,
-    with_oracle_drift: bool,
-) -> Result<SessionConfig, WireError> {
+fn dec_config(r: &mut Reader<'_>) -> Result<SessionConfig, WireError> {
     use crate::config::SamplerChoice;
     use crate::labelpick::LabelPickConfig;
     use adp_labelmodel::LabelModelKind;
@@ -583,74 +555,64 @@ pub(crate) fn dec_config(
     let downstream_logreg = dec_logreg(r)?;
     let parallel = r.get_bool()?;
     let seed = r.get_u64()?;
-    let candidates = if with_candidates {
-        match r.get_u8()? {
-            0 => CandidateStrategy::Exact,
-            1 => CandidateStrategy::Ann {
-                nprobe: r.get_usize()?,
-                refresh_every: r.get_usize()?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "candidate strategy",
-                    tag,
-                })
-            }
+    let candidates = match r.get_u8()? {
+        0 => CandidateStrategy::Exact,
+        1 => CandidateStrategy::Ann {
+            nprobe: r.get_usize()?,
+            refresh_every: r.get_usize()?,
+        },
+        tag => {
+            return Err(WireError::BadTag {
+                what: "candidate strategy",
+                tag,
+            })
         }
-    } else {
-        // Pre-v2 body: every session scored the full pool.
-        CandidateStrategy::Exact
     };
-    let oracle = if with_oracle_drift {
-        match r.get_u8()? {
-            0 => OracleKind::Simulated,
-            1 => {
-                let confusion = match r.get_u8()? {
-                    0 => ConfusionSpec::Uniform {
-                        accuracy: r.get_f64()?,
-                    },
-                    1 => ConfusionSpec::Biased {
-                        accuracy: r.get_f64()?,
-                        bias: r.get_usize()?,
-                    },
-                    tag => {
-                        return Err(WireError::BadTag {
-                            what: "confusion spec",
-                            tag,
-                        })
-                    }
-                };
-                let latency = LatencyModel {
-                    cheap_cost: r.get_f64()?,
-                    expensive_cost: r.get_f64()?,
-                };
-                let policy = match r.get_u8()? {
-                    0 => RoutePolicy::AlwaysCheap,
-                    1 => RoutePolicy::UncertaintyThreshold { tau: r.get_f64()? },
-                    2 => RoutePolicy::CheapThenEscalate,
-                    tag => {
-                        return Err(WireError::BadTag {
-                            what: "route policy",
-                            tag,
-                        })
-                    }
-                };
-                OracleKind::Noisy {
-                    confusion,
-                    latency,
-                    policy,
+    let oracle = match r.get_u8()? {
+        0 => OracleKind::Simulated,
+        1 => {
+            let confusion = match r.get_u8()? {
+                0 => ConfusionSpec::Uniform {
+                    accuracy: r.get_f64()?,
+                },
+                1 => ConfusionSpec::Biased {
+                    accuracy: r.get_f64()?,
+                    bias: r.get_usize()?,
+                },
+                tag => {
+                    return Err(WireError::BadTag {
+                        what: "confusion spec",
+                        tag,
+                    })
                 }
-            }
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "oracle kind",
-                    tag,
-                })
+            };
+            let latency = LatencyModel {
+                cheap_cost: r.get_f64()?,
+                expensive_cost: r.get_f64()?,
+            };
+            let policy = match r.get_u8()? {
+                0 => RoutePolicy::AlwaysCheap,
+                1 => RoutePolicy::UncertaintyThreshold { tau: r.get_f64()? },
+                2 => RoutePolicy::CheapThenEscalate,
+                tag => {
+                    return Err(WireError::BadTag {
+                        what: "route policy",
+                        tag,
+                    })
+                }
+            };
+            OracleKind::Noisy {
+                confusion,
+                latency,
+                policy,
             }
         }
-    } else {
-        // Pre-v3 body: every query went to the simulated user.
-        OracleKind::Simulated
+        tag => {
+            return Err(WireError::BadTag {
+                what: "oracle kind",
+                tag,
+            })
+        }
     };
     Ok(SessionConfig {
         alpha,

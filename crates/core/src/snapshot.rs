@@ -31,10 +31,10 @@
 //! versioned envelope (magic `ADPSNAP\0`, format version
 //! [`SNAPSHOT_VERSION`]). Encoding is canonical — LF-key sets are sorted —
 //! so the same snapshot always produces the same bytes; the committed
-//! golden-bytes fixture keeps format changes deliberate. Version 1 (the
-//! pre-scenario format, config only, no embedded provenance) is not
-//! migrated: snapshots are operational spill artefacts, not archives, and
-//! decoders reject v1 with a typed [`WireError::UnknownVersion`].
+//! golden-bytes fixture keeps format changes deliberate. Only the current
+//! version decodes: snapshots are operational checkpoints, not archives,
+//! and decoders reject every other version with a typed
+//! [`WireError::UnknownVersion`].
 //!
 //! [`DatasetSpec`]: adp_data::DatasetSpec
 
@@ -48,30 +48,16 @@ use adp_wire::{read_envelope, write_envelope, Reader, WireError, Writer};
 /// Magic bytes opening every encoded session snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"ADPSNAP\0";
 
-/// Current snapshot format version. Bumped to 2 when snapshots started
-/// embedding the whole [`ScenarioSpec`] (dataset provenance and budget
-/// schedule included) instead of a bare session config, to 3 when the
-/// embedded spec gained the candidate strategy, and to 4 when the spec
-/// gained the oracle kind + drift scenario and the snapshot grew the
-/// optional routed-oracle state (cheap-oracle RNG stream + cost ledger).
-/// Bump deliberately: the golden-bytes test pins the encoding, and
-/// decoders reject *future* versions with [`WireError::UnknownVersion`].
-/// v2/v3 spill files stay decodable (their specs ran exact scoring against
-/// the simulated user on a static pool, so the missing fields default to
-/// `Exact`/`Simulated`/`None` and no routed state); the pre-scenario v1
-/// remains rejected.
+/// Current snapshot format version, and the only one decoded. Bumped to 2
+/// when snapshots started embedding the whole [`ScenarioSpec`] (dataset
+/// provenance and budget schedule included) instead of a bare session
+/// config, to 3 when the embedded spec gained the candidate strategy, and
+/// to 4 when the spec gained the oracle kind + drift scenario and the
+/// snapshot grew the optional routed-oracle state (the cheap oracle's RNG
+/// stream and the cost ledger). Bump deliberately: the golden-bytes test pins the
+/// encoding, and decoders reject every other version — older ones
+/// included (see MIGRATION.md) — with [`WireError::UnknownVersion`].
 pub const SNAPSHOT_VERSION: u32 = 4;
-
-/// First version whose embedded spec body carries the candidate strategy.
-const SNAPSHOT_VERSION_CANDIDATES: u32 = 3;
-
-/// First version whose embedded spec carries the oracle kind + drift
-/// scenario and whose payload carries optional routed-oracle state.
-const SNAPSHOT_VERSION_ORACLE: u32 = 4;
-
-/// Oldest decodable version: v1 predates embedded scenario specs and was
-/// deliberately never migrated (see the module docs).
-const SNAPSHOT_VERSION_MIN: u32 = 2;
 
 /// Everything needed to resume a session exactly where it stopped, as
 /// plain data (see the module docs for why this is sufficient).
@@ -107,8 +93,7 @@ impl SessionSnapshot {
         w.put(&self.sampler_rng);
         w.put(&self.oracle.rng);
         enc_keys(&mut w, &self.oracle.returned);
-        // v4: optional routed-oracle state, appended so v3 payloads are an
-        // exact prefix of routerless v4 payloads.
+        // Optional routed-oracle state.
         match &self.routed {
             None => w.put_bool(false),
             Some(routed) => {
@@ -127,26 +112,18 @@ impl SessionSnapshot {
 
     /// Decodes a snapshot previously written by [`SessionSnapshot::to_bytes`].
     ///
-    /// Rejects foreign magic, other format versions (the pre-scenario v1
-    /// included), truncation, trailing bytes and structurally inconsistent
-    /// payloads with typed errors — a corrupt spill file can never panic
-    /// the decoder or yield a half-restored session.
+    /// Rejects foreign magic, every format version but
+    /// [`SNAPSHOT_VERSION`], truncation, trailing bytes and structurally
+    /// inconsistent payloads with typed errors — a corrupt checkpoint can
+    /// never panic the decoder or yield a half-restored session.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ActiveDpError> {
-        let (mut r, version) = read_envelope(
-            bytes,
-            SNAPSHOT_MAGIC,
-            SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION,
-        )?;
-        let spec = crate::scenario::dec_spec_body(
-            &mut r,
-            version >= SNAPSHOT_VERSION_CANDIDATES,
-            version >= SNAPSHOT_VERSION_ORACLE,
-        )?;
+        let (mut r, _) = read_envelope(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION..=SNAPSHOT_VERSION)?;
+        let spec: ScenarioSpec = r.get()?;
         let state = dec_state(&mut r)?;
         let sampler_rng: [u64; 4] = r.get()?;
         let oracle_rng: [u64; 4] = r.get()?;
         let returned = dec_keys(&mut r)?;
-        let routed = if version >= SNAPSHOT_VERSION_ORACLE && r.get_bool()? {
+        let routed = if r.get_bool()? {
             let cheap_rng: [u64; 4] = r.get()?;
             let cheap_returned = dec_keys(&mut r)?;
             Some(RoutedState {

@@ -234,10 +234,33 @@ fn served_bin() -> PathBuf {
     bin
 }
 
+/// Blocks until the server at `addr` has finished at least one `run_spec`
+/// request, read from its own request counter.
+fn await_first_slice(addr: &str) {
+    let mut client = adp_serve::Client::connect(addr).expect("metrics connection");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    loop {
+        let text = client.metrics().expect("metrics reply");
+        let served = text
+            .lines()
+            .find_map(|l| l.strip_prefix("adp_requests_total{op=\"run_spec\"} "))
+            .and_then(|n| n.trim().parse::<u64>().ok())
+            .unwrap_or(0);
+        if served > 0 {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no run_spec slice served within 60 s"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn sigkill_mid_cell_reschedules_onto_the_survivor_bitwise() {
-    // A grid big enough that the sweep is still in flight a few hundred
-    // milliseconds in: 12 cells, 24 single-iteration slices each.
+    // 12 cells of 24 single-iteration slices each: when the victim has
+    // served its first slice, its cell and most of the grid remain.
     let mut grid = tiny_grid();
     grid.samplers = vec![
         activedp::SamplerChoice::Uncertainty,
@@ -262,9 +285,9 @@ fn sigkill_mid_cell_reschedules_onto_the_survivor_bitwise() {
 
     let report = std::thread::scope(|scope| {
         let coordinator = scope.spawn(|| run_distributed(&grid, &addrs, &opts));
-        // SIGKILL one worker while cells are mid-slice. No graceful path:
-        // the socket just dies under the coordinator.
-        std::thread::sleep(std::time::Duration::from_millis(300));
+        // SIGKILL one worker once it is provably mid-cell. No graceful
+        // path: the socket just dies under the coordinator.
+        await_first_slice(&victim.addr);
         let mut victim = victim;
         victim.child.kill().expect("SIGKILL lands");
         let _ = victim.child.wait();

@@ -26,17 +26,17 @@
 //! gives. It is kept up to date, never approximated:
 //!
 //! * an n×0 matrix ([`LabelMatrix::empty`]) starts with its (empty) ledger,
-//!   and [`LabelMatrix::push_lf`] extends a present ledger over the new
-//!   LF's firing rows, in O(coverage × m);
+//!   and [`LabelMatrix::push_lf`] extends the ledger over the new LF's
+//!   firing rows, in O(coverage × m), scanning the votes first when the
+//!   matrix holds none yet (a resumed session's first push);
 //! * [`LabelMatrix::select_columns`] carries the selected sub-block,
 //!   re-indexed to the new column order, in O(|cols|²);
 //! * [`LabelMatrix::set`] adjusts it exactly;
 //! * a matrix built from votes ([`LabelMatrix::from_votes`],
 //!   [`LabelMatrix::from_lfs`], [`LabelMatrix::from_raw`],
 //!   [`LabelMatrix::select_rows`]) has none until [`LabelMatrix::moments`]
-//!   first asks, which scans the votes once. A snapshot decode therefore
-//!   never builds one, and a label model that never reads it never pays
-//!   for a scan.
+//!   or a push first asks, which scans the votes once. A snapshot decode
+//!   therefore never builds one.
 //!
 //! The ledger is derived data: equality compares the shape and the votes
 //! only.
@@ -313,6 +313,11 @@ impl LabelMatrix {
         self.moments.get_or_init(|| LfMoments::scan(self))
     }
 
+    /// The ledger if the matrix already holds one, without scanning.
+    pub fn carried_moments(&self) -> Option<&LfMoments> {
+        self.moments.get()
+    }
+
     /// Number of instances.
     pub fn n_instances(&self) -> usize {
         self.n
@@ -379,8 +384,8 @@ impl LabelMatrix {
     }
 
     /// Appends one LF evaluated on `dataset` as a new column: one vote per
-    /// row into a spare slot, and a present ledger extended over the LF's
-    /// firing rows.
+    /// row into a spare slot, and the ledger extended over the LF's firing
+    /// rows.
     pub fn push_lf(&mut self, lf: &LabelFunction, dataset: &Dataset) -> Result<(), LfError> {
         if dataset.len() != self.n {
             return Err(LfError::BadMatrix {
@@ -398,34 +403,35 @@ impl LabelMatrix {
         .into_iter()
         .flatten()
         .collect();
-        if self.moments.get().is_some() {
-            let mut fire = 0;
-            let mut pair_row = vec![0i64; self.m];
-            // Each firing row adds −1, 0 or +1 to each old LF's sum, so
-            // `i16` partials over blocks of `i16::MAX` rows are exact, and
-            // narrow enough for the branch-free inner loop to vectorise.
-            let mut partial = vec![0i16; self.m];
-            for (b, block) in votes.chunks(i16::MAX as usize).enumerate() {
-                for (r, &v) in block.iter().enumerate() {
-                    if v == ABSTAIN {
-                        continue;
-                    }
-                    fire += 1;
-                    let s = sign(v) as i16;
-                    let row = self.row(b * i16::MAX as usize + r);
-                    for (p, &u) in partial.iter_mut().zip(row) {
-                        *p += s * (i16::from(u != ABSTAIN) - 2 * i16::from(u == 0));
-                    }
+        // A matrix built from votes (a resumed session's) scans once here,
+        // so every later push and selection carries the ledger.
+        self.moments();
+        let mut fire = 0;
+        let mut pair_row = vec![0i64; self.m];
+        // Each firing row adds −1, 0 or +1 to each old LF's sum, so
+        // `i16` partials over blocks of `i16::MAX` rows are exact, and
+        // narrow enough for the branch-free inner loop to vectorise.
+        let mut partial = vec![0i16; self.m];
+        for (b, block) in votes.chunks(i16::MAX as usize).enumerate() {
+            for (r, &v) in block.iter().enumerate() {
+                if v == ABSTAIN {
+                    continue;
                 }
-                for (total, p) in pair_row.iter_mut().zip(&mut partial) {
-                    *total += i64::from(std::mem::take(p));
+                fire += 1;
+                let s = sign(v) as i16;
+                let row = self.row(b * i16::MAX as usize + r);
+                for (p, &u) in partial.iter_mut().zip(row) {
+                    *p += s * (i16::from(u != ABSTAIN) - 2 * i16::from(u == 0));
                 }
             }
-            let ledger = self.moments.get_mut().expect("checked above");
-            ledger.fire.push(fire);
-            ledger.pairs.extend(pair_row);
-            ledger.top.push(Top::of(votes.iter().copied()));
+            for (total, p) in pair_row.iter_mut().zip(&mut partial) {
+                *total += i64::from(std::mem::take(p));
+            }
         }
+        let ledger = self.moments.get_mut().expect("initialised above");
+        ledger.fire.push(fire);
+        ledger.pairs.extend(pair_row);
+        ledger.top.push(Top::of(votes.iter().copied()));
         if self.m == self.stride {
             self.widen();
         }

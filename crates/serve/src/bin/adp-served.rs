@@ -1,7 +1,7 @@
 //! `adp-served` — the durable session server.
 //!
-//! Binds a TCP listener, loads any sessions spilled by a previous run from
-//! the spill directory (same ids, same trajectories), and serves the
+//! Binds a TCP listener, loads any sessions journalled by a previous run
+//! in the spill directory (same ids, same trajectories), and serves the
 //! JSON-lines protocol until killed. See the `adp_serve::server` module
 //! docs for the protocol and the README's "Durable serving" quickstart for
 //! a session walkthrough.
@@ -129,9 +129,9 @@ fn main() -> ExitCode {
     };
     println!("adp-served listening on {}", server.addr());
     println!("scrape metrics: curl http://{}/metrics", server.addr());
-    // Serve until the process is killed; durable state is whatever clients
-    // spilled via `snapshot` / `save_all` (crash-consistent by the atomic
-    // rename in the persistence layer).
+    // Serve until the process is killed; durable state is each session's
+    // journal — every committed step, plus the checkpoint the last
+    // `snapshot` / `save_all` or eviction wrote.
     loop {
         std::thread::park();
     }

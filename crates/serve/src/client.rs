@@ -114,7 +114,7 @@ pub enum CellProgressReply {
 /// A journalled session's durability, as reported by `open`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityReply {
-    /// Iteration of the last spilled snapshot (the journal's checkpoint).
+    /// Iteration of the journal's checkpoint snapshot.
     pub checkpoint_iteration: u64,
     /// Last iteration durable on disk as a commit point — where a crash
     /// right now would recover to.
@@ -158,11 +158,11 @@ pub struct HealthReply {
     pub shards: Vec<ShardHealthReply>,
     /// Hot (in-memory) sessions across all shards.
     pub resident: u64,
-    /// Cold (evicted-to-spill) sessions.
+    /// Cold (evicted) sessions.
     pub cold: u64,
     /// The memory budget, `None` when unbudgeted.
     pub max_resident: Option<u64>,
-    /// Sessions evicted to their spill files, ever.
+    /// Sessions evicted to their journals, ever.
     pub evicted_total: u64,
     /// Cold sessions resumed on touch, ever.
     pub resumed_total: u64,

@@ -2,8 +2,8 @@
 //! shard, with hot/cold tiering under a configurable memory budget.
 //!
 //! Sessions are **hot** (engine resident in its shard worker's map) or
-//! **cold** (engine dropped, state spilled to `session-<id>.adpsnap`, WAL
-//! checkpointed behind the snapshot). When a memory budget is set
+//! **cold** (engine dropped, its journal checkpointed at the current
+//! state, so `wal-<id>/checkpoint.adpsnap` holds it). When a memory budget is set
 //! ([`SessionHub::with_memory_budget`] / `ADP_MAX_RESIDENT`) the hub keeps
 //! at most that many sessions hot, evicting the least-recently-touched
 //! first. Cold sessions resume transparently on their next touch — inside
@@ -14,7 +14,6 @@
 
 use crate::journal::{new_journal_slot, DurabilityStatus, JournalObserver, SharedJournal};
 use crate::metrics::{HubMetrics, Op};
-use crate::persist::{checkpoint_behind, spill_file, write_spill_record, SpillRecord};
 use activedp::{
     ActiveDpError, Engine, EngineBuilder, EvalReport, RouteChoice, RouteStats, ScenarioSpec,
     SessionConfig, SessionSnapshot, StepOutcome,
@@ -54,7 +53,7 @@ impl SessionId {
         self.0
     }
 
-    /// Rebuilds a handle from a raw id (spill files and the network
+    /// Rebuilds a handle from a raw id (journals and the network
     /// protocol carry raw ids; whether a session answers to it is decided
     /// per call, as always).
     pub fn from_raw(id: u64) -> Self {
@@ -96,8 +95,8 @@ pub enum ServeError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// A spill file failed to decode (truncated, foreign, or from a newer
-    /// format version).
+    /// A checkpoint snapshot decoded but its session could not be resumed
+    /// from it.
     CorruptSnapshot {
         /// The offending file.
         path: PathBuf,
@@ -108,13 +107,20 @@ pub enum ServeError {
     /// file and what was wrong with it).
     Wal(adp_wal::WalError),
     /// A journal decoded cleanly but contradicts the session it claims to
-    /// belong to — wrong session id, a spec disagreeing with the spill
-    /// snapshot, or a checkpoint no snapshot on disk covers.
+    /// belong to — wrong session id, or a log that does not replay onto
+    /// its checkpoint.
     CorruptJournal {
         /// The journal directory (or file) involved.
         path: PathBuf,
         /// What was inconsistent.
         reason: String,
+    },
+    /// The spill directory holds a top-level `session-<id>.adpsnap` file:
+    /// the retired pre-journal layout, which `load_all` no longer reads
+    /// (see MIGRATION.md).
+    RetiredLayout {
+        /// The retired spill file.
+        path: PathBuf,
     },
     /// The hub is at its memory budget and no resident session can be
     /// evicted to make room (no spill directory, or every resident session
@@ -158,6 +164,13 @@ impl fmt::Display for ServeError {
             ServeError::CorruptJournal { path, reason } => {
                 write!(f, "corrupt journal {}: {reason}", path.display())
             }
+            ServeError::RetiredLayout { path } => write!(
+                f,
+                "{} is a spill file of the retired pre-journal layout (one \
+                 session-<id>.adpsnap per session); sessions now live only in wal-<id>/ \
+                 journal directories",
+                path.display()
+            ),
             ServeError::Saturated { resident, cap } => {
                 write!(
                     f,
@@ -205,7 +218,7 @@ pub struct SessionStatus {
     /// spend — for sessions routing between a simulated user and a noisy
     /// oracle ([`activedp::OracleKind::Noisy`]); `None` on plain
     /// simulated-user sessions. Answered for hot sessions from the live
-    /// router and for cold ones from the spill file's routed block.
+    /// router and for cold ones from the journal's checkpoint.
     pub route: Option<RouteStats>,
 }
 
@@ -265,8 +278,9 @@ struct SessionSlot {
 /// senders**, so workers owning an `Arc` of it never keep each other —
 /// or the hub's drop — alive.
 pub(crate) struct HubShared {
-    /// Where snapshots spill (explicit, else `ADP_SPILL_DIR`, else none).
-    spill_dir: Option<PathBuf>,
+    /// Where session journals live (explicit, else `ADP_SPILL_DIR`, else
+    /// none).
+    pub(crate) spill_dir: Option<PathBuf>,
     /// Resident-session cap; 0 means no budget (never evict).
     max_resident: AtomicUsize,
     /// Source of `last_touch` values.
@@ -318,7 +332,7 @@ impl HubShared {
     }
 
     /// `Some(resident?)` for an open session, `None` for an unknown id.
-    fn residency(&self, id: u64) -> Option<bool> {
+    pub(crate) fn residency(&self, id: u64) -> Option<bool> {
         lock_clean(&self.slots).get(&id).map(|s| s.resident)
     }
 
@@ -622,7 +636,7 @@ impl SessionHub {
 
     /// Caps resident sessions at `max_resident` (clamped to at least 1):
     /// once more sessions than that are hot, the least-recently-touched
-    /// are evicted to their spill files. Builder-style; see also
+    /// are evicted to their journals. Builder-style; see also
     /// [`SessionHub::set_memory_budget`].
     pub fn with_memory_budget(self, max_resident: usize) -> Self {
         self.set_memory_budget(Some(max_resident));
@@ -780,8 +794,8 @@ impl SessionHub {
         }
     }
 
-    /// Spills the identified session cold: snapshot → spill file → WAL
-    /// checkpoint → engine dropped. Returns `Ok(true)` when the session
+    /// Spills the identified session cold: snapshot → journal checkpoint →
+    /// engine dropped. Returns `Ok(true)` when the session
     /// went cold, `Ok(false)` when it already was — or cannot be evicted
     /// (no spill directory, or its engine cannot snapshot; such sessions
     /// are marked and the LRU policy leaves them alone). The session stays
@@ -937,7 +951,7 @@ impl SessionHub {
     /// Cheap progress probe for the identified session (the network
     /// front end's `open` verb — a reconnecting client learns where its
     /// session left off without pulling a full snapshot). A pure probe:
-    /// a cold session answers from its spill file without being resumed,
+    /// a cold session answers from its journal without being resumed,
     /// and no LRU position changes.
     pub fn status(&self, id: SessionId) -> Result<SessionStatus, ServeError> {
         self.timed(Op::Open, || {
@@ -961,7 +975,8 @@ impl SessionHub {
             .collect()
     }
 
-    /// Ids of the sessions currently cold (spilled, resumable), ascending.
+    /// Ids of the sessions currently cold (checkpointed, resumable),
+    /// ascending.
     pub fn cold_ids(&self) -> Vec<SessionId> {
         self.shared
             .ids_where(false)
@@ -975,7 +990,7 @@ impl SessionHub {
     /// the id allocator past `id` and rejects collisions with live
     /// sessions.
     pub(crate) fn insert_preserving_id(&self, id: u64, engine: Engine) -> Result<(), ServeError> {
-        // `id` comes from a spill file, i.e. from disk: saturate instead of
+        // `id` comes from a journal, i.e. from disk: saturate instead of
         // computing `id + 1` so a tampered file carrying u64::MAX cannot
         // panic (dev) or wrap the allocator to 0 (release). The persist
         // layer additionally rejects that id as corrupt before calling in.
@@ -1157,9 +1172,9 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// Runs `f` over the session's engine, resuming it from its spill
-    /// file first when it is cold — the transparent-resume path. Bumps
-    /// the session's LRU position.
+    /// Runs `f` over the session's engine, resuming it from its journal
+    /// first when it is cold — the transparent-resume path. Bumps the
+    /// session's LRU position.
     fn touch<T>(
         &mut self,
         id: u64,
@@ -1187,46 +1202,31 @@ impl ShardState {
         f(self.sessions.get_mut(&id).expect("engine just ensured"))
     }
 
-    /// Rebuilds a cold session's engine from its spill file and re-arms
-    /// its journal observer. The spill is written at eviction time and the
-    /// session cannot step while cold, so the file is always current. The
-    /// resume fits no model: it restores the spilled selection and
-    /// probability caches verbatim (see [`EngineBuilder::resume`]), so a
-    /// cold touch costs a read, a decode and a validation; the session's
-    /// next refit fits the models.
+    /// Runs `f` over a cold session's journal. Eviction checkpointed it,
+    /// so it is always there.
+    fn with_cold_journal<T>(
+        &self,
+        id: u64,
+        f: impl FnOnce(&mut adp_wal::Journal) -> Result<T, ServeError>,
+    ) -> Result<(T, SharedJournal), ServeError> {
+        let missing = || ServeError::NotPersistable(SessionId(id));
+        let slot = self.shared.journal_slot(id).ok_or_else(missing)?;
+        let out = f(lock_clean(&slot).as_mut().ok_or_else(missing)?)?;
+        Ok((out, slot))
+    }
+
+    /// Rebuilds a cold session's engine from its journal and re-arms its
+    /// journal observer. Eviction checkpointed the journal at the
+    /// session's state and a cold session cannot step, so the base is the
+    /// tip: the resume fits no model, it restores the checkpoint's
+    /// selection and probability caches verbatim (see
+    /// [`EngineBuilder::resume`]), so a cold touch costs a read, a decode
+    /// and a validation. The session's next refit fits the models.
     fn resume_session(&self, id: u64) -> Result<Engine, ServeError> {
-        let dir = self
-            .shared
-            .spill_dir
-            .clone()
-            .ok_or(ServeError::NoSpillDir)?;
-        let path = spill_file(&dir, id);
-        let bytes = std::fs::read(&path).map_err(|source| ServeError::Io {
-            path: path.clone(),
-            source,
-        })?;
-        let record =
-            SpillRecord::from_bytes(&bytes).map_err(|source| ServeError::CorruptSnapshot {
-                path: path.clone(),
-                source,
-            })?;
-        if record.session != id {
-            return Err(ServeError::CorruptSnapshot {
-                path,
-                source: ActiveDpError::BadConfig {
-                    reason: format!("spill file records session {}", record.session),
-                },
-            });
-        }
-        let data = self.shared.dataset_for(record.spec)?;
-        let mut engine = Engine::builder(data)
-            .resume(record.snapshot)
-            .map_err(|source| ServeError::CorruptSnapshot { path, source })?;
-        // The journal stayed live (and checkpointed) across the eviction;
-        // re-arm the observer so post-resume steps keep appending to it.
-        if let Some(slot) = self.shared.journal_slot(id) {
-            engine.add_observer(JournalObserver::new(slot));
-        }
+        let (mut engine, slot) =
+            self.with_cold_journal(id, |journal| self.shared.engine_at_tip(journal))?;
+        // Post-resume steps keep appending to the same journal.
+        engine.add_observer(JournalObserver::new(slot));
         Ok(engine)
     }
 
@@ -1239,10 +1239,10 @@ impl ShardState {
                 None => Err(ServeError::UnknownSession(SessionId(id))),
             };
         };
-        let Some(dir) = self.shared.spill_dir.clone() else {
+        if self.shared.spill_dir.is_none() {
             self.shared.mark_unevictable(id);
             return Ok(false);
-        };
+        }
         let snapshot = match engine.snapshot() {
             Ok(snapshot) => snapshot,
             Err(ActiveDpError::SnapshotUnsupported { .. }) => {
@@ -1251,13 +1251,12 @@ impl ShardState {
             }
             Err(e) => return Err(ServeError::Engine(e)),
         };
-        let iteration = snapshot.state.iteration;
-        write_spill_record(&dir, id, snapshot)?;
-        // Same discipline as `save`: snapshot on disk first, checkpoint
-        // second, so a crash between the two leaves the snapshot *ahead*
-        // of the checkpoint — recovery just skips the covered events.
-        if let Some(slot) = self.shared.journal_slot(id) {
-            checkpoint_behind(&slot, iteration)?;
+        match self.shared.checkpoint(id, &snapshot) {
+            Ok(_) => {}
+            // Mid-`create`: the journal is registered right after the
+            // insert, and the session is evictable from then on.
+            Err(ServeError::NotPersistable(_)) => return Ok(false),
+            Err(e) => return Err(e),
         }
         self.sessions.remove(&id);
         self.shared.note_evicted(id);
@@ -1265,7 +1264,9 @@ impl ShardState {
     }
 
     /// Status without residency side effects: a hot session answers from
-    /// its engine, a cold one from its spill file — no resume, no touch.
+    /// its engine, a cold one from its journal's base — no resume, no
+    /// touch. A session evicted at iteration 0 has no snapshot; its spec
+    /// describes it whole.
     fn probe_status(&mut self, id: u64) -> Result<SessionStatus, ServeError> {
         if let Some(engine) = self.sessions.get(&id) {
             return Ok(SessionStatus {
@@ -1281,25 +1282,26 @@ impl ShardState {
         if self.shared.residency(id).is_none() {
             return Err(ServeError::UnknownSession(SessionId(id)));
         }
-        let dir = self
-            .shared
-            .spill_dir
-            .clone()
-            .ok_or(ServeError::NoSpillDir)?;
-        let path = spill_file(&dir, id);
-        let bytes = std::fs::read(&path).map_err(|source| ServeError::Io {
-            path: path.clone(),
-            source,
+        let (status, _) = self.with_cold_journal(id, |journal| {
+            if journal.checkpoint_iteration() == 0 {
+                return Ok(SessionStatus {
+                    iteration: 0,
+                    n_lfs: 0,
+                    n_selected: 0,
+                    durability: None,
+                    route: journal.spec().session.build_oracle().route_stats(),
+                });
+            }
+            let base = self.shared.journal_base(journal)?;
+            Ok(SessionStatus {
+                iteration: base.state.iteration,
+                n_lfs: base.state.lfs.len(),
+                n_selected: base.state.selected.len(),
+                durability: None,
+                route: base.routed.as_ref().map(|r| r.stats),
+            })
         })?;
-        let record = SpillRecord::from_bytes(&bytes)
-            .map_err(|source| ServeError::CorruptSnapshot { path, source })?;
-        Ok(SessionStatus {
-            iteration: record.snapshot.state.iteration,
-            n_lfs: record.snapshot.state.lfs.len(),
-            n_selected: record.snapshot.state.selected.len(),
-            durability: None,
-            route: record.snapshot.routed.as_ref().map(|r| r.stats),
-        })
+        Ok(status)
     }
 }
 

@@ -16,12 +16,13 @@
 //!
 //! Around the hub this crate adds the **durable serving** stack:
 //!
-//! * [`persist`] — session spill files (`SessionHub::save_all` /
-//!   `load_all`): atomic writes, versioned headers, corrupt-file
-//!   rejection, ids preserved across restarts;
+//! * [`persist`] — saving and loading sessions (`SessionHub::save_all` /
+//!   `load_all`): a session's durable state is its journal directory,
+//!   checkpoint snapshot included; corrupt-file rejection, ids preserved
+//!   across restarts;
 //! * [`journal`] — per-session write-ahead logging over [`adp_wal`]:
 //!   every step is journalled by default when a spill directory is
-//!   configured, `load_all` replays journal tails past the last snapshot,
+//!   configured, `load_all` replays journal tails past their checkpoints,
 //!   and [`SessionHub::recover`](hub::SessionHub::recover) rebuilds any
 //!   journalled commit point as a new session;
 //! * [`server`] — the `adp-served` JSON-lines TCP front end
@@ -35,7 +36,7 @@
 //! The hub also tiers sessions hot/cold under a memory budget
 //! ([`SessionHub::with_memory_budget`](hub::SessionHub::with_memory_budget)
 //! / `ADP_MAX_RESIDENT`): least-recently-touched sessions are evicted to
-//! their spill files and resume transparently on the next touch, with
+//! their journals' checkpoints and resume transparently on the next touch, with
 //! bitwise-identical trajectories. Without a budget (the default) nothing
 //! is ever evicted.
 //!
@@ -64,6 +65,5 @@ pub use hub::{
 pub use journal::DurabilityStatus;
 pub use json::Json;
 pub use metrics::{HubMetrics, Op};
-pub use persist::{SpillRecord, SPILL_MAGIC, SPILL_VERSION};
 pub use server::Server;
 pub use spec_json::{scenario_from_json, scenario_to_json};

@@ -337,7 +337,7 @@ impl HubMetrics {
         out.push_str("# HELP adp_sessions_cold Sessions spilled cold, resumable on touch.\n");
         out.push_str("# TYPE adp_sessions_cold gauge\n");
         let _ = writeln!(out, "adp_sessions_cold {}", self.cold.get());
-        out.push_str("# HELP adp_evictions_total Sessions evicted to their spill file.\n");
+        out.push_str("# HELP adp_evictions_total Sessions evicted to their journal checkpoint.\n");
         out.push_str("# TYPE adp_evictions_total counter\n");
         let _ = writeln!(out, "adp_evictions_total {}", self.evicted_total.get());
         out.push_str("# HELP adp_resumes_total Cold sessions resumed on touch.\n");

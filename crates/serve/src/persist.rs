@@ -1,150 +1,39 @@
-//! Hub persistence: spilling live sessions to disk and loading them back.
+//! Hub persistence: saving sessions and loading them back.
 //!
-//! Each persistable session becomes one file, `session-<id>.adpsnap`,
-//! under the hub's spill directory:
+//! A session's durable state is its journal directory, and nothing else:
 //!
 //! ```text
-//! ┌──────────────────────────────────────────────────────────┐
-//! │ magic  "ADPHUBS\0"            8 bytes                    │
-//! │ format version                u32 LE                     │
-//! │ session id                    u64 LE                     │
-//! │ dataset spec   id tag u8 · scale tag u8 [· factor f64]   │
-//! │                · generator seed u64                      │
-//! │ snapshot       length-prefixed `SessionSnapshot` bytes   │
-//! │                (its own versioned envelope inside)       │
-//! └──────────────────────────────────────────────────────────┘
+//! <spill_dir>/
+//!   wal-<id>/
+//!     manifest.adpwman     session id, scenario spec, checkpoint, segments
+//!     checkpoint.adpsnap   SessionSnapshot at the checkpoint (absent at 0)
+//!     seg-*.adpwal         sealed step events past the checkpoint
+//!     open.adpwal          the segment being appended
 //! ```
 //!
-//! Writes are **atomic** ([`adp_wire::atomic::atomic_write`], shared with
-//! the WAL's segments and manifests): the bytes go to a unique `.tmp`
-//! first, are fsynced, and are `rename`d into place, so a crash mid-save
-//! leaves either the previous complete file or none — never a torn one. Loads reject foreign magic,
-//! newer format versions, truncation and trailing bytes with typed errors
-//! ([`ServeError::CorruptSnapshot`]); a corrupt spill file can fail a
-//! `load_all`, never panic it or half-restore a session.
+//! Saving ([`SessionHub::save`]) and evicting a session are the same
+//! operation: [`adp_wal::Journal::checkpoint`] with the session's current
+//! snapshot, which writes the snapshot atomically
+//! ([`adp_wire::atomic::atomic_write`]: stage, fsync, rename), then the
+//! manifest, then compacts the log behind it. Loading
+//! ([`SessionHub::load_all`]) opens each journal, takes its base — the
+//! checkpoint snapshot, or the manifest's spec at checkpoint 0 — and
+//! replays the tail to the last committed step. Corrupt files fail the
+//! load with typed errors ([`ServeError::Wal`],
+//! [`ServeError::CorruptJournal`], [`ServeError::CorruptSnapshot`]), never
+//! a panic or a half-restored session.
 //!
-//! The dataset itself is *not* spilled — only its [`DatasetSpec`], which
-//! regenerates the identical split at load time (and is shared between all
-//! loaded sessions naming the same spec). That is what keeps spill files
-//! small (state + config + RNG streams) and restarts cheap.
+//! The dataset itself is *not* saved — only its provenance inside the
+//! spec, which regenerates the identical split at load time (and is
+//! shared between all loaded sessions naming the same dataset). That is
+//! what keeps checkpoints small and restarts cheap.
 
 use crate::hub::{ServeError, SessionHub, SessionId};
-use crate::journal::{corrupt_journal, wal_dir};
-use activedp::{ActiveDpError, Engine, SessionSnapshot};
-use adp_data::DatasetSpec;
-use adp_wal::Journal;
-use adp_wire::{read_envelope, write_envelope};
+use crate::journal::{corrupt_journal, open_journal, wal_dir};
+use activedp::ActiveDpError;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// Magic bytes opening every hub spill file.
-pub const SPILL_MAGIC: &[u8; 8] = b"ADPHUBS\0";
-
-/// Current spill-file format version.
-pub const SPILL_VERSION: u32 = 1;
-
-/// One decoded spill file: the session id it preserves, the dataset
-/// provenance, and the session snapshot itself.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpillRecord {
-    /// The id the session was served under (preserved across restarts).
-    pub session: u64,
-    /// How to regenerate the session's dataset split.
-    pub spec: DatasetSpec,
-    /// The resumable session state.
-    pub snapshot: SessionSnapshot,
-}
-
-impl SpillRecord {
-    /// Encodes the record into its canonical spill-file bytes. The
-    /// dataset-spec layout comes from `adp_data::wire` — the same stable
-    /// tags every encoded artefact shares.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = write_envelope(SPILL_MAGIC, SPILL_VERSION);
-        w.put_u64(self.session);
-        w.put(&self.spec);
-        w.put(&self.snapshot.to_bytes());
-        w.into_bytes()
-    }
-
-    /// Decodes a spill file, rejecting corruption with typed errors — a
-    /// header spec that contradicts the provenance embedded in the nested
-    /// snapshot included (the file was tampered with; restoring it would
-    /// serve a session whose spec misdescribes its data).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ActiveDpError> {
-        let (mut r, _version) = read_envelope(bytes, SPILL_MAGIC, SPILL_VERSION..=SPILL_VERSION)?;
-        let session = r.get_u64()?;
-        let spec: DatasetSpec = r.get()?;
-        let snapshot_bytes: Vec<u8> = r.get()?;
-        r.finish()?;
-        let snapshot = SessionSnapshot::from_bytes(&snapshot_bytes)?;
-        if snapshot.spec.dataset != spec {
-            return Err(ActiveDpError::BadConfig {
-                reason: format!(
-                    "spill header names dataset {spec:?} but the snapshot was taken over {:?}",
-                    snapshot.spec.dataset
-                ),
-            });
-        }
-        Ok(SpillRecord {
-            session,
-            spec,
-            snapshot,
-        })
-    }
-}
-
-/// File name of one session's spill file.
-pub(crate) fn spill_file(dir: &Path, id: u64) -> PathBuf {
-    dir.join(format!("session-{id}.adpsnap"))
-}
-
-/// Writes one session's spill file (atomic write; creates the directory).
-/// Shared by [`SessionHub::save`] and the shard workers' eviction path.
-pub(crate) fn write_spill_record(
-    dir: &Path,
-    id: u64,
-    snapshot: SessionSnapshot,
-) -> Result<PathBuf, ServeError> {
-    let record = SpillRecord {
-        session: id,
-        spec: snapshot.spec.dataset,
-        snapshot,
-    };
-    fs::create_dir_all(dir).map_err(|source| ServeError::Io {
-        path: dir.to_path_buf(),
-        source,
-    })?;
-    let path = spill_file(dir, id);
-    // One copy of the staging + fsync + rename discipline, shared with
-    // the WAL's segments and manifests.
-    adp_wire::atomic::atomic_write(&path, &record.to_bytes()).map_err(|source| ServeError::Io {
-        path: path.clone(),
-        source,
-    })?;
-    Ok(path)
-}
-
-/// Advances a journal's checkpoint to `iteration` after its covering
-/// snapshot landed on disk, compacting covered segments. A checkpoint
-/// already further ahead (a concurrent save won the race) is fine; an
-/// empty slot (degraded journal) is a no-op.
-pub(crate) fn checkpoint_behind(
-    slot: &crate::journal::SharedJournal,
-    iteration: usize,
-) -> Result<(), ServeError> {
-    let mut guard = crate::hub::lock_clean(slot);
-    if let Some(journal) = guard.as_mut() {
-        match journal.checkpoint(iteration) {
-            // A concurrent save already checkpointed further ahead; its
-            // snapshot covers ours, nothing to record.
-            Err(adp_wal::WalError::OutOfOrder { .. }) | Ok(()) => {}
-            Err(e) => return Err(ServeError::Wal(e)),
-        }
-    }
-    Ok(())
-}
 
 impl SessionHub {
     pub(crate) fn require_spill_dir(&self) -> Result<PathBuf, ServeError> {
@@ -153,23 +42,20 @@ impl SessionHub {
             .ok_or(ServeError::NoSpillDir)
     }
 
-    /// Spills one session to `session-<id>.adpsnap` in the spill directory
-    /// (atomic write; the session keeps running). The dataset provenance
-    /// travels inside the snapshot's embedded `ScenarioSpec`; sessions
-    /// that cannot be described as one — hand-built datasets, stateless
+    /// Checkpoints one session's journal at its current state (the
+    /// session keeps running) and returns the journal directory,
+    /// `wal-<id>/` under the spill directory. Sessions that cannot be
+    /// described as a `ScenarioSpec` — hand-built datasets, stateless
     /// custom oracles — fail with [`ServeError::NotPersistable`].
     pub fn save(&self, id: SessionId) -> Result<PathBuf, ServeError> {
         let dir = self.require_spill_dir()?;
-        // A cold session's spill file IS its current state — eviction
+        // A cold session's checkpoint IS its current state — eviction
         // wrote it and a cold session cannot step — so saving it again
         // must not drag the engine back into memory. (If the session
         // resumes between this check and the snapshot call below, the
         // normal path simply takes over.)
-        if self.cold_ids().contains(&id) {
-            let path = spill_file(&dir, id.raw());
-            if path.is_file() {
-                return Ok(path);
-            }
+        if self.shared.residency(id.raw()) == Some(false) {
+            return Ok(wal_dir(&dir, id.raw()));
         }
         let snapshot = match self.snapshot(id) {
             Ok(snapshot) => snapshot,
@@ -178,21 +64,11 @@ impl SessionHub {
             }
             Err(e) => return Err(e),
         };
-        let iteration = snapshot.state.iteration;
-        let path = write_spill_record(&dir, id.raw(), snapshot)?;
-        // The snapshot on disk now covers the log prefix: advance the
-        // session's journal checkpoint, compacting covered segments. The
-        // order (snapshot first, checkpoint second) means a crash between
-        // the two leaves a snapshot *ahead* of the checkpoint — recovery
-        // replays from the snapshot and simply skips the covered events.
-        if let Some(slot) = self.journal_slot(id.raw()) {
-            checkpoint_behind(&slot, iteration)?;
-        }
-        Ok(path)
+        self.shared.checkpoint(id.raw(), &snapshot)
     }
 
-    /// Spills every persistable session (see [`SessionHub::save`]) and
-    /// returns the ids written, ascending. Sessions without a scenario
+    /// Saves every persistable session (see [`SessionHub::save`]) and
+    /// returns the ids saved, ascending. Sessions without a scenario
     /// description are skipped — they could not be restored at load time —
     /// so a mixed hub still saves everything it can.
     pub fn save_all(&self) -> Result<Vec<SessionId>, ServeError> {
@@ -211,25 +87,16 @@ impl SessionHub {
         Ok(saved)
     }
 
-    /// Loads everything recoverable under the spill directory and brings
-    /// each session back **under its original id**, so pre-restart client
-    /// handles keep working. Returns the ids restored, ascending.
+    /// Loads every journal under the spill directory and brings each
+    /// session back **under its original id**, at its last durable
+    /// *committed* iteration — not merely the last explicit save — so
+    /// pre-restart client handles keep working. Returns the ids restored,
+    /// ascending.
     ///
-    /// Three on-disk shapes are recognised:
-    ///
-    /// * **snapshot + journal** (`session-<id>.adpsnap` and `wal-<id>/`):
-    ///   the engine resumes from the snapshot, then the journal's tail past
-    ///   it is **replayed**, so the session comes back at its last durable
-    ///   *committed* iteration — not merely the last explicit save;
-    /// * **journal only**: the iteration-0 state is rebuilt from the spec
-    ///   in the journal's manifest and the whole log is replayed — a
-    ///   session that was never saved still survives a crash;
-    /// * **snapshot only** (a pre-WAL spill directory): resumes exactly as
-    ///   before; a fresh journal is started so the session is durable from
-    ///   here on.
-    ///
-    /// A missing spill directory loads nothing (a fresh deployment); a
-    /// corrupt file or journal fails the load with a typed error, and
+    /// A missing spill directory loads nothing (a fresh deployment). A
+    /// corrupt journal fails the load with a typed error, and so does a
+    /// top-level `session-<id>.adpsnap` spill file of the retired
+    /// pre-journal layout ([`ServeError::RetiredLayout`]); either way
     /// everything this call had already restored is rolled back.
     pub fn load_all(&self) -> Result<Vec<SessionId>, ServeError> {
         let dir = self.require_spill_dir()?;
@@ -240,35 +107,27 @@ impl SessionHub {
                 source,
             })?,
         };
-        let mut snap_paths: Vec<PathBuf> = Vec::new();
-        let mut wal_dirs: BTreeMap<u64, PathBuf> = BTreeMap::new();
+        let mut journals: BTreeMap<u64, PathBuf> = BTreeMap::new();
         for path in entries.filter_map(|entry| entry.ok().map(|e| e.path())) {
-            if path.is_file() && path.extension().is_some_and(|ext| ext == "adpsnap") {
-                snap_paths.push(path);
-            } else if path.is_dir() {
-                let id = path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .and_then(|n| n.strip_prefix("wal-"))
-                    .and_then(|n| n.parse::<u64>().ok());
-                if let Some(id) = id {
-                    wal_dirs.insert(id, path);
-                }
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if name.starts_with("session-") && name.ends_with(".adpsnap") {
+                return Err(ServeError::RetiredLayout { path });
+            }
+            let id = name
+                .strip_prefix("wal-")
+                .and_then(|n| n.parse::<u64>().ok());
+            if let (Some(id), true) = (id, path.is_dir()) {
+                journals.insert(id, path);
             }
         }
-        snap_paths.sort();
         // All-or-nothing: if anything fails, the sessions already inserted
-        // by this call are rolled back, so the operator can delete the bad
-        // file and retry without SessionExists collisions against the
+        // by this call are rolled back, so the operator can repair the bad
+        // journal and retry without SessionExists collisions against the
         // half-loaded state.
-        let mut loaded = Vec::with_capacity(snap_paths.len() + wal_dirs.len());
+        let mut loaded = Vec::with_capacity(journals.len());
         let mut run = || -> Result<(), ServeError> {
-            for path in &snap_paths {
-                loaded.push(self.load_spilled(path, &mut wal_dirs)?);
-            }
-            // Journals whose session was never snapshot to disk.
-            for (id, wal_path) in &wal_dirs {
-                loaded.push(self.load_wal_only(*id, wal_path)?);
+            for (&id, path) in &journals {
+                loaded.push(self.load_journal(id, path)?);
             }
             Ok(())
         };
@@ -278,177 +137,34 @@ impl SessionHub {
             }
             return Err(e);
         }
-        loaded.sort_unstable();
         Ok(loaded)
     }
 
-    /// Restores one spilled session, replaying its journal tail when one
-    /// exists (the journal is consumed from `wal_dirs` so the wal-only
-    /// sweep does not see it again).
-    fn load_spilled(
-        &self,
-        path: &Path,
-        wal_dirs: &mut BTreeMap<u64, PathBuf>,
-    ) -> Result<SessionId, ServeError> {
-        let bytes = fs::read(path).map_err(|source| ServeError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        let record =
-            SpillRecord::from_bytes(&bytes).map_err(|source| ServeError::CorruptSnapshot {
-                path: path.to_path_buf(),
-                source,
-            })?;
-        if record.session == u64::MAX {
-            // Unreachable for files we wrote (ids allocate upward from
+    /// Restores one session from its journal directory at the durable tip.
+    fn load_journal(&self, id: u64, path: &Path) -> Result<SessionId, ServeError> {
+        if id == u64::MAX {
+            // Unreachable for journals we wrote (ids allocate upward from
             // 0); a tampered id this large would saturate the allocator.
-            return Err(ServeError::CorruptSnapshot {
-                path: path.to_path_buf(),
-                source: activedp::ActiveDpError::BadConfig {
-                    reason: "session id u64::MAX is reserved".into(),
-                },
-            });
+            return Err(corrupt_journal(path, "session id u64::MAX is reserved"));
         }
-        let id = record.session;
-        let wal_path = wal_dirs.remove(&id);
         // A live session with this id already owns its journal directory
         // (single-writer); reject the collision *before* opening — and
         // thereby recovering over — the live journal's open segment.
-        if self.journal_slot(id).is_some() {
+        if self.shared.journal_slot(id).is_some() {
             return Err(ServeError::SessionExists(SessionId::from_raw(id)));
         }
-        let data = self.dataset_for(record.spec)?;
-        let snap_iter = record.snapshot.state.iteration;
-        let (engine, journal) = match wal_path {
-            None => {
-                // A pre-WAL spill directory: resume as always, and start a
-                // fresh journal (checkpointed at the snapshot) going
-                // forward.
-                let spec = record.snapshot.spec.clone();
-                let engine = Engine::builder(data)
-                    .resume(record.snapshot)
-                    .map_err(|source| ServeError::CorruptSnapshot {
-                        path: path.to_path_buf(),
-                        source,
-                    })?;
-                let journal = Journal::create(
-                    &wal_dir(&self.require_spill_dir()?, id),
-                    id,
-                    spec,
-                    snap_iter,
-                )
-                .map_err(ServeError::Wal)?;
-                (engine, journal)
-            }
-            Some(wal_path) => {
-                let mut journal = Journal::open(&wal_path).map_err(ServeError::Wal)?;
-                if journal.session() != id {
-                    return Err(corrupt_journal(
-                        &wal_path,
-                        format!("manifest belongs to session {}", journal.session()),
-                    ));
-                }
-                if journal.spec() != &record.snapshot.spec {
-                    return Err(corrupt_journal(
-                        &wal_path,
-                        "manifest spec disagrees with the spill snapshot's".to_string(),
-                    ));
-                }
-                if journal.checkpoint_iteration() > snap_iter {
-                    return Err(corrupt_journal(
-                        &wal_path,
-                        format!(
-                            "checkpoint {} is past the spill snapshot at iteration {snap_iter}",
-                            journal.checkpoint_iteration()
-                        ),
-                    ));
-                }
-                let durable = journal.durable_iteration();
-                let engine = if durable > snap_iter {
-                    // The log is ahead of the snapshot (a crash before a
-                    // final save): fold the tail to the durable tip.
-                    let events = journal.events().map_err(ServeError::Wal)?;
-                    Engine::replay_to_over(&record.snapshot, &events, durable, data).map_err(
-                        |e| {
-                            corrupt_journal(
-                                &wal_path,
-                                format!("replaying the tail to iteration {durable} failed: {e}"),
-                            )
-                        },
-                    )?
-                } else {
-                    // The snapshot is at (or past) the durable tip: plain
-                    // resume; re-checkpointing aligns a journal that never
-                    // saw the final save.
-                    let engine =
-                        Engine::builder(data)
-                            .resume(record.snapshot)
-                            .map_err(|source| ServeError::CorruptSnapshot {
-                                path: path.to_path_buf(),
-                                source,
-                            })?;
-                    journal.checkpoint(snap_iter).map_err(ServeError::Wal)?;
-                    engine
-                };
-                (engine, journal)
-            }
-        };
-        self.adopt_loaded(id, engine, Some(journal))
-    }
-
-    /// Restores a session that has a journal but no spill snapshot: the
-    /// manifest's spec rebuilds the iteration-0 state and the whole log is
-    /// replayed to the durable tip.
-    fn load_wal_only(&self, id: u64, wal_path: &Path) -> Result<SessionId, ServeError> {
-        if id == u64::MAX {
-            return Err(corrupt_journal(
-                wal_path,
-                "session id u64::MAX is reserved".to_string(),
-            ));
-        }
-        if self.journal_slot(id).is_some() {
-            return Err(ServeError::SessionExists(SessionId::from_raw(id)));
-        }
-        let journal = Journal::open(wal_path).map_err(ServeError::Wal)?;
-        if journal.session() != id {
-            return Err(corrupt_journal(
-                wal_path,
-                format!("manifest belongs to session {}", journal.session()),
-            ));
-        }
-        if journal.checkpoint_iteration() != 0 {
-            return Err(corrupt_journal(
-                wal_path,
-                format!(
-                    "checkpoint {} has no covering snapshot on disk",
-                    journal.checkpoint_iteration()
-                ),
-            ));
-        }
-        let spec = journal.spec().clone();
-        let data = self.dataset_for(spec.dataset)?;
-        let durable = journal.durable_iteration();
-        let engine = if durable > 0 {
-            let base = Engine::from_spec_over(spec, data.clone())?.snapshot()?;
-            let events = journal.events().map_err(ServeError::Wal)?;
-            Engine::replay_to_over(&base, &events, durable, data).map_err(|e| {
-                corrupt_journal(
-                    wal_path,
-                    format!("replaying the log to iteration {durable} failed: {e}"),
-                )
-            })?
-        } else {
-            Engine::from_spec_over(spec, data)?
-        };
-        self.adopt_loaded(id, engine, Some(journal))
+        let mut journal = open_journal(path, id)?;
+        let engine = self.shared.engine_at_tip(&mut journal)?;
+        self.adopt_loaded(id, engine, journal)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use activedp::SessionConfig;
-    use adp_data::{DatasetId, Scale};
+    use crate::hub::SessionStatus;
+    use activedp::{Engine, EvalReport, SessionConfig};
+    use adp_data::{DatasetId, DatasetSpec, Scale};
 
     fn unique_tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -468,46 +184,27 @@ mod tests {
         }
     }
 
-    #[test]
-    fn spill_record_roundtrips() {
-        let hub = SessionHub::new(1);
-        let id = hub
-            .open_spec(spec(7), SessionConfig::paper_defaults(true, 7))
-            .unwrap();
-        hub.run(id, 3).unwrap();
-        let snapshot = hub.snapshot(id).unwrap();
-        let record = SpillRecord {
-            session: 42,
-            spec: snapshot.spec.dataset,
-            snapshot,
-        };
-        let back = SpillRecord::from_bytes(&record.to_bytes()).unwrap();
-        assert_eq!(record, back);
+    fn open(hub: &SessionHub, seed: u64) -> SessionId {
+        hub.open_spec(spec(seed), SessionConfig::paper_defaults(true, seed))
+            .unwrap()
     }
 
-    #[test]
-    fn spill_header_spec_must_match_the_snapshot() {
-        // A tampered header naming a different dataset than the embedded
-        // snapshot would restore a session whose spec misdescribes its
-        // data; the decoder rejects it with a typed error.
-        let hub = SessionHub::new(1);
-        let id = hub
-            .open_spec(spec(7), SessionConfig::paper_defaults(true, 7))
+    fn bits(report: EvalReport) -> (u64, u64) {
+        (
+            report.test_accuracy.to_bits(),
+            report.label_coverage.to_bits(),
+        )
+    }
+
+    /// `evaluate` after an uninterrupted hub-free run of `seed` to `steps`:
+    /// what every reloaded session must reproduce bitwise.
+    fn solo(seed: u64, steps: usize) -> (u64, u64) {
+        let mut engine = Engine::builder(spec(seed).generate().unwrap())
+            .config(SessionConfig::paper_defaults(true, seed))
+            .build()
             .unwrap();
-        hub.run(id, 2).unwrap();
-        let snapshot = hub.snapshot(id).unwrap();
-        let record = SpillRecord {
-            session: 1,
-            spec: DatasetSpec {
-                seed: 999,
-                ..snapshot.spec.dataset
-            },
-            snapshot,
-        };
-        assert!(matches!(
-            SpillRecord::from_bytes(&record.to_bytes()),
-            Err(ActiveDpError::BadConfig { .. })
-        ));
+        engine.run(steps).unwrap();
+        bits(engine.evaluate_downstream().unwrap())
     }
 
     #[test]
@@ -516,9 +213,7 @@ mod tests {
         let first = SessionHub::with_spill_dir(2, &dir);
         let ids: Vec<SessionId> = (0..3)
             .map(|seed| {
-                let id = first
-                    .open_spec(spec(seed), SessionConfig::paper_defaults(true, seed))
-                    .unwrap();
+                let id = open(&first, seed);
                 first.run(id, 4).unwrap();
                 id
             })
@@ -532,25 +227,13 @@ mod tests {
         assert_eq!(loaded, ids);
         // Old handles keep working, trajectories continue bit-for-bit: an
         // uninterrupted solo run over the same spec/seed must agree.
-        for (k, &id) in ids.iter().enumerate() {
-            let seed = k as u64;
+        for (seed, &id) in ids.iter().enumerate() {
             second.run(id, 4).unwrap();
-            let report = second.evaluate(id).unwrap();
-            let mut solo = Engine::builder(spec(seed).generate().unwrap())
-                .config(SessionConfig::paper_defaults(true, seed))
-                .build()
-                .unwrap();
-            solo.run(8).unwrap();
-            assert_eq!(
-                report.test_accuracy.to_bits(),
-                solo.evaluate_downstream().unwrap().test_accuracy.to_bits(),
-                "session {id}"
-            );
+            let at = bits(second.evaluate(id).unwrap());
+            assert_eq!(at, solo(seed as u64, 8), "session {id}");
         }
         // New sessions never collide with restored ids.
-        let fresh = second
-            .open_spec(spec(9), SessionConfig::paper_defaults(true, 9))
-            .unwrap();
+        let fresh = open(&second, 9);
         assert!(ids.iter().all(|&old| old != fresh));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -559,9 +242,7 @@ mod tests {
     fn unpersistable_sessions_are_skipped_not_fatal() {
         let dir = unique_tempdir("mixed");
         let hub = SessionHub::with_spill_dir(1, &dir);
-        let durable = hub
-            .open_spec(spec(1), SessionConfig::paper_defaults(true, 1))
-            .unwrap();
+        let durable = open(&hub, 1);
         // A hand-built split (provenance stripped) cannot be described as
         // a scenario, so its session cannot spill.
         let mut adhoc = spec(2).generate().unwrap();
@@ -636,22 +317,21 @@ mod tests {
     fn corrupt_files_are_rejected_with_typed_errors() {
         let dir = unique_tempdir("corrupt");
         let hub = SessionHub::with_spill_dir(1, &dir);
-        let id = hub
-            .open_spec(spec(3), SessionConfig::paper_defaults(true, 3))
-            .unwrap();
-        hub.run(id, 3).unwrap();
-        let path = hub.save(id).unwrap();
+        let id = open(&hub, 3);
+        hub.run(id, 1).unwrap();
+        let early = hub.snapshot(id).unwrap().to_bytes();
+        hub.run(id, 2).unwrap();
+        let path = hub.save(id).unwrap().join("checkpoint.adpsnap");
         let good = fs::read(&path).unwrap();
+        let mut other_run = activedp::SessionSnapshot::from_bytes(&good).unwrap();
+        other_run.spec.session.seed += 1;
 
         let check_rejected = |bytes: &[u8]| {
             fs::write(&path, bytes).unwrap();
             let fresh = SessionHub::with_spill_dir(1, &dir);
-            assert!(matches!(
-                fresh.load_all(),
-                Err(ServeError::CorruptSnapshot { .. })
-            ));
+            assert!(matches!(fresh.load_all(), Err(ServeError::Wal(_))));
         };
-        // Truncated at several depths (envelope, record, nested snapshot).
+        // Truncated at several depths (envelope, spec, state).
         check_rejected(&good[..4]);
         check_rejected(&good[..20]);
         check_rejected(&good[..good.len() - 1]);
@@ -667,6 +347,10 @@ mod tests {
         let mut padded = good.clone();
         padded.push(0xAA);
         check_rejected(&padded);
+        // Well-formed, but behind the manifest's checkpoint, or another
+        // session's run: the snapshot must match its manifest.
+        check_rejected(&early);
+        check_rejected(&other_run.to_bytes());
 
         // The original bytes still load (the rejection is the file, not us).
         fs::write(&path, &good).unwrap();
@@ -680,22 +364,17 @@ mod tests {
         let dir = unique_tempdir("retry");
         let hub = SessionHub::with_spill_dir(2, &dir);
         for seed in 0..2 {
-            let id = hub
-                .open_spec(spec(seed), SessionConfig::paper_defaults(true, seed))
-                .unwrap();
+            let id = open(&hub, seed);
             hub.run(id, 2).unwrap();
         }
         hub.save_all().unwrap();
         drop(hub);
         // Corrupt one file; a fresh hub's load must fail *atomically*…
-        let bad = dir.join("session-1.adpsnap");
+        let bad = wal_dir(&dir, 1).join("checkpoint.adpsnap");
         let good_bytes = fs::read(&bad).unwrap();
         fs::write(&bad, &good_bytes[..10]).unwrap();
         let fresh = SessionHub::with_spill_dir(2, &dir);
-        assert!(matches!(
-            fresh.load_all(),
-            Err(ServeError::CorruptSnapshot { .. })
-        ));
+        assert!(matches!(fresh.load_all(), Err(ServeError::Wal(_))));
         assert_eq!(
             fresh.session_count().unwrap(),
             0,
@@ -713,9 +392,7 @@ mod tests {
     fn loading_over_a_live_id_is_rejected() {
         let dir = unique_tempdir("collide");
         let hub = SessionHub::with_spill_dir(1, &dir);
-        let id = hub
-            .open_spec(spec(4), SessionConfig::paper_defaults(true, 4))
-            .unwrap();
+        let id = open(&hub, 4);
         hub.run(id, 2).unwrap();
         hub.save(id).unwrap();
         // The session is still live in this hub; loading its file back
@@ -731,9 +408,7 @@ mod tests {
     fn sessions_are_journalled_by_default() {
         let dir = unique_tempdir("journal");
         let hub = SessionHub::with_spill_dir(1, &dir);
-        let id = hub
-            .open_spec(spec(6), SessionConfig::paper_defaults(true, 6))
-            .unwrap();
+        let id = open(&hub, 6);
         hub.run(id, 3).unwrap();
         // No explicit save has happened, yet the steps are durable.
         let d = hub.status(id).unwrap().durability.expect("journalled");
@@ -755,9 +430,7 @@ mod tests {
         let dir = unique_tempdir("tail");
         let seed = 11;
         let first = SessionHub::with_spill_dir(1, &dir);
-        let id = first
-            .open_spec(spec(seed), SessionConfig::paper_defaults(true, seed))
-            .unwrap();
+        let id = open(&first, seed);
         first.run(id, 2).unwrap();
         first.save(id).unwrap(); // checkpoint at iteration 2…
         first.run(id, 3).unwrap(); // …then 3 more steps, never saved again
@@ -771,16 +444,7 @@ mod tests {
         // And the recovered trajectory continues bit-for-bit: finishing the
         // run must agree with an uninterrupted solo run.
         second.run(id, 3).unwrap();
-        let report = second.evaluate(id).unwrap();
-        let mut solo = Engine::builder(spec(seed).generate().unwrap())
-            .config(SessionConfig::paper_defaults(true, seed))
-            .build()
-            .unwrap();
-        solo.run(8).unwrap();
-        assert_eq!(
-            report.test_accuracy.to_bits(),
-            solo.evaluate_downstream().unwrap().test_accuracy.to_bits()
-        );
+        assert_eq!(bits(second.evaluate(id).unwrap()), solo(seed, 8));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -789,9 +453,7 @@ mod tests {
         let dir = unique_tempdir("walonly");
         let seed = 12;
         let first = SessionHub::with_spill_dir(1, &dir);
-        let id = first
-            .open_spec(spec(seed), SessionConfig::paper_defaults(true, seed))
-            .unwrap();
+        let id = open(&first, seed);
         first.run(id, 4).unwrap();
         drop(first); // no save_all, no snapshot — only wal-<id>/ exists
 
@@ -799,49 +461,7 @@ mod tests {
         assert_eq!(second.load_all().unwrap(), vec![id]);
         assert_eq!(second.status(id).unwrap().iteration, 4);
         second.run(id, 2).unwrap();
-        let report = second.evaluate(id).unwrap();
-        let mut solo = Engine::builder(spec(seed).generate().unwrap())
-            .config(SessionConfig::paper_defaults(true, seed))
-            .build()
-            .unwrap();
-        solo.run(6).unwrap();
-        assert_eq!(
-            report.test_accuracy.to_bits(),
-            solo.evaluate_downstream().unwrap().test_accuracy.to_bits()
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn pre_wal_spill_dirs_still_load_and_become_journalled() {
-        // MIGRATION guarantee: a spill directory written before the WAL
-        // existed (snapshot files only) keeps working; loading starts a
-        // fresh journal checkpointed at the snapshot.
-        let dir = unique_tempdir("prewal");
-        let first = SessionHub::with_spill_dir(1, &dir);
-        let id = first
-            .open_spec(spec(13), SessionConfig::paper_defaults(true, 13))
-            .unwrap();
-        first.run(id, 3).unwrap();
-        first.save(id).unwrap();
-        drop(first);
-        fs::remove_dir_all(wal_dir(&dir, id.raw())).unwrap(); // pre-WAL layout
-
-        let second = SessionHub::with_spill_dir(1, &dir);
-        assert_eq!(second.load_all().unwrap(), vec![id]);
-        assert_eq!(second.status(id).unwrap().iteration, 3);
-        let d = second.status(id).unwrap().durability.expect("journalled");
-        assert_eq!(d.checkpoint_iteration, 3);
-        second.run(id, 1).unwrap();
-        assert_eq!(
-            second
-                .status(id)
-                .unwrap()
-                .durability
-                .unwrap()
-                .durable_iteration,
-            4
-        );
+        assert_eq!(bits(second.evaluate(id).unwrap()), solo(seed, 6));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -850,9 +470,7 @@ mod tests {
         let dir = unique_tempdir("recover");
         let seed = 14;
         let hub = SessionHub::with_spill_dir(1, &dir);
-        let id = hub
-            .open_spec(spec(seed), SessionConfig::paper_defaults(true, seed))
-            .unwrap();
+        let id = open(&hub, seed);
         hub.run(id, 6).unwrap();
 
         // Live source: rebuild iteration 3 as a new session, step it to 6,
@@ -880,9 +498,7 @@ mod tests {
     fn corrupt_journals_are_rejected_with_typed_errors() {
         let dir = unique_tempdir("badwal");
         let hub = SessionHub::with_spill_dir(1, &dir);
-        let id = hub
-            .open_spec(spec(15), SessionConfig::paper_defaults(true, 15))
-            .unwrap();
+        let id = open(&hub, 15);
         hub.run(id, 3).unwrap();
         hub.save(id).unwrap();
         hub.run(id, 2).unwrap();
@@ -903,14 +519,15 @@ mod tests {
         );
         fs::write(&manifest, &good).unwrap();
 
-        // A checkpoint with no covering snapshot on disk cannot recover.
-        let snap = spill_file(&dir, id.raw());
+        // A checkpoint with no snapshot on disk cannot recover.
+        let snap = wal_dir(&dir, id.raw()).join("checkpoint.adpsnap");
         let snap_bytes = fs::read(&snap).unwrap();
         fs::remove_file(&snap).unwrap();
         assert!(matches!(
             fresh.load_all(),
-            Err(ServeError::CorruptJournal { .. })
+            Err(ServeError::Wal(adp_wal::WalError::Corrupt { .. }))
         ));
+        assert_eq!(fresh.session_count().unwrap(), 0);
         fs::write(&snap, &snap_bytes).unwrap();
 
         // Intact again: the rejection was the files, not the loader.
@@ -923,18 +540,204 @@ mod tests {
     fn atomic_writes_leave_no_tmp_files() {
         let dir = unique_tempdir("atomic");
         let hub = SessionHub::with_spill_dir(1, &dir);
-        let id = hub
-            .open_spec(spec(5), SessionConfig::paper_defaults(true, 5))
-            .unwrap();
+        let id = open(&hub, 5);
         hub.run(id, 2).unwrap();
         hub.save(id).unwrap();
+        hub.run(id, 1).unwrap();
         hub.save(id).unwrap(); // overwrite path
-        let leftovers: Vec<_> = fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
+        let leftovers: Vec<_> = [dir.clone(), wal_dir(&dir, id.raw())]
+            .iter()
+            .flat_map(|d| fs::read_dir(d).unwrap().filter_map(|e| e.ok()))
             .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
             .collect();
         assert!(leftovers.is_empty(), "tmp files left: {leftovers:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Sorted file names in `dir`.
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn the_spill_directory_holds_only_journals() {
+        let dir = unique_tempdir("onlywal");
+        let hub = SessionHub::with_spill_dir(2, &dir);
+        let mut routed = SessionConfig::paper_defaults(true, 2);
+        routed.oracle = activedp::OracleKind::noisy();
+        let ids = [
+            open(&hub, 0),
+            open(&hub, 1),
+            hub.open_spec(spec(2), routed).unwrap(),
+        ];
+        hub.run(ids[0], 2).unwrap();
+        hub.run(ids[1], 3).unwrap();
+        hub.save(ids[0]).unwrap();
+        // Cold sessions answer status from their journals (at iteration 0,
+        // from the spec) as they did hot; eviction only moves durability.
+        let status = |id| SessionStatus {
+            durability: None,
+            ..hub.status(id).unwrap()
+        };
+        let hot = [status(ids[1]), status(ids[2])];
+        assert!(matches!(hub.evict(ids[1]), Ok(true)));
+        assert!(matches!(hub.evict(ids[2]), Ok(true))); // at iteration 0
+        assert_eq!([status(ids[1]), status(ids[2])], hot);
+        hub.save_all().unwrap();
+        assert_eq!(names(&dir), ["wal-0", "wal-1", "wal-2"]);
+        // The snapshot exists exactly when the checkpoint is past 0.
+        let files = |id: SessionId| names(&wal_dir(&dir, id.raw()));
+        assert_eq!(
+            files(ids[0]),
+            ["checkpoint.adpsnap", "manifest.adpwman", "open.adpwal"]
+        );
+        assert_eq!(files(ids[1]), files(ids[0]));
+        assert_eq!(files(ids[2]), ["manifest.adpwman", "open.adpwal"]);
+        // All three come back where they were.
+        drop(hub);
+        let fresh = SessionHub::with_spill_dir(2, &dir);
+        assert_eq!(fresh.load_all().unwrap(), ids);
+        let at: Vec<usize> = ids
+            .iter()
+            .map(|&id| fresh.status(id).unwrap().iteration)
+            .collect();
+        assert_eq!(at, [2, 3, 0]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_retired_spill_file_fails_the_load_by_name() {
+        let dir = unique_tempdir("retired");
+        let first = SessionHub::with_spill_dir(1, &dir);
+        let id = open(&first, 8);
+        first.run(id, 2).unwrap();
+        drop(first);
+        // A pre-journal spill file next to a healthy journal: never
+        // silently skipped, and nothing is half-loaded.
+        let legacy = dir.join("session-5.adpsnap");
+        fs::write(&legacy, b"ADPHUBS\0").unwrap();
+        let hub = SessionHub::with_spill_dir(1, &dir);
+        let err = hub.load_all().unwrap_err();
+        assert!(
+            matches!(&err, ServeError::RetiredLayout { path } if path == &legacy),
+            "{err}"
+        );
+        assert!(err.to_string().contains("retired"), "{err}");
+        assert_eq!(hub.session_count().unwrap(), 0);
+        fs::remove_file(&legacy).unwrap();
+        assert_eq!(hub.load_all().unwrap(), vec![id]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Copies the files of one flat directory into a fresh `to`.
+    fn copy_dir(from: &Path, to: &Path) {
+        let _ = fs::remove_dir_all(to);
+        fs::create_dir_all(to).unwrap();
+        for entry in fs::read_dir(from).unwrap() {
+            let path = entry.unwrap().path();
+            fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+        }
+    }
+
+    #[test]
+    fn every_crash_point_of_a_checkpoint_loads_the_last_commit() {
+        // One checkpoint, over a log with a sealed segment (1..=32) and an
+        // open one (33..=34), stopped after each of its steps: snapshot
+        // written, manifest rewritten, covered segment deleted, open
+        // segment truncated. Every intermediate directory must load at the
+        // last commit, evaluating bitwise like the uninterrupted run.
+        const STEPS: usize = 34;
+        let seed = 16;
+        let dir = unique_tempdir("crashpoints");
+        let hub = SessionHub::with_spill_dir(1, &dir);
+        let id = open(&hub, seed);
+        hub.run(id, STEPS).unwrap();
+        let wal = wal_dir(&dir, id.raw());
+        let before = unique_tempdir("crashpoints-before");
+        copy_dir(&wal, &before);
+        assert_eq!(
+            names(&before),
+            ["manifest.adpwman", "open.adpwal", "seg-000000000001.adpwal"]
+        );
+        hub.save(id).unwrap();
+        let after = unique_tempdir("crashpoints-after");
+        copy_dir(&wal, &after);
+        assert_eq!(
+            names(&after),
+            ["checkpoint.adpsnap", "manifest.adpwman", "open.adpwal"]
+        );
+        drop(hub);
+
+        let reference = solo(seed, STEPS);
+        let take = |wal: &Path, from: &Path, name: &str| {
+            fs::copy(from.join(name), wal.join(name)).unwrap();
+        };
+        let stages: [&dyn Fn(&Path); 4] = [
+            &|wal| take(wal, &after, "checkpoint.adpsnap"),
+            &|wal| take(wal, &after, "manifest.adpwman"),
+            &|wal| fs::remove_file(wal.join("seg-000000000001.adpwal")).unwrap(),
+            &|wal| take(wal, &after, "open.adpwal"),
+        ];
+        for crash in 0..=stages.len() {
+            let _ = fs::remove_dir_all(&dir);
+            copy_dir(&before, &wal);
+            for stage in &stages[..crash] {
+                stage(&wal);
+            }
+            let fresh = SessionHub::with_spill_dir(1, &dir);
+            assert_eq!(fresh.load_all().unwrap(), vec![id], "crash after {crash}");
+            assert_eq!(fresh.status(id).unwrap().iteration, STEPS);
+            let at = bits(fresh.evaluate(id).unwrap());
+            assert_eq!(at, reference, "crash after {crash} stages");
+        }
+        for d in [&dir, &before, &after] {
+            let _ = fs::remove_dir_all(d);
+        }
+    }
+
+    #[test]
+    fn a_degraded_journal_keeps_its_last_commit_until_the_next_checkpoint() {
+        // A failed append drops the session's journal (emptying its slot,
+        // as the observer does) and the session keeps stepping unjournalled.
+        // Its next eviction (or save) continues the journal on disk: a crash
+        // before that checkpoint's snapshot lands must still recover the
+        // last commit, and once it lands the session reloads at its tip.
+        use crate::hub::lock_clean;
+        use crate::journal::reopen_journal;
+        let seed = 17;
+        let dir = unique_tempdir("degraded");
+        let hub = SessionHub::with_spill_dir(1, &dir);
+        let id = open(&hub, seed);
+        let degrade = || *lock_clean(&hub.shared.journal_slot(id.raw()).unwrap()) = None;
+        let reloads_at = |at: usize| {
+            let fresh = SessionHub::with_spill_dir(1, &dir);
+            assert_eq!(fresh.load_all().unwrap(), vec![id]);
+            assert_eq!(fresh.status(id).unwrap().iteration, at);
+            assert_eq!(bits(fresh.evaluate(id).unwrap()), solo(seed, at));
+        };
+        hub.run(id, 3).unwrap();
+        hub.save(id).unwrap(); // checkpoint 3, then a committed tail to 5
+        hub.run(id, 2).unwrap();
+        degrade();
+        hub.run(id, 2).unwrap();
+        assert_eq!(hub.status(id).unwrap().durability, None);
+
+        // Crash right before the re-checkpoint's snapshot write.
+        let spec = hub.snapshot(id).unwrap().spec;
+        drop(reopen_journal(&wal_dir(&dir, id.raw()), id.raw(), &spec).unwrap());
+        reloads_at(5);
+
+        // The eviction lands: durable again, and a restart comes back at 7.
+        assert!(hub.evict(id).unwrap());
+        reloads_at(7);
+        assert_eq!(bits(hub.evaluate(id).unwrap()), solo(seed, 7));
+        let durability = hub.status(id).unwrap().durability.unwrap();
+        assert_eq!(durability.checkpoint_iteration, 7);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -16,7 +16,7 @@
 //! | `{"cmd":"step_batch","session":0,"k":5}`                        | `{"ok":true,"outcomes":[…]}`               |
 //! | `{"cmd":"run","session":0,"iterations":10}`                     | `{"ok":true}`                              |
 //! | `{"cmd":"evaluate","session":0}`                                | `{"ok":true,"test_accuracy":0.6,…}`        |
-//! | `{"cmd":"snapshot","session":0}`                                | `{"ok":true,"path":"…/session-0.adpsnap"}` |
+//! | `{"cmd":"snapshot","session":0}`                                | `{"ok":true,"path":"…/wal-0"}`             |
 //! | `{"cmd":"save_all"}`                                            | `{"ok":true,"saved":[0,1]}`                |
 //! | `{"cmd":"recover","session":0,"iteration":8}`                   | `{"ok":true,"session":3,"iteration":8}`    |
 //! | `{"cmd":"close","session":0}`                                   | `{"ok":true}`                              |
@@ -57,8 +57,9 @@
 //! **new** session and returns its id; the source session is untouched.
 //!
 //! Sessions created here are opened through [`SessionHub::open_spec`], so
-//! they persist across restarts: `save_all` (or per-session `snapshot`)
-//! spills them, and a freshly started server with the same spill directory
+//! they persist across restarts: every committed step is journalled,
+//! `save_all` (or per-session `snapshot`) checkpoints the journals, and a
+//! freshly started server with the same spill directory
 //! re-serves them **under their original ids** after
 //! [`SessionHub::load_all`] — the kill/reload/resume cycle the integration
 //! test drives.

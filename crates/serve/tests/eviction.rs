@@ -1,4 +1,4 @@
-//! Eviction parity: a session evicted to its spill file and transparently
+//! Eviction parity: a session evicted to its journal and transparently
 //! resumed must be indistinguishable — bit for bit, including its post-run
 //! snapshot bytes — from one that was never evicted.
 //!

@@ -24,7 +24,8 @@ pub enum WalError {
     },
     /// A file decoded but its contents are inconsistent — a failed
     /// checksum, a sealed segment whose events do not match the manifest,
-    /// trailing garbage, a missing manifest.
+    /// trailing garbage, a missing manifest, a checkpoint snapshot that is
+    /// missing or disagrees with the manifest.
     Corrupt {
         /// The offending file.
         path: PathBuf,

@@ -1,4 +1,5 @@
-//! The [`Journal`]: one session's append-only event log on disk.
+//! The [`Journal`]: one session's durable state on disk — its checkpoint
+//! snapshot and the append-only event log past it.
 //!
 //! See the [crate docs](crate) for the directory layout and crash
 //! discipline. A `Journal` is the single writer for its directory; the
@@ -8,7 +9,7 @@
 use crate::error::WalError;
 use crate::manifest::Manifest;
 use crate::segment::{decode_segment, encode_record, segment_header};
-use activedp::{ScenarioSpec, StepEvent};
+use activedp::{ActiveDpError, ScenarioSpec, SessionSnapshot, StepEvent};
 use adp_wire::atomic::atomic_write;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -21,10 +22,11 @@ pub const DEFAULT_SEGMENT_CAP: usize = 32;
 
 const MANIFEST_FILE: &str = "manifest.adpwman";
 const OPEN_FILE: &str = "open.adpwal";
+const CHECKPOINT_FILE: &str = "checkpoint.adpsnap";
 const SEGMENT_EXT: &str = "adpwal";
 
-/// One session's write-ahead log: a manifest, sealed segments, and the
-/// open segment this handle appends to.
+/// One session's write-ahead log: a manifest, the checkpoint snapshot,
+/// sealed segments, and the open segment this handle appends to.
 #[derive(Debug)]
 pub struct Journal {
     dir: PathBuf,
@@ -39,14 +41,24 @@ pub struct Journal {
     /// checkpoint when no events are live).
     last_committed: usize,
     segment_cap: usize,
+    /// Whether the checkpoint's base exists: the spec at checkpoint 0, else
+    /// `checkpoint.adpsnap`. False only for a journal created past 0 whose
+    /// first checkpoint has not landed yet.
+    has_base: bool,
+    /// The checkpoint snapshot [`Journal::open`] decoded to check it, held
+    /// for the first [`Journal::checkpoint_snapshot`] so a load decodes it
+    /// once.
+    opened_base: Option<SessionSnapshot>,
 }
 
 impl Journal {
     /// Creates a fresh journal in `dir` (created if missing; any previous
-    /// journal files there are removed). `checkpoint` is the iteration of
-    /// the snapshot that covers everything before the log — 0 for a
+    /// journal files there, checkpoint snapshot included, are removed).
+    /// `checkpoint` is the iteration the log starts after — 0 for a
     /// brand-new session, whose iteration-0 state the manifest's `spec`
-    /// alone can rebuild.
+    /// alone rebuilds. A journal created at a later iteration has no base
+    /// on disk, so [`Journal::open`] rejects it until
+    /// [`Journal::checkpoint`] has written one.
     pub fn create(
         dir: &Path,
         session: u64,
@@ -58,12 +70,13 @@ impl Journal {
             move |source| WalError::Io { path, source }
         };
         fs::create_dir_all(dir).map_err(io(dir))?;
-        // Clear out any earlier journal so stale segments cannot shadow
-        // the new log.
+        // Clear out any earlier journal so stale segments or a stale
+        // snapshot cannot shadow the new log.
         for entry in fs::read_dir(dir).map_err(io(dir))? {
             let path = entry.map_err(io(dir))?.path();
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name == MANIFEST_FILE || name == OPEN_FILE || is_segment_name(name) {
+            if [MANIFEST_FILE, OPEN_FILE, CHECKPOINT_FILE].contains(&name) || is_segment_name(name)
+            {
                 match fs::remove_file(&path) {
                     // Already gone (e.g. a concurrent cleanup): the goal —
                     // no stale file under that name — is met either way.
@@ -74,6 +87,19 @@ impl Journal {
                 }
             }
         }
+        let open_path = dir.join(OPEN_FILE);
+        let open_bytes = segment_header();
+        let open_file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&open_path)
+            .map_err(io(&open_path))?;
+        (&open_file)
+            .write_all(&open_bytes)
+            .and_then(|()| open_file.sync_all())
+            .map_err(io(&open_path))?;
+        // The manifest goes last: its atomic write also syncs the
+        // directory entry of the open segment created above.
         let manifest = Manifest {
             session,
             spec,
@@ -82,7 +108,6 @@ impl Journal {
         };
         let manifest_path = dir.join(MANIFEST_FILE);
         atomic_write(&manifest_path, &manifest.to_bytes()).map_err(io(&manifest_path))?;
-        let (open_file, open_bytes) = fresh_open_segment(dir)?;
         Ok(Journal {
             dir: dir.to_path_buf(),
             manifest,
@@ -91,15 +116,22 @@ impl Journal {
             open_file,
             last_committed: checkpoint,
             segment_cap: DEFAULT_SEGMENT_CAP,
+            has_base: checkpoint == 0,
+            opened_base: None,
         })
     }
 
     /// Opens (and recovers) an existing journal directory.
     ///
+    /// The checkpoint snapshot is decoded and checked against the
+    /// manifest: it must exist exactly when the checkpoint is past 0,
+    /// describe the manifest's spec, and not lag the checkpoint. A
+    /// snapshot *ahead* of the checkpoint is a checkpoint interrupted
+    /// between its two writes; it is accepted and the checkpoint finished.
     /// Sealed segments are decoded strictly — they were written atomically,
     /// so damage inside one is real corruption. The open segment is
     /// decoded leniently: a torn trailing record and any uncommitted batch
-    /// tail are truncated, and events already covered by the checkpoint or
+    /// tail are truncated, and events already covered by the snapshot or
     /// a sealed segment (the seal-in-progress overlap window) are dropped.
     /// Segment files the manifest does not name are deleted best-effort.
     pub fn open(dir: &Path) -> Result<Journal, WalError> {
@@ -118,6 +150,8 @@ impl Journal {
             }
         })?;
         let manifest = Manifest::from_bytes(&manifest_path, &manifest_bytes)?;
+        let opened_base = read_checkpoint(dir, &manifest)?;
+        let snapshot_at = opened_base.as_ref().map(|s| s.state.iteration);
 
         // Sealed segments: strict, and each must match its manifest entry.
         let mut durable = manifest.checkpoint;
@@ -131,6 +165,8 @@ impl Journal {
             check_range(&path, &decoded.events, first, last)?;
             durable = last;
         }
+        // A snapshot ahead of the log covers it up to its own iteration.
+        let durable = durable.max(snapshot_at.unwrap_or(0));
 
         // The open segment: lenient decode, then recovery trims.
         let open_path = dir.join(OPEN_FILE);
@@ -215,7 +251,7 @@ impl Journal {
             }
         }
 
-        Ok(Journal {
+        let mut journal = Journal {
             dir: dir.to_path_buf(),
             manifest,
             open_events,
@@ -223,7 +259,13 @@ impl Journal {
             open_file,
             last_committed,
             segment_cap: DEFAULT_SEGMENT_CAP,
-        })
+            has_base: true,
+            opened_base,
+        };
+        if let Some(at) = snapshot_at.filter(|&at| at > journal.manifest.checkpoint) {
+            journal.advance_checkpoint(at)?;
+        }
+        Ok(journal)
     }
 
     /// Appends one event. The event must continue the iteration sequence
@@ -261,12 +303,21 @@ impl Journal {
         Ok(())
     }
 
-    /// Records that a snapshot at `iteration` now covers the log's prefix,
-    /// and compacts: sealed segments (and an open segment) entirely at or
-    /// below it are deleted. The manifest is rewritten *before* any file
-    /// is removed, so a crash mid-compaction leaves stale-but-ignored
-    /// files rather than a manifest naming missing ones.
-    pub fn checkpoint(&mut self, iteration: usize) -> Result<(), WalError> {
+    /// Makes `snapshot` the journal's checkpoint: the snapshot is written
+    /// atomically to `checkpoint.adpsnap`, then the manifest records its
+    /// iteration, then the log behind it is compacted — sealed segments
+    /// entirely at or below it are deleted and an open segment it covers is
+    /// truncated back to its header in place. A crash after the snapshot
+    /// write leaves a snapshot ahead of the manifest, which
+    /// [`Journal::open`] accepts; one after the manifest write leaves
+    /// stale-but-ignored segment files, not lost events.
+    ///
+    /// A checkpoint at the current one is a no-op once its base exists: a
+    /// session's state only changes by stepping, which advances its
+    /// iteration, so the snapshot on disk (or, at 0, the spec) already
+    /// holds it.
+    pub fn checkpoint(&mut self, snapshot: &SessionSnapshot) -> Result<(), WalError> {
+        let iteration = snapshot.state.iteration;
         if iteration < self.manifest.checkpoint {
             return Err(WalError::OutOfOrder {
                 path: self.dir.clone(),
@@ -274,32 +325,30 @@ impl Journal {
                 found: iteration,
             });
         }
-        let covered: Vec<(usize, usize)> = self
-            .manifest
-            .sealed
-            .iter()
-            .copied()
-            .filter(|&(_, last)| last <= iteration)
-            .collect();
-        self.manifest.checkpoint = iteration;
-        self.manifest.sealed.retain(|&(_, last)| last > iteration);
-        self.write_manifest()?;
-        for (first, _) in covered {
-            let _ = fs::remove_file(segment_path(&self.dir, first));
+        self.opened_base = None;
+        if iteration == self.manifest.checkpoint && self.has_base {
+            return Ok(());
         }
-        if self
-            .open_events
-            .last()
-            .is_some_and(|e| e.iteration <= iteration)
-        {
-            self.reset_open_segment()?;
+        let path = self.dir.join(CHECKPOINT_FILE);
+        atomic_write(&path, &snapshot.to_bytes())
+            .map_err(|source| WalError::Io { path, source })?;
+        self.has_base = true;
+        self.advance_checkpoint(iteration)
+    }
+
+    /// The snapshot the live events fold onto: `None` at checkpoint 0,
+    /// where the manifest's [`Journal::spec`] rebuilds the iteration-0
+    /// state. The first call after [`Journal::open`] takes the snapshot
+    /// open already decoded; later calls read it back from disk.
+    pub fn checkpoint_snapshot(&mut self) -> Result<Option<SessionSnapshot>, WalError> {
+        match self.opened_base.take() {
+            Some(snapshot) => Ok(Some(snapshot)),
+            None => read_checkpoint(&self.dir, &self.manifest),
         }
-        self.last_committed = self.last_committed.max(iteration);
-        Ok(())
     }
 
     /// Every live event past the checkpoint, in iteration order — what
-    /// `Engine::replay_to` folds onto the covering snapshot. Reads sealed
+    /// `Engine::replay_to` folds onto the checkpoint snapshot. Reads sealed
     /// segments back from disk (strictly); the open segment comes from
     /// memory.
     pub fn events(&self) -> Result<Vec<StepEvent>, WalError> {
@@ -337,7 +386,7 @@ impl Journal {
         &self.manifest.spec
     }
 
-    /// Iteration of the snapshot covering the compacted prefix.
+    /// Iteration of the checkpoint snapshot covering the compacted prefix.
     pub fn checkpoint_iteration(&self) -> usize {
         self.manifest.checkpoint
     }
@@ -387,10 +436,48 @@ impl Journal {
         self.reset_open_segment()
     }
 
+    /// Records a checkpoint at `iteration` whose snapshot is already on
+    /// disk, and compacts the log behind it. The manifest is rewritten
+    /// *before* any file is removed, so a crash mid-compaction leaves
+    /// stale-but-ignored files rather than a manifest naming missing ones.
+    fn advance_checkpoint(&mut self, iteration: usize) -> Result<(), WalError> {
+        let covered: Vec<(usize, usize)> = self
+            .manifest
+            .sealed
+            .iter()
+            .copied()
+            .filter(|&(_, last)| last <= iteration)
+            .collect();
+        self.manifest.checkpoint = iteration;
+        self.manifest.sealed.retain(|&(_, last)| last > iteration);
+        self.write_manifest()?;
+        for (first, _) in covered {
+            let _ = fs::remove_file(segment_path(&self.dir, first));
+        }
+        if self
+            .open_events
+            .last()
+            .is_some_and(|e| e.iteration <= iteration)
+        {
+            self.reset_open_segment()?;
+        }
+        self.last_committed = self.last_committed.max(iteration);
+        Ok(())
+    }
+
+    /// Empties the open segment by truncating it back to its header in
+    /// place. Its records are all covered (by a sealed segment or the
+    /// checkpoint) by now, and the append handle writes at the end of the
+    /// file, so no rename is needed: a crash before the truncation lands
+    /// leaves covered records that recovery drops.
     fn reset_open_segment(&mut self) -> Result<(), WalError> {
-        let (open_file, open_bytes) = fresh_open_segment(&self.dir)?;
-        self.open_file = open_file;
-        self.open_bytes = open_bytes;
+        let header = segment_header().len();
+        let path = self.dir.join(OPEN_FILE);
+        self.open_file
+            .set_len(header as u64)
+            .and_then(|()| self.open_file.sync_all())
+            .map_err(|source| WalError::Io { path, source })?;
+        self.open_bytes.truncate(header);
         self.open_events.clear();
         Ok(())
     }
@@ -402,18 +489,36 @@ impl Journal {
     }
 }
 
-/// Creates a fresh `open.adpwal` holding just the envelope and returns an
-/// append handle plus the byte image.
-fn fresh_open_segment(dir: &Path) -> Result<(File, Vec<u8>), WalError> {
-    let path = dir.join(OPEN_FILE);
-    let bytes = segment_header();
-    let io = |source| WalError::Io {
-        path: path.clone(),
-        source,
+/// Reads and checks `dir`'s checkpoint snapshot against its manifest —
+/// the one place the two are reconciled. The snapshot must exist exactly
+/// when the checkpoint is past 0, carry the manifest's spec, and not lag
+/// the checkpoint (it may lead it; see [`Journal::open`]).
+fn read_checkpoint(dir: &Path, manifest: &Manifest) -> Result<Option<SessionSnapshot>, WalError> {
+    let path = dir.join(CHECKPOINT_FILE);
+    let bytes = match fs::read(&path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound && manifest.checkpoint == 0 => {
+            return Ok(None)
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            return Err(WalError::Corrupt {
+                path: dir.join(MANIFEST_FILE),
+                reason: format!("checkpoint {} has no snapshot on disk", manifest.checkpoint),
+            })
+        }
+        Err(source) => return Err(WalError::Io { path, source }),
+        Ok(bytes) => bytes,
     };
-    atomic_write(&path, &bytes).map_err(io)?;
-    let file = OpenOptions::new().append(true).open(&path).map_err(io)?;
-    Ok((file, bytes))
+    let reason = match SessionSnapshot::from_bytes(&bytes) {
+        Err(ActiveDpError::SnapshotCodec(source)) => return Err(WalError::Codec { path, source }),
+        Err(other) => other.to_string(),
+        Ok(s) if s.spec != manifest.spec => "snapshot's spec disagrees with the manifest's".into(),
+        Ok(s) if s.state.iteration < manifest.checkpoint => format!(
+            "snapshot at iteration {} lags the manifest's checkpoint {}",
+            s.state.iteration, manifest.checkpoint
+        ),
+        Ok(snapshot) => return Ok(Some(snapshot)),
+    };
+    Err(WalError::Corrupt { path, reason })
 }
 
 fn segment_path(dir: &Path, first: usize) -> PathBuf {
@@ -484,6 +589,17 @@ mod tests {
             commit,
             route: None,
         }
+    }
+
+    /// A checkpoint snapshot of the test spec's session, relabelled to
+    /// `iteration` — the journal only reads its spec and iteration.
+    fn snapshot_at(iteration: usize) -> SessionSnapshot {
+        let mut snapshot = activedp::Engine::from_spec(spec())
+            .unwrap()
+            .snapshot()
+            .unwrap();
+        snapshot.state.iteration = iteration;
+        snapshot
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -644,7 +760,7 @@ mod tests {
         j.set_segment_cap(2);
         append_range(&mut j, 1..=7); // sealed: 1..=2, 3..=4, 5..=6; open: 7
         assert_eq!(j.live_segments(), 4);
-        j.checkpoint(4).unwrap();
+        j.checkpoint(&snapshot_at(4)).unwrap();
         assert_eq!(j.checkpoint_iteration(), 4);
         assert_eq!(j.live_segments(), 2);
         assert!(!segment_path(&dir, 1).exists());
@@ -654,8 +770,10 @@ mod tests {
             j.events().unwrap(),
             vec![event(5, true), event(6, true), event(7, true)]
         );
+        assert_eq!(j.checkpoint_snapshot().unwrap(), Some(snapshot_at(4)));
+        assert_eq!(j.checkpoint_snapshot().unwrap(), Some(snapshot_at(4)));
         // Checkpoint at the durable tip drops the open segment too.
-        j.checkpoint(7).unwrap();
+        j.checkpoint(&snapshot_at(7)).unwrap();
         assert_eq!(j.live_segments(), 0);
         assert!(j.events().unwrap().is_empty());
         // Appends continue from the checkpoint; reopen agrees.
@@ -666,7 +784,7 @@ mod tests {
         assert_eq!(j.events().unwrap(), vec![event(8, true)]);
         // Moving the checkpoint backwards is rejected.
         let mut j = j;
-        let err = j.checkpoint(3).unwrap_err();
+        let err = j.checkpoint(&snapshot_at(3)).unwrap_err();
         assert!(matches!(err, WalError::OutOfOrder { expected: 7, .. }));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -732,16 +850,72 @@ mod tests {
         let mut j = Journal::create(&dir, 10, spec(), 0).unwrap();
         j.set_segment_cap(2);
         append_range(&mut j, 1..=5);
+        j.checkpoint(&snapshot_at(4)).unwrap();
         drop(j);
-        let j = Journal::create(&dir, 11, spec(), 3).unwrap();
+        let j = Journal::create(&dir, 11, spec(), 0).unwrap();
         assert_eq!(j.session(), 11);
-        assert_eq!(j.checkpoint_iteration(), 3);
+        assert_eq!(j.checkpoint_iteration(), 0);
         assert_eq!(j.live_segments(), 0);
         assert!(j.events().unwrap().is_empty());
+        // The old checkpoint snapshot went with the old log.
+        assert!(!dir.join(CHECKPOINT_FILE).exists());
+        drop(j);
+        let mut j = Journal::open(&dir).unwrap();
+        assert_eq!(j.session(), 11);
+        assert_eq!(j.durable_iteration(), 0);
+        assert_eq!(j.checkpoint_snapshot().unwrap(), None);
+        drop(j);
+        // A journal created past 0 has no base until a checkpoint writes
+        // one, so it does not open; a checkpoint at its iteration writes it.
+        let mut j = Journal::create(&dir, 12, spec(), 3).unwrap();
+        let err = Journal::open(&dir).unwrap_err();
+        assert!(err.to_string().contains("no snapshot"), "{err}");
+        j.checkpoint(&snapshot_at(3)).unwrap();
+        drop(j);
+        let mut j = Journal::open(&dir).unwrap();
+        assert_eq!(j.checkpoint_iteration(), 3);
+        assert_eq!(j.checkpoint_snapshot().unwrap(), Some(snapshot_at(3)));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_is_two_renames_and_an_in_place_truncate() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tmp_dir("inplace");
+        let mut j = Journal::create(&dir, 13, spec(), 0).unwrap();
+        append_range(&mut j, 1..=3);
+        let inode = |name: &str| fs::metadata(dir.join(name)).unwrap().ino();
+        let (manifest, open) = (inode(MANIFEST_FILE), inode(OPEN_FILE));
+        j.checkpoint(&snapshot_at(3)).unwrap();
+        // An atomic write renames a fresh file over its target, so the
+        // manifest's inode changes; the open segment keeps its inode and
+        // shrinks to its header.
+        assert_ne!(inode(MANIFEST_FILE), manifest);
+        assert_eq!(inode(OPEN_FILE), open);
+        assert_eq!(
+            fs::metadata(dir.join(OPEN_FILE)).unwrap().len() as usize,
+            segment_header().len()
+        );
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, [CHECKPOINT_FILE, MANIFEST_FILE, OPEN_FILE]);
+        // Appends continue at the truncated end; a reopen sees them.
+        append_range(&mut j, 4..=5);
         drop(j);
         let j = Journal::open(&dir).unwrap();
-        assert_eq!(j.session(), 11);
-        assert_eq!(j.durable_iteration(), 3);
+        assert_eq!(j.checkpoint_iteration(), 3);
+        assert_eq!(j.events().unwrap(), vec![event(4, true), event(5, true)]);
+        // Sealing truncates in place as well (recovery rewrote the open
+        // segment, so it has a new inode by now).
+        let open = inode(OPEN_FILE);
+        let mut j = j;
+        j.set_segment_cap(3);
+        append_range(&mut j, 6..=6);
+        assert_eq!(inode(OPEN_FILE), open);
+        assert_eq!(j.live_segments(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

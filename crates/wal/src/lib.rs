@@ -1,13 +1,15 @@
 //! **adp-wal** — a per-session write-ahead log with point-in-time
-//! recovery.
+//! recovery, and the whole of a session's durable state.
 //!
-//! Snapshots (`activedp::SessionSnapshot`) make sessions durable at
-//! whatever moments someone calls `save`; everything since the last save
-//! dies with the process. This crate closes that gap by journalling every
-//! completed iteration as a [`StepEvent`](activedp::StepEvent) — query,
-//! returned LF, both RNG positions — so a crashed session recovers to its
-//! last *committed step*, and any historical commit point can be rebuilt
-//! on demand (`Engine::replay_to`).
+//! Every completed iteration is journalled as a
+//! [`StepEvent`](activedp::StepEvent) — query, returned LF, both RNG
+//! positions — so a crashed session recovers to its last *committed
+//! step*, and any historical commit point can be rebuilt on demand
+//! (`Engine::replay_to`). The log's prefix is periodically folded into a
+//! checkpoint: a plain [`SessionSnapshot`](activedp::SessionSnapshot)
+//! stored in the journal directory itself, so saving, evicting and
+//! checkpointing a session are one operation ([`Journal::checkpoint`])
+//! and loading one is "open the journal, take its base, replay the tail".
 //!
 //! # Layout
 //!
@@ -16,15 +18,20 @@
 //! ```text
 //! wal-<session>/
 //!   manifest.adpwman     # session id, scenario spec, checkpoint, sealed list
+//!   checkpoint.adpsnap   # SessionSnapshot at the checkpoint (absent at 0)
 //!   seg-000000000033.adpwal   # sealed segment: events 33..=64
 //!   open.adpwal          # the append-mode segment being written
 //! ```
 //!
-//! Segments hold length-prefixed, CRC-guarded event records behind the
-//! same versioned `adp-wire` envelope as every other artefact in the
-//! workspace. Sealed segments and the manifest are written with
+//! The base the events fold onto is `checkpoint.adpsnap`, which exists
+//! exactly when the manifest's checkpoint is past 0; at checkpoint 0 the
+//! manifest's scenario spec rebuilds the iteration-0 state. Segments hold
+//! length-prefixed, CRC-guarded event records behind the same versioned
+//! `adp-wire` envelope as every other artefact in the workspace. The
+//! snapshot, sealed segments and the manifest are written with
 //! [`adp_wire::atomic::atomic_write`] (stage + fsync + rename); the open
-//! segment is appended in place and fsynced at every commit point.
+//! segment is appended in place, fsynced at every commit point, and reset
+//! by truncating it back to its header.
 //!
 //! # Crash discipline
 //!
@@ -35,17 +42,20 @@
 //!   trailing record (or an uncommitted batch tail) is truncated on
 //!   [`Journal::open`], never propagated.
 //! * **Sealing** copies the open segment to its sealed name *first*, then
-//!   rewrites the manifest, then resets the open file. Recovery drops
+//!   rewrites the manifest, then truncates the open file. Recovery drops
 //!   open-segment events already covered by a sealed segment, so the
 //!   overlap window is harmless, and sealed files the manifest does not
 //!   name are ignored and cleaned up.
-//! * **Compaction** ([`Journal::checkpoint`]) rewrites the manifest before
-//!   deleting covered segment files — a crash in between leaves stale
+//! * **Checkpoints** ([`Journal::checkpoint`]) write the snapshot, then
+//!   the manifest, then delete covered segment files and truncate a
+//!   covered open segment. A snapshot ahead of the manifest (a crash
+//!   between the two writes) is accepted by [`Journal::open`], which
+//!   finishes the checkpoint; a crash during compaction leaves stale
 //!   files, not lost events.
 //!
-//! Sealed segments were written atomically, so any damage inside one is
-//! real corruption and surfaces as a typed [`WalError`] instead of a
-//! silent truncation.
+//! Sealed segments and the snapshot were written atomically, so any
+//! damage inside one is real corruption and surfaces as a typed
+//! [`WalError`] instead of a silent truncation.
 
 pub mod error;
 pub mod journal;

@@ -1,7 +1,7 @@
 //! One copy of the durable atomic-write discipline.
 //!
-//! Every on-disk artefact in the workspace — hub spill files, WAL
-//! segments, WAL manifests — must survive a crash mid-write: a reader
+//! Every on-disk artefact in the workspace — WAL checkpoint snapshots,
+//! segments and manifests — must survive a crash mid-write: a reader
 //! finds either the previous complete file or the new complete file,
 //! never a torn one. The recipe is the classic tmp-file dance:
 //!

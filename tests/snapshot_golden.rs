@@ -11,34 +11,18 @@
 //! either must come with a deliberate `SNAPSHOT_VERSION` bump plus a
 //! regenerated fixture — never as an accident.
 //!
-//! `tests/fixtures/snapshot_v3.bin` (before the spec carried an oracle or
-//! drift and the snapshot a router ledger) and
-//! `tests/fixtures/snapshot_v2.bin` (before the candidate strategy
-//! either) pin the back-compat decode paths: old spill files must keep
-//! resuming, with each missing field at the default every old session
-//! effectively ran. They are never regenerated — old bytes don't change.
-//! (v1, the pre-scenario format without embedded dataset provenance,
-//! stays retired.)
+//! Older formats (v1–v3) are not decoded: snapshots are operational
+//! checkpoints, not archives, so their stamps are rejected with a typed
+//! error (see MIGRATION.md).
 //!
 //! Regenerate the current fixture after an intentional bump with:
 //! `ADP_REGEN_FIXTURES=1 cargo test --test snapshot_golden`.
 
-use activedp_repro::core::{
-    CandidateStrategy, Engine, OracleKind, ScenarioSpec, SessionConfig, SessionSnapshot,
-    SNAPSHOT_VERSION,
-};
-use activedp_repro::data::{generate, DatasetId, DatasetSpec, DriftSpec, Scale};
+use activedp_repro::core::{Engine, OracleKind, ScenarioSpec, SessionSnapshot, SNAPSHOT_VERSION};
+use activedp_repro::data::{DatasetId, DatasetSpec, DriftSpec, Scale};
 use std::path::PathBuf;
 
 const FIXTURE: &str = "tests/fixtures/snapshot_v4.bin";
-
-/// The previous-format encoding of the *plain* session, committed when
-/// `SNAPSHOT_VERSION` was 3. Never regenerated — old bytes don't change.
-const FIXTURE_V3: &str = "tests/fixtures/snapshot_v3.bin";
-
-/// The format before that (no candidate strategy), committed when
-/// `SNAPSHOT_VERSION` was 2.
-const FIXTURE_V2: &str = "tests/fixtures/snapshot_v2.bin";
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(FIXTURE)
@@ -58,18 +42,6 @@ fn routed_fixture_snapshot() -> SessionSnapshot {
     spec.drift = DriftSpec::LabelShift { at: 4, prior: 0.8 };
     spec.budget = 12;
     let mut engine = Engine::from_spec(spec).expect("engine builds");
-    engine.run(6).expect("fixture trajectory");
-    engine.snapshot().expect("snapshot captures")
-}
-
-/// The plain session the v2/v3 fixtures froze: simulated oracle, no
-/// drift — what every pre-v4 session ran.
-fn fixture_snapshot() -> SessionSnapshot {
-    let data = generate(DatasetId::Youtube, Scale::Tiny, 7).expect("dataset generates");
-    let mut engine = Engine::builder(data)
-        .config(SessionConfig::paper_defaults(true, 7))
-        .build()
-        .expect("engine builds");
     engine.run(6).expect("fixture trajectory");
     engine.snapshot().expect("snapshot captures")
 }
@@ -126,60 +98,6 @@ fn committed_fixture_still_decodes_and_resumes() {
 }
 
 #[test]
-fn v3_format_spill_files_still_resume() {
-    // The committed v3 bytes (written before the oracle, drift and router
-    // fields) must decode with the simulated-oracle defaults — what every
-    // v3 session ran — and resume onto the *identical* trajectory:
-    // stepping the resumed session must reproduce today's same-seed run
-    // bit for bit.
-    let old = std::fs::read(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(FIXTURE_V3))
-        .expect("committed v3 fixture exists");
-    let snapshot = SessionSnapshot::from_bytes(&old).expect("v3 decodes");
-    assert_eq!(snapshot.state.iteration, 6);
-    assert_eq!(snapshot.spec.session.oracle, OracleKind::Simulated);
-    assert_eq!(snapshot.spec.drift, DriftSpec::None);
-    assert!(snapshot.routed.is_none());
-    let mut resumed = Engine::resume(snapshot).unwrap();
-    resumed.step().unwrap();
-    let fresh = {
-        let snapshot = fixture_snapshot();
-        let mut engine = Engine::resume(snapshot).unwrap();
-        engine.step().unwrap();
-        engine
-    };
-    assert_eq!(
-        resumed.snapshot().unwrap().to_bytes(),
-        fresh.snapshot().unwrap().to_bytes(),
-        "a v3 spill file must resume onto today's exact trajectory"
-    );
-}
-
-#[test]
-fn v2_format_spill_files_still_resume() {
-    // Two formats back: no candidate strategy either.
-    let old = std::fs::read(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(FIXTURE_V2))
-        .expect("committed v2 fixture exists");
-    let snapshot = SessionSnapshot::from_bytes(&old).expect("v2 decodes");
-    assert_eq!(snapshot.state.iteration, 6);
-    assert_eq!(snapshot.config().candidates, CandidateStrategy::Exact);
-    assert_eq!(snapshot.spec.session.oracle, OracleKind::Simulated);
-    assert!(snapshot.routed.is_none());
-    let mut resumed = Engine::resume(snapshot).unwrap();
-    resumed.step().unwrap();
-    let fresh = {
-        let snapshot = fixture_snapshot();
-        let mut engine = Engine::resume(snapshot).unwrap();
-        engine.step().unwrap();
-        engine
-    };
-    assert_eq!(
-        resumed.snapshot().unwrap().to_bytes(),
-        fresh.snapshot().unwrap().to_bytes(),
-        "a v2 spill file must resume onto today's exact trajectory"
-    );
-}
-
-#[test]
 fn unknown_versions_are_rejected_with_a_typed_error_not_a_panic() {
     let mut future = routed_fixture_snapshot().to_bytes();
     let next = SNAPSHOT_VERSION + 1;
@@ -194,8 +112,20 @@ fn unknown_versions_are_rejected_with_a_typed_error_not_a_panic() {
         }
         other => panic!("expected UnknownVersion, got {other:?}"),
     }
-    // The retired pre-scenario v1 is also still rejected.
-    let mut ancient = routed_fixture_snapshot().to_bytes();
-    ancient[8..12].copy_from_slice(&1u32.to_le_bytes());
-    assert!(SessionSnapshot::from_bytes(&ancient).is_err());
+    // The retired formats are rejected the same way: the pre-scenario v1,
+    // and v2/v3, whose specs predate the candidate strategy and the
+    // oracle, drift and router fields.
+    for old in [1u32, 2, 3] {
+        let mut ancient = routed_fixture_snapshot().to_bytes();
+        ancient[8..12].copy_from_slice(&old.to_le_bytes());
+        assert!(
+            matches!(
+                SessionSnapshot::from_bytes(&ancient),
+                Err(activedp_repro::core::ActiveDpError::SnapshotCodec(
+                    activedp_repro::wire::WireError::UnknownVersion { found, .. }
+                )) if found == old
+            ),
+            "v{old} must be rejected by stamp"
+        );
+    }
 }
