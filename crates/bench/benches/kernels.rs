@@ -216,12 +216,14 @@ fn bench_glasso_sweep_parallel(c: &mut Criterion) {
     }
 }
 
-/// Encode+decode of a mid-run session snapshot — the hot path of hub
-/// `save_all`/`load_all` and of shipping sessions over the wire. Sized at
-/// ~2k and ~12k train instances (IMDB at custom scale factors) so the
-/// dominant costs (probability tables, vote matrices) are realistic.
+/// Encode → decode → resume of a mid-run session snapshot — the cost of
+/// an evict/resume cycle in the hub and of shipping sessions over the
+/// wire. A snapshot holds no pool-sized field, so the resume (the LFs
+/// applied to the split and two predicts from the stored parameters) is
+/// what grows with the pool; sized at ~2k and ~12k train instances (IMDB
+/// at custom scale factors).
 fn bench_snapshot_roundtrip(c: &mut Criterion) {
-    use activedp::{Engine, SessionConfig, SessionSnapshot};
+    use activedp::{Engine, EngineBuilder, SessionConfig, SessionSnapshot};
     use adp_data::Scale;
 
     for (name, factor) in [
@@ -229,9 +231,10 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
         ("snapshot_roundtrip_12k", 0.6),
     ] {
         let data = adp_data::generate(DatasetId::Imdb, Scale::Custom(factor), 99)
-            .expect("bench dataset generates");
+            .expect("bench dataset generates")
+            .into_shared();
         let n_train = data.train.len();
-        let mut engine = Engine::builder(data)
+        let mut engine = Engine::builder(data.clone())
             .config(SessionConfig::paper_defaults(true, 99))
             .build()
             .expect("engine builds");
@@ -242,7 +245,12 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
         c.bench_function(name, |b| {
             b.iter(|| {
                 let bytes = black_box(&snapshot).to_bytes();
-                black_box(SessionSnapshot::from_bytes(&bytes).expect("roundtrips"))
+                let decoded = SessionSnapshot::from_bytes(&bytes).expect("roundtrips");
+                black_box(
+                    EngineBuilder::new(data.clone())
+                        .resume(decoded)
+                        .expect("resumes"),
+                )
             })
         });
     }

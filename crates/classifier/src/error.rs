@@ -33,6 +33,12 @@ pub enum ClassifierError {
         /// Reason.
         reason: String,
     },
+    /// Loaded parameters are not what a fit can produce (wrong shape, or a
+    /// value that is not finite or is large enough to overflow a logit).
+    BadParams {
+        /// Reason.
+        reason: String,
+    },
 }
 
 impl fmt::Display for ClassifierError {
@@ -49,6 +55,7 @@ impl fmt::Display for ClassifierError {
                 write!(f, "row {row} out of range ({nrows} rows)")
             }
             ClassifierError::BadConfig { reason } => write!(f, "bad config: {reason}"),
+            ClassifierError::BadParams { reason } => write!(f, "bad parameters: {reason}"),
         }
     }
 }

@@ -14,6 +14,9 @@ const GRAD_CHUNK: usize = 1024;
 const MIN_PARALLEL_ROWS: usize = 2048;
 /// Minimum prediction count before threads pay for themselves.
 const MIN_PARALLEL_PREDICT: usize = 4096;
+/// Largest parameter magnitude [`LogisticRegression::load_params`] accepts:
+/// far beyond any fit, it keeps logits finite, which softmax needs.
+const MAX_PARAM: f64 = 1e100;
 
 /// Training targets: hard class labels or soft distributions, one entry per
 /// training row (parallel to the `rows` argument of
@@ -107,6 +110,39 @@ impl LogisticRegression {
     /// Borrow the weight matrix (classes × features).
     pub fn weights(&self) -> &Matrix {
         &self.weights
+    }
+
+    /// Borrow the per-class intercepts.
+    pub fn bias(&self) -> &[f64] {
+        &self.bias
+    }
+
+    /// Replaces the weights (row-major classes × features, as
+    /// [`LogisticRegression::weights`] lays them out) and the intercepts,
+    /// after checking shapes and that every value is finite and at most
+    /// 1e100 in magnitude ([`ClassifierError::BadParams`] otherwise).
+    pub fn load_params(&mut self, weights: &[f64], bias: &[f64]) -> Result<(), ClassifierError> {
+        let bad = |reason: String| ClassifierError::BadParams { reason };
+        if let Some(v) = weights
+            .iter()
+            .chain(bias)
+            .find(|v| !v.is_finite() || v.abs() > MAX_PARAM)
+        {
+            return Err(bad(format!(
+                "parameter {v} is not finite or beyond ±{MAX_PARAM:e}"
+            )));
+        }
+        if bias.len() != self.n_classes {
+            return Err(bad(format!(
+                "{} intercepts for {} classes",
+                bias.len(),
+                self.n_classes
+            )));
+        }
+        self.weights = Matrix::from_vec(self.n_classes, self.n_features, weights.to_vec())
+            .map_err(|e| bad(e.to_string()))?;
+        self.bias = bias.to_vec();
+        Ok(())
     }
 
     /// Resets to the untrained state.
@@ -554,6 +590,39 @@ mod tests {
             m.weights().frob_norm()
         };
         assert!(fit_norm(1.0) < fit_norm(1e-4));
+    }
+
+    #[test]
+    fn loaded_params_predict_bitwise_and_tampering_is_rejected() {
+        let (x, y) = blobs(60);
+        let mut fitted = LogisticRegression::new(2, 2, LogRegConfig::default());
+        fitted
+            .fit(&x, &all_rows(60), Targets::Hard(&y), None)
+            .unwrap();
+        let (w, b) = (fitted.weights().as_slice().to_vec(), fitted.bias().to_vec());
+        let mut loaded = LogisticRegression::new(2, 2, LogRegConfig::default());
+        loaded.load_params(&w, &b).unwrap();
+        let bits = |m: &LogisticRegression| -> Vec<u64> {
+            m.predict_proba_all(&x)
+                .iter()
+                .flatten()
+                .map(|p| p.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&loaded), bits(&fitted));
+        let mut fresh = LogisticRegression::new(2, 2, LogRegConfig::default());
+        assert!(fresh.load_params(&w[1..], &b).is_err());
+        assert!(fresh.load_params(&w, &b[1..]).is_err());
+        for bad in [f64::NAN, f64::INFINITY, -1e200] {
+            let mut tampered = w.clone();
+            tampered[1] = bad;
+            assert!(matches!(
+                fresh.load_params(&tampered, &b),
+                Err(ClassifierError::BadParams { .. })
+            ));
+            assert!(fresh.load_params(&w, &[0.0, bad]).is_err());
+        }
+        assert!(fresh.weights().as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]

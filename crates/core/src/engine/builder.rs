@@ -16,6 +16,7 @@ use crate::error::ActiveDpError;
 use crate::scenario::{BudgetSchedule, ScenarioSpec, DEFAULT_BUDGET};
 use adp_data::{DriftSpec, SharedDataset};
 use adp_labelmodel::LabelModelKind;
+use adp_lf::LabelFunction;
 use adp_oracle::{Oracle, OracleKind};
 
 /// Builder for [`Engine`]: `Engine::builder(data).seed(7).build()?`.
@@ -235,27 +236,36 @@ impl EngineBuilder {
 
     /// Assembles an engine that resumes `snapshot` exactly where it was
     /// taken: the snapshot's embedded [`ScenarioSpec`] replaces any edits
-    /// made on this builder, the loop state — LabelPick's selection and
-    /// both probability caches included — is validated and restored
-    /// verbatim, and both RNG streams are repositioned. No model is fitted
-    /// here: sampling and querying read only the restored state, the next
-    /// refit fits the models as it would have anyway, and inference before
-    /// that refit fits them to the restored selection (every fit resets
-    /// its parameters and runs under the fixed-chunk contract, so those
-    /// weights equal the snapshot-time ones bit for bit). Running the
-    /// resumed engine to the end reproduces the uninterrupted trajectory
-    /// exactly — queries, LF picks and evaluation metrics included.
+    /// made on this builder, the persisted state is validated and
+    /// restored, and both RNG streams are repositioned. The rest is derived
+    /// with the code a refit runs — the vote matrices from the LFs, the
+    /// probability caches from the stored model parameters — with no
+    /// LabelPick and no fit, so the resumed engine equals the
+    /// snapshot-time one and runs on to the uninterrupted trajectory
+    /// exactly.
     ///
     /// The dataset must be the one the snapshot was taken over (typically
     /// regenerated from the spec — [`Engine::resume`] does exactly that);
-    /// a split whose provenance disagrees with the snapshot's spec, or
-    /// whose state shape differs, is rejected. A custom oracle passed via
+    /// a split whose provenance disagrees with the snapshot's spec, a
+    /// state that does not fit it and parameters no fit could produce are
+    /// typed errors. A custom oracle passed via
     /// [`EngineBuilder::oracle`] must implement [`Oracle::load_state`],
     /// otherwise resuming fails with
     /// [`ActiveDpError::SnapshotUnsupported`].
     ///
     /// [`Oracle::load_state`]: crate::Oracle::load_state
-    pub fn resume(mut self, snapshot: crate::SessionSnapshot) -> Result<Engine, ActiveDpError> {
+    pub fn resume(self, snapshot: crate::SessionSnapshot) -> Result<Engine, ActiveDpError> {
+        self.restore(snapshot, false)
+    }
+
+    /// [`EngineBuilder::resume`]; with `refit` set, one RNG-free refit
+    /// replaces the stored parameters, as a WAL replay that folded an LF
+    /// needs (see [`Engine::replay_to_over`]).
+    pub(crate) fn restore(
+        mut self,
+        snapshot: crate::SessionSnapshot,
+        refit: bool,
+    ) -> Result<Engine, ActiveDpError> {
         let crate::SessionSnapshot {
             spec,
             state,
@@ -290,7 +300,6 @@ impl EngineBuilder {
         // the snapshot's own provenance so the session stays describable.
         engine.dataset_spec = Some(dataset);
         state.validate_for(&engine.data)?;
-        engine.state = state;
         engine.sampling.restore_rng_state(sampler_rng);
         if !engine.querying.restore_oracle(&oracle) {
             return Err(ActiveDpError::SnapshotUnsupported {
@@ -304,13 +313,35 @@ impl EngineBuilder {
                 });
             }
         }
-        // Re-derive the drift swap: a snapshot taken past the boundary
-        // carries state computed against the mutated pool, so the next
-        // refit must run against it too. (A snapshot exactly at the
-        // boundary stays on the base pool — the uninterrupted run's
-        // boundary refit did as well.)
-        engine.sync_drift()?;
-        engine.training.stale = true;
+        let s = &mut engine.state;
+        for &row in &state.queried {
+            s.queried[row] = true;
+        }
+        s.seen_keys = state.lfs.iter().map(LabelFunction::key).collect();
+        s.lfs = state.lfs;
+        s.query_indices = state.query_indices;
+        s.pseudo_labels = state.pseudo_labels;
+        s.selected = state.selected;
+        s.iteration = state.iteration;
+        // The caches are the last refit's predictions: derive them on the
+        // pool that refit saw, then catch the pool up with the iteration.
+        if engine
+            .drift
+            .boundary()
+            .is_some_and(|at| state.fitted_at > at)
+        {
+            engine.swap_pool();
+        }
+        engine.state.rebuild_matrices(&engine.data);
+        if refit {
+            engine.training.refit(&engine.data, &mut engine.state)?;
+        } else {
+            engine
+                .training
+                .restore(&engine.data, &mut engine.state, &state.params)?;
+        }
+        engine.training.fitted_at = state.fitted_at;
+        engine.sync_drift();
         Ok(engine)
     }
 }
@@ -423,8 +454,9 @@ mod tests {
 
     #[test]
     fn resume_rejects_internally_inconsistent_snapshots() {
-        // Parseable-but-corrupt states (what a tampered spill file can
-        // produce) must be rejected with typed errors, not panic later.
+        // Parseable-but-corrupt states (what a tampered checkpoint can
+        // produce) must be rejected with typed errors, not panic while the
+        // matrices are derived or on the first step.
         let pristine = Engine::builder(tiny())
             .seed(5)
             .build()
@@ -437,14 +469,9 @@ mod tests {
             let err = Engine::builder(tiny()).resume(snap);
             assert!(matches!(err, Err(ActiveDpError::BadConfig { .. })));
         };
-        // Empty-but-Some probability cache: would index out of bounds in
-        // the sampler on the first step (resume does not refit, so
-        // nothing rebuilds it).
-        reject(&|s| s.state.al_probs_train = Some(vec![]));
-        // Wrong row width.
-        reject(&|s| {
-            s.state.lm_probs_train = Some(vec![vec![1.0]; s.state.queried.len()]);
-        });
+        // Queried rows outside the pool, or not strictly ascending.
+        reject(&|s| s.state.queried = vec![usize::MAX]);
+        reject(&|s| s.state.queried = vec![3, 3]);
         // Out-of-pool query index / out-of-range pseudo label / selection.
         reject(&|s| {
             s.state.query_indices = vec![usize::MAX];
@@ -457,44 +484,71 @@ mod tests {
         reject(&|s| s.state.selected = vec![7]);
         // Misaligned query/pseudo-label lists.
         reject(&|s| s.state.pseudo_labels = vec![0]);
-        // Vote matrices whose LF column count disagrees with the LF list.
+        // LFs the split cannot evaluate: a stump over text features, a
+        // keyword voting for a class that does not exist.
         reject(&|s| {
-            s.state.train_matrix = adp_lf::LabelMatrix::from_raw(
-                s.state.queried.len(),
-                1,
-                vec![adp_lf::ABSTAIN; s.state.queried.len()],
-            )
-            .unwrap();
+            s.state.lfs.push(LabelFunction::Stump {
+                feature: 0,
+                threshold: 0.5,
+                op: adp_lf::StumpOp::Ge,
+                label: 1,
+            })
         });
+        reject(&|s| {
+            s.state.lfs.push(LabelFunction::Keyword {
+                token: 1,
+                label: 200,
+            })
+        });
+        // A refit after the snapshot's own iteration.
+        reject(&|s| s.state.fitted_at = 1);
     }
 
     #[test]
-    fn resume_rejects_non_probability_caches() {
-        // Resume hands the caches to the samplers without refitting, so a
-        // NaN or out-of-range entry must be a typed error here, not a
-        // panic in the sampler's sort on the next step.
+    fn resume_rejects_parameters_no_fit_produces() {
+        // Resume predicts the caches from the stored parameters and hands
+        // them to the samplers without refitting, so a value no fit could
+        // produce must be a typed error here, not a NaN in the sampler's
+        // sort on the next step.
         let mut engine = Engine::builder(tiny()).seed(5).build().unwrap();
         engine.run(4).unwrap();
         let pristine = engine.snapshot().unwrap();
-        assert!(pristine.state.al_probs_train.is_some());
-        assert!(pristine.state.lm_probs_train.is_some());
-        for bad in [f64::NAN, f64::INFINITY, -0.1, 1.5] {
-            for lm in [false, true] {
-                let mut snap = pristine.clone();
-                let cache = if lm {
-                    &mut snap.state.lm_probs_train
-                } else {
-                    &mut snap.state.al_probs_train
-                };
-                cache.as_mut().unwrap()[3][0] = bad;
-                let err = Engine::builder(tiny()).resume(snap);
-                assert!(
-                    matches!(err, Err(ActiveDpError::BadConfig { .. })),
-                    "{bad} in the {} cache was accepted",
-                    if lm { "lm" } else { "al" }
-                );
-            }
+        let params = &pristine.state.params;
+        assert!(params.label_model.len() > 2 && !params.al_weights.is_empty());
+        let resume = |mutate: &dyn Fn(&mut crate::FittedParams)| {
+            let mut snap = pristine.clone();
+            mutate(&mut snap.state.params);
+            Engine::builder(tiny()).resume(snap)
+        };
+        for bad in [f64::NAN, f64::INFINITY, 0.01, 1.5] {
+            // The triplet model's last accuracy, outside its clamp.
+            let err = resume(&|p| *p.label_model.last_mut().unwrap() = bad);
+            assert!(
+                matches!(err, Err(ActiveDpError::LabelModel(_))),
+                "accuracy {bad} was accepted"
+            );
         }
+        for bad in [f64::NAN, f64::INFINITY, -1e300] {
+            let err = resume(&|p| p.al_weights[3] = bad);
+            assert!(
+                matches!(err, Err(ActiveDpError::Classifier(_))),
+                "weight {bad} was accepted"
+            );
+        }
+        // Shapes: one accuracy short of the selection, one weight short.
+        assert!(matches!(
+            resume(&|p| {
+                p.label_model.pop();
+            }),
+            Err(ActiveDpError::LabelModel(_))
+        ));
+        assert!(matches!(
+            resume(&|p| {
+                p.al_weights.pop();
+            }),
+            Err(ActiveDpError::Classifier(_))
+        ));
+        assert!(resume(&|_| {}).is_ok());
     }
 
     /// Every bit of an evaluation report.
@@ -531,7 +585,9 @@ mod tests {
     ) -> usize {
         let mut engine = build().build().unwrap();
         let (mut snaps, mut reports, mut collected) = (vec![], vec![], vec![]);
+        let mut states = vec![];
         for _ in 0..steps {
+            states.push(engine.state().clone());
             snaps.push(engine.snapshot().unwrap());
             reports.push(report_bits(&engine.evaluate_downstream().unwrap()));
             collected.push(engine.step().unwrap().lf.is_some());
@@ -543,7 +599,10 @@ mod tests {
             no_lf_splits += 1;
             let mut resumed = build().resume(snaps[k].clone()).unwrap();
             assert!(resumed.step().unwrap().lf.is_none(), "split {k}");
-            assert!(resumed.training.stale, "split {k}: a refit ran");
+            assert_eq!(
+                resumed.training.fitted_at, snaps[k].state.fitted_at,
+                "split {k}: a refit ran"
+            );
             let report = report_bits(&resumed.evaluate_downstream().unwrap());
             assert_eq!(report, reports[k + 1], "(c) split {k}");
         }
@@ -554,7 +613,7 @@ mod tests {
                 "split {k} precedes the first LF"
             );
             let mut resumed = build().resume(snap.clone()).unwrap();
-            assert_eq!(resumed.state(), &snap.state, "split {k}");
+            assert_eq!(resumed.state(), &states[k], "split {k}");
             for _ in 0..2 {
                 let report = report_bits(&resumed.evaluate_downstream().unwrap());
                 assert_eq!(report, reports[k], "(a) split {k}");
@@ -566,12 +625,12 @@ mod tests {
             assert_eq!(resumed.state.selected, snap.state.selected, "(b) split {k}");
             assert_eq!(
                 cache_bits(&resumed.state.lm_probs_train),
-                cache_bits(&snap.state.lm_probs_train),
+                cache_bits(&states[k].lm_probs_train),
                 "(b) split {k}"
             );
             assert_eq!(
                 cache_bits(&resumed.state.al_probs_train),
-                cache_bits(&snap.state.al_probs_train),
+                cache_bits(&states[k].al_probs_train),
                 "(b) split {k}"
             );
             // And the resumed engine finishes the run exactly.
@@ -632,7 +691,7 @@ mod tests {
         engine.run(9).unwrap();
         let snap = engine.snapshot().unwrap();
         let mut resumed = build().resume(snap.clone()).unwrap();
-        assert_eq!(resumed.state(), &snap.state);
+        assert_eq!(resumed.state(), engine.state());
         assert_eq!(
             report_bits(&resumed.evaluate_downstream().unwrap()),
             report_bits(&engine.evaluate_downstream().unwrap())
@@ -664,6 +723,38 @@ mod tests {
     }
 
     #[test]
+    fn resume_past_a_covariate_boundary_predicts_on_the_pool_the_last_refit_saw() {
+        // Steps 4 and 5 of this session collect no LF: at iteration 5 the
+        // pool is rotated, but the caches are still the predictions the
+        // refit at 3 made on the unrotated pool. Resume must derive them
+        // there, or the next step samples from different caches.
+        let data = generate(DatasetId::Census, Scale::Tiny, 7)
+            .unwrap()
+            .into_shared();
+        let build = || {
+            Engine::builder(data.clone())
+                .seed(31)
+                .drift(DriftSpec::CovariateDrift {
+                    at: 3,
+                    rotation: 0.4,
+                })
+        };
+        let mut engine = build().build().unwrap();
+        engine.run(5).unwrap();
+        let snap = engine.snapshot().unwrap();
+        assert_eq!((snap.state.iteration, snap.state.fitted_at), (5, 3));
+        let mut resumed = build().resume(snap).unwrap();
+        assert_eq!(resumed.state(), engine.state());
+        assert_eq!(
+            report_bits(&resumed.evaluate_downstream().unwrap()),
+            report_bits(&engine.evaluate_downstream().unwrap())
+        );
+        engine.run(5).unwrap();
+        resumed.run(5).unwrap();
+        assert_eq!(resumed.snapshot().unwrap(), engine.snapshot().unwrap());
+    }
+
+    #[test]
     fn resume_rejects_mismatched_datasets() {
         let snap = Engine::builder(tiny())
             .seed(5)
@@ -692,7 +783,7 @@ mod tests {
 
     #[test]
     fn resumed_sessions_push_lfs_onto_a_moment_ledger() {
-        // A resume decodes the vote matrices without a ledger; the first
+        // A resume derives the vote matrices without a ledger; the first
         // LF pushed after it scans once, so later triplet fits read the
         // selected sub-block of a ledger instead of rescanning votes.
         let data = generate(DatasetId::Census, Scale::Tiny, 7)

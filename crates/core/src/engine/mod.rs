@@ -33,14 +33,14 @@ pub use inference::EvalReport;
 pub use querying::QueryingStage;
 pub use sampling::SamplingStage;
 pub use state::SessionState;
-pub use training::TrainingStage;
+pub use training::{FittedParams, TrainingStage};
 
 use crate::config::SessionConfig;
 use crate::error::ActiveDpError;
 use crate::event::StepEvent;
 use crate::scenario::{BudgetSchedule, ScenarioSpec};
 use adp_data::{DatasetSpec, DriftSpec, SharedDataset, SplitDataset};
-use adp_lf::{LabelFunction, LabelMatrix};
+use adp_lf::LabelFunction;
 use adp_oracle::{RouteChoice, RoutedStep};
 
 /// What one training iteration did.
@@ -328,14 +328,11 @@ impl Engine {
         data: SharedDataset,
     ) -> Result<Engine, ActiveDpError> {
         let synth = crate::replay::replay_snapshot(checkpoint, &data, events, k)?;
-        let mut engine = EngineBuilder::new(data).resume(synth)?;
-        // The fold leaves the selection and probability caches at the
-        // checkpoint's values; one RNG-free refit rebuilds them exactly as
-        // the original run's refit at `k` did.
-        if !engine.state.lfs.is_empty() {
-            engine.training.refit(&engine.data, &mut engine.state)?;
-        }
-        Ok(engine)
+        // The fold carries the checkpoint's parameters forward. They are
+        // still the live ones unless an LF was folded in; then one RNG-free
+        // refit redoes the original run's last refit instead.
+        let refit = synth.state.lfs.len() > checkpoint.state.lfs.len();
+        EngineBuilder::new(data).restore(synth, refit)
     }
 
     /// The dataset split the engine runs over.
@@ -436,7 +433,7 @@ impl Engine {
         let mut events: Vec<StepEvent> = Vec::new();
         let mut collected_lf = false;
         for _ in 0..k {
-            self.maybe_apply_drift()?;
+            self.maybe_apply_drift();
             self.state.iteration += 1;
             let visible = self.visible_len();
             let query =
@@ -568,9 +565,10 @@ impl Engine {
     }
 
     /// Captures everything needed to resume this session later — the full
-    /// [`ScenarioSpec`] (dataset provenance included), loop state and both
-    /// RNG stream positions — as plain data (see
-    /// [`SessionSnapshot`](crate::SessionSnapshot)).
+    /// [`ScenarioSpec`] (dataset provenance included), the loop state that
+    /// cannot be derived, the fitted model parameters and the RNG stream
+    /// positions — as plain data whose size does not grow with the pool
+    /// (see [`SessionSnapshot`](crate::SessionSnapshot)).
     ///
     /// Resuming via [`Engine::resume`] (or [`EngineBuilder::resume`] over
     /// a dataset already in hand) and running the remaining iterations is
@@ -593,9 +591,21 @@ impl Engine {
                 .ok_or_else(|| ActiveDpError::SnapshotUnsupported {
                     reason: "the session's oracle does not expose snapshot state".into(),
                 })?;
+        let state = &self.state;
         Ok(crate::SessionSnapshot {
             spec,
-            state: self.state.clone(),
+            state: crate::PersistedState {
+                lfs: state.lfs.clone(),
+                queried: (0..state.queried.len())
+                    .filter(|&row| state.queried[row])
+                    .collect(),
+                query_indices: state.query_indices.clone(),
+                pseudo_labels: state.pseudo_labels.clone(),
+                selected: state.selected.clone(),
+                iteration: state.iteration,
+                fitted_at: self.training.fitted_at,
+                params: self.training.params(state),
+            },
             sampler_rng: self.sampling.rng_state(),
             oracle,
             routed: self.querying.routed_state(),
@@ -665,33 +675,44 @@ impl Engine {
     /// that closed iteration `at`'s batch still ran against the base pool,
     /// which is what makes a snapshot taken exactly at the boundary
     /// resume bitwise (see [`Engine::sync_drift`]).
-    fn maybe_apply_drift(&mut self) -> Result<(), ActiveDpError> {
-        if self.drift_applied {
-            return Ok(());
+    fn maybe_apply_drift(&mut self) {
+        if !self.drift_applied
+            && self
+                .drift
+                .boundary()
+                .is_some_and(|at| self.state.iteration >= at)
+        {
+            self.apply_drift();
         }
-        let Some(at) = self.drift.boundary() else {
-            return Ok(());
-        };
-        if self.state.iteration < at {
-            return Ok(());
-        }
-        self.apply_drift()
     }
 
-    /// Re-derives drift application when resuming a snapshot or replaying
-    /// a journal: a session past its boundary swaps the pool before the
-    /// resume refit, one at or before it stays on the base pool (the
-    /// swap happens lazily on its next step, exactly as it would have).
-    pub(crate) fn sync_drift(&mut self) -> Result<(), ActiveDpError> {
-        if let Some(at) = self.drift.boundary() {
-            if !self.drift_applied && self.state.iteration > at {
-                self.apply_drift()?;
-            }
+    /// Re-derives drift application when resuming a snapshot: a session
+    /// past its boundary swaps the pool, one at or before it stays on the
+    /// base pool (the swap happens lazily on its next step, exactly as it
+    /// would have).
+    pub(crate) fn sync_drift(&mut self) {
+        if !self.drift_applied
+            && self
+                .drift
+                .boundary()
+                .is_some_and(|at| self.state.iteration > at)
+        {
+            self.apply_drift();
         }
-        Ok(())
     }
 
-    fn apply_drift(&mut self) -> Result<(), ActiveDpError> {
+    fn apply_drift(&mut self) {
+        self.swap_pool();
+        if matches!(self.drift, DriftSpec::CovariateDrift { .. }) {
+            // Feature drift changes every LF's votes. (Label shift leaves
+            // votes untouched — LFs read features only.)
+            self.state.rebuild_matrices(&self.data);
+        }
+    }
+
+    /// Swaps in the drifted pool and what derives from it — the candidate
+    /// space and the class balance — but not the vote matrices.
+    pub(crate) fn swap_pool(&mut self) {
         let drifted = self
             .drift
             .apply(&self.data)
@@ -699,24 +720,7 @@ impl Engine {
         self.data = drifted.into_shared();
         self.querying.rebuild_space(&self.data);
         self.training.refresh_balance(&self.data);
-        if matches!(self.drift, DriftSpec::CovariateDrift { .. }) {
-            // Feature drift changes every LF's votes; rebuild both vote
-            // matrices against the rotated features. (Label shift leaves
-            // votes untouched — LFs read features only.) Pushing the LFs
-            // in collection order is idempotent: a later rebuild from the
-            // same LF list reproduces the matrices column for column,
-            // which is what lets resume re-derive them.
-            let mut train_matrix = LabelMatrix::empty(self.data.train.len());
-            let mut valid_matrix = LabelMatrix::empty(self.data.valid.len());
-            for lf in &self.state.lfs {
-                train_matrix.push_lf(lf, &self.data.train)?;
-                valid_matrix.push_lf(lf, &self.data.valid)?;
-            }
-            self.state.train_matrix = train_matrix;
-            self.state.valid_matrix = valid_matrix;
-        }
         self.drift_applied = true;
-        Ok(())
     }
 
     fn notify(&mut self, outcomes: &[StepOutcome]) {

@@ -57,79 +57,12 @@ impl SessionState {
         }
     }
 
-    /// Structural validation against the dataset a session is being
-    /// resumed over: every index in bounds, every matrix and cache shaped
-    /// for the split, every cached probability a finite number in `[0, 1]`
-    /// (resume hands the caches to the samplers unrefitted, and a NaN
-    /// would panic their sort). Snapshot decoding guarantees *well-formed* fields;
-    /// this guards *consistency*, so a corrupt-but-parseable spill file is
-    /// rejected with a typed error at resume instead of panicking the
-    /// first `step()` that indexes into it.
-    pub(crate) fn validate_for(&self, data: &SplitDataset) -> Result<(), ActiveDpError> {
-        let bad = |reason: String| Err(ActiveDpError::BadConfig { reason });
-        let n_train = data.train.len();
-        let n_valid = data.valid.len();
-        if self.train_matrix.n_instances() != n_train || self.valid_matrix.n_instances() != n_valid
-        {
-            return bad(format!(
-                "snapshot state is shaped for a {}-train/{}-valid split, dataset has {n_train}/{n_valid}",
-                self.train_matrix.n_instances(),
-                self.valid_matrix.n_instances(),
-            ));
-        }
-        if self.queried.len() != n_train {
-            return bad(format!(
-                "snapshot queried mask covers {} instances, pool has {n_train}",
-                self.queried.len(),
-            ));
-        }
-        if self.train_matrix.n_lfs() != self.lfs.len()
-            || self.valid_matrix.n_lfs() != self.lfs.len()
-        {
-            return bad(format!(
-                "snapshot vote matrices carry {}/{} LF columns for {} LFs",
-                self.train_matrix.n_lfs(),
-                self.valid_matrix.n_lfs(),
-                self.lfs.len(),
-            ));
-        }
-        if self.query_indices.len() != self.pseudo_labels.len() {
-            return bad(format!(
-                "snapshot has {} query indices but {} pseudo labels",
-                self.query_indices.len(),
-                self.pseudo_labels.len(),
-            ));
-        }
-        if let Some(&qi) = self.query_indices.iter().find(|&&qi| qi >= n_train) {
-            return bad(format!(
-                "snapshot query index {qi} outside the {n_train}-instance pool"
-            ));
-        }
-        let n_classes = data.train.n_classes;
-        if let Some(&y) = self.pseudo_labels.iter().find(|&&y| y >= n_classes) {
-            return bad(format!(
-                "snapshot pseudo label {y} outside {n_classes} classes"
-            ));
-        }
-        if let Some(&j) = self.selected.iter().find(|&&j| j >= self.lfs.len()) {
-            return bad(format!("snapshot selects LF {j} of {}", self.lfs.len()));
-        }
-        for (name, probs, expected_rows) in [
-            ("al_probs_train", &self.al_probs_train, n_train),
-            ("lm_probs_train", &self.lm_probs_train, n_train),
-        ] {
-            if let Some(rows) = probs {
-                if rows.len() != expected_rows || rows.iter().any(|r| r.len() != n_classes) {
-                    return bad(format!(
-                        "snapshot {name} cache is not {expected_rows}x{n_classes}"
-                    ));
-                }
-                if let Some(p) = rows.iter().flatten().find(|p| !(0.0..=1.0).contains(*p)) {
-                    return bad(format!("snapshot {name} cache holds probability {p}"));
-                }
-            }
-        }
-        Ok(())
+    /// Re-applies every LF to `data`'s training and validation splits —
+    /// both vote matrices are functions of the LF list and the pool, which
+    /// is how resume and a covariate drift rebuild them.
+    pub(crate) fn rebuild_matrices(&mut self, data: &SplitDataset) {
+        self.train_matrix = LabelMatrix::from_lfs(&self.lfs, &data.train);
+        self.valid_matrix = LabelMatrix::from_lfs(&self.lfs, &data.valid);
     }
 
     /// The pseudo-labelled set `(query instance, pseudo label)` (§3.1).

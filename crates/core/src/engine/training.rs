@@ -11,6 +11,20 @@ use adp_data::SplitDataset;
 use adp_labelmodel::{make_model_with, LabelModel};
 use adp_lf::LabelMatrix;
 
+/// The fitted parameters a refit leaves behind — what a snapshot persists
+/// so resume can restore the models instead of refitting them.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FittedParams {
+    /// The label model's [`LabelModel::params`] over the selected columns;
+    /// empty while nothing is selected.
+    pub label_model: Vec<f64>,
+    /// The AL model's weights, row-major classes × features; empty before
+    /// its first fit.
+    pub al_weights: Vec<f64>,
+    /// The AL model's intercepts; empty before its first fit.
+    pub al_bias: Vec<f64>,
+}
+
 /// Owns the pluggable models (label model, AL model) and the LabelPick
 /// selector.
 pub struct TrainingStage {
@@ -22,12 +36,10 @@ pub struct TrainingStage {
     /// Scheduling switch for the bulk label-model prediction pass
     /// (bitwise-identical output either way).
     parallel: bool,
-    /// Whether the models have not been fitted to the state they serve:
-    /// set by a resume, which trusts the snapshot's selection and caches
-    /// instead of refitting, and cleared by the next [`TrainingStage::refit`].
-    /// Inference on a stale stage fits a throwaway copy first
-    /// ([`TrainingStage::fitted_to`]).
-    pub(super) stale: bool,
+    /// The iteration of the last [`TrainingStage::refit`] (0 before it):
+    /// under a drift, the pool the models were fitted and the caches
+    /// predicted on.
+    pub(crate) fitted_at: usize,
 }
 
 impl TrainingStage {
@@ -52,24 +64,8 @@ impl TrainingStage {
             class_balance: data.valid.class_balance(),
             use_labelpick: config.use_labelpick,
             parallel: config.parallel,
-            stale: false,
+            fitted_at: 0,
         }
-    }
-
-    /// A fresh stage whose models are fitted to `state`'s current
-    /// selection — what [`TrainingStage::refit`] fits, minus LabelPick and
-    /// the cache refresh. Every fit resets its parameters, so these models
-    /// equal the ones the refit that produced `state.selected` left
-    /// behind, bit for bit.
-    pub(crate) fn fitted_to(
-        data: &SplitDataset,
-        config: &SessionConfig,
-        state: &SessionState,
-    ) -> Result<Self, ActiveDpError> {
-        let mut stage = TrainingStage::from_config(data, config);
-        stage.fit_label_model(state)?;
-        stage.fit_al_model(data, state)?;
-        Ok(stage)
     }
 
     /// Re-reads the dataset-derived fit inputs after a drift boundary
@@ -103,65 +99,83 @@ impl TrainingStage {
         };
 
         // Label model on the selected columns.
-        state.lm_probs_train = match self.fit_label_model(state)? {
-            None => None,
-            Some(selected_train) => {
-                let exec = if self.parallel {
-                    adp_linalg::parallel::auto(
-                        selected_train.n_instances(),
-                        adp_labelmodel::MIN_PARALLEL_PREDICT,
-                    )
-                } else {
-                    adp_linalg::Execution::Serial
-                };
-                Some(adp_labelmodel::predict_all_with(
-                    self.label_model.as_ref(),
-                    &selected_train,
-                    exec,
-                ))
-            }
+        state.lm_probs_train = if state.selected.is_empty() {
+            None
+        } else {
+            let selected_train = state.train_matrix.select_columns(&state.selected)?;
+            self.label_model
+                .fit(&selected_train, Some(&self.class_balance))?;
+            Some(self.predict_train(&selected_train))
         };
 
         // AL model on the pseudo-labelled set.
-        state.al_probs_train = self
-            .fit_al_model(data, state)?
-            .then(|| self.al_model.predict_proba_all(&data.train.features));
-        self.stale = false;
+        state.al_probs_train = if state.query_indices.is_empty() {
+            None
+        } else {
+            self.al_model.fit(
+                &data.train.features,
+                &state.query_indices,
+                Targets::Hard(&state.pseudo_labels),
+                None,
+            )?;
+            Some(self.al_model.predict_proba_all(&data.train.features))
+        };
+        self.fitted_at = state.iteration;
         Ok(())
     }
 
-    /// Fits the label model on the selected columns of the training votes
-    /// and returns them; `None` (and no fit) while nothing is selected.
-    fn fit_label_model(
-        &mut self,
-        state: &SessionState,
-    ) -> Result<Option<LabelMatrix>, ActiveDpError> {
-        if state.selected.is_empty() {
-            return Ok(None);
+    /// The parameters the last refit fitted, for a snapshot.
+    pub(crate) fn params(&self, state: &SessionState) -> FittedParams {
+        let mut params = FittedParams::default();
+        if !state.selected.is_empty() {
+            params.label_model = self.label_model.params();
         }
-        let selected_train = state.train_matrix.select_columns(&state.selected)?;
-        self.label_model
-            .fit(&selected_train, Some(&self.class_balance))?;
-        Ok(Some(selected_train))
+        if !state.query_indices.is_empty() {
+            params.al_weights = self.al_model.weights().as_slice().to_vec();
+            params.al_bias = self.al_model.bias().to_vec();
+        }
+        params
     }
 
-    /// Fits the AL model on the pseudo-labelled set; `false` (and no fit)
-    /// while it is empty.
-    fn fit_al_model(
+    /// Loads `params` into the models a refit of `state` fits, and refills
+    /// both caches with the predictions [`TrainingStage::refit`] makes:
+    /// the state the refit that produced `params` left behind, when `data`
+    /// is the pool it ran on.
+    pub(crate) fn restore(
         &mut self,
         data: &SplitDataset,
-        state: &SessionState,
-    ) -> Result<bool, ActiveDpError> {
-        if state.query_indices.is_empty() {
-            return Ok(false);
-        }
-        self.al_model.fit(
-            &data.train.features,
-            &state.query_indices,
-            Targets::Hard(&state.pseudo_labels),
-            None,
-        )?;
-        Ok(true)
+        state: &mut SessionState,
+        params: &FittedParams,
+    ) -> Result<(), ActiveDpError> {
+        state.lm_probs_train = if state.selected.is_empty() {
+            None
+        } else {
+            self.label_model
+                .load_params(state.selected.len(), &params.label_model)?;
+            Some(self.predict_train(&state.train_matrix.select_columns(&state.selected)?))
+        };
+        state.al_probs_train = if state.query_indices.is_empty() {
+            None
+        } else {
+            self.al_model
+                .load_params(&params.al_weights, &params.al_bias)?;
+            Some(self.al_model.predict_proba_all(&data.train.features))
+        };
+        Ok(())
+    }
+
+    /// The label model's probabilities for every row of the selected
+    /// training columns.
+    fn predict_train(&self, selected_train: &LabelMatrix) -> Vec<Vec<f64>> {
+        let exec = if self.parallel {
+            adp_linalg::parallel::auto(
+                selected_train.n_instances(),
+                adp_labelmodel::MIN_PARALLEL_PREDICT,
+            )
+        } else {
+            adp_linalg::Execution::Serial
+        };
+        adp_labelmodel::predict_all_with(self.label_model.as_ref(), selected_train, exec)
     }
 
     /// Label-model probabilities for every row of `matrix`, restricted to

@@ -66,8 +66,8 @@ pub use config::{
 };
 pub use confusion::{aggregate, tune_threshold, AggregatedLabels};
 pub use engine::{
-    Engine, EngineBuilder, EvalReport, QueryingStage, SamplingStage, ScheduleRun, SessionState,
-    StepObserver, StepOutcome, TrainingStage,
+    Engine, EngineBuilder, EvalReport, FittedParams, QueryingStage, SamplingStage, ScheduleRun,
+    SessionState, StepObserver, StepOutcome, TrainingStage,
 };
 pub use error::ActiveDpError;
 pub use event::StepEvent;
@@ -76,4 +76,4 @@ pub use replay::replay_snapshot;
 pub use scenario::{
     BudgetSchedule, PhaseSegment, ScenarioSpec, DEFAULT_BUDGET, SCENARIO_MAGIC, SCENARIO_VERSION,
 };
-pub use snapshot::{SessionSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use snapshot::{PersistedState, SessionSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};

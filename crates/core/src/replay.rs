@@ -5,13 +5,16 @@
 //! determines the snapshot an uninterrupted run would hold at `k`:
 //! every event says which instance was queried, which LF (if any) came
 //! back, and where both RNG streams landed. [`replay_snapshot`] performs
-//! that fold as plain data; [`Engine::replay_to`](crate::Engine::replay_to)
-//! wraps it, resumes the result and runs one RNG-free refit, which
-//! rebuilds the model caches (LabelPick selection, probability tables)
-//! exactly as the original run's refit at `k` did — which is why the fold
-//! can leave those caches stale and still hit bitwise parity. A folded
-//! snapshot is therefore not a resumable one on its own: resume trusts
-//! the caches it restores.
+//! that fold as plain data: it touches the LFs, the queried rows, the
+//! pseudo-labelled set, the RNG words and the router ledger, and notes the
+//! iteration of the last refit, but it fits nothing, so the selection and
+//! the model parameters stay the checkpoint's.
+//! [`Engine::replay_to`](crate::Engine::replay_to) wraps the fold and
+//! resumes its result; when an LF was folded in, it runs one RNG-free
+//! refit in place of loading those parameters, which rebuilds the
+//! selection and models exactly as the original run's last refit did. A
+//! folded snapshot is therefore not a resumable one on its own once it
+//! holds more LFs than its checkpoint.
 //!
 //! The fold is also where a corrupt or mis-assembled journal is caught:
 //! gaps, duplicates and out-of-order iterations, targets that are not
@@ -22,8 +25,7 @@
 use crate::error::ActiveDpError;
 use crate::event::StepEvent;
 use crate::snapshot::SessionSnapshot;
-use adp_data::{DriftSpec, SplitDataset};
-use adp_lf::LabelMatrix;
+use adp_data::SplitDataset;
 use adp_oracle::{LatencyModel, OracleKind, RouteChoice};
 
 fn replay_err(reason: String) -> ActiveDpError {
@@ -63,8 +65,9 @@ fn validate_contiguous(events: &[StepEvent]) -> Result<(), ActiveDpError> {
 /// contiguous and must cover `checkpoint+1 ..= k` exactly; the event at
 /// `k` must have [`StepEvent::commit`] set. `k` equal to the checkpoint's
 /// iteration returns the checkpoint itself. The result's selection and
-/// probability caches are still the checkpoint's; resume it through
-/// [`Engine::replay_to`](crate::Engine::replay_to), which refits them.
+/// parameters are still the checkpoint's; resume it through
+/// [`Engine::replay_to`](crate::Engine::replay_to), which refits them when
+/// the fold added an LF.
 pub fn replay_snapshot(
     checkpoint: &SessionSnapshot,
     data: &SplitDataset,
@@ -120,40 +123,25 @@ pub fn replay_snapshot(
         OracleKind::Noisy { latency, .. } => Some(latency),
         OracleKind::Simulated => None,
     };
-    // Drifting sessions re-derive the mutated pool: it is a pure function
-    // of the base split, so the fold applies it at the same boundary the
-    // live run did. A checkpoint already past the boundary starts drifted
-    // (its state was rebuilt at crossing time, so no rebuild here).
+    // Drifting sessions re-derive the mutated pool — a pure function of
+    // the base split — to pseudo-label against it from the boundary on,
+    // as the live run did.
     let drift = snapshot.spec.drift;
     let boundary = drift.boundary();
     let mut drifted: Option<SplitDataset> = None;
-    if boundary.is_some_and(|at| j > at) {
-        drifted = drift.apply(data);
-    }
+    // A batch that collected an LF ends in a refit at its commit event.
+    let mut refit_pending = false;
     for event in tail {
-        if let Some(at) = boundary {
-            if drifted.is_none() && event.iteration > at {
-                let mutated = drift
-                    .apply(data)
-                    .expect("a drift with a boundary always mutates the pool");
-                if matches!(drift, DriftSpec::CovariateDrift { .. }) {
-                    // Feature drift changes every LF's votes — rebuild the
-                    // vote matrices at the crossing, as the engine did.
-                    let state = &mut snapshot.state;
-                    let mut train_matrix = LabelMatrix::empty(mutated.train.len());
-                    let mut valid_matrix = LabelMatrix::empty(mutated.valid.len());
-                    for lf in &state.lfs {
-                        train_matrix.push_lf(lf, &mutated.train)?;
-                        valid_matrix.push_lf(lf, &mutated.valid)?;
-                    }
-                    state.train_matrix = train_matrix;
-                    state.valid_matrix = valid_matrix;
-                }
-                drifted = Some(mutated);
-            }
+        if drifted.is_none() && boundary.is_some_and(|at| event.iteration > at) {
+            drifted = drift.apply(data);
         }
         let active: &SplitDataset = drifted.as_ref().unwrap_or(data);
+        refit_pending |= event.lf.is_some();
         apply_event(&mut snapshot, active, event, latency)?;
+        if event.commit && refit_pending {
+            snapshot.state.fitted_at = event.iteration;
+            refit_pending = false;
+        }
     }
     // Returned-LF sets are canonical (sorted) in snapshots; the fold
     // appends keys in arrival order, so restore the invariant here.
@@ -219,24 +207,23 @@ fn apply_event(
             }
         }
         Some(q) => {
-            if q >= state.queried.len() {
+            if q >= data.train.len() {
                 return Err(replay_err(format!(
                     "iteration {}: query {q} outside the {}-instance pool",
                     event.iteration,
-                    state.queried.len()
+                    data.train.len()
                 )));
             }
-            if state.queried[q] {
-                return Err(replay_err(format!(
-                    "iteration {}: instance {q} was already queried",
-                    event.iteration
-                )));
+            match state.queried.binary_search(&q) {
+                Ok(_) => {
+                    return Err(replay_err(format!(
+                        "iteration {}: instance {q} was already queried",
+                        event.iteration
+                    )))
+                }
+                Err(at) => state.queried.insert(at, q),
             }
-            state.queried[q] = true;
             if let Some(lf) = &event.lf {
-                state.seen_keys.insert(lf.key());
-                state.train_matrix.push_lf(lf, &data.train)?;
-                state.valid_matrix.push_lf(lf, &data.valid)?;
                 state.lfs.push(lf.clone());
                 let vote = lf.apply(&data.train, q);
                 if vote < 0 {
@@ -316,13 +303,14 @@ mod tests {
         for k in 1..=total {
             let folded = replay_snapshot(&checkpoint, &data, &events, k).unwrap();
             let golden = &goldens[k - 1];
-            // The fold leaves model caches stale; resume's refit rebuilds
-            // them. Compare the resume-relevant fields bitwise instead.
+            // The fold fits nothing, so the selection and parameters stay
+            // the checkpoint's; compare the fields it folds.
             assert_eq!(folded.state.lfs, golden.state.lfs);
             assert_eq!(folded.state.queried, golden.state.queried);
             assert_eq!(folded.state.query_indices, golden.state.query_indices);
             assert_eq!(folded.state.pseudo_labels, golden.state.pseudo_labels);
             assert_eq!(folded.state.iteration, golden.state.iteration);
+            assert_eq!(folded.state.fitted_at, golden.state.fitted_at);
             assert_eq!(folded.sampler_rng, golden.sampler_rng);
             assert_eq!(folded.oracle, golden.oracle);
         }

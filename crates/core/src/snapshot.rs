@@ -1,47 +1,33 @@
 //! Session snapshot/restore: the durable form of a running engine.
 //!
-//! A [`SessionSnapshot`] is plain data — the full
-//! [`ScenarioSpec`] (dataset provenance, session config, budget schedule),
-//! the [`SessionState`] and the two RNG stream positions (sampler, oracle)
-//! — because everything else an [`Engine`](crate::Engine) holds is a
-//! deterministic function of those parts:
-//!
-//! * the dataset itself regenerates from the spec's [`DatasetSpec`]
-//!   provenance (datasets are large, shared, and deterministic in the
-//!   spec, so only the provenance travels);
-//! * the candidate space and class balance rebuild from the dataset;
-//! * the sampler rebuilds from the config, then has its stream repositioned;
-//! * the fitted models (label model, AL model) are not rebuilt at resume:
-//!   the state already carries LabelPick's selection and both models'
-//!   training-split probabilities, which is all sampling and querying
-//!   read. The next [`TrainingStage::refit`](crate::TrainingStage) fits the
-//!   models, and inference before it fits them to the restored selection
-//!   — every fit in the workspace resets its parameters and runs under the
-//!   fixed-chunk reduction contract, so either fit reproduces the exact
-//!   weights the snapshot-time models had.
-//!
-//! Consequently *snapshot at iteration k → restore → run to the end* is
-//! **bitwise identical** to the uninterrupted run (pinned by
-//! `tests/engine_parity.rs`), under serial and parallel execution alike —
-//! and because the spec is embedded, [`Engine::resume`](crate::Engine)
-//! rebuilds the whole session from nothing but the snapshot bytes.
+//! A [`SessionSnapshot`] holds only what cannot be derived — the full
+//! [`ScenarioSpec`], the [`PersistedState`] (the LFs, the queried rows, the
+//! pseudo-labelled set, the selection and the parameters the last refit
+//! fitted) and the RNG, oracle and router state — so its size does not grow
+//! with the pool. Resume rebuilds the rest with the code a refit runs: the
+//! dataset from the spec's provenance, both vote matrices by applying the
+//! LFs, and both probability caches as the stored models' predictions over
+//! the pool the last refit saw. In data programming the learned LF
+//! accuracies *are* the label model, so no LabelPick and no fit run, yet
+//! *snapshot at iteration k → restore → run to the end* is **bitwise
+//! identical** to the uninterrupted run (pinned by `tests/engine_parity.rs`),
+//! and [`Engine::resume`](crate::Engine) needs nothing but the bytes.
 //!
 //! The byte encoding ([`SessionSnapshot::to_bytes`] /
 //! [`SessionSnapshot::from_bytes`]) rides the `adp-wire` codec inside a
 //! versioned envelope (magic `ADPSNAP\0`, format version
-//! [`SNAPSHOT_VERSION`]). Encoding is canonical — LF-key sets are sorted —
-//! so the same snapshot always produces the same bytes; the committed
-//! golden-bytes fixture keeps format changes deliberate. Only the current
-//! version decodes: snapshots are operational checkpoints, not archives,
-//! and decoders reject every other version with a typed
-//! [`WireError::UnknownVersion`].
-//!
-//! [`DatasetSpec`]: adp_data::DatasetSpec
+//! [`SNAPSHOT_VERSION`]). Encoding is canonical — LF-key sets and queried
+//! rows are sorted — so the same snapshot always produces the same bytes;
+//! the committed golden-bytes fixture keeps format changes deliberate.
+//! Only the current version decodes: snapshots are operational
+//! checkpoints, not archives, and decoders reject every other version with
+//! a typed [`WireError::UnknownVersion`].
 
-use crate::engine::SessionState;
+use crate::engine::training::FittedParams;
 use crate::error::ActiveDpError;
 use crate::scenario::ScenarioSpec;
-use adp_lf::{LabelFunction, LabelMatrix, LfKey, StumpOp, UserState};
+use adp_data::{FeatureSet, SplitDataset};
+use adp_lf::{LabelFunction, LfKey, StumpOp, UserState};
 use adp_oracle::{RouteStats, RoutedState};
 use adp_wire::{read_envelope, write_envelope, Reader, WireError, Writer};
 
@@ -54,19 +40,88 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"ADPSNAP\0";
 /// config, to 3 when the embedded spec gained the candidate strategy, and
 /// to 4 when the spec gained the oracle kind + drift scenario and the
 /// snapshot grew the optional routed-oracle state (the cheap oracle's RNG
-/// stream and the cost ledger). Bump deliberately: the golden-bytes test pins the
-/// encoding, and decoders reject every other version — older ones
-/// included (see MIGRATION.md) — with [`WireError::UnknownVersion`].
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// stream and the cost ledger), and to 5 when it traded everything
+/// derivable for the fitted parameters. Bump deliberately: the golden-bytes test
+/// pins the encoding, and decoders reject every other version — older
+/// ones included (see MIGRATION.md) — with [`WireError::UnknownVersion`].
+pub const SNAPSHOT_VERSION: u32 = 5;
+
+/// The loop state a snapshot persists: the part of
+/// [`SessionState`](crate::SessionState) that cannot be derived.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PersistedState {
+    /// All LFs collected so far, in iteration order.
+    pub lfs: Vec<LabelFunction>,
+    /// Every training row the sampler drew, ascending — with or without an
+    /// LF back, so not derivable from `query_indices`.
+    pub queried: Vec<usize>,
+    /// As in [`SessionState`](crate::SessionState).
+    pub query_indices: Vec<usize>,
+    /// As in [`SessionState`](crate::SessionState).
+    pub pseudo_labels: Vec<usize>,
+    /// As in [`SessionState`](crate::SessionState).
+    pub selected: Vec<usize>,
+    /// As in [`SessionState`](crate::SessionState).
+    pub iteration: usize,
+    /// The iteration of the last refit (0 before the first).
+    pub fitted_at: usize,
+    /// The models' parameters as the last refit left them.
+    pub params: FittedParams,
+}
+
+impl PersistedState {
+    /// Checks that a decoded (well-formed) state is consistent with the
+    /// split it resumes over — every index in bounds, every LF applicable —
+    /// so a corrupt checkpoint is a typed error, not a panic while the
+    /// matrices are derived. The models check the parameters as they load.
+    pub(crate) fn validate_for(&self, data: &SplitDataset) -> Result<(), ActiveDpError> {
+        let (n_train, n_classes) = (data.train.len(), data.train.n_classes);
+        let dense_cols = match &data.train.features {
+            FeatureSet::Dense(x) => x.ncols(),
+            FeatureSet::Sparse(_) => 0,
+        };
+        let applies = |lf: &LabelFunction| match *lf {
+            LabelFunction::Keyword { label, .. } => data.is_textual() && label < n_classes,
+            LabelFunction::Stump { feature, label, .. } => {
+                feature < dense_cols && label < n_classes
+            }
+        };
+        let problem = if !self.queried.windows(2).all(|w| w[0] < w[1]) {
+            "queried rows are not strictly ascending"
+        } else if self
+            .queried
+            .iter()
+            .chain(&self.query_indices)
+            .any(|&r| r >= n_train)
+        {
+            "a row is outside the pool"
+        } else if self.query_indices.len() != self.pseudo_labels.len() {
+            "query indices and pseudo labels differ in number"
+        } else if self.pseudo_labels.iter().any(|&y| y >= n_classes) {
+            "a pseudo label is not a class"
+        } else if self.selected.iter().any(|&j| j >= self.lfs.len()) {
+            "the selection names a missing LF"
+        } else if self.fitted_at > self.iteration {
+            "the last refit follows the last iteration"
+        } else if !self.lfs.iter().all(applies) {
+            "an LF cannot be evaluated on the dataset"
+        } else {
+            return Ok(());
+        };
+        Err(ActiveDpError::BadConfig {
+            reason: format!("snapshot state does not fit the {n_train}-row split: {problem}"),
+        })
+    }
+}
 
 /// Everything needed to resume a session exactly where it stopped, as
-/// plain data (see the module docs for why this is sufficient).
+/// plain data (see the module docs for what is derived instead).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSnapshot {
     /// The complete run description, dataset provenance and seed included.
     pub spec: ScenarioSpec,
-    /// The accumulated loop state.
-    pub state: SessionState,
+    /// The loop state that cannot be derived.
+    pub state: PersistedState,
     /// The sampler's RNG stream position.
     pub sampler_rng: [u64; 4],
     /// The expensive oracle's mutable state (RNG stream + returned-LF set).
@@ -265,65 +320,50 @@ fn dec_keys(r: &mut Reader<'_>) -> Result<Vec<LfKey>, WireError> {
     Ok(keys)
 }
 
-fn enc_matrix(w: &mut Writer, m: &LabelMatrix) {
-    w.put_usize(m.n_instances());
-    w.put_usize(m.n_lfs());
-    w.put_i8_slice(&m.votes());
+/// A vector of 8-byte values, its length bounded by the bytes left.
+fn get_words<T: adp_wire::Decode>(
+    r: &mut Reader<'_>,
+    what: &'static str,
+) -> Result<Vec<T>, WireError> {
+    let n = r.get_len(what, 8)?;
+    (0..n).map(|_| r.get()).collect()
 }
 
-fn dec_matrix(r: &mut Reader<'_>) -> Result<LabelMatrix, ActiveDpError> {
-    let n = r.get_usize()?;
-    let m = r.get_usize()?;
-    let votes: Vec<i8> = r.get()?;
-    Ok(LabelMatrix::from_raw(n, m, votes)?)
-}
-
-fn enc_state(w: &mut Writer, s: &SessionState) {
+fn enc_state(w: &mut Writer, s: &PersistedState) {
     w.put_usize(s.lfs.len());
     for lf in &s.lfs {
         enc_lf(w, lf);
     }
-    enc_matrix(w, &s.train_matrix);
-    enc_matrix(w, &s.valid_matrix);
     w.put(&s.queried);
     w.put(&s.query_indices);
     w.put(&s.pseudo_labels);
     w.put(&s.selected);
-    let keys: Vec<LfKey> = s.seen_keys.iter().copied().collect();
-    enc_keys(w, &keys);
     w.put_usize(s.iteration);
-    w.put(&s.al_probs_train);
-    w.put(&s.lm_probs_train);
+    w.put_usize(s.fitted_at);
+    w.put(&s.params.label_model);
+    w.put(&s.params.al_weights);
+    w.put(&s.params.al_bias);
 }
 
-fn dec_state(r: &mut Reader<'_>) -> Result<SessionState, ActiveDpError> {
+fn dec_state(r: &mut Reader<'_>) -> Result<PersistedState, WireError> {
     let n_lfs = r.get_len("lfs", 1)?;
     let mut lfs = Vec::with_capacity(n_lfs);
     for _ in 0..n_lfs {
         lfs.push(dec_lf(r)?);
     }
-    let train_matrix = dec_matrix(r)?;
-    let valid_matrix = dec_matrix(r)?;
-    let queried: Vec<bool> = r.get()?;
-    let query_indices: Vec<usize> = r.get()?;
-    let pseudo_labels: Vec<usize> = r.get()?;
-    let selected: Vec<usize> = r.get()?;
-    let seen_keys = dec_keys(r)?.into_iter().collect();
-    let iteration = r.get_usize()?;
-    let al_probs_train: Option<Vec<Vec<f64>>> = r.get()?;
-    let lm_probs_train: Option<Vec<Vec<f64>>> = r.get()?;
-    Ok(SessionState {
+    Ok(PersistedState {
         lfs,
-        train_matrix,
-        valid_matrix,
-        queried,
-        query_indices,
-        pseudo_labels,
-        selected,
-        seen_keys,
-        iteration,
-        al_probs_train,
-        lm_probs_train,
+        queried: get_words(r, "queried rows")?,
+        query_indices: get_words(r, "query indices")?,
+        pseudo_labels: get_words(r, "pseudo labels")?,
+        selected: get_words(r, "selection")?,
+        iteration: r.get_usize()?,
+        fitted_at: r.get_usize()?,
+        params: FittedParams {
+            label_model: get_words(r, "label-model parameters")?,
+            al_weights: get_words(r, "AL weights")?,
+            al_bias: get_words(r, "AL intercepts")?,
+        },
     })
 }
 
@@ -356,43 +396,38 @@ mod tests {
         assert_eq!(bytes, back.to_bytes());
     }
 
-    /// A grown label matrix keeps spare columns and a moment ledger;
-    /// neither reaches the bytes. A 40-step Census Tiny session encodes to
-    /// the bytes its packed, ledger-free decode re-encodes to, the decoded
-    /// state equals the live one, and the ledger it scans on demand equals
-    /// the one the live matrix carried.
+    /// A snapshot holds no vote matrix, cache or key set: a 40-step
+    /// Census Tiny session encodes to the bytes its decode re-encodes to,
+    /// and its queried rows are every row the live session drew — more
+    /// than the rows that returned an LF.
     #[test]
-    fn grown_matrices_encode_packed_and_decode_equal() {
+    fn snapshot_persists_queried_rows_not_derived_state() {
         let data = generate(DatasetId::Census, Scale::Tiny, 7)
             .unwrap()
             .into_shared();
         let mut e = Engine::builder(data).seed(7).build().unwrap();
         e.run(40).unwrap();
         let live = e.state();
-        assert!(
-            live.lfs.len() > 8,
-            "{} LFs fill no widened row",
-            live.lfs.len()
-        );
-        let bytes = e.snapshot().unwrap().to_bytes();
+        let snap = e.snapshot().unwrap();
+        let bytes = snap.to_bytes();
         let back = SessionSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(&back.state, live);
+        assert_eq!(back, snap);
         assert_eq!(bytes, back.to_bytes());
-        for (decoded, grown) in [
-            (&back.state.train_matrix, &live.train_matrix),
-            (&back.state.valid_matrix, &live.valid_matrix),
-        ] {
-            assert_eq!(decoded.votes(), grown.votes());
-            assert_eq!(decoded.moments(), grown.moments());
-        }
+        let drawn: Vec<usize> = (0..live.queried.len())
+            .filter(|&i| live.queried[i])
+            .collect();
+        assert_eq!(back.state.queried, drawn);
+        assert!(drawn.len() > live.query_indices.len());
+        assert_eq!(back.state.lfs, live.lfs);
+        assert!((1..=40).contains(&back.state.fitted_at));
     }
 
     #[test]
     fn fresh_session_snapshot_roundtrips_too() {
-        // iteration 0: no LFs, no probs — every Option/empty-Vec path.
+        // iteration 0: no LFs, no parameters — every empty-Vec path.
         let snap = mid_run_snapshot(0);
         assert!(snap.state.lfs.is_empty());
-        assert!(snap.state.al_probs_train.is_none());
+        assert_eq!(snap.state.params, FittedParams::default());
         let back = SessionSnapshot::from_bytes(&snap.to_bytes()).unwrap();
         assert_eq!(snap, back);
     }
@@ -476,18 +511,19 @@ mod tests {
     }
 
     #[test]
-    fn matrix_shape_mismatch_is_rejected() {
-        // A hand-built payload whose vote count cannot fill the declared
-        // shape must surface the LfError, not slice out of bounds later.
-        let votes = LabelMatrix::from_votes(&[vec![1, 0], vec![0, 1]]).unwrap();
-        let mut w = Writer::new();
-        enc_matrix(&mut w, &votes);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let n = r.get_usize().unwrap();
-        let m = r.get_usize().unwrap();
-        let mut raw: Vec<i8> = r.get().unwrap();
-        raw.pop();
-        assert!(LabelMatrix::from_raw(n, m, raw).is_err());
+    fn hostile_vector_lengths_fail_before_allocating() {
+        // A length prefix no remaining bytes could back is a typed error
+        // before any allocation — `u64::MAX` 8-byte words included.
+        for len in [u64::MAX, 2] {
+            let mut w = Writer::new();
+            w.put_u64(len);
+            w.put_f64(0.5);
+            let bytes = w.into_bytes();
+            let err = get_words::<f64>(&mut Reader::new(&bytes), "probe").unwrap_err();
+            assert!(
+                matches!(err, WireError::BadLength { what: "probe", .. }),
+                "{len}"
+            );
+        }
     }
 }

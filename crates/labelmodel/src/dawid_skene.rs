@@ -16,7 +16,7 @@
 //! at every thread count (pinned by `serial_matches_parallel` here and by
 //! the workspace `tests/determinism.rs` harness).
 
-use crate::error::{resolve_balance, LabelModelError};
+use crate::error::{check_params, resolve_balance, LabelModelError, PRIOR_RANGE};
 use crate::majority::MajorityVote;
 use crate::LabelModel;
 use adp_lf::{LabelMatrix, ABSTAIN};
@@ -263,6 +263,27 @@ impl LabelModel for DawidSkene {
 
     fn n_classes(&self) -> usize {
         self.n_classes
+    }
+
+    /// The class prior, then θ flattened as `[j][y][v]`.
+    fn params(&self) -> Vec<f64> {
+        let theta = self.theta.iter().flatten().flatten();
+        self.prior.iter().chain(theta).copied().collect()
+    }
+
+    /// Every θ entry must be a probability.
+    fn load_params(&mut self, n_lfs: usize, params: &[f64]) -> Result<(), LabelModelError> {
+        let c = self.n_classes;
+        let n_outcomes = 1 + c;
+        let (prior, theta) = params.split_at(params.len().min(c));
+        check_params("class prior", prior, c, PRIOR_RANGE)?;
+        check_params("θ", theta, n_lfs * c * n_outcomes, (0.0, 1.0))?;
+        self.prior = prior.to_vec();
+        self.theta = theta
+            .chunks(c * n_outcomes)
+            .map(|lf| lf.chunks(n_outcomes).map(<[f64]>::to_vec).collect())
+            .collect();
+        Ok(())
     }
 }
 

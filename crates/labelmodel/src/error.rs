@@ -22,6 +22,12 @@ pub enum LabelModelError {
         /// Number of classes.
         n_classes: usize,
     },
+    /// Loaded parameters are not what a fit can produce (wrong length, a
+    /// non-finite value, an accuracy or prior outside the fit's range).
+    BadParams {
+        /// Reason.
+        reason: String,
+    },
 }
 
 impl fmt::Display for LabelModelError {
@@ -39,6 +45,7 @@ impl fmt::Display for LabelModelError {
             LabelModelError::VoteOutOfRange { vote, n_classes } => {
                 write!(f, "vote {vote} out of range for {n_classes} classes")
             }
+            LabelModelError::BadParams { reason } => write!(f, "bad parameters: {reason}"),
         }
     }
 }
@@ -75,6 +82,25 @@ pub(crate) fn resolve_balance(
             Ok(out)
         }
     }
+}
+
+/// What a fitted class prior's entries lie in.
+pub(crate) const PRIOR_RANGE: (f64, f64) = (f64::MIN_POSITIVE, 1.0);
+
+/// Checks loaded parameters: `len` values, each in `[lo, hi]` (NaN never
+/// is).
+pub(crate) fn check_params(
+    what: &str,
+    values: &[f64],
+    len: usize,
+    (lo, hi): (f64, f64),
+) -> Result<(), LabelModelError> {
+    if values.len() != len || values.iter().any(|v| !(lo..=hi).contains(v)) {
+        return Err(LabelModelError::BadParams {
+            reason: format!("{what}: expected {len} values in [{lo}, {hi}]"),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -61,6 +61,15 @@ pub trait LabelModel: Send + Sync {
 
     /// Number of classes.
     fn n_classes(&self) -> usize;
+
+    /// The fitted parameters (not the configuration) as one flat vector.
+    fn params(&self) -> Vec<f64>;
+
+    /// Loads [`LabelModel::params`] of a model fitted over `n_lfs` LFs, so
+    /// `predict_proba` answers bit for bit as that model did. Values a fit
+    /// cannot produce (wrong length, non-finite, outside the fit's ranges)
+    /// are [`LabelModelError::BadParams`], leaving the model unchanged.
+    fn load_params(&mut self, n_lfs: usize, params: &[f64]) -> Result<(), LabelModelError>;
 }
 
 /// Applies `model` to every instance of `matrix`, fanning row chunks out
@@ -223,6 +232,54 @@ mod tests {
         let err = "snorkel".parse::<LabelModelKind>().unwrap_err();
         assert_eq!(err.given, "snorkel");
         assert!(err.to_string().contains("Triplet"), "{err}");
+    }
+
+    /// Every model reloads its own fitted parameters into a fresh instance
+    /// that predicts bit for bit alike, and rejects tampered ones.
+    #[test]
+    fn params_reload_bitwise_and_reject_tampering() {
+        let matrix = LabelMatrix::from_votes(&[
+            vec![1, 1, 0, -1],
+            vec![0, 0, -1, 0],
+            vec![1, -1, 1, 1],
+            vec![-1, 0, 0, 0],
+            vec![1, 1, 1, -1],
+        ])
+        .unwrap();
+        for kind in LabelModelKind::all() {
+            let mut fitted = make_model(kind, 2);
+            fitted.fit(&matrix, Some(&[0.3, 0.7])).unwrap();
+            let params = fitted.params();
+            let mut loaded = make_model(kind, 2);
+            loaded.load_params(matrix.n_lfs(), &params).unwrap();
+            assert_eq!(loaded.params(), params, "{kind}");
+            for i in 0..matrix.n_instances() {
+                let (a, b) = (
+                    fitted.predict_proba(matrix.row(i)),
+                    loaded.predict_proba(matrix.row(i)),
+                );
+                let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "{kind} row {i}");
+            }
+            let mut fresh = make_model(kind, 2);
+            let short = &params[..params.len() - 1];
+            let err = fresh.load_params(matrix.n_lfs(), short).unwrap_err();
+            assert!(matches!(err, LabelModelError::BadParams { .. }), "{kind}");
+            for bad in [f64::NAN, f64::INFINITY, -0.5, 2.0] {
+                let mut tampered = params.clone();
+                *tampered.last_mut().unwrap() = bad;
+                assert!(
+                    fresh.load_params(matrix.n_lfs(), &tampered).is_err(),
+                    "{kind} accepted {bad}"
+                );
+                tampered = params.clone();
+                tampered[0] = bad;
+                assert!(
+                    fresh.load_params(matrix.n_lfs(), &tampered).is_err(),
+                    "{kind} accepted prior {bad}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Unweighted majority vote.
 
-use crate::error::{resolve_balance, LabelModelError};
+use crate::error::{check_params, resolve_balance, LabelModelError, PRIOR_RANGE};
 use crate::LabelModel;
 use adp_lf::{LabelMatrix, ABSTAIN};
 
@@ -60,6 +60,17 @@ impl LabelModel for MajorityVote {
 
     fn n_classes(&self) -> usize {
         self.n_classes
+    }
+
+    /// The class prior: majority vote fits nothing else.
+    fn params(&self) -> Vec<f64> {
+        self.prior.clone()
+    }
+
+    fn load_params(&mut self, _n_lfs: usize, params: &[f64]) -> Result<(), LabelModelError> {
+        check_params("class prior", params, self.n_classes, PRIOR_RANGE)?;
+        self.prior = params.to_vec();
+        Ok(())
     }
 }
 

@@ -16,7 +16,7 @@
 //! recovered `a_j` are converted to firing-conditional accuracies and
 //! aggregated with a naive-Bayes posterior.
 
-use crate::error::{resolve_balance, LabelModelError};
+use crate::error::{check_params, resolve_balance, LabelModelError, PRIOR_RANGE};
 use crate::LabelModel;
 use adp_lf::{LabelMatrix, ABSTAIN};
 
@@ -66,6 +66,9 @@ impl TripletMetal {
         }
     }
 
+    /// Installs accuracies and derives the log-odds terms from them — the
+    /// one path from accuracies to `vote_terms`, shared by `fit` and
+    /// `load_params`.
     fn set_accuracies(&mut self, accuracies: Vec<f64>) {
         self.vote_terms = accuracies
             .iter()
@@ -203,6 +206,31 @@ impl LabelModel for TripletMetal {
 
     fn n_classes(&self) -> usize {
         self.n_classes
+    }
+
+    /// The class prior, then one firing-conditional accuracy per LF.
+    fn params(&self) -> Vec<f64> {
+        [&self.prior[..], &self.accuracies[..]].concat()
+    }
+
+    /// Accuracies must lie in the fit's clamp `[clamp, 1 − clamp]`.
+    fn load_params(&mut self, n_lfs: usize, params: &[f64]) -> Result<(), LabelModelError> {
+        if self.n_classes != 2 {
+            return Err(LabelModelError::BinaryOnly {
+                n_classes: self.n_classes,
+            });
+        }
+        let (prior, accuracies) = params.split_at(params.len().min(2));
+        check_params("class prior", prior, 2, PRIOR_RANGE)?;
+        check_params(
+            "accuracies",
+            accuracies,
+            n_lfs,
+            (self.clamp, 1.0 - self.clamp),
+        )?;
+        self.prior = prior.to_vec();
+        self.set_accuracies(accuracies.to_vec());
+        Ok(())
     }
 }
 

@@ -12,9 +12,9 @@
 //! one copy of the matrix. A session that grows to 100 LFs therefore
 //! copies its votes four times (at 8, 16, 32 and 64 LFs) instead of at
 //! every push. Row-major keeps
-//! [`LabelMatrix::row`] a borrowed slice for the row-wise label models and
-//! for the snapshot codec, which sees the same packed row-major bytes
-//! ([`LabelMatrix::votes`]) whatever the stride.
+//! [`LabelMatrix::row`] a borrowed slice for the row-wise label models;
+//! [`LabelMatrix::votes`] gives the same packed row-major votes whatever
+//! the stride.
 //!
 //! # The moment ledger
 //!
@@ -28,15 +28,16 @@
 //! * an n×0 matrix ([`LabelMatrix::empty`]) starts with its (empty) ledger,
 //!   and [`LabelMatrix::push_lf`] extends the ledger over the new LF's
 //!   firing rows, in O(coverage × m), scanning the votes first when the
-//!   matrix holds none yet (a resumed session's first push);
+//!   matrix holds none yet (the first push onto a matrix built from
+//!   votes, such as a resumed session's);
 //! * [`LabelMatrix::select_columns`] carries the selected sub-block,
 //!   re-indexed to the new column order, in O(|cols|²);
 //! * [`LabelMatrix::set`] adjusts it exactly;
 //! * a matrix built from votes ([`LabelMatrix::from_votes`],
 //!   [`LabelMatrix::from_lfs`], [`LabelMatrix::from_raw`],
 //!   [`LabelMatrix::select_rows`]) has none until [`LabelMatrix::moments`]
-//!   or a push first asks, which scans the votes once. A snapshot decode
-//!   therefore never builds one.
+//!   or a push first asks, which scans the votes once. Deriving a
+//!   resumed session's matrices therefore never builds one.
 //!
 //! The ledger is derived data: equality compares the shape and the votes
 //! only.
@@ -283,10 +284,10 @@ impl LabelMatrix {
     }
 
     /// Rebuilds a matrix from its raw parts (the inverse of
-    /// [`LabelMatrix::votes`]), for snapshot decoding. The multiply is
-    /// checked: decoded dimensions may be hostile, and an overflow must be
-    /// the same typed error as any other shape mismatch, not a panic (or,
-    /// worse, a wrapped product that happens to match `data.len()`).
+    /// [`LabelMatrix::votes`]). The multiply is checked: dimensions read
+    /// from outside may be hostile, and an overflow must be the same typed
+    /// error as any other shape mismatch, not a panic (or, worse, a
+    /// wrapped product that happens to match `data.len()`).
     pub fn from_raw(n: usize, m: usize, data: Vec<i8>) -> Result<Self, LfError> {
         if n.checked_mul(m) != Some(data.len()) {
             return Err(LfError::BadMatrix {
@@ -297,7 +298,7 @@ impl LabelMatrix {
     }
 
     /// The votes packed row-major (length `n_instances × n_lfs`, no spare
-    /// columns), for snapshot encoding. Borrowed when the storage has no
+    /// columns). Borrowed when the storage has no
     /// spare columns, else packed into a copy.
     pub fn votes(&self) -> Cow<'_, [i8]> {
         if self.stride == self.m {
@@ -403,7 +404,7 @@ impl LabelMatrix {
         .into_iter()
         .flatten()
         .collect();
-        // A matrix built from votes (a resumed session's) scans once here,
+        // A matrix built from votes (e.g. by `from_lfs`) scans once here,
         // so every later push and selection carries the ledger.
         self.moments();
         let mut fire = 0;

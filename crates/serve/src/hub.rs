@@ -1218,10 +1218,10 @@ impl ShardState {
     /// Rebuilds a cold session's engine from its journal and re-arms its
     /// journal observer. Eviction checkpointed the journal at the
     /// session's state and a cold session cannot step, so the base is the
-    /// tip: the resume fits no model, it restores the checkpoint's
-    /// selection and probability caches verbatim (see
-    /// [`EngineBuilder::resume`]), so a cold touch costs a read, a decode
-    /// and a validation. The session's next refit fits the models.
+    /// tip: the resume fits no model — it loads the checkpoint's fitted
+    /// parameters and derives the vote matrices and probability caches
+    /// from them (see [`EngineBuilder::resume`]) — so a cold touch costs a
+    /// read, a decode, the LFs applied to the pool and two predicts.
     fn resume_session(&self, id: u64) -> Result<Engine, ServeError> {
         let (mut engine, slot) =
             self.with_cold_journal(id, |journal| self.shared.engine_at_tip(journal))?;

@@ -168,15 +168,6 @@ impl Writer {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// A length-prefixed `i8` slice — byte-identical to encoding the
-    /// equivalent `Vec<i8>`, without materialising one (vote matrices are
-    /// the bulk of a snapshot, so the copy the generic path would make is
-    /// worth avoiding).
-    pub fn put_i8_slice(&mut self, values: &[i8]) {
-        self.put_usize(values.len());
-        self.buf.extend(values.iter().map(|&v| v as u8));
-    }
-
     /// Any [`Encode`] value.
     pub fn put<T: Encode + ?Sized>(&mut self, v: &T) {
         v.encode(self);
@@ -524,21 +515,6 @@ mod tests {
         roundtrip(Some(42u32));
         roundtrip(Some(vec![Some(1i8), None, Some(-1)]));
         roundtrip(vec![true, false, true]);
-    }
-
-    #[test]
-    fn i8_slice_matches_the_generic_vec_encoding() {
-        let votes: Vec<i8> = vec![-1, 0, 1, 127, -128];
-        let mut a = Writer::new();
-        a.put_i8_slice(&votes);
-        let mut b = Writer::new();
-        b.put(&votes);
-        let bytes = a.into_bytes();
-        assert_eq!(bytes, b.into_bytes());
-        let mut r = Reader::new(&bytes);
-        let back: Vec<i8> = r.get().unwrap();
-        r.finish().unwrap();
-        assert_eq!(back, votes);
     }
 
     #[test]

@@ -298,7 +298,7 @@ fn run_schedule_fixed_step_matches_golden_trajectory() {
 
 /// Schedule parity, part 2: `FixedBatch{k: 1}` is `FixedStep` — identical
 /// outcome stream and bitwise-identical post-run snapshots (which pin the
-/// probability caches and both RNG streams, not just the metrics).
+/// fitted parameters and both RNG streams, not just the metrics).
 #[test]
 fn run_schedule_fixed_batch_one_equals_fixed_step() {
     use activedp_repro::core::BudgetSchedule;
@@ -396,8 +396,9 @@ fn assert_snapshot_resume_matches_golden(parallel: bool) {
         assert_eq!(tau.to_bits(), GOLDEN_THRESHOLD.to_bits(), "split={split}");
 
         // Beyond the golden metrics: the resumed engine's *entire* state —
-        // matrices, probability caches, RNG streams — matches a run that
-        // never stopped, so a second snapshot taken now is byte-identical.
+        // matrices, probability caches, fitted parameters, RNG streams —
+        // matches a run that never stopped, so a second snapshot taken now
+        // is byte-identical.
         let (data, cfg) = fixture();
         let mut uninterrupted = Engine::builder(data)
             .config(cfg)
@@ -405,6 +406,11 @@ fn assert_snapshot_resume_matches_golden(parallel: bool) {
             .build()
             .unwrap();
         uninterrupted.run(ITERS).unwrap();
+        assert_eq!(
+            second.state(),
+            uninterrupted.state(),
+            "split={split}: post-resume states diverge"
+        );
         assert_eq!(
             second.snapshot().unwrap().to_bytes(),
             uninterrupted.snapshot().unwrap().to_bytes(),

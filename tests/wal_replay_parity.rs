@@ -79,7 +79,7 @@ fn replay_matches_the_uninterrupted_run_bitwise() {
 fn a_replayed_engine_steps_on_exactly_like_the_original() {
     // Replaying is not just a frozen-state trick: the reconstructed engine
     // must *continue* the trajectory bit for bit — RNG streams, model
-    // caches and all — to the end of the run.
+    // parameters and all — to the end of the run.
     for parallel in [false, true] {
         let (data, snapshots, events) = golden(parallel);
         let mut replayed = Engine::replay_to_over(&snapshots[8], &events, 12, data).unwrap();
