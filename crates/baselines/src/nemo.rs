@@ -76,7 +76,7 @@ impl Framework for Nemo<'_> {
                 n_labeled: 0,
                 space: Some(&self.space),
                 seen_lfs: Some(&self.seen),
-                candidates: None,
+                visible: None,
             };
             self.sampler.select(&ctx)
         };

@@ -108,7 +108,7 @@ impl Framework for RevisingLf<'_> {
                 n_labeled: self.corrections.len(),
                 space: None,
                 seen_lfs: None,
-                candidates: None,
+                visible: None,
             };
             self.sampler.select(&ctx)
         };

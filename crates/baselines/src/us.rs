@@ -67,7 +67,7 @@ impl Framework for UncertaintySampling<'_> {
                 n_labeled: self.labeled.len(),
                 space: None,
                 seen_lfs: None,
-                candidates: None,
+                visible: None,
             };
             self.sampler.select(&ctx)
         };

@@ -390,7 +390,6 @@ fn bench_sweep_expand_grid(c: &mut Criterion) {
         ks: vec![1, 4, 16, 64],
         budget: 300,
         seeds: vec![1, 2, 3, 4, 5],
-        candidates: activedp::CandidateStrategy::Exact,
         oracles: vec![activedp::OracleKind::Simulated],
         drifts: vec![adp_data::DriftSpec::None],
     };
@@ -409,19 +408,10 @@ fn bench_sweep_expand_grid(c: &mut Criterion) {
     });
 }
 
-/// Sampler scoring over large unlabeled pools: the exact path walks every
-/// row (entropy of a logistic model's posterior), the ANN path routes
-/// through a prebuilt `adp-index` IVF — score ≤ 8 probe members per list to
-/// rank the lists, then score only the `nprobe` most uncertain lists, as
-/// the engine's `CandidateStrategy::Ann` does. The printed ratio at 100k is
-/// the README "Large pools" crossover number (recall is pinned ≥ 0.9 by
-/// `adp-index`'s planted-cluster test).
+/// Exact sampler scoring over large unlabeled pools: the entropy of a
+/// logistic model's posterior at every row, then the argmax.
 fn bench_sampler_pool(c: &mut Criterion) {
-    use adp_index::{IvfIndex, IvfParams};
-
     const DIM: usize = 16;
-    const NPROBE: usize = 8;
-    const PROBE_SAMPLE: usize = 8;
     let entropy = |p: f64| {
         let q = 1.0 - p;
         let term = |v: f64| if v > 0.0 { -v * v.ln() } else { 0.0 };
@@ -437,8 +427,7 @@ fn bench_sampler_pool(c: &mut Criterion) {
     };
 
     for (tag, n) in [("10k", 10_000usize), ("100k", 100_000)] {
-        // A pool with planted cluster structure (what makes IVF routing
-        // meaningful) plus per-row jitter.
+        // A pool with planted cluster structure plus per-row jitter.
         let x = Matrix::from_fn(n, DIM, |i, j| {
             let centre = ((i * 37) % 64) as f64 * 0.5;
             centre + (((i * 31 + j * 17) % 23) as f64 - 11.0) * 0.05
@@ -456,55 +445,7 @@ fn bench_sampler_pool(c: &mut Criterion) {
                 black_box(best)
             })
         });
-
-        let index = IvfIndex::build(&x, &IvfParams::default());
-        c.bench_function(&format!("sampler_pool_{tag}_ann"), |b| {
-            b.iter(|| {
-                // Rank lists by the mean entropy of their first few members…
-                let mut ranked: Vec<(f64, usize)> = (0..index.nlist())
-                    .map(|l| {
-                        let members = index.list(l);
-                        let probe = &members[..members.len().min(PROBE_SAMPLE)];
-                        let mean = if probe.is_empty() {
-                            f64::NEG_INFINITY
-                        } else {
-                            probe.iter().map(|&i| score(&x, i)).sum::<f64>() / probe.len() as f64
-                        };
-                        (mean, l)
-                    })
-                    .collect();
-                ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-                // …then score only the members of the top-nprobe lists.
-                let mut best = (f64::NEG_INFINITY, 0usize);
-                for &(_, l) in ranked.iter().take(NPROBE) {
-                    for &i in index.list(l) {
-                        let h = score(&x, i);
-                        if h > best.0 {
-                            best = (h, i);
-                        }
-                    }
-                }
-                black_box(best)
-            })
-        });
     }
-}
-
-/// Cost of (re)building the IVF index over a 100k-row pool — what the
-/// engine pays lazily at the first `Ann` selection and again after every
-/// `refresh_every` refits. Amortised over a selection round it must stay
-/// small next to exact scoring for ANN to win end-to-end.
-fn bench_index_build(c: &mut Criterion) {
-    use adp_index::{IvfIndex, IvfParams};
-
-    let n = 100_000;
-    let x = Matrix::from_fn(n, 16, |i, j| {
-        let centre = ((i * 37) % 64) as f64 * 0.5;
-        centre + (((i * 31 + j * 17) % 23) as f64 - 11.0) * 0.05
-    });
-    c.bench_function("index_build_100k", |b| {
-        b.iter(|| black_box(IvfIndex::build(&x, &IvfParams::default())))
-    });
 }
 
 fn bench_candidate_space(c: &mut Criterion) {
@@ -536,7 +477,6 @@ criterion_group!(
         bench_drift_regen,
         bench_sweep_expand_grid,
         bench_sampler_pool,
-        bench_index_build,
         bench_candidate_space
 );
 criterion_main!(kernels);

@@ -3,7 +3,7 @@
 //! distributed coordinator's dispatch overhead over in-process servers
 //! (what `adp-coord` pays beyond the engine work itself).
 
-use activedp::{CandidateStrategy, LabelModelKind, SamplerChoice};
+use activedp::{LabelModelKind, SamplerChoice};
 use adp_data::{DatasetId, Scale};
 use adp_experiments::{run_distributed, run_grid_jobs, CoordOpts, SweepGrid};
 use adp_serve::{Server, SessionHub};
@@ -23,7 +23,6 @@ fn bench_grid() -> SweepGrid {
         ks: vec![1, 4],
         budget: 6,
         seeds: vec![1],
-        candidates: CandidateStrategy::Exact,
         oracles: vec![activedp::OracleKind::Simulated],
         drifts: vec![adp_data::DriftSpec::None],
     }

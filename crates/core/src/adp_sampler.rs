@@ -142,7 +142,7 @@ mod tests {
             n_labeled: 0,
             space: None,
             seen_lfs: None,
-            candidates: None,
+            visible: None,
         }
     }
 

@@ -20,10 +20,6 @@ const SEED_STREAM_ORACLE: u64 = 0x5EED_0001;
 /// XOR mask separating the sampler's RNG stream from the master seed.
 const SEED_STREAM_SAMPLER: u64 = 0x5EED_0002;
 
-/// XOR mask separating the candidate index's RNG stream (k-means
-/// initialisation under [`CandidateStrategy::Ann`]) from the master seed.
-const SEED_STREAM_INDEX: u64 = 0x5EED_0003;
-
 /// XOR mask separating the cheap noisy oracle's RNG stream (under
 /// [`OracleKind::Noisy`]) from the master seed — distinct from the
 /// expensive user's stream so routing never entangles the two.
@@ -123,122 +119,24 @@ impl std::str::FromStr for SamplerChoice {
     }
 }
 
-/// How the sampler builds its per-iteration candidate pool.
+/// How the sampler builds its per-iteration candidate pool. `Exact`, the
+/// only strategy, scores every unqueried instance (the paper's behaviour).
 ///
-/// `Exact` (the default) scores every unqueried instance — the paper's
-/// behaviour, O(pool) per query, bitwise-pinned by the golden trajectory.
-/// `Ann` routes candidate generation through the deterministic IVF index
-/// of the `adp-index` crate: each selection scores only the members of the
-/// `nprobe` inverted lists nearest the current decision boundary, and the
-/// index is rebuilt after every `refresh_every` refits (0 = never refresh)
-/// so the lists track the evolving models. The ANN path only changes
-/// *which instances get scored*, never how; before any model exists it
-/// falls back to exact scoring, so small runs are unaffected.
+/// The type and [`SessionConfig::candidates`] remain only so the scenario
+/// wire format keeps its candidate tag byte (always `0`) and the benchmark
+/// harness keeps compiling; the next benchmark re-base deletes both in one
+/// format bump together with the `parallel` switches.
 ///
 /// ```
 /// use activedp::config::CandidateStrategy;
 ///
-/// // The default is exact scoring, and names round-trip through FromStr.
 /// assert_eq!(CandidateStrategy::default(), CandidateStrategy::Exact);
-/// let ann: CandidateStrategy = "ann:8,4".parse().unwrap();
-/// assert_eq!(ann, CandidateStrategy::Ann { nprobe: 8, refresh_every: 4 });
-/// assert_eq!(ann.to_string(), "ann:8,4");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CandidateStrategy {
     /// Score the full unqueried pool (paper behaviour).
     #[default]
     Exact,
-    /// Score only the IVF candidate set near the decision boundary.
-    Ann {
-        /// Inverted lists probed per selection (the index holds ~√pool
-        /// lists, so `nprobe` of them is a ~`nprobe`/√pool fraction).
-        nprobe: usize,
-        /// Refits between index rebuilds; 0 means build once and keep.
-        refresh_every: usize,
-    },
-}
-
-impl CandidateStrategy {
-    /// `Ann` with the defaults the sweeps use: probe 8 lists, refresh the
-    /// index every 4 refits.
-    pub fn ann() -> Self {
-        CandidateStrategy::Ann {
-            nprobe: 8,
-            refresh_every: 4,
-        }
-    }
-}
-
-impl std::fmt::Display for CandidateStrategy {
-    /// `exact`, or `ann:{nprobe},{refresh_every}` — what
-    /// [`CandidateStrategy::from_str`] parses back.
-    ///
-    /// [`CandidateStrategy::from_str`]: std::str::FromStr::from_str
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CandidateStrategy::Exact => f.write_str("exact"),
-            CandidateStrategy::Ann {
-                nprobe,
-                refresh_every,
-            } => write!(f, "ann:{nprobe},{refresh_every}"),
-        }
-    }
-}
-
-/// A candidate-strategy name that failed to parse; [`Display`] shows the
-/// accepted grammar.
-///
-/// [`Display`]: std::fmt::Display
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownCandidateStrategy {
-    /// The string that failed to parse.
-    pub given: String,
-}
-
-impl std::fmt::Display for UnknownCandidateStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown candidate strategy {:?}; expected exact, ann, or ann:NPROBE[,REFRESH]",
-            self.given
-        )
-    }
-}
-
-impl std::error::Error for UnknownCandidateStrategy {}
-
-impl std::str::FromStr for CandidateStrategy {
-    type Err = UnknownCandidateStrategy;
-
-    /// Parses `exact`, `ann` (defaults), `ann:NPROBE`, or
-    /// `ann:NPROBE,REFRESH`, case-insensitively.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let lower = s.to_ascii_lowercase();
-        let err = || UnknownCandidateStrategy { given: s.into() };
-        match lower.as_str() {
-            "exact" => return Ok(CandidateStrategy::Exact),
-            "ann" => return Ok(CandidateStrategy::ann()),
-            _ => {}
-        }
-        let rest = lower.strip_prefix("ann:").ok_or_else(err)?;
-        let (nprobe, refresh) = match rest.split_once(',') {
-            Some((n, r)) => (n, Some(r)),
-            None => (rest, None),
-        };
-        let nprobe: usize = nprobe.trim().parse().map_err(|_| err())?;
-        let refresh_every: usize = match refresh {
-            Some(r) => r.trim().parse().map_err(|_| err())?,
-            None => 4,
-        };
-        if nprobe == 0 {
-            return Err(err());
-        }
-        Ok(CandidateStrategy::Ann {
-            nprobe,
-            refresh_every,
-        })
-    }
 }
 
 /// Session configuration.
@@ -260,9 +158,9 @@ pub struct SessionConfig {
     pub labelpick: LabelPickConfig,
     /// Query-instance selector.
     pub sampler: SamplerChoice,
-    /// How the selector builds its candidate pool each iteration:
-    /// [`CandidateStrategy::Exact`] (paper behaviour, the default) or the
-    /// sublinear [`CandidateStrategy::Ann`] index path.
+    /// How the selector builds its candidate pool: always
+    /// [`CandidateStrategy::Exact`]. Kept until the next benchmark re-base
+    /// (see [`CandidateStrategy`]).
     pub candidates: CandidateStrategy,
     /// Which oracle answers queries: [`OracleKind::Simulated`] (the paper's
     /// single expensive user, the default) or [`OracleKind::Noisy`] — the
@@ -362,12 +260,6 @@ impl SessionConfig {
         self.seed ^ SEED_STREAM_SAMPLER
     }
 
-    /// Seed of the candidate index's RNG stream (k-means initialisation
-    /// under [`CandidateStrategy::Ann`]), derived from the master seed.
-    pub fn index_seed(&self) -> u64 {
-        self.seed ^ SEED_STREAM_INDEX
-    }
-
     /// Seed of the cheap noisy oracle's RNG stream (under
     /// [`OracleKind::Noisy`]), derived from the master seed.
     pub fn cheap_oracle_seed(&self) -> u64 {
@@ -425,13 +317,6 @@ impl SessionConfig {
                 reason: format!("noise_rate {} outside [0,1]", self.noise_rate),
             });
         }
-        if let CandidateStrategy::Ann { nprobe, .. } = self.candidates {
-            if nprobe == 0 {
-                return Err(ActiveDpError::BadConfig {
-                    reason: "candidates ann nprobe must be >= 1".into(),
-                });
-            }
-        }
         self.oracle
             .validate()
             .map_err(|reason| ActiveDpError::BadConfig { reason })?;
@@ -448,13 +333,11 @@ mod tests {
         let cfg = SessionConfig::paper_defaults(true, 7);
         assert_eq!(cfg.oracle_seed(), 7 ^ SEED_STREAM_ORACLE);
         assert_eq!(cfg.sampler_seed(), 7 ^ SEED_STREAM_SAMPLER);
-        assert_eq!(cfg.index_seed(), 7 ^ SEED_STREAM_INDEX);
         assert_eq!(cfg.cheap_oracle_seed(), 7 ^ SEED_STREAM_CHEAP_ORACLE);
         // The streams never collide with each other or the master seed.
         let streams = [
             cfg.oracle_seed(),
             cfg.sampler_seed(),
-            cfg.index_seed(),
             cfg.cheap_oracle_seed(),
             cfg.seed,
         ];
@@ -492,51 +375,6 @@ mod tests {
         assert!(routed.cheap_rng_words().is_some());
         // The expensive side is seeded exactly as the plain user is.
         assert_eq!(routed.rng_words(), plain.rng_words());
-    }
-
-    #[test]
-    fn candidate_strategies_roundtrip_through_fromstr() {
-        for strat in [
-            CandidateStrategy::Exact,
-            CandidateStrategy::ann(),
-            CandidateStrategy::Ann {
-                nprobe: 3,
-                refresh_every: 0,
-            },
-        ] {
-            assert_eq!(
-                strat.to_string().parse::<CandidateStrategy>().unwrap(),
-                strat
-            );
-        }
-        assert_eq!(
-            "ann".parse::<CandidateStrategy>().unwrap(),
-            CandidateStrategy::ann()
-        );
-        assert_eq!(
-            "ann:5".parse::<CandidateStrategy>().unwrap(),
-            CandidateStrategy::Ann {
-                nprobe: 5,
-                refresh_every: 4
-            }
-        );
-        for bad in ["hnsw", "ann:", "ann:0", "ann:2,x", "exactt"] {
-            let err = bad.parse::<CandidateStrategy>().unwrap_err();
-            assert_eq!(err.given, bad);
-            assert!(err.to_string().contains("ann:NPROBE"), "{err}");
-        }
-    }
-
-    #[test]
-    fn validate_rejects_zero_nprobe() {
-        let mut cfg = SessionConfig::paper_defaults(true, 7);
-        cfg.candidates = CandidateStrategy::Ann {
-            nprobe: 0,
-            refresh_every: 4,
-        };
-        assert!(cfg.validate().is_err());
-        cfg.candidates = CandidateStrategy::ann();
-        assert!(cfg.validate().is_ok());
     }
 
     #[test]

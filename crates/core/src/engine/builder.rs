@@ -11,7 +11,7 @@
 //! overrides composes naturally.
 
 use super::{Engine, StepObserver};
-use crate::config::{CandidateStrategy, SamplerChoice, SessionConfig};
+use crate::config::{SamplerChoice, SessionConfig};
 use crate::error::ActiveDpError;
 use crate::scenario::{BudgetSchedule, ScenarioSpec, DEFAULT_BUDGET};
 use adp_data::{DriftSpec, SharedDataset};
@@ -88,30 +88,6 @@ impl EngineBuilder {
     /// Chooses the query-instance selector (Table 4).
     pub fn sampler(mut self, sampler: SamplerChoice) -> Self {
         self.config.sampler = sampler;
-        self
-    }
-
-    /// How the selector builds its per-iteration candidate pool:
-    /// [`CandidateStrategy::Exact`] (the default, the paper's full-pool
-    /// scoring) or the sublinear [`CandidateStrategy::Ann`] index path for
-    /// large pools.
-    ///
-    /// ```
-    /// use activedp::{CandidateStrategy, Engine};
-    /// use adp_data::{generate, DatasetId, Scale};
-    ///
-    /// let data = generate(DatasetId::Youtube, Scale::Tiny, 7).unwrap();
-    /// let strategy = CandidateStrategy::Ann { nprobe: 4, refresh_every: 4 };
-    /// let mut engine = Engine::builder(data)
-    ///     .seed(7)
-    ///     .candidates(strategy)
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(engine.scenario().unwrap().session.candidates, strategy);
-    /// engine.run(3).unwrap(); // the ANN path drives the same loop
-    /// ```
-    pub fn candidates(mut self, candidates: CandidateStrategy) -> Self {
-        self.config.candidates = candidates;
         self
     }
 

@@ -463,7 +463,6 @@ impl Engine {
         }
         if collected_lf {
             self.training.refit(&self.data, &mut self.state)?;
-            self.sampling.note_refit();
         }
         // Mid-batch state is not resumable (the refit has not run for it);
         // only the batch's final iteration is a commit point.

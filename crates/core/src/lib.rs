@@ -61,9 +61,7 @@ pub use adp_oracle::{
     RoutePolicy, RouteStats, RoutedState, RoutedStep, UnknownOracleKind,
 };
 pub use adp_sampler::AdpSampler;
-pub use config::{
-    CandidateStrategy, SamplerChoice, SessionConfig, UnknownCandidateStrategy, UnknownSampler,
-};
+pub use config::{CandidateStrategy, SamplerChoice, SessionConfig, UnknownSampler};
 pub use confusion::{aggregate, tune_threshold, AggregatedLabels};
 pub use engine::{
     Engine, EngineBuilder, EvalReport, FittedParams, QueryingStage, SamplingStage, ScheduleRun,

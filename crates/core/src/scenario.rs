@@ -465,17 +465,9 @@ fn enc_config(w: &mut Writer, c: &SessionConfig) {
     enc_logreg(w, &c.downstream_logreg);
     w.put_bool(c.parallel);
     w.put_u64(c.seed);
-    match c.candidates {
-        CandidateStrategy::Exact => w.put_u8(0),
-        CandidateStrategy::Ann {
-            nprobe,
-            refresh_every,
-        } => {
-            w.put_u8(1);
-            w.put_usize(nprobe);
-            w.put_usize(refresh_every);
-        }
-    }
+    w.put_u8(match c.candidates {
+        CandidateStrategy::Exact => 0,
+    });
     match c.oracle {
         OracleKind::Simulated => w.put_u8(0),
         OracleKind::Noisy {
@@ -557,10 +549,6 @@ fn dec_config(r: &mut Reader<'_>) -> Result<SessionConfig, WireError> {
     let seed = r.get_u64()?;
     let candidates = match r.get_u8()? {
         0 => CandidateStrategy::Exact,
-        1 => CandidateStrategy::Ann {
-            nprobe: r.get_usize()?,
-            refresh_every: r.get_usize()?,
-        },
         tag => {
             return Err(WireError::BadTag {
                 what: "candidate strategy",
@@ -793,10 +781,6 @@ mod tests {
         spec.schedule = BudgetSchedule::Phased {
             segments: vec![PhaseSegment { k: 3, batches: 2 }],
         };
-        spec.session.candidates = CandidateStrategy::Ann {
-            nprobe: 6,
-            refresh_every: 2,
-        };
         let bytes = spec.to_bytes();
         let back = ScenarioSpec::from_bytes(&bytes).unwrap();
         assert_eq!(spec, back);
@@ -804,17 +788,17 @@ mod tests {
     }
 
     /// Byte offset of the candidate-strategy tag inside an encoded spec:
-    /// the first byte where an `Exact` and an `Ann` encoding of the same
-    /// spec diverge.
-    fn candidate_tag_offset(spec: &ScenarioSpec) -> usize {
-        let exact = spec.to_bytes();
-        let mut ann = spec.clone();
-        ann.session.candidates = CandidateStrategy::ann();
-        exact
-            .iter()
-            .zip(ann.to_bytes())
-            .position(|(a, b)| *a != b)
-            .expect("encodings differ at the tag")
+    /// the byte right after the session seed, found by giving the spec a
+    /// seed whose little-endian bytes occur nowhere else in the encoding.
+    fn candidate_tag_offset(spec: &mut ScenarioSpec) -> usize {
+        const SEED: u64 = 0xC0FF_EE00_DEAD_BEEF;
+        spec.session.seed = SEED;
+        let bytes = spec.to_bytes();
+        let seed = SEED.to_le_bytes();
+        let mut at = bytes.windows(8).enumerate().filter(|(_, w)| *w == seed);
+        let (pos, _) = at.next().expect("the seed is encoded");
+        assert!(at.next().is_none(), "the seed pattern is unique");
+        pos + 8
     }
 
     #[test]
@@ -869,11 +853,24 @@ mod tests {
     fn candidate_tag_is_not_read_from_v1_bodies() {
         // A v1-shaped body (no candidate tag) under the current stamp must
         // fail: the decoder reads the current layout only.
-        let spec = ScenarioSpec::new(dataset());
-        let tag_at = candidate_tag_offset(&spec);
-        let mut bytes = spec.to_bytes();
-        bytes.remove(tag_at);
-        assert!(ScenarioSpec::from_bytes(&bytes).is_err());
+        let mut spec = ScenarioSpec::new(dataset());
+        let tag_at = candidate_tag_offset(&mut spec);
+        let bytes = spec.to_bytes();
+        assert_eq!(bytes[tag_at], 0, "Exact is tag 0");
+        let mut v1 = bytes.clone();
+        v1.remove(tag_at);
+        assert!(ScenarioSpec::from_bytes(&v1).is_err());
+        // Tag 1 was the retired approximate-candidate strategy: a typed
+        // error, not a silent fallback to exact scoring.
+        let mut retired = bytes;
+        retired[tag_at] = 1;
+        assert!(matches!(
+            ScenarioSpec::from_bytes(&retired),
+            Err(ActiveDpError::SnapshotCodec(WireError::BadTag {
+                what: "candidate strategy",
+                tag: 1,
+            }))
+        ));
     }
 
     #[test]

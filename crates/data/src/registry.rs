@@ -179,7 +179,7 @@ pub enum Scale {
     Tiny,
     /// Custom multiplier in (0, 64]. Factors above 1 upscale past the
     /// paper's sizes — e.g. `x25` on a ~40k-train dataset is a
-    /// million-instance pool for stressing the sublinear sampler path.
+    /// million-instance pool.
     Custom(f64),
 }
 

@@ -144,7 +144,6 @@ impl SweepOpts {
     /// Parses `--dataset <name>`*, `--scale <name>`, `--data-seed N`,
     /// `--sampler <name>`*, `--label-model <name>`*, `--k N`*,
     /// `--budget N`, `--seeds N`,
-    /// `--candidates <exact|ann:NPROBE[,REFRESH]>`,
     /// `--oracle <simulated|noisy:ACC[>BIAS][@POLICY][!CHEAP/EXP]>`*,
     /// `--drift <none|label-shift:AT,PRIOR|covariate:AT,ROT|arriving:PER>`*,
     /// `--out DIR`, `--jobs N`, `--zero-wall`
@@ -202,11 +201,6 @@ impl SweepOpts {
                     }
                     opts.grid.seeds = (1..=seeds).collect();
                 }
-                "--candidates" => {
-                    opts.grid.candidates = value("--candidates")?
-                        .parse()
-                        .map_err(|e: activedp::UnknownCandidateStrategy| e.to_string())?;
-                }
                 "--oracle" => oracles.push(
                     value("--oracle")?
                         .parse()
@@ -231,9 +225,9 @@ impl SweepOpts {
                     return Err(format!(
                         "unknown flag {other}; supported: --dataset <name> --scale <name> \
                          --data-seed N --sampler <name> --label-model <name> --k N \
-                         --budget N --seeds N --candidates <exact|ann:NPROBE[,REFRESH]> \
-                         --oracle <simulated|noisy:...> --drift <none|label-shift:AT,PRIOR|\
-                         covariate:AT,ROT|arriving:PER> --out DIR --jobs N --zero-wall"
+                         --budget N --seeds N --oracle <simulated|noisy:...> \
+                         --drift <none|label-shift:AT,PRIOR|covariate:AT,ROT|arriving:PER> \
+                         --out DIR --jobs N --zero-wall"
                     ));
                 }
             }
@@ -364,8 +358,6 @@ mod tests {
             "12",
             "--seeds",
             "3",
-            "--candidates",
-            "ann:6,2",
             "--out",
             "/tmp/sweep",
         ])
@@ -379,13 +371,6 @@ mod tests {
         assert_eq!(opts.grid.ks, vec![2]);
         assert_eq!(opts.grid.budget, 12);
         assert_eq!(opts.grid.seeds, vec![1, 2, 3]);
-        assert_eq!(
-            opts.grid.candidates,
-            activedp::CandidateStrategy::Ann {
-                nprobe: 6,
-                refresh_every: 2
-            }
-        );
         assert_eq!(opts.out_dir, "/tmp/sweep");
     }
 
@@ -397,8 +382,8 @@ mod tests {
         assert!(err.contains("Triplet"), "{err}");
         let err = parse_sweep(&["--dataset", "mnist"]).unwrap_err();
         assert!(err.contains("Youtube"), "{err}");
-        let err = parse_sweep(&["--candidates", "hnsw"]).unwrap_err();
-        assert!(err.contains("ann:NPROBE"), "{err}");
+        // The retired candidate-strategy flag is an unknown flag.
+        assert!(parse_sweep(&["--candidates", "exact"]).is_err());
         assert!(parse_sweep(&["--k", "0"]).is_err());
         assert!(parse_sweep(&["--seeds", "0"]).is_err());
         assert!(parse_sweep(&["--warp", "9"]).is_err());
@@ -455,13 +440,5 @@ mod tests {
         assert!(err.contains("label-shift:AT"), "{err}");
         assert!(parse_sweep(&["--oracle"]).is_err());
         assert!(parse_sweep(&["--drift"]).is_err());
-    }
-
-    #[test]
-    fn sweep_default_candidates_are_exact() {
-        assert_eq!(
-            parse_sweep(&[]).unwrap().grid.candidates,
-            activedp::CandidateStrategy::Exact
-        );
     }
 }

@@ -13,8 +13,7 @@
 //! reproduce bit-for-bit (wall-clock aside) across invocations.
 
 use activedp::{
-    ActiveDpError, BudgetSchedule, CandidateStrategy, Engine, LabelModelKind, OracleKind,
-    SamplerChoice, ScenarioSpec,
+    ActiveDpError, BudgetSchedule, Engine, LabelModelKind, OracleKind, SamplerChoice, ScenarioSpec,
 };
 use adp_data::{DatasetId, DatasetSpec, DriftSpec, Scale, SharedDataset};
 use adp_wire::{read_envelope, write_envelope};
@@ -41,9 +40,6 @@ pub struct SweepGrid {
     pub budget: usize,
     /// Session seeds each combination averages over.
     pub seeds: Vec<u64>,
-    /// Candidate strategy every run scores with (`Exact` replays the
-    /// paper's loop; `Ann` exercises the sublinear large-pool path).
-    pub candidates: CandidateStrategy,
     /// Label oracles to sweep (`Simulated` is the paper's user;
     /// `Noisy` routes between it and a cheap confusion-matrix oracle).
     pub oracles: Vec<OracleKind>,
@@ -68,7 +64,6 @@ impl SweepGrid {
             ks: vec![1, 4, 16],
             budget: 48,
             seeds: vec![1],
-            candidates: CandidateStrategy::Exact,
             oracles: vec![OracleKind::Simulated],
             drifts: vec![DriftSpec::None],
         }
@@ -112,7 +107,6 @@ impl SweepGrid {
                                     spec.session.seed = seed;
                                     spec.session.sampler = sampler;
                                     spec.session.label_model = label_model;
-                                    spec.session.candidates = self.candidates;
                                     spec.session.oracle = oracle;
                                     spec.schedule = if k == 1 {
                                         BudgetSchedule::FixedStep
@@ -511,7 +505,6 @@ mod tests {
             ks: vec![1, 4],
             budget: 6,
             seeds: vec![1],
-            candidates: CandidateStrategy::Exact,
             oracles: vec![OracleKind::Simulated],
             drifts: vec![DriftSpec::None],
         }
@@ -528,18 +521,10 @@ mod tests {
         assert_eq!(specs[0].schedule, BudgetSchedule::FixedStep);
         assert_eq!(specs[1].schedule, BudgetSchedule::FixedBatch { k: 4 });
         assert_eq!(specs[2].session.sampler, SamplerChoice::Adp);
-        // Every spec validates and carries the grid's budget and strategy.
+        // Every spec validates and carries the grid's budget.
         for spec in &specs {
             spec.validate().unwrap();
             assert_eq!(spec.budget, 6);
-            assert_eq!(spec.session.candidates, CandidateStrategy::Exact);
-        }
-
-        // A non-default strategy reaches every spec too.
-        let mut ann_grid = tiny_grid();
-        ann_grid.candidates = CandidateStrategy::ann();
-        for spec in ann_grid.expand() {
-            assert_eq!(spec.session.candidates, CandidateStrategy::ann());
         }
     }
 

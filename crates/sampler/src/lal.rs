@@ -237,7 +237,7 @@ fn run_episode(rng: &mut rand::rngs::StdRng, xs: &mut Vec<Vec<f64>>, ys: &mut Ve
 
 impl Sampler for Lal {
     fn select(&mut self, ctx: &SamplerContext<'_>) -> Option<usize> {
-        let pool: Vec<usize> = ctx.unqueried().collect();
+        let pool: Vec<usize> = ctx.candidate_pool();
         if pool.is_empty() {
             return None;
         }
@@ -317,7 +317,7 @@ mod tests {
             n_labeled: 2,
             space: None,
             seen_lfs: None,
-            candidates: None,
+            visible: None,
         };
         let mut lal = Lal::new(2, 5);
         let i = lal.select(&ctx).unwrap();
@@ -351,7 +351,7 @@ mod tests {
             n_labeled: 0,
             space: None,
             seen_lfs: None,
-            candidates: None,
+            visible: None,
         };
         let a = Lal::new(4, 3).select(&ctx);
         let b = Lal::new(4, 3).select(&ctx);
@@ -371,7 +371,7 @@ mod tests {
             n_labeled: 0,
             space: None,
             seen_lfs: None,
-            candidates: None,
+            visible: None,
         };
         assert_eq!(Lal::new(0, 2).select(&ctx), None);
     }

@@ -2,7 +2,7 @@
 //!
 //! Everything a selector may consult lives in [`SamplerContext`]; the
 //! [`Sampler`] trait then picks the next query instance from the unqueried
-//! pool. Implemented here:
+//! pool ([`SamplerContext::candidate_pool`]). Implemented here:
 //!
 //! * [`Passive`] — uniform random (the "Passive" row of Table 4);
 //! * [`Uncertainty`] — maximum predictive entropy (Lewis 1995);
@@ -99,39 +99,25 @@ pub struct SamplerContext<'a> {
     pub space: Option<&'a CandidateSpace>,
     /// LFs already returned by the user (SEU discounts them).
     pub seen_lfs: Option<&'a HashSet<LfKey>>,
-    /// Restricted candidate set (ascending pool indices) from an
-    /// approximate index, when the engine runs a sublinear candidate
-    /// strategy. `None` means score the full unqueried pool. Samplers
-    /// consume it through [`SamplerContext::candidate_pool`].
-    pub candidates: Option<&'a [usize]>,
+    /// Arrival cap of a streaming pool
+    /// ([`DriftSpec::ArrivingPool`](adp_data::DriftSpec)): only instances
+    /// below it have arrived and may be queried. `None` means the whole
+    /// pool is visible.
+    pub visible: Option<usize>,
 }
 
 impl<'a> SamplerContext<'a> {
-    /// Indices not yet queried.
-    pub fn unqueried(&self) -> impl Iterator<Item = usize> + '_ {
-        self.queried
+    /// The pool every selector scores: the unqueried instances below the
+    /// arrival cap, ascending. Empty means the (visible) pool is exhausted.
+    pub fn candidate_pool(&self) -> Vec<usize> {
+        let end = self
+            .visible
+            .map_or(self.queried.len(), |v| v.min(self.queried.len()));
+        self.queried[..end]
             .iter()
             .enumerate()
             .filter_map(|(i, &q)| (!q).then_some(i))
-    }
-
-    /// The pool a selector should score: the restricted candidate set when
-    /// one is supplied (minus anything queried since it was computed),
-    /// else every unqueried index. Falls back to the full unqueried pool
-    /// when the candidate set has been exhausted by querying, so a stale
-    /// set can narrow the search but never fake pool exhaustion.
-    pub fn candidate_pool(&self) -> Vec<usize> {
-        if let Some(cands) = self.candidates {
-            let pool: Vec<usize> = cands
-                .iter()
-                .copied()
-                .filter(|&i| !self.queried[i])
-                .collect();
-            if !pool.is_empty() {
-                return pool;
-            }
-        }
-        self.unqueried().collect()
+            .collect()
     }
 
     /// The "primary" model distribution for instance `i`: the AL model when
@@ -210,9 +196,20 @@ mod tests {
             n_labeled: 0,
             space: None,
             seen_lfs: None,
-            candidates: None,
+            visible: None,
         };
-        assert_eq!(ctx.unqueried().collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(ctx.candidate_pool(), vec![0, 2]);
+        // The arrival cap hides everything at or past it.
+        let capped = SamplerContext {
+            visible: Some(2),
+            ..ctx
+        };
+        assert_eq!(capped.candidate_pool(), vec![0]);
+        let wide = SamplerContext {
+            visible: Some(9),
+            ..capped
+        };
+        assert_eq!(wide.candidate_pool(), vec![0, 2]);
     }
 
     #[test]
@@ -229,7 +226,7 @@ mod tests {
             n_labeled: 0,
             space: None,
             seen_lfs: None,
-            candidates: None,
+            visible: None,
         };
         assert_eq!(ctx.primary_probs(0)[1], 0.9);
         ctx.al_probs = None;

@@ -20,7 +20,7 @@ impl Passive {
 
 impl Sampler for Passive {
     fn select(&mut self, ctx: &SamplerContext<'_>) -> Option<usize> {
-        let pool: Vec<usize> = ctx.unqueried().collect();
+        let pool: Vec<usize> = ctx.candidate_pool();
         if pool.is_empty() {
             None
         } else {
@@ -55,7 +55,7 @@ mod tests {
             n_labeled: 0,
             space: None,
             seen_lfs: None,
-            candidates: None,
+            visible: None,
         }
     }
 

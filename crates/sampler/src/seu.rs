@@ -282,7 +282,7 @@ impl SeuScorer {
 
 impl Sampler for Seu {
     fn select(&mut self, ctx: &SamplerContext<'_>) -> Option<usize> {
-        let pool: Vec<usize> = ctx.unqueried().collect();
+        let pool: Vec<usize> = ctx.candidate_pool();
         if pool.is_empty() {
             return None;
         }
@@ -452,7 +452,7 @@ mod tests {
             n_labeled: 0,
             space: None,
             seen_lfs: None,
-            candidates: None,
+            visible: None,
         };
         // Token 0 has coverage 3/4 and utility 1.5; doc 1/2 (only token 0)
         // score 1.5; doc 0 mixes token 2 (utility .5) in, lowering the
@@ -473,7 +473,7 @@ mod tests {
             n_labeled: 0,
             space: None,
             seen_lfs: None,
-            candidates: None,
+            visible: None,
         };
         assert_eq!(Seu::new(0).select(&ctx), None);
     }

@@ -92,7 +92,7 @@ mod tests {
             n_labeled: 0,
             space: None,
             seen_lfs: None,
-            candidates: None,
+            visible: None,
         };
         assert_eq!(Uncertainty::new(0).select(&ctx), Some(1));
     }
@@ -110,7 +110,7 @@ mod tests {
             n_labeled: 0,
             space: None,
             seen_lfs: None,
-            candidates: None,
+            visible: None,
         };
         // Index 1 is most uncertain but already queried; 2 is next.
         assert_eq!(Uncertainty::new(0).select(&ctx), Some(2));
@@ -128,7 +128,7 @@ mod tests {
             n_labeled: 0,
             space: None,
             seen_lfs: None,
-            candidates: None,
+            visible: None,
         };
         let a = Uncertainty::new(5).select(&ctx);
         let b = Uncertainty::new(5).select(&ctx);
@@ -153,7 +153,7 @@ mod tests {
             n_labeled: 0,
             space: None,
             seen_lfs: None,
-            candidates: None,
+            visible: None,
         };
         assert_eq!(Uncertainty::new(0).select(&ctx), None);
     }

@@ -1,9 +1,12 @@
 //! JSON form of a [`ScenarioSpec`] — the serving protocol's `create_spec`
 //! payload and the human-writable twin of the `adp-wire` byte encoding.
 //!
-//! Reading is *defaulting*: the dataset (`id`, `scale`, `seed`) is
-//! required, everything else falls back to [`ScenarioSpec::new`]'s paper
-//! defaults for the dataset's modality, so a minimal spec is just
+//! Reading is *defaulting* but *strict*: the dataset (`id`, `scale`,
+//! `seed`) is required, everything else falls back to
+//! [`ScenarioSpec::new`]'s paper defaults for the dataset's modality, a
+//! key the schema does not name is an error that lists the valid keys (a
+//! typo such as `"sampeler"` never silently runs a default session), and
+//! so is a repeated key. A minimal spec is just
 //!
 //! ```json
 //! {"dataset": {"id": "Youtube", "scale": "tiny", "seed": 7}}
@@ -16,7 +19,6 @@
 //!  "session":  {"seed": 5, "sampler": "US", "label_model": "DawidSkene",
 //!               "alpha": 0.4, "labelpick": true, "confusion": true,
 //!               "noise_rate": 0.0, "parallel": false,
-//!               "candidates": "ann:8,4",
 //!               "oracle": "noisy:0.85@escalate"},
 //!  "schedule": {"kind": "fixed_batch", "k": 16},
 //!  "budget":   64,
@@ -27,16 +29,14 @@
 //! (`cap`), `"phased"` (`segments: [{"k": …, "batches": …}, …]`). Names
 //! parse through the same `FromStr` impls the CLIs use
 //! ([`SamplerChoice`]/[`LabelModelKind`]/`DatasetId`/`Scale`/
-//! [`CandidateStrategy`]/[`OracleKind`]/[`DriftSpec`]), so the
-//! valid-option lists in error messages stay in one place (`"candidates"`
-//! is `"exact"`, `"ann"`, or `"ann:NPROBE[,REFRESH]"`; `"oracle"` is
-//! `"simulated"` or `"noisy:ACC[>BIAS][@POLICY][!CHEAP/EXPENSIVE]"`;
-//! `"drift"` is `"none"`, `"label-shift:AT,PRIOR"`, `"covariate:AT,ROT"`
-//! or `"arriving:PER"`).
+//! [`OracleKind`]/[`DriftSpec`]), so the valid-option lists in error
+//! messages stay in one place (`"oracle"` is `"simulated"` or
+//! `"noisy:ACC[>BIAS][@POLICY][!CHEAP/EXPENSIVE]"`; `"drift"` is
+//! `"none"`, `"label-shift:AT,PRIOR"`, `"covariate:AT,ROT"` or
+//! `"arriving:PER"`).
 //!
 //! [`SamplerChoice`]: activedp::SamplerChoice
 //! [`LabelModelKind`]: adp_labelmodel::LabelModelKind
-//! [`CandidateStrategy`]: activedp::CandidateStrategy
 //! [`OracleKind`]: activedp::OracleKind
 //! [`DriftSpec`]: adp_data::DriftSpec
 
@@ -116,7 +116,6 @@ pub fn scenario_to_json(spec: &ScenarioSpec) -> Json {
                 ),
                 ("alpha", Json::Num(spec.session.alpha)),
                 ("acc_threshold", Json::Num(spec.session.acc_threshold)),
-                ("candidates", Json::Str(spec.session.candidates.to_string())),
                 ("oracle", Json::Str(spec.session.oracle.to_string())),
                 ("labelpick", Json::Bool(spec.session.use_labelpick)),
                 ("confusion", Json::Bool(spec.session.use_confusion)),
@@ -182,7 +181,29 @@ fn opt_bool(obj: &Json, key: &str, what: &str, target: &mut bool) -> Result<(), 
     Ok(())
 }
 
+/// Rejects anything but an object whose keys all appear in `valid`, each
+/// at most once (lookups read the first occurrence, so a repeat would be
+/// silently ignored); the error names the offending key.
+fn check_keys(obj: &Json, what: &str, valid: &[&str]) -> Result<(), String> {
+    let Json::Obj(fields) = obj else {
+        return Err(format!("{what} must be an object"));
+    };
+    for (i, (key, _)) in fields.iter().enumerate() {
+        if !valid.contains(&key.as_str()) {
+            return Err(format!(
+                "unknown key \"{key}\" in {what}; valid keys: {}",
+                valid.join(", ")
+            ));
+        }
+        if fields[..i].iter().any(|(k, _)| k == key) {
+            return Err(format!("duplicate key \"{key}\" in {what}"));
+        }
+    }
+    Ok(())
+}
+
 fn logreg_from_json(v: &Json, what: &str, target: &mut LogRegConfig) -> Result<(), String> {
+    check_keys(v, what, &["l2", "max_iters", "tol", "parallel"])?;
     opt_f64(v, "l2", what, &mut target.l2)?;
     opt_usize(v, "max_iters", what, &mut target.max_iters)?;
     opt_f64(v, "tol", what, &mut target.tol)?;
@@ -191,6 +212,18 @@ fn logreg_from_json(v: &Json, what: &str, target: &mut LogRegConfig) -> Result<(
 
 fn labelpick_from_json(v: &Json, target: &mut LabelPickConfig) -> Result<(), String> {
     let what = "\"session.labelpick_config\"";
+    check_keys(
+        v,
+        what,
+        &[
+            "rho",
+            "blanket_tol",
+            "blanket_rel",
+            "cap",
+            "min_queries",
+            "parallel",
+        ],
+    )?;
     opt_f64(v, "rho", what, &mut target.rho)?;
     opt_f64(v, "blanket_tol", what, &mut target.blanket_tol)?;
     opt_f64(v, "blanket_rel", what, &mut target.blanket_rel)?;
@@ -200,11 +233,18 @@ fn labelpick_from_json(v: &Json, target: &mut LabelPickConfig) -> Result<(), Str
 }
 
 /// Parses the JSON form back into a [`ScenarioSpec`], applying paper
-/// defaults for every absent session/schedule/budget field (the returned
-/// spec is *not* yet validated — `ScenarioSpec::validate` runs where the
-/// spec is used, so error paths stay uniform with the byte codec).
+/// defaults for every absent session/schedule/budget field and rejecting
+/// every key the schema does not name (the returned spec is *not* yet
+/// validated — `ScenarioSpec::validate` runs where the spec is used, so
+/// error paths stay uniform with the byte codec).
 pub fn scenario_from_json(v: &Json) -> Result<ScenarioSpec, String> {
+    check_keys(
+        v,
+        "the spec",
+        &["dataset", "session", "schedule", "budget", "drift"],
+    )?;
     let dataset = v.get("dataset").ok_or("missing \"dataset\"")?;
+    check_keys(dataset, "\"dataset\"", &["id", "scale", "seed"])?;
     let id: DatasetId = str_field(dataset, "id", "\"dataset\"")?
         .parse()
         .map_err(|e| format!("{e}"))?;
@@ -218,6 +258,25 @@ pub fn scenario_from_json(v: &Json) -> Result<ScenarioSpec, String> {
     let mut spec = ScenarioSpec::new(DatasetSpec { id, scale, seed });
 
     if let Some(session) = v.get("session") {
+        check_keys(
+            session,
+            "\"session\"",
+            &[
+                "seed",
+                "sampler",
+                "label_model",
+                "alpha",
+                "acc_threshold",
+                "oracle",
+                "labelpick",
+                "confusion",
+                "noise_rate",
+                "parallel",
+                "labelpick_config",
+                "al_logreg",
+                "downstream_logreg",
+            ],
+        )?;
         if let Some(seed) = session.get("seed") {
             spec.session.seed = seed
                 .as_u64()
@@ -244,13 +303,6 @@ pub fn scenario_from_json(v: &Json) -> Result<ScenarioSpec, String> {
             "\"session\"",
             &mut spec.session.acc_threshold,
         )?;
-        if let Some(candidates) = session.get("candidates") {
-            spec.session.candidates = candidates
-                .as_str()
-                .ok_or("\"session.candidates\" must be a string")?
-                .parse()
-                .map_err(|e| format!("{e}"))?;
-        }
         if let Some(oracle) = session.get("oracle") {
             spec.session.oracle = oracle
                 .as_str()
@@ -298,24 +350,38 @@ pub fn scenario_from_json(v: &Json) -> Result<ScenarioSpec, String> {
     }
 
     if let Some(schedule) = v.get("schedule") {
-        spec.schedule = match str_field(schedule, "kind", "\"schedule\"")? {
-            "fixed_step" => BudgetSchedule::FixedStep,
-            "fixed_batch" => BudgetSchedule::FixedBatch {
-                k: usize_field(schedule, "k", "\"schedule\"")?,
-            },
-            "doubling" => BudgetSchedule::Doubling {
-                cap: usize_field(schedule, "cap", "\"schedule\"")?,
-            },
+        let what = "\"schedule\"";
+        let kind = str_field(schedule, "kind", what)?;
+        spec.schedule = match kind {
+            "fixed_step" => {
+                check_keys(schedule, what, &["kind"])?;
+                BudgetSchedule::FixedStep
+            }
+            "fixed_batch" => {
+                check_keys(schedule, what, &["kind", "k"])?;
+                BudgetSchedule::FixedBatch {
+                    k: usize_field(schedule, "k", what)?,
+                }
+            }
+            "doubling" => {
+                check_keys(schedule, what, &["kind", "cap"])?;
+                BudgetSchedule::Doubling {
+                    cap: usize_field(schedule, "cap", what)?,
+                }
+            }
             "phased" => {
+                check_keys(schedule, what, &["kind", "segments"])?;
                 let segments = schedule
                     .get("segments")
                     .and_then(Json::as_array)
                     .ok_or("\"schedule\" needs an array \"segments\"")?
                     .iter()
                     .map(|seg| {
+                        let what = "a phased segment";
+                        check_keys(seg, what, &["k", "batches"])?;
                         Ok(PhaseSegment {
-                            k: usize_field(seg, "k", "a phased segment")?,
-                            batches: usize_field(seg, "batches", "a phased segment")?,
+                            k: usize_field(seg, "k", what)?,
+                            batches: usize_field(seg, "batches", what)?,
                         })
                     })
                     .collect::<Result<Vec<_>, String>>()?;
@@ -369,10 +435,6 @@ mod tests {
         // Every config field rides the JSON, the nested ones included —
         // the served session must be *exactly* the spec the client holds.
         spec.session.acc_threshold = 0.8;
-        spec.session.candidates = activedp::CandidateStrategy::Ann {
-            nprobe: 6,
-            refresh_every: 2,
-        };
         spec.session.labelpick.rho = 0.25;
         spec.session.labelpick.cap = 17;
         spec.session.al_logreg.l2 = 0.125;
@@ -464,14 +526,6 @@ mod tests {
         let err = scenario_from_json(&bad_kind).unwrap_err();
         assert!(err.contains("fixed_batch"), "{err}");
 
-        let bad_candidates = Json::parse(
-            r#"{"dataset":{"id":"youtube","scale":"tiny","seed":1},
-                "session":{"candidates":"hnsw"}}"#,
-        )
-        .unwrap();
-        let err = scenario_from_json(&bad_candidates).unwrap_err();
-        assert!(err.contains("ann:NPROBE"), "{err}");
-
         let bad_oracle = Json::parse(
             r#"{"dataset":{"id":"youtube","scale":"tiny","seed":1},
                 "session":{"oracle":"psychic"}}"#,
@@ -522,9 +576,80 @@ mod tests {
             r#"{"dataset":{"id":"youtube","scale":"tiny","seed":1},"budget":-3}"#,
             r#"{"dataset":{"id":"youtube","scale":"tiny","seed":1},"schedule":{"kind":"fixed_batch"}}"#,
             r#"{"dataset":{"id":"youtube","scale":"tiny","seed":1},"session":{"parallel":"yes"}}"#,
+            r#"{"dataset":{"id":"youtube","scale":"tiny","seed":1},"session":7}"#,
         ] {
             let v = Json::parse(bad).unwrap();
             assert!(scenario_from_json(&v).is_err(), "{bad}");
         }
+
+        // Unknown keys are errors at every level, never silently ignored:
+        // a typo, the retired "candidates" key, and stray nested keys.
+        for (bad, key, valid) in [
+            (
+                r#"{"dataset":{"id":"youtube","scale":"tiny","seed":1},"sampeler":"US"}"#,
+                "sampeler",
+                "session",
+            ),
+            (
+                r#"{"dataset":{"id":"youtube","scale":"tiny","seed":1},
+                    "session":{"sampeler":"US"}}"#,
+                "sampeler",
+                "sampler",
+            ),
+            (
+                r#"{"dataset":{"id":"youtube","scale":"tiny","seed":1},
+                    "session":{"candidates":"exact"}}"#,
+                "candidates",
+                "label_model",
+            ),
+            (
+                r#"{"dataset":{"id":"youtube","scale":"tiny","seed":1,"size":3}}"#,
+                "size",
+                "scale",
+            ),
+            (
+                r#"{"dataset":{"id":"youtube","scale":"tiny","seed":1},
+                    "schedule":{"kind":"fixed_step","k":4}}"#,
+                "k",
+                "kind",
+            ),
+            (
+                r#"{"dataset":{"id":"youtube","scale":"tiny","seed":1},
+                    "schedule":{"kind":"phased","segments":[{"k":1,"batches":2,"x":0}]}}"#,
+                "x",
+                "batches",
+            ),
+            (
+                r#"{"dataset":{"id":"youtube","scale":"tiny","seed":1},
+                    "session":{"labelpick_config":{"rh0":0.1}}}"#,
+                "rh0",
+                "rho",
+            ),
+            (
+                r#"{"dataset":{"id":"youtube","scale":"tiny","seed":1},
+                    "session":{"al_logreg":{"lr":0.1}}}"#,
+                "lr",
+                "max_iters",
+            ),
+            (
+                r#"{"dataset":{"id":"youtube","scale":"tiny","seed":1},
+                    "session":{"downstream_logreg":{"l1":0.1}}}"#,
+                "l1",
+                "l2",
+            ),
+        ] {
+            let err = scenario_from_json(&Json::parse(bad).unwrap()).unwrap_err();
+            assert!(err.contains(&format!("unknown key \"{key}\"")), "{err}");
+            assert!(err.contains(valid), "{err}");
+        }
+
+        // A repeated key is an error too, not a silent first-wins.
+        let repeated = Json::parse(
+            r#"{"dataset":{"id":"youtube","scale":"tiny","seed":1},
+                "session":{"seed":1,"seed":2}}"#,
+        )
+        .unwrap();
+        let err = scenario_from_json(&repeated).unwrap_err();
+        assert!(err.contains("duplicate key \"seed\""), "{err}");
     }
 }

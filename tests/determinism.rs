@@ -383,7 +383,7 @@ fn sampler_selection_serial_matches_parallel() {
                     n_labeled: 0,
                     space: None,
                     seen_lfs: None,
-                    candidates: None,
+                    visible: None,
                 };
                 let pick = s.select(&ctx).unwrap();
                 queried[pick] = true;
@@ -407,7 +407,7 @@ fn sampler_selection_serial_matches_parallel() {
                     n_labeled: 0,
                     space: None,
                     seen_lfs: None,
-                    candidates: None,
+                    visible: None,
                 };
                 let pick = s.select(&ctx).unwrap();
                 queried[pick] = true;
@@ -431,7 +431,7 @@ fn sampler_selection_serial_matches_parallel() {
             n_labeled: 4,
             space: None,
             seen_lfs: None,
-            candidates: None,
+            visible: None,
         };
         (0..3).map(|_| s.select(&ctx).unwrap()).collect::<Vec<_>>()
     };

@@ -8,7 +8,7 @@
 //! query instances, same LF picks, same LabelPick selections, same final
 //! accuracy to the last bit.
 
-use activedp_repro::core::{CandidateStrategy, Engine, SessionConfig};
+use activedp_repro::core::{Engine, SessionConfig};
 use activedp_repro::data::{generate, DatasetId, Scale, SharedDataset};
 
 const ITERS: usize = 15;
@@ -113,91 +113,6 @@ fn engine_matches_golden_trajectory() {
         tau.to_bits(),
         GOLDEN_THRESHOLD.to_bits(),
         "threshold {tau} != golden {GOLDEN_THRESHOLD}"
-    );
-}
-
-/// `CandidateStrategy::Exact` — the default, but also when set explicitly —
-/// must leave the golden trajectory untouched down to the snapshot bytes:
-/// the candidate-strategy plumbing may only change behaviour under `Ann`.
-#[test]
-fn explicit_exact_strategy_matches_golden_trajectory() {
-    let (data, cfg) = fixture();
-    let mut engine = Engine::builder(data.clone())
-        .config(cfg.clone())
-        .candidates(CandidateStrategy::Exact)
-        .build()
-        .unwrap();
-    let mut queries = Vec::new();
-    let mut lf_keys = Vec::new();
-    let mut n_selected = Vec::new();
-    for _ in 0..ITERS {
-        let out = engine.step().unwrap();
-        queries.push(out.query);
-        lf_keys.push(out.lf.as_ref().map(|lf| format!("{:?}", lf.key())));
-        n_selected.push(out.n_selected);
-    }
-    assert_golden_trajectory(&queries, &lf_keys, &n_selected);
-    let report = engine.evaluate_downstream().unwrap();
-    assert_eq!(
-        report.test_accuracy.to_bits(),
-        GOLDEN_TEST_ACCURACY.to_bits()
-    );
-
-    // And byte-for-byte: a default-config run ends in the identical state.
-    let mut default_engine = Engine::builder(data).config(cfg).build().unwrap();
-    default_engine.run(ITERS).unwrap();
-    assert_eq!(
-        engine.snapshot().unwrap().to_bytes(),
-        default_engine.snapshot().unwrap().to_bytes(),
-        "explicit Exact must be bitwise the default"
-    );
-}
-
-/// The `Ann` strategy end-to-end: the run completes, is deterministic, and
-/// snapshot/resume lands on the identical trajectory (the IVF index is
-/// rebuilt on resume, never serialized).
-#[test]
-fn ann_strategy_runs_deterministically_and_resumes() {
-    let (data, cfg) = fixture();
-    let ann = CandidateStrategy::Ann {
-        nprobe: 2,
-        refresh_every: 2,
-    };
-    let run = |steps: usize| {
-        let mut engine = Engine::builder(data.clone())
-            .config(cfg.clone())
-            .candidates(ann)
-            .build()
-            .unwrap();
-        engine.run(steps).unwrap();
-        engine
-    };
-    let full = run(ITERS);
-    let full_bytes = full.snapshot().unwrap().to_bytes();
-    assert_eq!(
-        full_bytes,
-        run(ITERS).snapshot().unwrap().to_bytes(),
-        "two identical Ann runs must agree bitwise"
-    );
-    // Interrupt mid-run (after the models exist, so the index is live),
-    // resume from bytes alone, finish: same final state.
-    let half = run(9);
-    let parked = half.snapshot().unwrap().to_bytes();
-    let restored = activedp_repro::core::SessionSnapshot::from_bytes(&parked).unwrap();
-    assert_eq!(restored.config().candidates, ann);
-    let mut resumed = Engine::resume(restored).unwrap();
-    resumed.run(ITERS - 9).unwrap();
-    assert_eq!(
-        resumed.snapshot().unwrap().to_bytes(),
-        full_bytes,
-        "Ann resume must reproduce the uninterrupted trajectory"
-    );
-    // The sublinear path must still reach a sane model on this fixture.
-    let report = full.evaluate_downstream().unwrap();
-    assert!(
-        report.test_accuracy > 0.4,
-        "Ann accuracy collapsed: {}",
-        report.test_accuracy
     );
 }
 

@@ -2,14 +2,16 @@
 //!
 //! `tests/fixtures/scenario_v3.bin` is a committed encoding of a fixed,
 //! fully non-default [`ScenarioSpec`] (Census · custom scale · QBC ·
-//! Dawid-Skene · phased schedule · ANN candidate strategy · routed noisy
-//! oracle · covariate drift). Today's encoder must reproduce it **byte
-//! for byte** — the codec is deterministic and platform-independent — so
-//! any diff is a format change and must come with a deliberate
-//! `SCENARIO_VERSION` bump plus a regenerated fixture, never as an
-//! accident. The spec is the serving protocol's and the snapshot format's
-//! shared vocabulary: silently re-encoding it would orphan every spill
-//! file and every stored sweep description at once.
+//! Dawid-Skene · phased schedule · routed noisy oracle · covariate
+//! drift). Today's encoder must reproduce it **byte for byte** — the
+//! codec is deterministic and platform-independent — so any diff is a
+//! format change and must come with a deliberate `SCENARIO_VERSION` bump
+//! plus a regenerated fixture, never as an accident. The spec is the
+//! serving protocol's and the snapshot format's shared vocabulary:
+//! silently re-encoding it would orphan every spill file and every stored
+//! sweep description at once. (Removing a variant is the one re-pin
+//! without a bump: every spec that is still expressible keeps its bytes,
+//! and the retired tag decodes to a typed `BadTag`.)
 //!
 //! The decoder reads the current version only: every other stamp, the
 //! retired v1 and v2 layouts included, is a typed `UnknownVersion` error.
@@ -20,8 +22,8 @@
 //! [`ScenarioSpec`]: activedp_repro::core::ScenarioSpec
 
 use activedp_repro::core::{
-    BudgetSchedule, CandidateStrategy, ConfusionSpec, LabelModelKind, LatencyModel, OracleKind,
-    PhaseSegment, RoutePolicy, SamplerChoice, ScenarioSpec, SCENARIO_VERSION,
+    BudgetSchedule, ConfusionSpec, LabelModelKind, LatencyModel, OracleKind, PhaseSegment,
+    RoutePolicy, SamplerChoice, ScenarioSpec, SCENARIO_VERSION,
 };
 use activedp_repro::data::{DatasetId, DatasetSpec, DriftSpec, Scale};
 use std::path::PathBuf;
@@ -34,8 +36,8 @@ fn fixture_path() -> PathBuf {
 
 /// A spec exercising the non-default corners: tabular dataset, custom
 /// scale, QBC + Dawid-Skene, ablations off, noise on, serial execution,
-/// phased schedule, ANN candidate strategy, a fully non-default routed
-/// oracle and a covariate drift at a phase-2 batch boundary.
+/// phased schedule, a fully non-default routed oracle and a covariate
+/// drift at a phase-2 batch boundary.
 fn fixture_spec() -> ScenarioSpec {
     let mut spec = ScenarioSpec::new(DatasetSpec {
         id: DatasetId::Census,
@@ -56,10 +58,6 @@ fn fixture_spec() -> ScenarioSpec {
         ],
     };
     spec.budget = 200;
-    spec.session.candidates = CandidateStrategy::Ann {
-        nprobe: 8,
-        refresh_every: 2,
-    };
     spec.session.oracle = OracleKind::Noisy {
         confusion: ConfusionSpec::Biased {
             accuracy: 0.75,
