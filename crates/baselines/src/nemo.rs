@@ -14,6 +14,7 @@ use adp_classifier::LogRegConfig;
 use adp_data::SplitDataset;
 use adp_labelmodel::{make_model, LabelModel, LabelModelKind};
 use adp_lf::{CandidateSpace, LabelFunction, LabelMatrix, LfKey, SimulatedUser, UserConfig};
+use adp_linalg::Matrix;
 use adp_sampler::{Sampler, SamplerContext, Seu};
 use std::collections::HashSet;
 
@@ -29,7 +30,7 @@ pub struct Nemo<'a> {
     train_matrix: LabelMatrix,
     queried: Vec<bool>,
     seen: HashSet<LfKey>,
-    lm_probs: Option<Vec<Vec<f64>>>,
+    lm_probs: Option<Matrix>,
     downstream_cfg: LogRegConfig,
 }
 
@@ -72,7 +73,7 @@ impl Framework for Nemo<'_> {
                 train: &self.data.train,
                 queried: &self.queried,
                 al_probs: None,
-                lm_probs: self.lm_probs.as_deref(),
+                lm_probs: self.lm_probs.as_ref(),
                 n_labeled: 0,
                 space: Some(&self.space),
                 seen_lfs: Some(&self.seen),
@@ -106,7 +107,7 @@ impl Framework for Nemo<'_> {
         let labels: Vec<Option<Vec<f64>>> = match &self.lm_probs {
             None => vec![None; n],
             Some(probs) => (0..n)
-                .map(|i| self.train_matrix.has_vote(i).then(|| probs[i].clone()))
+                .map(|i| self.train_matrix.has_vote(i).then(|| probs[i].to_vec()))
                 .collect(),
         };
         crate::downstream_eval(self.data, &labels, self.downstream_cfg)

@@ -15,6 +15,7 @@ use adp_classifier::LogRegConfig;
 use adp_data::SplitDataset;
 use adp_labelmodel::{make_model, LabelModel, LabelModelKind};
 use adp_lf::{CandidateSpace, LabelFunction, LabelMatrix, SimulatedUser, UserConfig, ABSTAIN};
+use adp_linalg::Matrix;
 use adp_sampler::{Sampler, SamplerContext, Uncertainty};
 
 /// The Revising-LF baseline.
@@ -31,7 +32,7 @@ pub struct RevisingLf<'a> {
     /// User-revealed ground truth `(instance, label)`, re-applied to every
     /// new LF column.
     corrections: Vec<(usize, usize)>,
-    lm_probs: Option<Vec<Vec<f64>>>,
+    lm_probs: Option<Matrix>,
     downstream_cfg: LogRegConfig,
 }
 
@@ -104,7 +105,7 @@ impl Framework for RevisingLf<'_> {
                 train: &self.data.train,
                 queried: &self.queried,
                 al_probs: None,
-                lm_probs: self.lm_probs.as_deref(),
+                lm_probs: self.lm_probs.as_ref(),
                 n_labeled: self.corrections.len(),
                 space: None,
                 seen_lfs: None,
@@ -145,7 +146,7 @@ impl Framework for RevisingLf<'_> {
         let labels: Vec<Option<Vec<f64>>> = match &self.lm_probs {
             None => vec![None; n],
             Some(probs) => (0..n)
-                .map(|i| self.train_matrix.has_vote(i).then(|| probs[i].clone()))
+                .map(|i| self.train_matrix.has_vote(i).then(|| probs[i].to_vec()))
                 .collect(),
         };
         crate::downstream_eval(self.data, &labels, self.downstream_cfg)

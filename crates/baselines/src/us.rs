@@ -10,6 +10,7 @@ use activedp::ActiveDpError;
 use adp_classifier::{LogRegConfig, LogisticRegression, Targets};
 use adp_data::SplitDataset;
 use adp_lf::{SimulatedUser, UserConfig};
+use adp_linalg::Matrix;
 use adp_sampler::{Sampler, SamplerContext, Uncertainty};
 
 /// The US baseline.
@@ -21,7 +22,7 @@ pub struct UncertaintySampling<'a> {
     labeled: Vec<usize>,
     labels: Vec<usize>,
     queried: Vec<bool>,
-    probs: Option<Vec<Vec<f64>>>,
+    probs: Option<Matrix>,
     downstream_cfg: LogRegConfig,
 }
 
@@ -62,7 +63,7 @@ impl Framework for UncertaintySampling<'_> {
             let ctx = SamplerContext {
                 train: &self.data.train,
                 queried: &self.queried,
-                al_probs: self.probs.as_deref(),
+                al_probs: self.probs.as_ref(),
                 lm_probs: None,
                 n_labeled: self.labeled.len(),
                 space: None,

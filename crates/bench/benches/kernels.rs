@@ -4,7 +4,7 @@ use adp_bench::{bench_corpus, bench_dataset, planted_votes};
 use adp_classifier::{LogRegConfig, LogisticRegression, Targets};
 use adp_data::DatasetId;
 use adp_glasso::{graphical_lasso, graphical_lasso_with, GlassoConfig};
-use adp_labelmodel::{DawidSkene, LabelModel, TripletMetal};
+use adp_labelmodel::{predict_columns, DawidSkene, LabelModel, TripletMetal};
 use adp_lf::{CandidateSpace, LabelMatrix};
 use adp_linalg::{correlation_matrix, covariance_matrix, Cholesky, Execution, Matrix};
 use adp_text::TfidfVectorizer;
@@ -448,6 +448,46 @@ fn bench_sampler_pool(c: &mut Criterion) {
     }
 }
 
+/// The refit's two bulk predictions at Census paper scale (25,541
+/// training rows), each one flat `n × 2` matrix: the triplet label model
+/// over the selected columns of a 50-LF matrix read in place, and the AL
+/// model over the dense features.
+fn bench_bulk_predict(c: &mut Criterion) {
+    let votes = planted_votes(25_541, 50, 0.3, 5);
+    let selected: Vec<usize> = (0..50).step_by(2).collect();
+    let view = votes.columns(&selected).expect("columns in range");
+    let mut triplet = TripletMetal::new(2);
+    triplet.fit_columns(&view, None).expect("fit succeeds");
+    c.bench_function("predict_all_triplet_25k", |b| {
+        b.iter(|| {
+            black_box(predict_columns(
+                &triplet,
+                black_box(&view),
+                Execution::Serial,
+            ))
+        })
+    });
+
+    let census = census_paper();
+    let rows: Vec<usize> = (0..census.train.len()).step_by(250).collect();
+    let labels: Vec<usize> = rows.iter().map(|&i| census.train.labels[i]).collect();
+    let mut al = LogisticRegression::new(
+        2,
+        adp_linalg::Features::ncols(&census.train.features),
+        LogRegConfig::default(),
+    );
+    al.fit(&census.train.features, &rows, Targets::Hard(&labels), None)
+        .expect("fit succeeds");
+    c.bench_function("predict_proba_all_census_25k", |b| {
+        b.iter(|| black_box(al.predict_proba_all(black_box(&census.train.features))))
+    });
+}
+
+/// Census at paper scale, the census-step workload's pool.
+fn census_paper() -> adp_data::SplitDataset {
+    adp_data::generate(DatasetId::Census, adp_data::Scale::Paper, 7).expect("census generates")
+}
+
 fn bench_candidate_space(c: &mut Criterion) {
     let data = bench_dataset(DatasetId::Youtube);
     c.bench_function("candidate_space_build_text", |b| {
@@ -456,6 +496,13 @@ fn bench_candidate_space(c: &mut Criterion) {
     let space = CandidateSpace::build(&data.train);
     c.bench_function("candidates_for_query", |b| {
         b.iter(|| black_box(space.candidates_for(&data.train, &data.train, 5, 1, 0.6)))
+    });
+    // One oracle query's stump candidates over the 25,541-row Census pool.
+    let census = census_paper();
+    let space = CandidateSpace::build(&census.train);
+    let label = census.train.labels[17];
+    c.bench_function("candidates_for_query_tabular", |b| {
+        b.iter(|| black_box(space.candidates_for(&census.train, &census.train, 17, label, 0.6)))
     });
 }
 
@@ -477,6 +524,7 @@ criterion_group!(
         bench_drift_regen,
         bench_sweep_expand_grid,
         bench_sampler_pool,
+        bench_bulk_predict,
         bench_candidate_space
 );
 criterion_main!(kernels);

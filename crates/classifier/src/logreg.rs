@@ -315,16 +315,24 @@ impl LogisticRegression {
 
     /// Class-probability vector for row `i` of `x`.
     pub fn predict_proba<F: Features + ?Sized>(&self, x: &F, i: usize) -> Vec<f64> {
-        let mut scores: Vec<f64> = (0..self.n_classes)
-            .map(|c| x.row_dot(i, self.weights.row(c)) + self.bias[c])
-            .collect();
-        adp_linalg::softmax_inplace(&mut scores);
+        let mut scores = vec![0.0; self.n_classes];
+        self.predict_into(x, i, &mut scores);
         scores
     }
 
-    /// Probabilities for every row of `x`. Rows are independent, so this
-    /// runs chunk-parallel on large inputs (identical output either way).
-    pub fn predict_proba_all<F: Features + ?Sized>(&self, x: &F) -> Vec<Vec<f64>> {
+    /// [`LogisticRegression::predict_proba`] written into `out`, one value
+    /// per class.
+    pub fn predict_into<F: Features + ?Sized>(&self, x: &F, i: usize, out: &mut [f64]) {
+        for (c, score) in out.iter_mut().enumerate() {
+            *score = x.row_dot(i, self.weights.row(c)) + self.bias[c];
+        }
+        adp_linalg::softmax_inplace(out);
+    }
+
+    /// Probabilities for every row of `x`, as one `rows × classes` matrix.
+    /// Rows are independent, so this runs chunk-parallel on large inputs
+    /// (identical output either way).
+    pub fn predict_proba_all<F: Features + ?Sized>(&self, x: &F) -> Matrix {
         let exec = if self.config.parallel {
             parallel::auto(x.nrows(), MIN_PARALLEL_PREDICT)
         } else {
@@ -335,18 +343,15 @@ impl LogisticRegression {
 
     /// [`LogisticRegression::predict_proba_all`] under an explicit
     /// execution policy (bitwise identical either way).
-    pub fn predict_proba_all_with<F: Features + ?Sized>(
-        &self,
-        x: &F,
-        exec: Execution,
-    ) -> Vec<Vec<f64>> {
-        let n = x.nrows();
-        parallel::map_chunks(n, GRAD_CHUNK, exec, |range| {
-            range.map(|i| self.predict_proba(x, i)).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+    pub fn predict_proba_all_with<F: Features + ?Sized>(&self, x: &F, exec: Execution) -> Matrix {
+        let k = self.n_classes;
+        let mut probs = Matrix::zeros(x.nrows(), k);
+        parallel::fill_chunks(probs.as_mut_slice(), k, GRAD_CHUNK, exec, |range, block| {
+            for (i, out) in range.zip(block.chunks_exact_mut(k)) {
+                self.predict_into(x, i, out);
+            }
+        });
+        probs
     }
 
     /// Hard prediction for row `i`.
@@ -604,8 +609,8 @@ mod tests {
         loaded.load_params(&w, &b).unwrap();
         let bits = |m: &LogisticRegression| -> Vec<u64> {
             m.predict_proba_all(&x)
+                .as_slice()
                 .iter()
-                .flatten()
                 .map(|p| p.to_bits())
                 .collect()
         };

@@ -60,11 +60,11 @@ impl Sampler for AdpSampler {
         let alpha = self.alpha;
         let scores = adp_sampler::score_items(&pool, self.parallel, |&i| {
             let h_al = match ctx.al_probs {
-                Some(p) => adp_linalg::entropy(&p[i]),
+                Some(p) => adp_linalg::entropy(p.row(i)),
                 None => max_h,
             };
             let h_lm = match ctx.lm_probs {
-                Some(p) => adp_linalg::entropy(&p[i]),
+                Some(p) => adp_linalg::entropy(p.row(i)),
                 None => max_h,
             };
             h_al.powf(alpha) * h_lm.powf(1.0 - alpha)
@@ -124,15 +124,15 @@ mod tests {
         }
     }
 
-    fn probs(ps: &[f64]) -> Vec<Vec<f64>> {
-        ps.iter().map(|&p| vec![1.0 - p, p]).collect()
+    fn probs(ps: &[f64]) -> Matrix {
+        Matrix::from_fn(ps.len(), 2, |i, c| if c == 1 { ps[i] } else { 1.0 - ps[i] })
     }
 
     fn ctx<'a>(
         d: &'a Dataset,
         queried: &'a [bool],
-        al: Option<&'a [Vec<f64>]>,
-        lm: Option<&'a [Vec<f64>]>,
+        al: Option<&'a Matrix>,
+        lm: Option<&'a Matrix>,
     ) -> SamplerContext<'a> {
         SamplerContext {
             train: d,

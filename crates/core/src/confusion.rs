@@ -12,7 +12,7 @@
 //! aggregated labels over the *non-rejected* part (§3.2 — accuracy, not
 //! coverage, because a zero threshold would trivially maximise coverage).
 
-use adp_linalg::argmax;
+use adp_linalg::{argmax, Matrix};
 
 /// Result of aggregating a dataset's labels.
 #[derive(Debug, Clone)]
@@ -59,28 +59,32 @@ impl AggregatedLabels {
 /// Panics when the slice lengths disagree (sessions construct them from the
 /// same dataset, so a mismatch is a bug).
 pub fn aggregate(
-    al_probs: &[Vec<f64>],
-    lm_probs: &[Vec<f64>],
+    al_probs: &Matrix,
+    lm_probs: &Matrix,
     has_vote: &[bool],
     tau: f64,
 ) -> Vec<Option<Vec<f64>>> {
-    assert_eq!(al_probs.len(), lm_probs.len(), "probs length mismatch");
-    assert_eq!(al_probs.len(), has_vote.len(), "has_vote length mismatch");
+    assert_eq!(al_probs.nrows(), lm_probs.nrows(), "probs length mismatch");
+    assert_eq!(al_probs.nrows(), has_vote.len(), "has_vote length mismatch");
     al_probs
-        .iter()
-        .zip(lm_probs)
+        .row_iter()
+        .zip(lm_probs.row_iter())
         .zip(has_vote)
         .map(|((al, lm), &voted)| {
-            let conf = al.iter().fold(0.0_f64, |m, &p| m.max(p));
-            if conf >= tau {
-                Some(al.clone())
+            if confidence(al) >= tau {
+                Some(al.to_vec())
             } else if voted {
-                Some(lm.clone())
+                Some(lm.to_vec())
             } else {
                 None
             }
         })
         .collect()
+}
+
+/// A distribution's largest probability (0 for an empty one).
+fn confidence(p: &[f64]) -> f64 {
+    p.iter().fold(0.0_f64, |m, &v| m.max(v))
 }
 
 /// Tunes τ on a validation set (§3.2): evaluates every distinct AL
@@ -98,15 +102,14 @@ pub fn aggregate(
 /// # Panics
 /// Panics when the slice lengths disagree, as [`aggregate`] does.
 pub fn tune_threshold(
-    al_probs: &[Vec<f64>],
-    lm_probs: &[Vec<f64>],
+    al_probs: &Matrix,
+    lm_probs: &Matrix,
     has_vote: &[bool],
     truth: &[usize],
 ) -> f64 {
-    assert_eq!(al_probs.len(), lm_probs.len(), "probs length mismatch");
-    assert_eq!(al_probs.len(), has_vote.len(), "has_vote length mismatch");
-    let confidence = |p: &Vec<f64>| p.iter().fold(0.0_f64, |m, &v| m.max(v));
-    let mut candidates: Vec<f64> = al_probs.iter().map(confidence).collect();
+    assert_eq!(al_probs.nrows(), lm_probs.nrows(), "probs length mismatch");
+    assert_eq!(al_probs.nrows(), has_vote.len(), "has_vote length mismatch");
+    let mut candidates: Vec<f64> = al_probs.row_iter().map(confidence).collect();
     candidates.push(0.0);
     candidates.push(1.0);
     candidates.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite confidences"));
@@ -114,10 +117,10 @@ pub fn tune_threshold(
 
     // Rows that count toward accuracy (those with ground truth), each with
     // its confidence and whether each branch would label it correctly.
-    let correct = |dist: &Vec<f64>, t: usize| argmax(dist).expect("non-empty distribution") == t;
+    let correct = |dist: &[f64], t: usize| argmax(dist).expect("non-empty distribution") == t;
     let mut rows: Vec<(f64, bool, Option<bool>)> = al_probs
-        .iter()
-        .zip(lm_probs)
+        .row_iter()
+        .zip(lm_probs.row_iter())
         .zip(has_vote)
         .zip(truth)
         .map(|(((al, lm), &voted), &t)| {
@@ -167,15 +170,12 @@ mod tests {
     /// The quadratic sweep [`tune_threshold`] replaced: a full
     /// [`aggregate`] rescored at every candidate.
     fn reference_tune_threshold(
-        al_probs: &[Vec<f64>],
-        lm_probs: &[Vec<f64>],
+        al_probs: &Matrix,
+        lm_probs: &Matrix,
         has_vote: &[bool],
         truth: &[usize],
     ) -> f64 {
-        let mut candidates: Vec<f64> = al_probs
-            .iter()
-            .map(|p| p.iter().fold(0.0_f64, |m, &v| m.max(v)))
-            .collect();
+        let mut candidates: Vec<f64> = al_probs.row_iter().map(confidence).collect();
         candidates.push(0.0);
         candidates.push(1.0);
         candidates.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite confidences"));
@@ -212,18 +212,23 @@ mod tests {
         for case in 0..200 {
             let n = 1 + next(60) as usize;
             let grid = 2 + next(12);
-            let al: Vec<Vec<f64>> = (0..n)
-                .map(|_| {
-                    let mut pos = next(grid + 1) as f64 / grid as f64;
-                    if next(5) == 0 {
-                        pos += 1e-13;
-                    }
-                    vec![1.0 - pos, pos]
-                })
-                .collect();
-            let lm: Vec<Vec<f64>> = (0..n)
-                .map(|_| p(next(grid + 1) as f64 / grid as f64))
-                .collect();
+            let al = probs(
+                &(0..n)
+                    .map(|_| {
+                        let pos = next(grid + 1) as f64 / grid as f64;
+                        if next(5) == 0 {
+                            pos + 1e-13
+                        } else {
+                            pos
+                        }
+                    })
+                    .collect::<Vec<_>>(),
+            );
+            let lm = probs(
+                &(0..n)
+                    .map(|_| next(grid + 1) as f64 / grid as f64)
+                    .collect::<Vec<_>>(),
+            );
             let has_vote: Vec<bool> = (0..n).map(|_| next(3) != 0).collect();
             let labelled = if case % 7 == 0 { n / 2 } else { n };
             let truth: Vec<usize> = (0..labelled).map(|_| next(2) as usize).collect();
@@ -241,10 +246,19 @@ mod tests {
         vec![1.0 - pos, pos]
     }
 
+    /// One `[1 − pos, pos]` row per positive-class probability.
+    fn probs(pos: &[f64]) -> Matrix {
+        Matrix::from_fn(
+            pos.len(),
+            2,
+            |i, c| if c == 1 { pos[i] } else { 1.0 - pos[i] },
+        )
+    }
+
     #[test]
     fn eq1_three_branches() {
-        let al = vec![p(0.9), p(0.6), p(0.55)];
-        let lm = vec![p(0.1), p(0.8), p(0.2)];
+        let al = probs(&[0.9, 0.6, 0.55]);
+        let lm = probs(&[0.1, 0.8, 0.2]);
         let has_vote = vec![true, true, false];
         let out = aggregate(&al, &lm, &has_vote, 0.7);
         // Instance 0: AL confident (0.9 >= 0.7) -> AL.
@@ -257,8 +271,8 @@ mod tests {
 
     #[test]
     fn tau_zero_always_uses_al() {
-        let al = vec![p(0.5), p(0.51)];
-        let lm = vec![p(0.99), p(0.99)];
+        let al = probs(&[0.5, 0.51]);
+        let lm = probs(&[0.99, 0.99]);
         let out = aggregate(&al, &lm, &[true, true], 0.0);
         assert_eq!(out[0].as_ref().unwrap()[1], 0.5);
         assert_eq!(out[1].as_ref().unwrap()[1], 0.51);
@@ -266,8 +280,8 @@ mod tests {
 
     #[test]
     fn coverage_monotone_decreasing_in_tau() {
-        let al = vec![p(0.9), p(0.7), p(0.6), p(0.55)];
-        let lm = vec![p(0.5); 4];
+        let al = probs(&[0.9, 0.7, 0.6, 0.55]);
+        let lm = probs(&[0.5; 4]);
         let has_vote = vec![true, false, false, false];
         let cov = |tau| {
             AggregatedLabels {
@@ -302,8 +316,8 @@ mod tests {
     fn tuning_prefers_accurate_model() {
         // AL is wrong but confident on instances 2,3; LM is right everywhere
         // it fires. A high tau routes everything to the LM.
-        let al = vec![p(0.95), p(0.9), p(0.85), p(0.8)];
-        let lm = vec![p(0.9), p(0.9), p(0.1), p(0.1)];
+        let al = probs(&[0.95, 0.9, 0.85, 0.8]);
+        let lm = probs(&[0.9, 0.9, 0.1, 0.1]);
         let has_vote = vec![true; 4];
         let truth = vec![1, 1, 0, 0];
         let tau = tune_threshold(&al, &lm, &has_vote, &truth);
@@ -323,8 +337,8 @@ mod tests {
 
     #[test]
     fn tuning_prefers_al_when_al_is_better() {
-        let al = vec![p(0.95), p(0.9), p(0.15), p(0.1)];
-        let lm = vec![p(0.2), p(0.2), p(0.8), p(0.8)];
+        let al = probs(&[0.95, 0.9, 0.15, 0.1]);
+        let lm = probs(&[0.2, 0.2, 0.8, 0.8]);
         let has_vote = vec![true; 4];
         let truth = vec![1, 1, 0, 0];
         let tau = tune_threshold(&al, &lm, &has_vote, &truth);
@@ -335,8 +349,8 @@ mod tests {
     #[test]
     fn tuning_ties_break_to_smaller_tau() {
         // Both models perfect: every candidate achieves accuracy 1 -> tau 0.
-        let al = vec![p(0.9), p(0.1)];
-        let lm = vec![p(0.9), p(0.1)];
+        let al = probs(&[0.9, 0.1]);
+        let lm = probs(&[0.9, 0.1]);
         let truth = vec![1, 0];
         let tau = tune_threshold(&al, &lm, &[true, true], &truth);
         assert_eq!(tau, 0.0);
@@ -346,8 +360,8 @@ mod tests {
     fn tuning_handles_all_rejected_candidates() {
         // No LF votes and low AL confidence: high taus reject everything and
         // must not win by default.
-        let al = vec![p(0.55), p(0.45)];
-        let lm = vec![p(0.5), p(0.5)];
+        let al = probs(&[0.55, 0.45]);
+        let lm = probs(&[0.5, 0.5]);
         let truth = vec![1, 0];
         let tau = tune_threshold(&al, &lm, &[false, false], &truth);
         assert!(tau <= 0.55 + 1e-12);
@@ -356,6 +370,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn aggregate_checks_lengths() {
-        aggregate(&[p(0.5)], &[], &[true], 0.5);
+        aggregate(&probs(&[0.5]), &probs(&[]), &[true], 0.5);
     }
 }

@@ -539,11 +539,10 @@ mod tests {
         ]
     }
 
-    fn cache_bits(cache: &Option<Vec<Vec<f64>>>) -> Option<Vec<Vec<u64>>> {
-        cache.as_ref().map(|rows| {
-            rows.iter()
-                .map(|r| r.iter().map(|p| p.to_bits()).collect())
-                .collect()
+    fn cache_bits(cache: &Option<adp_linalg::Matrix>) -> Option<((usize, usize), Vec<u64>)> {
+        cache.as_ref().map(|probs| {
+            let bits = probs.as_slice().iter().map(|p| p.to_bits()).collect();
+            (probs.shape(), bits)
         })
     }
 

@@ -36,14 +36,14 @@ pub fn aggregate_train_labels(
     state: &SessionState,
 ) -> Result<AggregatedLabels, ActiveDpError> {
     let n_classes = data.train.n_classes;
-    let lm_train = training.lm_probs_for(n_classes, state, &state.train_matrix);
+    let lm_train = training.lm_probs_for(n_classes, state, &state.train_matrix)?;
     let has_vote_train = state.has_vote_for(&state.train_matrix);
     if !config.use_confusion {
         // Ablation: label-model output on covered instances only.
         let labels = lm_train
-            .into_iter()
+            .row_iter()
             .zip(&has_vote_train)
-            .map(|(p, &v)| v.then_some(p))
+            .map(|(p, &v)| v.then(|| p.to_vec()))
             .collect();
         return Ok(AggregatedLabels {
             labels,
@@ -52,7 +52,7 @@ pub fn aggregate_train_labels(
     }
     let al_train = training.al_probs_for(n_classes, state, &data.train.features);
     let al_valid = training.al_probs_for(n_classes, state, &data.valid.features);
-    let lm_valid = training.lm_probs_for(n_classes, state, &state.valid_matrix);
+    let lm_valid = training.lm_probs_for(n_classes, state, &state.valid_matrix)?;
     let has_vote_valid = state.has_vote_for(&state.valid_matrix);
     let tau = tune_threshold(&al_valid, &lm_valid, &has_vote_valid, &data.valid.labels);
     Ok(AggregatedLabels {
@@ -87,18 +87,18 @@ pub fn evaluate_downstream(
     let preds: Vec<usize> = if rows.is_empty() {
         vec![0; data.test.len()]
     } else {
-        let targets: Vec<Vec<f64>> = rows
-            .iter()
-            .map(|&i| agg.labels[i].clone().expect("row filtered as covered"))
-            .collect();
+        // The covered rows' labels, moved out in `rows` order.
+        let targets: Vec<Vec<f64>> = agg.labels.into_iter().flatten().collect();
         let mut downstream = LogisticRegression::new(
             data.train.n_classes,
             adp_linalg::Features::ncols(&data.train.features),
             config.effective_downstream_logreg(),
         );
         downstream.fit(&data.train.features, &rows, Targets::Soft(&targets), None)?;
-        (0..data.test.len())
-            .map(|i| downstream.predict(&data.test.features, i))
+        let probs = downstream.predict_proba_all(&data.test.features);
+        probs
+            .row_iter()
+            .map(|p| adp_linalg::argmax(p).expect("n_classes >= 1"))
             .collect()
     };
     report.test_accuracy = adp_classifier::accuracy(&preds, &data.test.labels);

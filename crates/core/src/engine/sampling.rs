@@ -111,8 +111,8 @@ impl SamplingStage {
             let ctx = SamplerContext {
                 train: &data.train,
                 queried: &state.queried,
-                al_probs: state.al_probs_train.as_deref(),
-                lm_probs: state.lm_probs_train.as_deref(),
+                al_probs: state.al_probs_train.as_ref(),
+                lm_probs: state.lm_probs_train.as_ref(),
                 n_labeled: state.query_indices.len(),
                 space: Some(space),
                 seen_lfs: Some(&state.seen_keys),

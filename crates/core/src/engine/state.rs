@@ -5,6 +5,7 @@
 use crate::error::ActiveDpError;
 use adp_data::SplitDataset;
 use adp_lf::{LabelFunction, LabelMatrix, LfKey, ABSTAIN};
+use adp_linalg::Matrix;
 use std::collections::HashSet;
 
 /// Everything the training loop accumulates, kept separate from the
@@ -32,11 +33,11 @@ pub struct SessionState {
     /// 1-based count of completed loop iterations.
     pub iteration: usize,
     /// AL-model class probabilities on the training split, refreshed by the
-    /// training stage (`None` before the first fit).
-    pub al_probs_train: Option<Vec<Vec<f64>>>,
+    /// training stage (`None` before the first fit): one row per instance.
+    pub al_probs_train: Option<Matrix>,
     /// Label-model class probabilities on the training split (`None` while
-    /// no LF is selected).
-    pub lm_probs_train: Option<Vec<Vec<f64>>>,
+    /// no LF is selected): one row per instance.
+    pub lm_probs_train: Option<Matrix>,
 }
 
 impl SessionState {

@@ -9,7 +9,8 @@ use crate::labelpick::LabelPick;
 use adp_classifier::{LogisticRegression, Targets};
 use adp_data::SplitDataset;
 use adp_labelmodel::{make_model_with, LabelModel};
-use adp_lf::LabelMatrix;
+use adp_lf::{ColumnView, LabelMatrix};
+use adp_linalg::Matrix;
 
 /// The fitted parameters a refit leaves behind — what a snapshot persists
 /// so resume can restore the models instead of refitting them.
@@ -98,14 +99,14 @@ impl TrainingStage {
             (0..state.lfs.len()).collect()
         };
 
-        // Label model on the selected columns.
+        // Label model on the selected columns, read in place.
         state.lm_probs_train = if state.selected.is_empty() {
             None
         } else {
-            let selected_train = state.train_matrix.select_columns(&state.selected)?;
+            let selected_train = state.train_matrix.columns(&state.selected)?;
             self.label_model
-                .fit(&selected_train, Some(&self.class_balance))?;
-            Some(self.predict_train(&selected_train))
+                .fit_columns(&selected_train, Some(&self.class_balance))?;
+            Some(self.predict_selected(&selected_train))
         };
 
         // AL model on the pseudo-labelled set.
@@ -152,7 +153,7 @@ impl TrainingStage {
         } else {
             self.label_model
                 .load_params(state.selected.len(), &params.label_model)?;
-            Some(self.predict_train(&state.train_matrix.select_columns(&state.selected)?))
+            Some(self.predict_selected(&state.train_matrix.columns(&state.selected)?))
         };
         state.al_probs_train = if state.query_indices.is_empty() {
             None
@@ -165,17 +166,14 @@ impl TrainingStage {
     }
 
     /// The label model's probabilities for every row of the selected
-    /// training columns.
-    fn predict_train(&self, selected_train: &LabelMatrix) -> Vec<Vec<f64>> {
+    /// columns.
+    fn predict_selected(&self, selected: &ColumnView<'_>) -> Matrix {
         let exec = if self.parallel {
-            adp_linalg::parallel::auto(
-                selected_train.n_instances(),
-                adp_labelmodel::MIN_PARALLEL_PREDICT,
-            )
+            adp_linalg::parallel::auto(selected.n_instances(), adp_labelmodel::MIN_PARALLEL_PREDICT)
         } else {
             adp_linalg::Execution::Serial
         };
-        adp_labelmodel::predict_all_with(self.label_model.as_ref(), selected_train, exec)
+        adp_labelmodel::predict_columns(self.label_model.as_ref(), selected, exec)
     }
 
     /// Label-model probabilities for every row of `matrix`, restricted to
@@ -185,18 +183,11 @@ impl TrainingStage {
         n_classes: usize,
         state: &SessionState,
         matrix: &LabelMatrix,
-    ) -> Vec<Vec<f64>> {
-        let uniform = vec![1.0 / n_classes as f64; n_classes];
-        (0..matrix.n_instances())
-            .map(|i| {
-                if state.selected.is_empty() {
-                    uniform.clone()
-                } else {
-                    let votes: Vec<i8> = state.selected.iter().map(|&j| matrix.get(i, j)).collect();
-                    self.label_model.predict_proba(&votes)
-                }
-            })
-            .collect()
+    ) -> Result<Matrix, ActiveDpError> {
+        if state.selected.is_empty() {
+            return Ok(uniform(matrix.n_instances(), n_classes));
+        }
+        Ok(self.predict_selected(&matrix.columns(&state.selected)?))
     }
 
     /// AL-model probabilities for every row of `features`; the uniform
@@ -206,13 +197,17 @@ impl TrainingStage {
         n_classes: usize,
         state: &SessionState,
         features: &adp_data::FeatureSet,
-    ) -> Vec<Vec<f64>> {
+    ) -> Matrix {
         if state.query_indices.is_empty() {
-            let n = adp_linalg::Features::nrows(features);
-            return vec![vec![1.0 / n_classes as f64; n_classes]; n];
+            return uniform(adp_linalg::Features::nrows(features), n_classes);
         }
         self.al_model.predict_proba_all(features)
     }
+}
+
+/// `n` rows of the uniform distribution over `n_classes`.
+fn uniform(n: usize, n_classes: usize) -> Matrix {
+    Matrix::from_fn(n, n_classes, |_, _| 1.0 / n_classes as f64)
 }
 
 #[cfg(test)]
@@ -262,7 +257,7 @@ mod tests {
         assert!(state.lm_probs_train.is_some());
         assert!(state.al_probs_train.is_some());
         let al = state.al_probs_train.as_ref().unwrap();
-        assert_eq!(al.len(), data.train.len());
+        assert_eq!(al.shape(), (data.train.len(), 2));
         assert!((al[0].iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
@@ -290,9 +285,9 @@ mod tests {
         assert!(state.lm_probs_train.is_none());
         assert!(state.al_probs_train.is_none());
         // The prob helpers fall back to the uniform prior.
-        let lm = stage.lm_probs_for(2, &state, &state.train_matrix);
-        assert_eq!(lm[0], vec![0.5, 0.5]);
+        let lm = stage.lm_probs_for(2, &state, &state.train_matrix).unwrap();
+        assert_eq!(lm[0], [0.5, 0.5]);
         let al = stage.al_probs_for(2, &state, &data.train.features);
-        assert_eq!(al[0], vec![0.5, 0.5]);
+        assert_eq!(al[0], [0.5, 0.5]);
     }
 }

@@ -113,26 +113,24 @@ impl LabelPick {
         // the validation split. LFs that never fire there get the benefit
         // of the doubt — small validation sets say nothing about them.
         let random = 1.0 / n_classes as f64;
+        let accuracy: Vec<Option<f64>> = (0..m)
+            .map(|j| valid_matrix.lf_accuracy(j, valid_labels))
+            .collect();
         let mut survivors: Vec<usize> = (0..m)
-            .filter(|&j| match valid_matrix.lf_accuracy(j, valid_labels) {
-                Some(acc) => acc > random,
-                None => true,
-            })
+            .filter(|&j| accuracy[j].map_or(true, |acc| acc > random))
             .collect();
         if survivors.len() <= 1 || query_matrix.n_instances() < self.config.min_queries {
             return Ok(survivors);
         }
+        // Each LF's validation accuracy × coverage, which both the cap and
+        // the polarity guard rank by.
+        let score: Vec<f64> = (0..m)
+            .map(|j| accuracy[j].unwrap_or(random) * valid_matrix.lf_coverage(j))
+            .collect();
 
         // Cap for glasso tractability: rank by validation accuracy × coverage.
         if survivors.len() > self.config.cap {
-            let mut ranked: Vec<(usize, f64)> = survivors
-                .iter()
-                .map(|&j| {
-                    let acc = valid_matrix.lf_accuracy(j, valid_labels).unwrap_or(random);
-                    let cov = valid_matrix.lf_coverage(j);
-                    (j, acc * cov)
-                })
-                .collect();
+            let mut ranked: Vec<(usize, f64)> = survivors.iter().map(|&j| (j, score[j])).collect();
             ranked.sort_unstable_by(|a, b| {
                 b.1.partial_cmp(&a.1)
                     .expect("finite scores")
@@ -191,28 +189,28 @@ impl LabelPick {
         // only one side of the pool, and the downstream model collapses to
         // a constant predictor. Ensure every class that has a surviving LF
         // keeps its best representative (validation accuracy × coverage).
-        let polarity = |j: usize| -> Option<i8> {
-            (0..valid_matrix.n_instances())
-                .map(|i| valid_matrix.get(i, j))
-                .chain((0..query_matrix.n_instances()).map(|i| query_matrix.get(i, j)))
-                .find(|&v| v != ABSTAIN)
-        };
+        // An LF's polarity is its first vote, on validation then on the
+        // queries.
+        let polarity: Vec<Option<i8>> = (0..m)
+            .map(|j| {
+                (0..valid_matrix.n_instances())
+                    .map(|i| valid_matrix.get(i, j))
+                    .chain((0..query_matrix.n_instances()).map(|i| query_matrix.get(i, j)))
+                    .find(|&v| v != ABSTAIN)
+            })
+            .collect();
         for class in 0..n_classes {
             let c = class as i8;
-            if selected.iter().any(|&j| polarity(j) == Some(c)) {
+            if selected.iter().any(|&j| polarity[j] == Some(c)) {
                 continue;
             }
             let best = survivors
                 .iter()
                 .copied()
-                .filter(|&j| polarity(j) == Some(c))
+                .filter(|&j| polarity[j] == Some(c))
                 .max_by(|&a, &b| {
-                    let score = |j: usize| {
-                        valid_matrix.lf_accuracy(j, valid_labels).unwrap_or(random)
-                            * valid_matrix.lf_coverage(j)
-                    };
-                    score(a)
-                        .partial_cmp(&score(b))
+                    score[a]
+                        .partial_cmp(&score[b])
                         .expect("finite scores")
                         .then(b.cmp(&a))
                 });

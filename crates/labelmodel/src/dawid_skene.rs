@@ -136,7 +136,7 @@ impl DawidSkene {
         // Initialise responsibilities from majority vote.
         let mut mv = MajorityVote::new(c);
         mv.fit(matrix, class_balance)?;
-        let mut q: Vec<Vec<f64>> = (0..n).map(|i| mv.predict_proba(matrix.row(i))).collect();
+        let mut q = crate::predict_all_with(&mv, matrix, exec);
 
         let mut theta = vec![vec![vec![0.0; n_outcomes]; c]; m];
         for _iter in 0..self.max_iters {
@@ -151,7 +151,7 @@ impl DawidSkene {
                 for i in range {
                     let row = matrix.row(i);
                     for y in 0..c {
-                        let w = q_ref[i][y];
+                        let w = q_ref[(i, y)];
                         prior_part[y] += w;
                         for (j, &v) in row.iter().enumerate() {
                             let o = if v == ABSTAIN { 0 } else { 1 + v as usize };
@@ -193,28 +193,24 @@ impl DawidSkene {
             }
 
             // E-step (log space): pure per-row posteriors, fanned out over
-            // the same fixed chunks and written back in instance order.
+            // the same fixed chunks and written in place into `q`'s rows.
             self.theta = theta.clone();
             let (theta_ref, prior_ref) = (&self.theta, &self.prior);
-            let posteriors = parallel::map_chunks(n, EM_CHUNK, exec, |range| {
-                range
-                    .map(|i| {
-                        let row = matrix.row(i);
-                        let mut logp: Vec<f64> = (0..c).map(|y| prior_ref[y].ln()).collect();
-                        for (j, &v) in row.iter().enumerate() {
-                            let o = if v == ABSTAIN { 0 } else { 1 + v as usize };
-                            for (y, lp) in logp.iter_mut().enumerate() {
-                                *lp += theta_ref[j][y][o].max(1e-300).ln();
-                            }
+            parallel::fill_chunks(q.as_mut_slice(), c, EM_CHUNK, exec, |range, block| {
+                for (i, logp) in range.zip(block.chunks_exact_mut(c)) {
+                    let row = matrix.row(i);
+                    for (lp, p) in logp.iter_mut().zip(prior_ref) {
+                        *lp = p.ln();
+                    }
+                    for (j, &v) in row.iter().enumerate() {
+                        let o = if v == ABSTAIN { 0 } else { 1 + v as usize };
+                        for (y, lp) in logp.iter_mut().enumerate() {
+                            *lp += theta_ref[j][y][o].max(1e-300).ln();
                         }
-                        adp_linalg::softmax_inplace(&mut logp);
-                        logp
-                    })
-                    .collect::<Vec<_>>()
+                    }
+                    adp_linalg::softmax_inplace(logp);
+                }
             });
-            for (qi, post) in q.iter_mut().zip(posteriors.into_iter().flatten()) {
-                *qi = post;
-            }
 
             if max_delta < self.tol {
                 break;
@@ -239,12 +235,15 @@ impl LabelModel for DawidSkene {
         self.fit_with(matrix, class_balance, exec)
     }
 
-    fn predict_proba(&self, votes: &[i8]) -> Vec<f64> {
+    fn predict_into(&self, votes: &[i8], logp: &mut [f64]) {
         let c = self.n_classes;
         if self.theta.is_empty() || votes.iter().all(|&v| v == ABSTAIN) {
-            return self.prior.clone();
+            logp.copy_from_slice(&self.prior);
+            return;
         }
-        let mut logp: Vec<f64> = (0..c).map(|y| self.prior[y].ln()).collect();
+        for (lp, p) in logp.iter_mut().zip(&self.prior) {
+            *lp = p.ln();
+        }
         for (j, &v) in votes.iter().enumerate().take(self.theta.len()) {
             // Abstain outcomes are skipped at prediction time: coverage says
             // little about a *new* instance's class and including it makes
@@ -257,8 +256,7 @@ impl LabelModel for DawidSkene {
                 *lp += self.theta[j][y][o].max(1e-300).ln();
             }
         }
-        adp_linalg::softmax_inplace(&mut logp);
-        logp
+        adp_linalg::softmax_inplace(logp);
     }
 
     fn n_classes(&self) -> usize {

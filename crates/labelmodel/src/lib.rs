@@ -27,8 +27,10 @@ pub use error::LabelModelError;
 pub use majority::MajorityVote;
 pub use triplet::TripletMetal;
 
-use adp_lf::LabelMatrix;
+use adp_lf::{ColumnView, LabelMatrix, ABSTAIN};
 use adp_linalg::parallel::{self, Execution};
+use adp_linalg::Matrix;
+use std::ops::Range;
 
 /// Instances per parallel [`predict_all_with`] chunk. Fixed
 /// (machine-independent): each row's posterior is a pure function of that
@@ -55,9 +57,28 @@ pub trait LabelModel: Send + Sync {
         class_balance: Option<&[f64]>,
     ) -> Result<(), LabelModelError>;
 
-    /// Posterior class distribution for one row of votes (`-1` = abstain).
-    /// Rows where every LF abstains yield the class prior.
-    fn predict_proba(&self, votes: &[i8]) -> Vec<f64>;
+    /// [`LabelModel::fit`] on the selected columns of a matrix. The
+    /// default fits a copy of them; a model that reads less than the votes
+    /// overrides it to read the selection in place.
+    fn fit_columns(
+        &mut self,
+        view: &ColumnView<'_>,
+        class_balance: Option<&[f64]>,
+    ) -> Result<(), LabelModelError> {
+        self.fit(&view.to_matrix(), class_balance)
+    }
+
+    /// Writes the posterior class distribution for one row of votes (`-1`
+    /// = abstain) into `out`, one value per class. Rows where every LF
+    /// abstains yield the class prior.
+    fn predict_into(&self, votes: &[i8], out: &mut [f64]);
+
+    /// [`LabelModel::predict_into`] into a fresh vector.
+    fn predict_proba(&self, votes: &[i8]) -> Vec<f64> {
+        let mut out = vec![0.0; self.n_classes()];
+        self.predict_into(votes, &mut out);
+        out
+    }
 
     /// Number of classes.
     fn n_classes(&self) -> usize;
@@ -75,7 +96,7 @@ pub trait LabelModel: Send + Sync {
 /// Applies `model` to every instance of `matrix`, fanning row chunks out
 /// over scoped threads when the matrix is large enough (bitwise identical
 /// to the serial path — each row's posterior is independent).
-pub fn predict_all(model: &dyn LabelModel, matrix: &LabelMatrix) -> Vec<Vec<f64>> {
+pub fn predict_all(model: &dyn LabelModel, matrix: &LabelMatrix) -> Matrix {
     predict_all_with(
         model,
         matrix,
@@ -83,20 +104,45 @@ pub fn predict_all(model: &dyn LabelModel, matrix: &LabelMatrix) -> Vec<Vec<f64>
     )
 }
 
-/// [`predict_all`] under an explicit execution policy.
-pub fn predict_all_with(
-    model: &dyn LabelModel,
-    matrix: &LabelMatrix,
-    exec: Execution,
-) -> Vec<Vec<f64>> {
-    parallel::map_chunks(matrix.n_instances(), PREDICT_CHUNK, exec, |range| {
-        range
-            .map(|i| model.predict_proba(matrix.row(i)))
-            .collect::<Vec<_>>()
+/// [`predict_all`] under an explicit execution policy: one `n × classes`
+/// matrix whose row `i` is `model.predict_proba(matrix.row(i))`.
+pub fn predict_all_with(model: &dyn LabelModel, matrix: &LabelMatrix, exec: Execution) -> Matrix {
+    fill_posteriors(model, matrix.n_instances(), exec, |rows, block| {
+        let k = model.n_classes();
+        for (i, out) in rows.zip(block.chunks_exact_mut(k)) {
+            model.predict_into(matrix.row(i), out);
+        }
     })
-    .into_iter()
-    .flatten()
-    .collect()
+}
+
+/// [`predict_all_with`] on the selected columns of a matrix, read in
+/// place: bit for bit the prediction on `view.to_matrix()`.
+pub fn predict_columns(model: &dyn LabelModel, view: &ColumnView<'_>, exec: Execution) -> Matrix {
+    fill_posteriors(model, view.n_instances(), exec, |rows, block| {
+        let k = model.n_classes();
+        let mut votes = vec![ABSTAIN; view.n_lfs()];
+        for (i, out) in rows.zip(block.chunks_exact_mut(k)) {
+            model.predict_into(view.gather(i, &mut votes), out);
+        }
+    })
+}
+
+/// An `n × classes` matrix filled chunk by chunk by `fill(rows, block)`.
+fn fill_posteriors(
+    model: &dyn LabelModel,
+    n: usize,
+    exec: Execution,
+    fill: impl Fn(Range<usize>, &mut [f64]) + Sync,
+) -> Matrix {
+    let mut probs = Matrix::zeros(n, model.n_classes());
+    parallel::fill_chunks(
+        probs.as_mut_slice(),
+        model.n_classes(),
+        PREDICT_CHUNK,
+        exec,
+        fill,
+    );
+    probs
 }
 
 /// Which label model a pipeline should instantiate.
@@ -282,13 +328,44 @@ mod tests {
         }
     }
 
+    /// Fitting and predicting on a column view equals fitting and
+    /// predicting on the copied columns, bit for bit, for every model.
+    #[test]
+    fn column_view_fit_and_predict_equal_the_copy() {
+        let matrix = LabelMatrix::from_votes(&[
+            vec![1, 1, 0, -1, 1],
+            vec![0, 0, -1, 0, -1],
+            vec![1, -1, 1, 1, 0],
+            vec![-1, 0, 0, 0, 1],
+            vec![1, 1, 1, -1, -1],
+            vec![-1, -1, -1, -1, -1],
+        ])
+        .unwrap();
+        let cols = [4, 0, 2, 2, 3];
+        let copy = matrix.select_columns(&cols).unwrap();
+        let view = matrix.columns(&cols).unwrap();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for kind in LabelModelKind::all() {
+            let mut on_copy = make_model(kind, 2);
+            on_copy.fit(&copy, Some(&[0.4, 0.6])).unwrap();
+            let mut on_view = make_model(kind, 2);
+            on_view.fit_columns(&view, Some(&[0.4, 0.6])).unwrap();
+            assert_eq!(on_view.params(), on_copy.params(), "{kind}");
+            for exec in [Execution::Serial, Execution::with_threads(2)] {
+                let expected = predict_all_with(on_copy.as_ref(), &copy, exec);
+                let got = predict_columns(on_view.as_ref(), &view, exec);
+                assert_eq!(bits(&got), bits(&expected), "{kind} {exec:?}");
+            }
+        }
+    }
+
     #[test]
     fn predict_all_shapes() {
         let matrix = LabelMatrix::empty(3);
         let mut mv = MajorityVote::new(2);
         mv.fit(&matrix, None).unwrap();
         let probs = predict_all(&mv, &matrix);
-        assert_eq!(probs.len(), 3);
-        assert_eq!(probs[0], vec![0.5, 0.5]);
+        assert_eq!(probs.shape(), (3, 2));
+        assert_eq!(probs[0], [0.5, 0.5]);
     }
 }

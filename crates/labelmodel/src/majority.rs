@@ -2,7 +2,7 @@
 
 use crate::error::{check_params, resolve_balance, LabelModelError, PRIOR_RANGE};
 use crate::LabelModel;
-use adp_lf::{LabelMatrix, ABSTAIN};
+use adp_lf::{ColumnView, LabelMatrix, ABSTAIN};
 
 /// Majority vote over non-abstaining LFs; ties and all-abstain rows fall
 /// back to the class prior.
@@ -32,30 +32,43 @@ impl LabelModel for MajorityVote {
         Ok(())
     }
 
-    fn predict_proba(&self, votes: &[i8]) -> Vec<f64> {
-        let mut counts = vec![0usize; self.n_classes];
+    /// Nothing to read but the balance, so no copy of the selection.
+    fn fit_columns(
+        &mut self,
+        _view: &ColumnView<'_>,
+        class_balance: Option<&[f64]>,
+    ) -> Result<(), LabelModelError> {
+        self.prior = resolve_balance(class_balance, self.n_classes)?;
+        Ok(())
+    }
+
+    /// Counts votes per class in `out` (exact small integers), then turns
+    /// the tied maxima into prior-weighted shares.
+    fn predict_into(&self, votes: &[i8], out: &mut [f64]) {
+        out.fill(0.0);
         let mut total = 0usize;
         for &v in votes {
             if v != ABSTAIN {
                 let c = v as usize;
                 if c < self.n_classes {
-                    counts[c] += 1;
+                    out[c] += 1.0;
                     total += 1;
                 }
             }
         }
         if total == 0 {
-            return self.prior.clone();
+            out.copy_from_slice(&self.prior);
+            return;
         }
-        let max = *counts.iter().max().expect("non-empty counts");
-        let winners: Vec<usize> = (0..self.n_classes).filter(|&c| counts[c] == max).collect();
-        let mut p = vec![0.0; self.n_classes];
+        let max = out.iter().copied().fold(0.0, f64::max);
         // Ties split probability according to the prior over tied classes.
-        let prior_mass: f64 = winners.iter().map(|&c| self.prior[c]).sum();
-        for &c in &winners {
-            p[c] = self.prior[c] / prior_mass;
+        let prior_mass: f64 = (0..self.n_classes)
+            .filter(|&c| out[c] == max)
+            .map(|c| self.prior[c])
+            .sum();
+        for (p, &prior) in out.iter_mut().zip(&self.prior) {
+            *p = if *p == max { prior / prior_mass } else { 0.0 };
         }
-        p
     }
 
     fn n_classes(&self) -> usize {

@@ -18,7 +18,7 @@
 
 use crate::error::{check_params, resolve_balance, LabelModelError, PRIOR_RANGE};
 use crate::LabelModel;
-use adp_lf::{LabelMatrix, ABSTAIN};
+use adp_lf::{ColumnView, LabelMatrix, LfMoments, ABSTAIN};
 
 /// Triplet-estimated label model for binary tasks.
 #[derive(Debug, Clone)]
@@ -152,15 +152,16 @@ fn outcome(v: i8) -> usize {
     usize::from(v != ABSTAIN) + usize::from(v != ABSTAIN && v != 0)
 }
 
-impl LabelModel for TripletMetal {
-    /// Reads the matrix's moment ledger ([`LabelMatrix::moments`]) instead
-    /// of its votes: a matrix that carries one (a column selection of a
-    /// grown training matrix) costs O(m²) here, any other is scanned once.
-    /// The ledger's sums are exact integers, so the estimator sees the same
+impl TripletMetal {
+    /// Fits from a moment ledger over `n` instances instead of the votes:
+    /// a matrix that carries one (a grown training matrix, or a column
+    /// selection of one) costs O(m²) here, any other is scanned once. The
+    /// ledger's sums are exact integers, so the estimator sees the same
     /// `f64` inputs as from a scan of every row.
-    fn fit(
+    fn fit_moments(
         &mut self,
-        matrix: &LabelMatrix,
+        moments: &LfMoments,
+        n: usize,
         class_balance: Option<&[f64]>,
     ) -> Result<(), LabelModelError> {
         if self.n_classes != 2 {
@@ -169,9 +170,7 @@ impl LabelModel for TripletMetal {
             });
         }
         self.prior = resolve_balance(class_balance, 2)?;
-        let n = matrix.n_instances();
-        let m = matrix.n_lfs();
-        let moments = matrix.moments();
+        let m = moments.fire_counts().len();
         if let Some(vote) = moments.vote_outside(2) {
             return Err(LabelModelError::VoteOutOfRange { vote, n_classes: 2 });
         }
@@ -190,8 +189,30 @@ impl LabelModel for TripletMetal {
         self.set_accuracies(accuracies);
         Ok(())
     }
+}
 
-    fn predict_proba(&self, votes: &[i8]) -> Vec<f64> {
+impl LabelModel for TripletMetal {
+    /// Reads the matrix's moment ledger ([`LabelMatrix::moments`]) instead
+    /// of its votes (see `fit_moments`).
+    fn fit(
+        &mut self,
+        matrix: &LabelMatrix,
+        class_balance: Option<&[f64]>,
+    ) -> Result<(), LabelModelError> {
+        self.fit_moments(matrix.moments(), matrix.n_instances(), class_balance)
+    }
+
+    /// The selection's sub-block of the matrix's ledger, in O(m²): no copy
+    /// of the selected votes.
+    fn fit_columns(
+        &mut self,
+        view: &ColumnView<'_>,
+        class_balance: Option<&[f64]>,
+    ) -> Result<(), LabelModelError> {
+        self.fit_moments(&view.moments(), view.n_instances(), class_balance)
+    }
+
+    fn predict_into(&self, votes: &[i8], out: &mut [f64]) {
         // Naive-Bayes log odds for Y = 1. An abstain adds +0.0, which
         // leaves every value but −0.0 unchanged, and the sum is never −0.0:
         // it starts at an `ln`, and x + y is −0.0 only when both are. So
@@ -201,7 +222,7 @@ impl LabelModel for TripletMetal {
             log_odds += terms[outcome(v)];
         }
         let p1 = 1.0 / (1.0 + (-log_odds).exp());
-        vec![1.0 - p1, p1]
+        out.copy_from_slice(&[1.0 - p1, p1]);
     }
 
     fn n_classes(&self) -> usize {
@@ -567,8 +588,8 @@ mod tests {
                 adp_linalg::Execution::with_threads(3),
             ] {
                 let bulk = crate::predict_all_with(model, matrix, exec);
-                assert_eq!(bulk.len(), matrix.n_instances());
-                for (i, row) in bulk.iter().enumerate() {
+                assert_eq!(bulk.shape(), (matrix.n_instances(), 2));
+                for (i, row) in bulk.row_iter().enumerate() {
                     let expected = reference_predict(model, matrix.row(i));
                     assert_bits(&format!("{label} {exec:?} row {i}"), row, &expected);
                 }

@@ -142,23 +142,19 @@ impl CandidateSpace {
                 out
             }
             SpaceKind::Tabular { min_support } => {
-                let x = query_dataset.features.as_dense();
-                let train_x = train.features.as_dense();
-                let d = train_x.ncols();
+                let query = query_dataset.features.as_dense().row(idx);
+                let (all, target) = stump_counts(train, query, target_label);
                 let mut out = Vec::new();
-                for feature in 0..d {
-                    let v = x[(idx, feature)];
+                for (feature, &v) in query.iter().enumerate() {
                     for op in StumpOp::both() {
-                        let mut covered = 0usize;
-                        let mut correct = 0usize;
-                        for i in 0..train.len() {
-                            if op.matches(train_x[(i, feature)], v) {
-                                covered += 1;
-                                if train.labels[i] == target_label {
-                                    correct += 1;
-                                }
-                            }
-                        }
+                        // `x <= v` is below or at, `x >= v` above or at,
+                        // exactly as IEEE comparisons decide.
+                        let side = match op {
+                            StumpOp::Le => 0,
+                            StumpOp::Ge => 2,
+                        };
+                        let covered = all[feature][side] + all[feature][1];
+                        let correct = target[feature][side] + target[feature][1];
                         if covered < *min_support {
                             continue;
                         }
@@ -256,6 +252,41 @@ impl CandidateSpace {
             }
         }
     }
+}
+
+/// Per feature, the training rows `[below, at, above]` the query's value,
+/// over every row and over the `target_label` rows, counted in one
+/// row-major pass over the training features. A NaN on either side of a
+/// comparison counts as none of the three, as it matches neither stump.
+fn stump_counts(
+    train: &Dataset,
+    query: &[f64],
+    target_label: usize,
+) -> (Vec<[usize; 3]>, Vec<[usize; 3]>) {
+    let train_x = train.features.as_dense();
+    let d = query.len();
+    // Rows of other labels and of the target label count apart, so each
+    // row takes one branch; `all` is their sum.
+    let mut other = vec![[0usize; 3]; d];
+    let mut target = vec![[0usize; 3]; d];
+    for (i, &label) in train.labels.iter().enumerate() {
+        let counts = if label == target_label {
+            &mut target
+        } else {
+            &mut other
+        };
+        for ((c, &x), &v) in counts.iter_mut().zip(train_x.row(i)).zip(query) {
+            c[0] += usize::from(x < v);
+            c[1] += usize::from(x == v);
+            c[2] += usize::from(x > v);
+        }
+    }
+    let all = other
+        .iter()
+        .zip(&target)
+        .map(|(o, t)| [0, 1, 2].map(|k| o[k] + t[k]))
+        .collect();
+    (all, target)
 }
 
 #[cfg(test)]
@@ -361,6 +392,115 @@ mod tests {
         }
         // x >= v covers only class-1 instances => perfect accuracy present.
         assert!(c.iter().any(|cand| cand.accuracy == 1.0));
+    }
+
+    /// The per-(feature, op) column scan the one-pass counts replaced,
+    /// kept as the reference.
+    fn reference_stump_candidates(
+        space: &CandidateSpace,
+        train: &Dataset,
+        query: &Dataset,
+        idx: usize,
+        target_label: usize,
+        acc_threshold: f64,
+    ) -> Vec<Candidate> {
+        let SpaceKind::Tabular { min_support } = space.kind else {
+            panic!("tabular space expected");
+        };
+        let x = query.features.as_dense();
+        let train_x = train.features.as_dense();
+        let mut out = Vec::new();
+        for feature in 0..train_x.ncols() {
+            let v = x[(idx, feature)];
+            for op in StumpOp::both() {
+                let mut covered = 0usize;
+                let mut correct = 0usize;
+                for i in 0..train.len() {
+                    if op.matches(train_x[(i, feature)], v) {
+                        covered += 1;
+                        if train.labels[i] == target_label {
+                            correct += 1;
+                        }
+                    }
+                }
+                if covered < min_support {
+                    continue;
+                }
+                let acc = correct as f64 / covered as f64;
+                if acc > acc_threshold {
+                    out.push(Candidate {
+                        lf: LabelFunction::Stump {
+                            feature,
+                            threshold: v,
+                            op,
+                            label: target_label,
+                        },
+                        accuracy: acc,
+                        coverage: covered as f64 / space.n_train as f64,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// Random tabular data on a coarse grid (many ties), with ±0.0 in
+    /// training and query values, a NaN query value and three classes:
+    /// the one-pass counts give the reference's candidates, in its order,
+    /// with the same `f64` accuracy and coverage bits.
+    #[test]
+    fn one_pass_stump_candidates_equal_the_column_scan() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |k: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % k
+        };
+        let mut found = 0;
+        for case in 0..40 {
+            let (n, d) = (30 + next(200) as usize, 1 + next(6) as usize);
+            let grid = |r: u64| match r {
+                0 => 0.0,
+                1 => -0.0,
+                r => (r as f64 - 5.0) * 0.5,
+            };
+            let mut values: Vec<f64> = (0..n * d).map(|_| grid(next(10))).collect();
+            let labels: Vec<usize> = (0..n).map(|_| next(3) as usize).collect();
+            let mut query = Matrix::from_fn(3, d, |_, _| grid(next(10)));
+            query[(1, 0)] = f64::NAN;
+            if case % 5 == 0 {
+                values[0] = f64::NAN;
+            }
+            let train = Dataset {
+                name: "grid".into(),
+                task: Task::OccupancyPrediction,
+                n_classes: 3,
+                features: FeatureSet::Dense(Matrix::from_vec(n, d, values).unwrap()),
+                labels,
+                texts: None,
+                encoded_docs: None,
+            };
+            let query = Dataset {
+                features: FeatureSet::Dense(query),
+                labels: vec![0; 3],
+                ..train.clone()
+            };
+            let space = CandidateSpace::build(&train);
+            for (idx, target, threshold) in [(0, 0, 0.2), (1, 1, 0.0), (2, 2, 0.34)] {
+                let fast = space.candidates_for(&train, &query, idx, target, threshold);
+                let slow =
+                    reference_stump_candidates(&space, &train, &query, idx, target, threshold);
+                assert_eq!(fast.len(), slow.len(), "case {case} query {idx}");
+                found += fast.len();
+                for (a, b) in fast.iter().zip(&slow) {
+                    assert_eq!(a.lf.key(), b.lf.key(), "case {case} query {idx}");
+                    assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
+                    assert_eq!(a.coverage.to_bits(), b.coverage.to_bits());
+                }
+            }
+        }
+        assert!(found > 100, "only {found} candidates compared");
     }
 
     #[test]

@@ -25,5 +25,5 @@ pub mod user;
 pub use candidates::{Candidate, CandidateSpace};
 pub use error::LfError;
 pub use lf::{LabelFunction, LfKey, StumpOp, ABSTAIN};
-pub use matrix::{LabelMatrix, LfMoments};
+pub use matrix::{ColumnView, LabelMatrix, LfMoments};
 pub use user::{SimulatedUser, UserConfig, UserState};

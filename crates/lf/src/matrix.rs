@@ -31,7 +31,9 @@
 //!   matrix holds none yet (the first push onto a matrix built from
 //!   votes, such as a resumed session's);
 //! * [`LabelMatrix::select_columns`] carries the selected sub-block,
-//!   re-indexed to the new column order, in O(|cols|²);
+//!   re-indexed to the new column order, in O(|cols|²), and
+//!   [`ColumnView::moments`] reads the same sub-block without copying
+//!   any vote;
 //! * [`LabelMatrix::set`] adjusts it exactly;
 //! * a matrix built from votes ([`LabelMatrix::from_votes`],
 //!   [`LabelMatrix::from_lfs`], [`LabelMatrix::from_raw`],
@@ -265,21 +267,50 @@ impl LabelMatrix {
     }
 
     /// [`LabelMatrix::from_lfs`] with explicit scheduling (benches and the
-    /// behaviour-identity tests drive both paths).
+    /// behaviour-identity tests drive both paths). Keyword LFs on tokens
+    /// of the dataset's vocabulary are set from one pass over each
+    /// document's tokens through a token → columns table, which gives
+    /// what [`LabelFunction::apply`] gives per cell; every other LF (the
+    /// stumps, and keywords on tokens past the vocabulary, such as a
+    /// corrupt snapshot may hold) is applied cell by cell.
     pub fn from_lfs_exec(lfs: &[LabelFunction], dataset: &Dataset, exec: Execution) -> Self {
-        let n = dataset.len();
-        let m = lfs.len();
-        let chunks = parallel::map_chunks(n, APPLY_CHUNK, exec, |rows| {
-            let mut part = Vec::with_capacity(rows.len() * m);
-            for i in rows {
-                part.extend(lfs.iter().map(|lf| lf.apply(dataset, i)));
-            }
-            part
-        });
-        let mut data = Vec::with_capacity(n * m);
-        for part in chunks {
-            data.extend_from_slice(&part);
+        let (n, m) = (dataset.len(), lfs.len());
+        let mut data = vec![ABSTAIN; n * m];
+        if m == 0 {
+            return Self::packed(n, m, data);
         }
+        // `(column, vote)` of the keyword LFs on each vocabulary token.
+        let mut by_token: Vec<Vec<(usize, i8)>> = vec![vec![]; dataset.features.ncols()];
+        let mut per_cell = vec![];
+        for (j, lf) in lfs.iter().enumerate() {
+            match *lf {
+                LabelFunction::Keyword { token, label } if (token as usize) < by_token.len() => {
+                    by_token[token as usize].push((j, label as i8));
+                }
+                _ => per_cell.push(j),
+            }
+        }
+        let docs = (per_cell.len() < m).then(|| {
+            dataset
+                .encoded_docs
+                .as_ref()
+                .expect("keyword LF on non-text dataset")
+        });
+        parallel::fill_chunks(&mut data, m, APPLY_CHUNK, exec, |rows, block| {
+            for (i, row) in rows.zip(block.chunks_exact_mut(m)) {
+                for &j in &per_cell {
+                    row[j] = lfs[j].apply(dataset, i);
+                }
+                // A repeated token sets the same votes again.
+                for &t in docs.map_or(&[][..], |docs| &docs[i][..]) {
+                    if let Some(votes) = by_token.get(t as usize) {
+                        for &(j, vote) in votes {
+                            row[j] = vote;
+                        }
+                    }
+                }
+            }
+        });
         Self::packed(n, m, data)
     }
 
@@ -458,27 +489,16 @@ impl LabelMatrix {
     /// New matrix keeping only the columns in `cols` (in order), carrying
     /// the matching sub-block of a present ledger.
     pub fn select_columns(&self, cols: &[usize]) -> Result<LabelMatrix, LfError> {
-        for &c in cols {
-            if c >= self.m {
-                return Err(LfError::IndexOutOfRange {
-                    index: c,
-                    len: self.m,
-                });
-            }
+        Ok(self.columns(cols)?.to_matrix())
+    }
+
+    /// The columns `cols` (in order, repeats allowed) read in place: what
+    /// [`LabelMatrix::select_columns`] would copy, without the copy.
+    pub fn columns<'a>(&'a self, cols: &'a [usize]) -> Result<ColumnView<'a>, LfError> {
+        if let Some(&index) = cols.iter().find(|&&c| c >= self.m) {
+            return Err(LfError::IndexOutOfRange { index, len: self.m });
         }
-        let m = cols.len();
-        let mut data = Vec::with_capacity(self.n * m);
-        for i in 0..self.n {
-            let row = self.row(i);
-            data.extend(cols.iter().map(|&c| row[c]));
-        }
-        Ok(LabelMatrix {
-            moments: self
-                .moments
-                .get()
-                .map_or_else(OnceLock::new, |l| OnceLock::from(l.select(cols))),
-            ..Self::packed(self.n, m, data)
-        })
+        Ok(ColumnView { matrix: self, cols })
     }
 
     /// New matrix keeping only the rows in `rows` (in order).
@@ -571,6 +591,65 @@ impl LabelMatrix {
             })
             .count() as f64
             / self.n as f64
+    }
+}
+
+/// Validated columns of a [`LabelMatrix`] ([`LabelMatrix::columns`]):
+/// the label-model refit reads the selected LFs through it instead of
+/// copying them out.
+#[derive(Debug, Clone, Copy)]
+pub struct ColumnView<'a> {
+    matrix: &'a LabelMatrix,
+    cols: &'a [usize],
+}
+
+impl ColumnView<'_> {
+    /// Number of instances.
+    pub fn n_instances(&self) -> usize {
+        self.matrix.n
+    }
+
+    /// Number of selected columns.
+    pub fn n_lfs(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Row `i` of the selection, gathered into `out` (one vote per
+    /// selected column); returns `out` for chaining.
+    #[inline]
+    pub fn gather<'o>(&self, i: usize, out: &'o mut [i8]) -> &'o [i8] {
+        let row = self.matrix.row(i);
+        for (o, &c) in out.iter_mut().zip(self.cols) {
+            *o = row[c];
+        }
+        out
+    }
+
+    /// The moment ledger of the selection: the matching sub-block of the
+    /// matrix's ledger, scanned once on the whole matrix when it holds
+    /// none yet. Equal to [`LabelMatrix::moments`] of the copy.
+    pub fn moments(&self) -> LfMoments {
+        self.matrix.moments().select(self.cols)
+    }
+
+    /// The selection as a packed matrix of its own, carrying the matching
+    /// sub-block of a present ledger.
+    pub fn to_matrix(&self) -> LabelMatrix {
+        let (n, m) = (self.n_instances(), self.n_lfs());
+        let mut data = vec![ABSTAIN; n * m];
+        if m > 0 {
+            for (i, dst) in data.chunks_exact_mut(m).enumerate() {
+                self.gather(i, dst);
+            }
+        }
+        LabelMatrix {
+            moments: self
+                .matrix
+                .moments
+                .get()
+                .map_or_else(OnceLock::new, |l| OnceLock::from(l.select(self.cols))),
+            ..LabelMatrix::packed(n, m, data)
+        }
     }
 }
 
@@ -758,6 +837,28 @@ mod tests {
         assert!(m.select_rows(&[9]).is_err());
     }
 
+    /// A column view reads what `select_columns` copies: the same rows and
+    /// the same ledger, repeats included.
+    #[test]
+    fn column_view_reads_the_selection_in_place() {
+        let m = LabelMatrix::from_lfs(&lfs(), &dataset());
+        assert_eq!(
+            m.columns(&[0, 3]).unwrap_err(),
+            LfError::IndexOutOfRange { index: 3, len: 3 }
+        );
+        for cols in [vec![], vec![2, 0], vec![1, 1, 2]] {
+            let view = m.columns(&cols).unwrap();
+            let copy = m.select_columns(&cols).unwrap();
+            assert_eq!((view.n_instances(), view.n_lfs()), (4, cols.len()));
+            let mut buf = vec![0i8; cols.len()];
+            for i in 0..m.n_instances() {
+                assert_eq!(view.gather(i, &mut buf), copy.row(i), "{cols:?} row {i}");
+            }
+            assert_eq!(&view.moments(), copy.moments(), "{cols:?}");
+            assert_eq!(view.to_matrix(), copy);
+        }
+    }
+
     #[test]
     fn set_overwrites_votes() {
         let mut m = LabelMatrix::from_lfs(&lfs(), &dataset());
@@ -809,6 +910,66 @@ mod tests {
             pushed.push_lf(&lf, &big).unwrap();
         }
         assert_eq!(pushed, LabelMatrix::from_lfs(&lfs(), &big));
+    }
+
+    /// The token table's matrix equals per-cell `apply` on generated text
+    /// datasets (whose documents repeat tokens), with keyword LFs that
+    /// share a token but vote different labels, repeated LFs and tokens
+    /// past the vocabulary (up to `u32::MAX`, which a table sized by token
+    /// could not hold), at both schedules.
+    #[test]
+    fn from_lfs_token_table_equals_per_cell_apply() {
+        use adp_data::{generate, DatasetId, Scale};
+        for id in [DatasetId::Youtube, DatasetId::Imdb] {
+            let data = generate(id, Scale::Tiny, 3).unwrap();
+            let docs = data.train.encoded_docs.as_ref().unwrap();
+            assert!(
+                docs.iter()
+                    .any(|d| (1..d.len()).any(|k| d[..k].contains(&d[k]))),
+                "{id:?}: no document repeats a token"
+            );
+            let vocab = data.train.features.ncols() as u32;
+            let mut lfs: Vec<LabelFunction> = docs
+                .iter()
+                .take(40)
+                .flat_map(|d| d.iter().take(2))
+                .enumerate()
+                .map(|(k, &token)| LabelFunction::Keyword {
+                    token,
+                    label: k % 2,
+                })
+                .collect();
+            let shared = docs[0][0];
+            lfs.push(LabelFunction::Keyword {
+                token: shared,
+                label: 0,
+            });
+            lfs.push(LabelFunction::Keyword {
+                token: shared,
+                label: 1,
+            });
+            lfs.push(lfs[3].clone());
+            lfs.push(LabelFunction::Keyword {
+                token: vocab + 7,
+                label: 1,
+            });
+            for split in [&data.train, &data.valid] {
+                let per_cell: Vec<Vec<i8>> = (0..split.len())
+                    .map(|i| lfs.iter().map(|lf| lf.apply(split, i)).collect())
+                    .collect();
+                let expected = LabelMatrix::from_votes(&per_cell).unwrap();
+                for exec in [
+                    adp_linalg::Execution::Serial,
+                    adp_linalg::Execution::with_threads(3),
+                ] {
+                    assert_eq!(
+                        LabelMatrix::from_lfs_exec(&lfs, split, exec),
+                        expected,
+                        "{id:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

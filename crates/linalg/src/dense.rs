@@ -112,6 +112,11 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// The rows in order, each as a slice.
+    pub fn row_iter(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
+        (0..self.rows).map(move |i| self.row(i))
+    }
+
     /// Copy of column `j`.
     pub fn col(&self, j: usize) -> Vec<f64> {
         (0..self.rows).map(|i| self[(i, j)]).collect()
@@ -271,6 +276,17 @@ impl Index<(usize, usize)> for Matrix {
     fn index(&self, (i, j): (usize, usize)) -> &f64 {
         debug_assert!(i < self.rows && j < self.cols);
         &self.data[i * self.cols + j]
+    }
+}
+
+/// Row `i` as a slice: `probs[i]` is one instance's distribution in a
+/// probability matrix.
+impl Index<usize> for Matrix {
+    type Output = [f64];
+
+    #[inline]
+    fn index(&self, i: usize) -> &[f64] {
+        self.row(i)
     }
 }
 

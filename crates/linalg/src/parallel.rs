@@ -2,7 +2,8 @@
 //!
 //! The crate stays dependency-free: no rayon, no thread pool — each
 //! [`map_chunks`] call splits `[0, n)` into fixed-size chunks and fans the
-//! chunk closures out over `std::thread::scope` workers.
+//! chunk closures out over `std::thread::scope` workers; [`fill_chunks`]
+//! does the same over one caller-owned row-major output buffer.
 //!
 //! # The fixed-chunk reduction contract
 //!
@@ -123,13 +124,7 @@ where
     F: Fn(Range<usize>) -> T + Sync,
 {
     let ranges = chunk_ranges(n, chunk);
-    let threads = match exec {
-        Execution::Serial => 1,
-        Execution::Parallel { threads } => threads
-            .map(|t| t.clamp(1, 64))
-            .unwrap_or_else(max_threads)
-            .min(ranges.len()),
-    };
+    let threads = workers(exec, ranges.len());
     if threads <= 1 {
         return ranges.into_iter().map(f).collect();
     }
@@ -156,6 +151,61 @@ where
         .into_iter()
         .map(|slot| slot.expect("every chunk ran"))
         .collect()
+}
+
+/// Worker threads for `n_chunks` chunks under `exec`.
+fn workers(exec: Execution, n_chunks: usize) -> usize {
+    match exec {
+        Execution::Serial => 1,
+        Execution::Parallel { threads } => threads
+            .map(|t| t.clamp(1, 64))
+            .unwrap_or_else(max_threads)
+            .min(n_chunks),
+    }
+}
+
+/// Fills `out`, a row-major buffer of `width` values per item, chunk by
+/// chunk: `f(range, block)` writes the items `range` into `block`, their
+/// `range.len() × width` slice of `out`. The chunks and their threads are
+/// [`map_chunks`]'s, but the caller owns the one output buffer, so the
+/// workers allocate nothing per item. Each item must be a pure function
+/// of its index for the result to be the same at every thread count.
+///
+/// # Panics
+/// Panics when `width` is zero or does not divide `out.len()`.
+pub fn fill_chunks<T, F>(out: &mut [T], width: usize, chunk: usize, exec: Execution, f: F)
+where
+    T: Send,
+    F: Fn(Range<usize>, &mut [T]) + Sync,
+{
+    assert!(
+        width > 0 && out.len() % width == 0,
+        "fill_chunks: {} values are not rows of width {width}",
+        out.len()
+    );
+    let ranges = chunk_ranges(out.len() / width, chunk);
+    let block = chunk.max(1) * width;
+    let threads = workers(exec, ranges.len());
+    if threads <= 1 {
+        for (r, part) in ranges.iter().zip(out.chunks_mut(block)) {
+            f(r.clone(), part);
+        }
+        return;
+    }
+    let per_thread = ranges.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        let f = &f;
+        for (mine, part) in ranges
+            .chunks(per_thread)
+            .zip(out.chunks_mut(per_thread * block))
+        {
+            scope.spawn(move || {
+                for (r, part) in mine.iter().zip(part.chunks_mut(block)) {
+                    f(r.clone(), part);
+                }
+            });
+        }
+    });
 }
 
 #[cfg(test)]
@@ -212,6 +262,32 @@ mod tests {
         assert_eq!(ids, expected);
         let pinned = map_chunks(100, 7, Execution::with_threads(3), |r| r.start);
         assert_eq!(pinned, expected);
+    }
+
+    #[test]
+    fn fill_chunks_writes_every_row_at_every_thread_count() {
+        let (n, width) = (1000, 3);
+        let fill = |exec| {
+            let mut out = vec![0.0f64; n * width];
+            fill_chunks(&mut out, width, 64, exec, |r, block| {
+                assert_eq!(block.len(), r.len() * width);
+                for (i, row) in r.zip(block.chunks_mut(width)) {
+                    for (c, v) in row.iter_mut().enumerate() {
+                        *v = (i * width + c) as f64;
+                    }
+                }
+            });
+            out
+        };
+        let expected: Vec<f64> = (0..n * width).map(|k| k as f64).collect();
+        assert_eq!(fill(Execution::Serial), expected);
+        for threads in [1, 2, 3, 7, 64] {
+            assert_eq!(fill(Execution::with_threads(threads)), expected);
+        }
+        let mut empty: Vec<f64> = vec![];
+        fill_chunks(&mut empty, 2, 8, Execution::parallel(), |_, _| {
+            panic!("no chunk to fill")
+        });
     }
 
     #[test]

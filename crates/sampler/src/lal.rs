@@ -138,13 +138,11 @@ fn run_episode(rng: &mut rand::rngs::StdRng, xs: &mut Vec<Vec<f64>>, ys: &mut Ve
             return;
         }
         let err_before = test_error(&model);
-        let pool_probs: Vec<Vec<f64>> = (0..n_pool)
-            .map(|i| model.predict_proba(&pool_x, i))
-            .collect();
+        let pool_probs = model.predict_proba_all(&pool_x);
         let mean_h = adp_linalg::mean(
             &pool_probs
-                .iter()
-                .map(|p| adp_linalg::entropy(p))
+                .row_iter()
+                .map(adp_linalg::entropy)
                 .collect::<Vec<_>>(),
         );
 

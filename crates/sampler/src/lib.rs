@@ -34,6 +34,8 @@ pub use uncertainty::Uncertainty;
 use adp_data::Dataset;
 use adp_lf::{CandidateSpace, LfKey};
 use adp_linalg::parallel::{self, Execution};
+use adp_linalg::Matrix;
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// Pool instances per parallel scoring chunk. Fixed (machine-independent)
@@ -90,9 +92,9 @@ pub struct SamplerContext<'a> {
     /// `queried[i]` is true once instance `i` has been shown to the user.
     pub queried: &'a [bool],
     /// Active-learning model probabilities per pool instance, when trained.
-    pub al_probs: Option<&'a [Vec<f64>]>,
+    pub al_probs: Option<&'a Matrix>,
     /// Label-model probabilities per pool instance, when LFs exist.
-    pub lm_probs: Option<&'a [Vec<f64>]>,
+    pub lm_probs: Option<&'a Matrix>,
     /// Number of labelled/pseudo-labelled instances so far.
     pub n_labeled: usize,
     /// Candidate-LF space (needed by SEU).
@@ -122,14 +124,14 @@ impl<'a> SamplerContext<'a> {
 
     /// The "primary" model distribution for instance `i`: the AL model when
     /// available, else the label model, else uniform.
-    pub fn primary_probs(&self, i: usize) -> Vec<f64> {
-        if let Some(p) = self.al_probs {
-            return p[i].clone();
+    pub fn primary_probs(&self, i: usize) -> Cow<'a, [f64]> {
+        match self.al_probs.or(self.lm_probs) {
+            Some(p) => Cow::Borrowed(p.row(i)),
+            None => Cow::Owned(vec![
+                1.0 / self.train.n_classes as f64;
+                self.train.n_classes
+            ]),
         }
-        if let Some(p) = self.lm_probs {
-            return p[i].clone();
-        }
-        vec![1.0 / self.train.n_classes as f64; self.train.n_classes]
     }
 }
 
@@ -174,8 +176,8 @@ pub(crate) mod testutil {
     }
 
     /// Probability rows with the given positive-class probabilities.
-    pub fn probs(ps: &[f64]) -> Vec<Vec<f64>> {
-        ps.iter().map(|&p| vec![1.0 - p, p]).collect()
+    pub fn probs(ps: &[f64]) -> Matrix {
+        Matrix::from_fn(ps.len(), 2, |i, c| if c == 1 { ps[i] } else { 1.0 - ps[i] })
     }
 }
 
@@ -232,6 +234,6 @@ mod tests {
         ctx.al_probs = None;
         assert_eq!(ctx.primary_probs(0)[1], 0.2);
         ctx.lm_probs = None;
-        assert_eq!(ctx.primary_probs(0), vec![0.5, 0.5]);
+        assert_eq!(*ctx.primary_probs(0), [0.5, 0.5]);
     }
 }

@@ -19,6 +19,7 @@
 use crate::{Sampler, SamplerContext};
 use adp_data::Dataset;
 use adp_lf::{LabelFunction, LfKey, StumpOp};
+use adp_linalg::Matrix;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
@@ -66,11 +67,11 @@ enum ScorerKind {
 impl SeuScorer {
     /// Builds the scorer for the pool given the label model's confidence
     /// (`None` ⇒ uniform, i.e. every instance contributes 1 − 1/C).
-    pub fn build(train: &Dataset, lm_probs: Option<&[Vec<f64>]>) -> Self {
+    pub fn build(train: &Dataset, lm_probs: Option<&Matrix>) -> Self {
         let n = train.len();
         let uncertainty: Vec<f64> = (0..n)
             .map(|i| match lm_probs {
-                Some(p) => 1.0 - p[i].iter().fold(0.0_f64, |m, &v| m.max(v)),
+                Some(p) => 1.0 - p.row(i).iter().fold(0.0_f64, |m, &v| m.max(v)),
                 None => 1.0 - 1.0 / train.n_classes as f64,
             })
             .collect();
@@ -345,12 +346,13 @@ mod tests {
     fn text_utilities_weight_uncertain_docs() {
         let d = text_pool();
         // Docs 0,1 uncertain (conf .5), docs 2,3 certain (conf 1.0).
-        let lm = vec![
+        let lm = Matrix::from_rows(&[
             vec![0.5, 0.5],
             vec![0.5, 0.5],
             vec![1.0, 0.0],
             vec![1.0, 0.0],
-        ];
+        ])
+        .unwrap();
         let scorer = SeuScorer::build(&d, Some(&lm));
         let u = |t| scorer.lf_utility(&LabelFunction::Keyword { token: t, label: 0 });
         assert!((u(0) - 1.0).abs() < 1e-12); // 0.5 + 0.5 + 0.0
@@ -402,12 +404,13 @@ mod tests {
             texts: None,
             encoded_docs: None,
         };
-        let lm = vec![
+        let lm = Matrix::from_rows(&[
             vec![0.9, 0.1],
             vec![0.6, 0.4],
             vec![0.7, 0.3],
             vec![0.5, 0.5],
-        ];
+        ])
+        .unwrap();
         // uncertainty = [0.1, 0.4, 0.3, 0.5]
         let scorer = SeuScorer::build(&d, Some(&lm));
         let le = |thr| {

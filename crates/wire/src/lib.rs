@@ -17,8 +17,8 @@
 //!
 //! [`Writer`] appends to a byte buffer; [`Reader`] consumes one. The
 //! [`Encode`]/[`Decode`] traits cover the primitives plus `Vec`, `Option`,
-//! `String`, fixed `[u64; 4]` RNG states and nested combinations thereof
-//! (`Vec<Vec<f64>>` is the probability-matrix encoding). Domain types
+//! `String`, fixed `[u64; 4]` RNG states and nested combinations thereof.
+//! Domain types
 //! (e.g. the engine's `SessionSnapshot`) encode themselves field-by-field
 //! through these building blocks in their own crates.
 

@@ -11,6 +11,8 @@
 //! * the logreg batch gradient (`LogisticRegression::fit_with`);
 //! * TF-IDF vectorisation (`TfidfVectorizer::fit_transform_with`);
 //! * the Dawid–Skene EM sweeps (`DawidSkene::fit_with`);
+//! * the flat posterior matrices of every label model and the logistic
+//!   regression, against the per-row predictions they replaced;
 //! * the glasso column sweep (`graphical_lasso_with`);
 //! * the samplers' per-instance scoring (`adp_sampler::score_items` and
 //!   whole ADP/US/QBC selections, parallel vs serial);
@@ -42,9 +44,10 @@ use activedp_repro::text::TfidfVectorizer;
 /// split (3), and more threads than some inputs have chunks (7).
 const THREADS: [usize; 4] = [1, 2, 3, 7];
 
-fn assert_rows_bitwise(label: &str, a: &[Vec<f64>], b: &[Vec<f64>]) {
-    assert_eq!(a.len(), b.len(), "{label}: row count");
-    for (i, (ra, rb)) in a.iter().zip(b).enumerate() {
+/// `flat` holds, row for row, exactly the per-row predictions `rows`.
+fn assert_rows_bitwise(label: &str, flat: &Matrix, rows: &[Vec<f64>]) {
+    assert_eq!(flat.nrows(), rows.len(), "{label}: row count");
+    for (i, (ra, rb)) in flat.row_iter().zip(rows).enumerate() {
         assert_eq!(ra.len(), rb.len(), "{label}: row {i} length");
         for (j, (x, y)) in ra.iter().zip(rb).enumerate() {
             assert_eq!(
@@ -130,7 +133,7 @@ fn logreg_fit_bitwise_across_threads() {
             serial_model.weights(),
             par_model.weights(),
         );
-        assert_rows_bitwise(
+        assert_matrix_bitwise(
             &format!("logreg probs, threads={t}"),
             &serial_probs,
             &par_probs,
@@ -232,7 +235,7 @@ fn dawid_skene_fit_bitwise_across_threads() {
             );
         }
         let par_probs = predict_all_with(&par, &votes, Execution::with_threads(t));
-        assert_rows_bitwise(
+        assert_matrix_bitwise(
             &format!("DS posteriors, threads={t}"),
             &serial_probs,
             &par_probs,
@@ -250,7 +253,94 @@ fn predict_all_bitwise_across_threads() {
     let serial = predict_all_with(&mv, &votes, Execution::Serial);
     for t in THREADS {
         let par = predict_all_with(&mv, &votes, Execution::with_threads(t));
-        assert_rows_bitwise(&format!("majority posteriors, threads={t}"), &serial, &par);
+        assert_matrix_bitwise(&format!("majority posteriors, threads={t}"), &serial, &par);
+    }
+}
+
+/// The flat posterior caches hold, row for row, the bits of the per-row
+/// predictions they replaced: every label model through `predict_all_with`
+/// and through `predict_columns` on a column selection (read in place),
+/// and the logistic regression on dense and sparse features, at 1, 2 and
+/// 3 threads. The inputs span several fixed chunks, with a partial last
+/// one.
+#[test]
+fn flat_predictions_equal_per_row_predict_proba() {
+    use activedp_repro::labelmodel::{predict_columns, TripletMetal};
+    use activedp_repro::linalg::CsrBuilder;
+
+    let exec_sweep = [
+        Execution::Serial,
+        Execution::with_threads(1),
+        Execution::with_threads(2),
+        Execution::with_threads(3),
+    ];
+    let votes = planted_votes(1300, &[0.92, 0.8, 0.66, 0.7, 0.55, 0.6], 0.6);
+    let cols = [5, 0, 3, 3, 1];
+    let selected = votes.select_columns(&cols).unwrap();
+    let view = votes.columns(&cols).unwrap();
+    let mut models: Vec<(&str, Box<dyn LabelModel>)> = vec![
+        ("majority", Box::new(MajorityVote::new(2))),
+        ("dawid-skene", Box::new(DawidSkene::new(2))),
+        ("triplet", Box::new(TripletMetal::new(2))),
+    ];
+    for (name, model) in &mut models {
+        model.fit(&selected, Some(&[0.45, 0.55])).unwrap();
+        let all_rows: Vec<Vec<f64>> = (0..votes.n_instances())
+            .map(|i| model.predict_proba(votes.row(i)))
+            .collect();
+        let selected_rows: Vec<Vec<f64>> = (0..selected.n_instances())
+            .map(|i| model.predict_proba(selected.row(i)))
+            .collect();
+        for exec in exec_sweep {
+            let model = model.as_ref();
+            let all = predict_all_with(model, &votes, exec);
+            assert_rows_bitwise(&format!("{name} all {exec:?}"), &all, &all_rows);
+            let in_place = predict_columns(model, &view, exec);
+            assert_rows_bitwise(
+                &format!("{name} columns {exec:?}"),
+                &in_place,
+                &selected_rows,
+            );
+        }
+    }
+
+    let (n, d) = (2500, 9);
+    let dense = Matrix::from_fn(n, d, |i, j| {
+        if (i * 7 + j * 3) % 4 == 0 {
+            (((i * 13 + j * 5) % 17) as f64 - 8.0) * 0.1
+        } else {
+            0.0
+        }
+    });
+    let mut builder = CsrBuilder::new(d);
+    for i in 0..n {
+        let row = dense.row(i).iter().enumerate();
+        builder.push_row(row.map(|(j, &x)| (j as u32, x)).collect());
+    }
+    let sparse = builder.finish();
+    let rows: Vec<usize> = (0..n).step_by(5).collect();
+    let labels: Vec<usize> = rows
+        .iter()
+        .map(|&i| usize::from(dense[(i, 0)] > 0.0))
+        .collect();
+    let mut model = LogisticRegression::new(
+        2,
+        d,
+        LogRegConfig {
+            max_iters: 10,
+            ..LogRegConfig::default()
+        },
+    );
+    model
+        .fit(&dense, &rows, Targets::Hard(&labels), None)
+        .unwrap();
+    let dense_rows: Vec<Vec<f64>> = (0..n).map(|i| model.predict_proba(&dense, i)).collect();
+    let sparse_rows: Vec<Vec<f64>> = (0..n).map(|i| model.predict_proba(&sparse, i)).collect();
+    for exec in exec_sweep {
+        let flat = model.predict_proba_all_with(&dense, exec);
+        assert_rows_bitwise(&format!("logreg dense {exec:?}"), &flat, &dense_rows);
+        let flat = model.predict_proba_all_with(&sparse, exec);
+        assert_rows_bitwise(&format!("logreg sparse {exec:?}"), &flat, &sparse_rows);
     }
 }
 
@@ -362,12 +452,14 @@ fn sampler_selection_serial_matches_parallel() {
         encoded_docs: None,
     };
     // Heavily tied probabilities so the reservoir tie-break runs hot.
-    let probs: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            let p = 0.5 + ((i % 7) as f64) * 0.05;
-            vec![1.0 - p, p]
-        })
-        .collect();
+    let probs = Matrix::from_fn(n, 2, |i, c| {
+        let p = 0.5 + ((i % 7) as f64) * 0.05;
+        if c == 1 {
+            p
+        } else {
+            1.0 - p
+        }
+    });
 
     let draw_uncertainty = |parallel: bool| {
         let mut queried = vec![false; n];

@@ -93,6 +93,10 @@ fn confusion_coverage_monotone_in_tau() {
             })
             .collect();
         let has_vote: Vec<bool> = (0..n).map(|i| (i as u64 + lm_seed) % 3 != 0).collect();
+        let (al, lm) = (
+            Matrix::from_rows(&al).unwrap(),
+            Matrix::from_rows(&lm).unwrap(),
+        );
         let coverage = |tau: f64| {
             aggregate(&al, &lm, &has_vote, tau)
                 .iter()
@@ -115,6 +119,10 @@ fn tuned_threshold_is_a_valid_confidence() {
         let lm: Vec<Vec<f64>> = al.iter().rev().cloned().collect();
         let has_vote = vec![true; n];
         let truth: Vec<usize> = (0..n).map(|i| i % 2).collect();
+        let (al, lm) = (
+            Matrix::from_rows(&al).unwrap(),
+            Matrix::from_rows(&lm).unwrap(),
+        );
         let tau = tune_threshold(&al, &lm, &has_vote, &truth);
         assert!((0.0..=1.0).contains(&tau), "case {case}: tau {tau}");
     }
