@@ -1,6 +1,7 @@
 //! Throughput benchmarks for the `adp-serve` SessionHub: many concurrent
 //! sessions stepped through the sharded registry, versus the same work on
-//! one engine, and single-step versus batched stepping.
+//! one engine, single-step versus batched stepping, and one engine-free
+//! round trip that times the dispatch alone.
 
 use activedp::{Engine, SessionConfig};
 use adp_bench::bench_dataset;
@@ -100,6 +101,22 @@ fn bench_hub_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// One hub round trip with no engine work: a `status` probe of one
+/// resident session, so the row times the dispatch (shard routing,
+/// locking, the residency lookup, metrics) and nothing else.
+fn bench_status_roundtrip(c: &mut Criterion) {
+    let hub = SessionHub::in_memory(2);
+    let id = hub
+        .open(Engine::builder(data()).seed(1))
+        .expect("session opens");
+    hub.run(id, 3).expect("warms up");
+    let mut group = c.benchmark_group("session_hub");
+    group.bench_function("hub_status_roundtrip", |b| {
+        b.iter(|| black_box(hub.status(black_box(id)).expect("status answers")))
+    });
+    group.finish();
+}
+
 /// Eviction and resume as separate rows, so each shows its own cost.
 /// `hub_evict` times snapshot + atomic spill write + WAL checkpoint +
 /// engine drop (the spill's fsync included); the untimed set-up resumes
@@ -160,6 +177,7 @@ fn bench_metrics_overhead(c: &mut Criterion) {
 criterion_group!(
     session_hub,
     bench_hub_throughput,
+    bench_status_roundtrip,
     bench_evict_resume,
     bench_metrics_overhead
 );

@@ -75,6 +75,29 @@ pub struct ScheduleRun {
     pub done: bool,
 }
 
+/// What [`Engine::run_cell`] measured on a cell that ran to completion:
+/// the quantities the sweep's row and the served `run_spec` reply carry,
+/// wall clock aside.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellSummary {
+    /// Loop iterations consumed (≤ budget when the pool ran dry).
+    pub iterations: usize,
+    /// Refit batches the consumed iterations span. Boundaries are
+    /// absolute, so this does not depend on how the cell was sliced.
+    pub refits: usize,
+    /// Final downstream test accuracy.
+    pub test_accuracy: f64,
+    /// Fraction of routed queries the cheap oracle answered; 0 for plain
+    /// simulated sessions.
+    pub cheap_fraction: f64,
+    /// Total routed labelling cost across both oracles; 0 for simulated
+    /// sessions.
+    pub routed_cost: f64,
+    /// Post-drift accuracy recovery: final accuracy minus the accuracy at
+    /// the drift boundary. 0 when the run had no boundary to pause at.
+    pub recovery: f64,
+}
+
 /// Per-step instrumentation hook.
 ///
 /// Observers registered on an [`Engine`] (via
@@ -561,6 +584,49 @@ impl Engine {
             .next_batch_at(self.state.iteration, self.budget)
             == 0;
         Ok(run)
+    }
+
+    /// Runs one sweep cell: the scenario's schedule to the end, or at most
+    /// `max_batches` batches of it, then the final evaluation. `None`
+    /// means the cap stopped the run first; the engine then sits on a
+    /// batch boundary, ready to snapshot and continue elsewhere.
+    ///
+    /// An uncapped run of a fresh engine pauses at the drift boundary and
+    /// evaluates there, the baseline [`CellSummary::recovery`] measures
+    /// from. The boundary is a batch boundary and evaluation draws no
+    /// session randomness, so the paused trajectory is bitwise the one
+    /// that never paused. A capped slice, or an engine already past
+    /// iteration 0, cannot see the boundary accuracy and reports no
+    /// recovery.
+    pub fn run_cell(
+        &mut self,
+        max_batches: Option<usize>,
+    ) -> Result<Option<CellSummary>, ActiveDpError> {
+        let boundary = self.drift.boundary().filter(|&at| at < self.budget);
+        let boundary_accuracy = match (max_batches, boundary) {
+            (None, Some(at)) if self.state.iteration == 0 => {
+                self.run_schedule_batches(self.schedule.n_batches(at))?;
+                Some(self.evaluate_downstream()?.test_accuracy)
+            }
+            _ => None,
+        };
+        if !self
+            .run_schedule_batches(max_batches.unwrap_or(usize::MAX))?
+            .done
+        {
+            return Ok(None);
+        }
+        let report = self.evaluate_downstream()?;
+        let iterations = self.state.iteration;
+        let stats = self.route_stats();
+        Ok(Some(CellSummary {
+            iterations,
+            refits: self.schedule.batch_sizes(iterations).len(),
+            test_accuracy: report.test_accuracy,
+            cheap_fraction: stats.map_or(0.0, |s| s.cheap_fraction()),
+            routed_cost: stats.map_or(0.0, |s| s.total_cost()),
+            recovery: boundary_accuracy.map_or(0.0, |a| report.test_accuracy - a),
+        }))
     }
 
     /// Captures everything needed to resume this session later — the full

@@ -64,8 +64,8 @@ pub use adp_sampler::AdpSampler;
 pub use config::{CandidateStrategy, SamplerChoice, SessionConfig, UnknownSampler};
 pub use confusion::{aggregate, tune_threshold, AggregatedLabels};
 pub use engine::{
-    Engine, EngineBuilder, EvalReport, FittedParams, QueryingStage, SamplingStage, ScheduleRun,
-    SessionState, StepObserver, StepOutcome, TrainingStage,
+    CellSummary, Engine, EngineBuilder, EvalReport, FittedParams, QueryingStage, SamplingStage,
+    ScheduleRun, SessionState, StepObserver, StepOutcome, TrainingStage,
 };
 pub use error::ActiveDpError;
 pub use event::StepEvent;

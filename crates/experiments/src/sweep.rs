@@ -284,37 +284,21 @@ impl SweepOutcome {
 /// Runs one spec over an already-generated split (provenance must match;
 /// see `Engine::from_spec_over`).
 pub fn run_spec_over(spec: ScenarioSpec, data: SharedDataset) -> Result<SweepRow, ActiveDpError> {
-    let schedule = spec.schedule.clone();
     let mut engine = Engine::from_spec_over(spec.clone(), data)?;
     let start = std::time::Instant::now();
-    // For mutating drift, pause at the boundary and evaluate once against
-    // the still-pristine pool — the baseline the recovery column measures
-    // from. Evaluation is read-only (no session RNG), so the trajectory is
-    // bitwise the run that never paused.
-    let boundary_accuracy = match spec.drift.boundary().filter(|&at| at < spec.budget) {
-        Some(at) => {
-            engine.run_schedule_batches(schedule.n_batches(at))?;
-            Some(engine.evaluate_downstream()?.test_accuracy)
-        }
-        None => None,
-    };
-    engine.run_schedule()?;
-    let report = engine.evaluate_downstream()?;
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let iterations = engine.state().iteration;
-    let stats = engine.route_stats();
+    let cell = engine
+        .run_cell(None)?
+        .expect("an uncapped cell runs to completion");
     Ok(SweepRow {
         cell: 0,
         spec,
-        iterations,
-        // Boundaries are absolute, so the batches covering the consumed
-        // iterations are exactly the batches that ran.
-        refits: schedule.batch_sizes(iterations).len(),
-        test_accuracy: report.test_accuracy,
-        wall_ms,
-        cheap_fraction: stats.map_or(0.0, |s| s.cheap_fraction()),
-        routed_cost: stats.map_or(0.0, |s| s.total_cost()),
-        recovery: boundary_accuracy.map_or(0.0, |a| report.test_accuracy - a),
+        iterations: cell.iterations,
+        refits: cell.refits,
+        test_accuracy: cell.test_accuracy,
+        wall_ms: start.elapsed().as_secs_f64() * 1e3,
+        cheap_fraction: cell.cheap_fraction,
+        routed_cost: cell.routed_cost,
+        recovery: cell.recovery,
     })
 }
 

@@ -143,7 +143,8 @@ pub struct OpenReply {
 pub struct ShardHealthReply {
     /// Shard index.
     pub shard: u64,
-    /// Whether the shard's worker thread is still serving.
+    /// Whether the shard still serves: `false` once an engine call on it
+    /// panicked.
     pub alive: bool,
     /// Hot sessions resident on this shard.
     pub resident: u64,
@@ -152,7 +153,7 @@ pub struct ShardHealthReply {
 /// The hub's health and tiering counters as reported by `health`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthReply {
-    /// Whether every shard worker is alive.
+    /// Whether every shard is alive.
     pub healthy: bool,
     /// Per-shard liveness.
     pub shards: Vec<ShardHealthReply>,

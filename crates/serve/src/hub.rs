@@ -1,13 +1,17 @@
-//! The sharded session registry: engines behind ids, one worker thread per
-//! shard, with hot/cold tiering under a configurable memory budget.
+//! The sharded session registry: engines behind ids, one lock per shard,
+//! with hot/cold tiering under a configurable memory budget.
 //!
-//! Sessions are **hot** (engine resident in its shard worker's map) or
+//! Every call runs on the caller's thread while it holds the lock of the
+//! session's shard (`id % n_shards`), so calls on one shard run one at a
+//! time and calls on different shards run in parallel.
+//!
+//! Sessions are **hot** (engine resident in its shard's map) or
 //! **cold** (engine dropped, its journal checkpointed at the current
 //! state, so `wal-<id>/checkpoint.adpsnap` holds it). When a memory budget is set
 //! ([`SessionHub::with_memory_budget`] / `ADP_MAX_RESIDENT`) the hub keeps
 //! at most that many sessions hot, evicting the least-recently-touched
-//! first. Cold sessions resume transparently on their next touch — inside
-//! the shard worker, so callers never observe eviction: an
+//! first. Cold sessions resume transparently on their next touch, under
+//! the shard lock, so callers never observe eviction: an
 //! `evict → touch → run-to-end` trajectory is bitwise identical to the
 //! uninterrupted run, post-run snapshot bytes included (the same parity
 //! bar as snapshot/resume and WAL replay).
@@ -15,17 +19,17 @@
 use crate::journal::{new_journal_slot, DurabilityStatus, JournalObserver, SharedJournal};
 use crate::metrics::{HubMetrics, Op};
 use activedp::{
-    ActiveDpError, Engine, EngineBuilder, EvalReport, RouteChoice, RouteStats, ScenarioSpec,
-    SessionConfig, SessionSnapshot, StepOutcome,
+    ActiveDpError, Engine, EngineBuilder, EvalReport, RouteStats, ScenarioSpec, SessionConfig,
+    SessionSnapshot, StepOutcome,
 };
 use adp_data::{DatasetId, DatasetSpec, SharedDataset};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Locks `m`, recovering from poison instead of propagating the panic.
@@ -132,8 +136,9 @@ pub enum ServeError {
         /// The configured budget.
         cap: usize,
     },
-    /// The hub's workers are gone (the hub was dropped mid-call, or a
-    /// shard worker died).
+    /// The session's shard is dead: an engine call on it panicked, and
+    /// the engine may have been left half-updated, so every later call on
+    /// that shard fails with this error.
     HubClosed,
 }
 
@@ -177,7 +182,7 @@ impl fmt::Display for ServeError {
                     "hub saturated: {resident} resident sessions at budget {cap} and none evictable"
                 )
             }
-            ServeError::HubClosed => write!(f, "session hub is shut down"),
+            ServeError::HubClosed => write!(f, "session shard is dead after a panic"),
         }
     }
 }
@@ -227,7 +232,8 @@ pub struct SessionStatus {
 pub struct ShardHealth {
     /// Shard index (ids route to `id % n_shards`).
     pub shard: usize,
-    /// Whether the shard's worker thread is alive and answering.
+    /// Whether the shard still serves: `false` once an engine call on it
+    /// panicked and poisoned its lock.
     pub alive: bool,
     /// Resident sessions on this shard (0 when dead).
     pub resident: usize,
@@ -253,13 +259,13 @@ pub struct HubHealth {
 }
 
 impl HubHealth {
-    /// Whether every shard worker is alive.
+    /// Whether every shard is alive.
     pub fn all_alive(&self) -> bool {
         self.shards.iter().all(|s| s.alive)
     }
 }
 
-/// One session's residency bookkeeping in [`HubShared::slots`].
+/// One session's residency bookkeeping in [`SessionHub`]'s slot registry.
 #[derive(Debug, Clone, Copy)]
 struct SessionSlot {
     /// Whether the engine is in memory (hot) or spilled (cold).
@@ -270,221 +276,6 @@ struct SessionSlot {
     /// Cleared when an eviction attempt finds the session cannot spill
     /// (no snapshot support), so the LRU scan stops proposing it.
     evictable: bool,
-}
-
-/// State shared between the hub front end and its shard workers: the
-/// residency map the tiering policy reads, the registries the resume path
-/// needs (datasets, journals), and the metric surface. Holds **no channel
-/// senders**, so workers owning an `Arc` of it never keep each other —
-/// or the hub's drop — alive.
-pub(crate) struct HubShared {
-    /// Where session journals live (explicit, else `ADP_SPILL_DIR`, else
-    /// none).
-    pub(crate) spill_dir: Option<PathBuf>,
-    /// Resident-session cap; 0 means no budget (never evict).
-    max_resident: AtomicUsize,
-    /// Source of `last_touch` values.
-    touch_seq: AtomicU64,
-    /// Every open session, hot or cold, by raw id.
-    slots: Mutex<HashMap<u64, SessionSlot>>,
-    /// Generated splits by spec, so every session naming the same spec —
-    /// including all sessions re-opened by `load_all` — shares one
-    /// `SharedDataset` allocation.
-    pub(crate) datasets: Mutex<HashMap<(DatasetId, u64, u64), SharedDataset>>,
-    /// Each journalled session's journal slot, shared with the
-    /// `JournalObserver` registered on its engine (which appends from the
-    /// shard thread while the hub checkpoints/inspects from callers).
-    pub(crate) journals: Mutex<HashMap<u64, SharedJournal>>,
-    /// Counters, gauges and latency histograms for every hub operation.
-    pub(crate) metrics: HubMetrics,
-}
-
-impl HubShared {
-    fn next_touch(&self) -> u64 {
-        self.touch_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Registers a fresh (resident) slot; `false` when the id is already
-    /// taken by a session, hot or cold.
-    fn note_inserted(&self, id: u64) -> bool {
-        let mut slots = lock_clean(&self.slots);
-        if slots.contains_key(&id) {
-            return false;
-        }
-        slots.insert(
-            id,
-            SessionSlot {
-                resident: true,
-                last_touch: self.next_touch(),
-                evictable: true,
-            },
-        );
-        self.metrics.resident.inc();
-        true
-    }
-
-    /// Bumps the session's LRU position.
-    fn touch(&self, id: u64) {
-        let seq = self.next_touch();
-        if let Some(slot) = lock_clean(&self.slots).get_mut(&id) {
-            slot.last_touch = seq;
-        }
-    }
-
-    /// `Some(resident?)` for an open session, `None` for an unknown id.
-    pub(crate) fn residency(&self, id: u64) -> Option<bool> {
-        lock_clean(&self.slots).get(&id).map(|s| s.resident)
-    }
-
-    fn note_evicted(&self, id: u64) {
-        if let Some(slot) = lock_clean(&self.slots).get_mut(&id) {
-            slot.resident = false;
-        }
-        self.metrics.resident.dec();
-        self.metrics.cold.inc();
-        self.metrics.evicted_total.inc();
-    }
-
-    fn note_resumed(&self, id: u64) {
-        let seq = self.next_touch();
-        if let Some(slot) = lock_clean(&self.slots).get_mut(&id) {
-            slot.resident = true;
-            slot.last_touch = seq;
-        }
-        self.metrics.cold.dec();
-        self.metrics.resident.inc();
-        self.metrics.resumed_total.inc();
-    }
-
-    fn mark_unevictable(&self, id: u64) {
-        if let Some(slot) = lock_clean(&self.slots).get_mut(&id) {
-            slot.evictable = false;
-        }
-    }
-
-    /// Removes the session's slot; `Some(was_resident)` when it existed.
-    fn note_closed(&self, id: u64) -> Option<bool> {
-        let removed = lock_clean(&self.slots).remove(&id)?;
-        if removed.resident {
-            self.metrics.resident.dec();
-        } else {
-            self.metrics.cold.dec();
-        }
-        Some(removed.resident)
-    }
-
-    fn resident_count(&self) -> usize {
-        lock_clean(&self.slots)
-            .values()
-            .filter(|s| s.resident)
-            .count()
-    }
-
-    fn slot_count(&self) -> usize {
-        lock_clean(&self.slots).len()
-    }
-
-    fn all_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = lock_clean(&self.slots).keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    fn ids_where(&self, resident: bool) -> Vec<u64> {
-        let mut ids: Vec<u64> = lock_clean(&self.slots)
-            .iter()
-            .filter(|(_, s)| s.resident == resident)
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// The least-recently-touched resident, evictable session outside
-    /// `skip`, if any.
-    fn lru_victim(&self, skip: &HashSet<u64>) -> Option<u64> {
-        lock_clean(&self.slots)
-            .iter()
-            .filter(|(id, s)| s.resident && s.evictable && !skip.contains(id))
-            .min_by_key(|(_, s)| s.last_touch)
-            .map(|(&id, _)| id)
-    }
-
-    /// The identified session's shared journal slot, if it has one.
-    pub(crate) fn journal_slot(&self, id: u64) -> Option<SharedJournal> {
-        lock_clean(&self.journals).get(&id).cloned()
-    }
-
-    /// The shared split for `spec`, generated once per hub. The cache lock
-    /// is *not* held across generation (which can take seconds at paper
-    /// scale), so concurrent `open_spec` calls for different specs generate
-    /// in parallel; a racing duplicate generation of the same spec is
-    /// resolved by keeping the first insert (both copies are
-    /// bitwise-identical anyway — generation is deterministic in the spec).
-    pub(crate) fn dataset_for(&self, spec: DatasetSpec) -> Result<SharedDataset, ServeError> {
-        if let Some(data) = lock_clean(&self.datasets).get(&spec.cache_key()) {
-            return Ok(data.clone());
-        }
-        let data = spec
-            .generate()
-            .map_err(|e| {
-                ServeError::Engine(ActiveDpError::BadConfig {
-                    reason: format!("dataset spec failed to generate: {e}"),
-                })
-            })?
-            .into_shared();
-        let mut cache = lock_clean(&self.datasets);
-        Ok(cache.entry(spec.cache_key()).or_insert(data).clone())
-    }
-}
-
-/// One request to a shard worker. Every variant carries its own reply
-/// channel, so concurrent callers never contend on a shared reply path.
-enum Command {
-    Insert {
-        id: u64,
-        engine: Box<Engine>,
-        /// `Err` hands the engine back when the id is already live, so the
-        /// caller can retry under another id without rebuilding it.
-        reply: Sender<Result<(), Box<Engine>>>,
-    },
-    Snapshot {
-        id: u64,
-        reply: Sender<Result<SessionSnapshot, ServeError>>,
-    },
-    Status {
-        id: u64,
-        reply: Sender<Result<SessionStatus, ServeError>>,
-    },
-    Step {
-        id: u64,
-        reply: Sender<Result<StepOutcome, ServeError>>,
-    },
-    StepBatch {
-        id: u64,
-        k: usize,
-        reply: Sender<Result<Vec<StepOutcome>, ServeError>>,
-    },
-    Run {
-        id: u64,
-        iterations: usize,
-        reply: Sender<Result<(), ServeError>>,
-    },
-    Evaluate {
-        id: u64,
-        reply: Sender<Result<EvalReport, ServeError>>,
-    },
-    Evict {
-        id: u64,
-        reply: Sender<Result<bool, ServeError>>,
-    },
-    Close {
-        id: u64,
-        reply: Sender<Result<(), ServeError>>,
-    },
-    Count {
-        reply: Sender<usize>,
-    },
 }
 
 /// Where one [`SessionHub::run_cell`] call starts from: a fresh spec, or
@@ -547,30 +338,50 @@ pub enum CellProgress {
     },
 }
 
-/// A registry of concurrent labelling sessions, sharded over worker
-/// threads.
+/// The engines resident on one shard, by raw session id.
+type Shard = HashMap<u64, Engine>;
+
+/// A registry of concurrent labelling sessions, sharded over locks.
 ///
-/// Sessions are owned by their shard's worker; the hub routes each call to
-/// the right shard (`id % n_shards`) and blocks on the reply. Calls for
-/// *different* sessions on different shards run in parallel; calls for
-/// sessions on the same shard serialise in arrival order — within one
-/// session that is exactly the engine's own sequential semantics, so
-/// per-session trajectories are deterministic regardless of hub load.
+/// A session lives on shard `id % n_shards`. Every call runs on the
+/// calling thread while it holds that shard's lock, so calls for
+/// sessions on different shards run in parallel and calls on one shard
+/// run one at a time. Within one session that is exactly the engine's own
+/// sequential semantics, so per-session trajectories are deterministic
+/// regardless of hub load. A panic inside an engine call is caught at the
+/// lock: it poisons that shard alone, which from then on answers
+/// [`ServeError::HubClosed`].
 ///
 /// With a memory budget set, the hub additionally keeps only the
 /// `max_resident` most-recently-touched sessions hot; the rest are spilled
 /// cold and resume transparently on their next touch (see the module
-/// docs). Without a budget — the default — nothing is ever evicted and the
-/// hub behaves exactly as before.
+/// docs). Without a budget — the default — nothing is ever evicted.
 pub struct SessionHub {
-    shards: Vec<Sender<Command>>,
-    workers: Vec<JoinHandle<()>>,
+    shards: Vec<Mutex<Shard>>,
     next_id: AtomicU64,
-    pub(crate) shared: Arc<HubShared>,
+    /// Where session journals live (explicit, else `ADP_SPILL_DIR`, else
+    /// none).
+    spill_dir: Option<PathBuf>,
+    /// Resident-session cap; 0 means no budget (never evict).
+    max_resident: AtomicUsize,
+    /// Source of `last_touch` values.
+    touch_seq: AtomicU64,
+    /// Every open session, hot or cold, by raw id.
+    slots: Mutex<HashMap<u64, SessionSlot>>,
+    /// Generated splits by spec, so every session naming the same spec —
+    /// including all sessions re-opened by `load_all` — shares one
+    /// `SharedDataset` allocation.
+    datasets: Mutex<HashMap<(DatasetId, u64, u64), SharedDataset>>,
+    /// Each journalled session's journal slot, shared with the
+    /// `JournalObserver` registered on its engine (which appends while
+    /// its session steps; the hub checkpoints and inspects it).
+    pub(crate) journals: Mutex<HashMap<u64, SharedJournal>>,
+    /// Counters, gauges and latency histograms for every hub operation.
+    metrics: HubMetrics,
 }
 
 impl SessionHub {
-    /// A hub with `n_shards` worker threads (at least one). Snapshots spill
+    /// A hub with `n_shards` shard locks (at least one). Snapshots spill
     /// to `ADP_SPILL_DIR` when that variable is set; use
     /// [`SessionHub::with_spill_dir`] to pick the directory explicitly. A
     /// memory budget is taken from `ADP_MAX_RESIDENT` when set (and
@@ -603,34 +414,16 @@ impl SessionHub {
     }
 
     pub(crate) fn with_shards_and_spill(n_shards: usize, spill_dir: Option<PathBuf>) -> Self {
-        let n = n_shards.max(1);
-        let shared = Arc::new(HubShared {
+        SessionHub {
+            shards: (0..n_shards.max(1)).map(|_| Mutex::default()).collect(),
+            next_id: AtomicU64::new(0),
             spill_dir,
             max_resident: AtomicUsize::new(0),
             touch_seq: AtomicU64::new(0),
-            slots: Mutex::new(HashMap::new()),
-            datasets: Mutex::new(HashMap::new()),
-            journals: Mutex::new(HashMap::new()),
+            slots: Mutex::default(),
+            datasets: Mutex::default(),
+            journals: Mutex::default(),
             metrics: HubMetrics::new(),
-        });
-        let mut shards = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
-        for k in 0..n {
-            let (tx, rx) = channel();
-            shards.push(tx);
-            let shared = shared.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("adp-serve-shard-{k}"))
-                    .spawn(move || shard_worker(rx, shared))
-                    .expect("shard worker spawns"),
-            );
-        }
-        SessionHub {
-            shards,
-            workers,
-            next_id: AtomicU64::new(0),
-            shared,
         }
     }
 
@@ -648,41 +441,39 @@ impl SessionHub {
     /// nothing hot could never run anything.
     pub fn set_memory_budget(&self, max_resident: Option<usize>) {
         let cap = max_resident.map_or(0, |c| c.max(1));
-        self.shared.max_resident.store(cap, Ordering::Relaxed);
+        self.max_resident.store(cap, Ordering::Relaxed);
         self.enforce_budget();
     }
 
     /// The resident-session budget, when one is set.
     pub fn memory_budget(&self) -> Option<usize> {
-        match self.shared.max_resident.load(Ordering::Relaxed) {
+        match self.max_resident.load(Ordering::Relaxed) {
             0 => None,
             cap => Some(cap),
         }
     }
 
-    /// Number of shard workers.
+    /// Number of shards (locks sessions are spread over).
     pub fn n_shards(&self) -> usize {
         self.shards.len()
     }
 
     /// The directory snapshots spill to, when one is configured.
     pub fn spill_dir(&self) -> Option<&std::path::Path> {
-        self.shared.spill_dir.as_deref()
+        self.spill_dir.as_deref()
     }
 
     /// The hub's metric surface (counters, gauges, latency histograms) —
     /// render with [`HubMetrics::render`] for a Prometheus scrape.
     pub fn metrics(&self) -> &HubMetrics {
-        &self.shared.metrics
+        &self.metrics
     }
 
     /// Times `f` into the per-operation histogram.
     fn timed<T>(&self, op: Op, f: impl FnOnce() -> Result<T, ServeError>) -> Result<T, ServeError> {
         let start = Instant::now();
         let out = f();
-        self.shared
-            .metrics
-            .record(op, start.elapsed(), out.is_err());
+        self.metrics.record(op, start.elapsed(), out.is_err());
         out
     }
 
@@ -727,7 +518,6 @@ impl SessionHub {
             // returns the id to anyone, so no event outruns the journal.
             engine.add_observer(JournalObserver::new(slot.clone()));
         }
-        let mut engine = Box::new(engine);
         let id = loop {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);
             match self.try_insert(id, engine)? {
@@ -760,27 +550,28 @@ impl SessionHub {
         let Some(cap) = self.memory_budget() else {
             return Ok(());
         };
-        let resident = self.shared.resident_count();
+        let resident = self.resident_count();
         if resident < cap {
             return Ok(());
         }
-        if self.spill_dir().is_some() && self.shared.lru_victim(&HashSet::new()).is_some() {
+        if self.spill_dir().is_some() && self.lru_victim(&HashSet::new()).is_some() {
             return Ok(());
         }
-        self.shared.metrics.saturated_total.inc();
+        self.metrics.saturated_total.inc();
         Err(ServeError::Saturated { resident, cap })
     }
 
     /// Evicts least-recently-touched sessions until the resident count is
     /// back inside the budget. Victims that turn out unevictable are
-    /// marked and skipped, so the loop always terminates.
+    /// marked and skipped, so the loop always terminates. Called with no
+    /// shard lock held: a victim may live on any shard.
     fn enforce_budget(&self) {
         let Some(cap) = self.memory_budget() else {
             return;
         };
         let mut skip = HashSet::new();
-        while self.shared.resident_count() > cap {
-            let Some(victim) = self.shared.lru_victim(&skip) else {
+        while self.resident_count() > cap {
+            let Some(victim) = self.lru_victim(&skip) else {
                 break;
             };
             match self.evict(SessionId(victim)) {
@@ -802,7 +593,9 @@ impl SessionHub {
     /// fully serviceable either way: its next touch resumes it in place,
     /// on the exact trajectory it would have had uninterrupted.
     pub fn evict(&self, id: SessionId) -> Result<bool, ServeError> {
-        self.call(id.0, |reply| Command::Evict { id: id.0, reply })?
+        self.timed(Op::Evict, || {
+            self.with_shard(id.0, |engines| self.evict_session(engines, id.0))
+        })
     }
 
     /// Builds the engine from `builder` and registers it — the one-call
@@ -859,8 +652,8 @@ impl SessionHub {
     ///
     /// The engine is **ephemeral**: built fresh from the spec (or resumed
     /// from a shipped checkpoint), run for at most `max_batches` schedule
-    /// batches on the *calling* thread, and dropped when the call returns.
-    /// No session id is allocated and no shard worker is involved — cells
+    /// batches through [`Engine::run_cell`], and dropped when the call
+    /// returns. No session id is allocated and no shard is locked — cells
     /// carry their whole state in the request/response, which is what
     /// makes a dead worker rescheduable: the coordinator holds the last
     /// returned checkpoint and replays it on any other worker. Only the
@@ -879,62 +672,36 @@ impl SessionHub {
             let mut engine = match start {
                 CellStart::Spec(spec) => {
                     spec.validate().map_err(ServeError::Engine)?;
-                    let data = self.shared.dataset_for(spec.dataset)?;
+                    let data = self.dataset_for(spec.dataset)?;
                     Engine::from_spec_over(*spec, data)?
                 }
                 CellStart::Resume(snapshot) => {
-                    let data = self.shared.dataset_for(snapshot.spec.dataset)?;
+                    let data = self.dataset_for(snapshot.spec.dataset)?;
                     Engine::builder(data).resume(*snapshot)?
                 }
             };
             // The clock starts after dataset generation, matching the
             // local sweep's convention (the artefact times the loop).
             let wall = Instant::now();
-            // An uncapped cell pauses at the drift boundary to capture
-            // the recovery baseline, exactly like the local sweep; the
-            // boundary is a batch boundary (validated), so the paused
-            // trajectory is bitwise the uninterrupted one.
-            let boundary = engine.drift().boundary().filter(|&at| at < engine.budget());
-            let boundary_accuracy = match (max_batches, boundary) {
-                // `n_batches(at)` counts from iteration zero, so only a
-                // fresh engine can pause there; a resumed uncapped cell
-                // may already be past the boundary.
-                (None, Some(at)) if engine.state().iteration == 0 => {
-                    let n = engine.schedule().n_batches(at);
-                    engine.run_schedule_batches(n)?;
-                    Some(engine.evaluate_downstream()?.test_accuracy)
-                }
-                _ => None,
-            };
-            let run = engine.run_schedule_batches(max_batches.unwrap_or(usize::MAX))?;
-            let metrics = &self.shared.metrics;
-            if !run.done {
+            let Some(cell) = engine.run_cell(max_batches)? else {
                 let snapshot = engine.snapshot()?;
-                metrics.sweep_cell_latency.observe(wall.elapsed());
+                self.metrics.sweep_cell_latency.observe(wall.elapsed());
                 return Ok(CellProgress::Partial {
                     iteration: engine.state().iteration,
                     wall_ms: wall.elapsed().as_secs_f64() * 1e3,
                     snapshot: Box::new(snapshot),
                 });
-            }
-            let report = engine.evaluate_downstream()?;
-            let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-            let iterations = engine.state().iteration;
-            // Boundaries are absolute, so the batches covering the
-            // consumed iterations are exactly the batches that ran —
-            // whether this worker ran them all or only the tail.
-            let refits = engine.schedule().batch_sizes(iterations).len();
-            metrics.sweep_cells_total.inc();
-            metrics.sweep_cell_latency.observe(wall.elapsed());
-            let stats = engine.route_stats();
+            };
+            self.metrics.sweep_cells_total.inc();
+            self.metrics.sweep_cell_latency.observe(wall.elapsed());
             Ok(CellProgress::Done(CellResult {
-                iterations,
-                refits,
-                test_accuracy: report.test_accuracy,
-                wall_ms,
-                cheap_fraction: stats.map_or(0.0, |s| s.cheap_fraction()),
-                routed_cost: stats.map_or(0.0, |s| s.total_cost()),
-                recovery: boundary_accuracy.map_or(0.0, |a| report.test_accuracy - a),
+                iterations: cell.iterations,
+                refits: cell.refits,
+                test_accuracy: cell.test_accuracy,
+                wall_ms: wall.elapsed().as_secs_f64() * 1e3,
+                cheap_fraction: cell.cheap_fraction,
+                routed_cost: cell.routed_cost,
+                recovery: cell.recovery,
             }))
         })
     }
@@ -943,7 +710,7 @@ impl SessionHub {
     /// keeps running; snapshots are read-only). A cold session is resumed
     /// first — this is a touch like any other engine operation.
     pub fn snapshot(&self, id: SessionId) -> Result<SessionSnapshot, ServeError> {
-        let out = self.call(id.0, |reply| Command::Snapshot { id: id.0, reply })?;
+        let out = self.with_engine(id.0, |e| e.snapshot());
         self.enforce_budget();
         out
     }
@@ -955,34 +722,24 @@ impl SessionHub {
     /// and no LRU position changes.
     pub fn status(&self, id: SessionId) -> Result<SessionStatus, ServeError> {
         self.timed(Op::Open, || {
-            let mut status = self.call(id.0, |reply| Command::Status { id: id.0, reply })??;
-            status.durability = self.durability(id.0);
-            Ok(status)
+            self.with_shard(id.0, |engines| self.probe_status(engines, id.0))
         })
     }
 
     /// Ids of every open session — resident or cold — ascending.
     pub fn session_ids(&self) -> Vec<SessionId> {
-        self.shared.all_ids().into_iter().map(SessionId).collect()
+        self.ids_where(|_| true)
     }
 
     /// Ids of the sessions currently hot (engine in memory), ascending.
     pub fn resident_ids(&self) -> Vec<SessionId> {
-        self.shared
-            .ids_where(true)
-            .into_iter()
-            .map(SessionId)
-            .collect()
+        self.ids_where(|slot| slot.resident)
     }
 
     /// Ids of the sessions currently cold (checkpointed, resumable),
     /// ascending.
     pub fn cold_ids(&self) -> Vec<SessionId> {
-        self.shared
-            .ids_where(false)
-            .into_iter()
-            .map(SessionId)
-            .collect()
+        self.ids_where(|slot| !slot.resident)
     }
 
     /// Registers `engine` under a *specific* id (the `load_all` path, which
@@ -996,47 +753,29 @@ impl SessionHub {
         // layer additionally rejects that id as corrupt before calling in.
         self.next_id
             .fetch_max(id.saturating_add(1), Ordering::Relaxed);
-        match self.try_insert(id, Box::new(engine))? {
+        match self.try_insert(id, engine)? {
             Ok(()) => Ok(()),
             Err(_) => Err(ServeError::SessionExists(SessionId(id))),
         }
     }
 
-    pub(crate) fn dataset_for(&self, spec: DatasetSpec) -> Result<SharedDataset, ServeError> {
-        self.shared.dataset_for(spec)
-    }
-
-    /// Routes an insert to `id`'s shard; the inner `Err` returns the
+    /// Inserts `engine` into `id`'s shard; the inner `Err` returns the
     /// engine when the id is already occupied.
-    fn try_insert(
-        &self,
-        id: u64,
-        engine: Box<Engine>,
-    ) -> Result<Result<(), Box<Engine>>, ServeError> {
-        self.call(id, |reply| Command::Insert { id, engine, reply })
+    fn try_insert(&self, id: u64, engine: Engine) -> Result<Result<(), Engine>, ServeError> {
+        self.with_shard(id, |engines| {
+            if !self.note_inserted(id) {
+                return Ok(Err(engine));
+            }
+            engines.insert(id, engine);
+            Ok(Ok(()))
+        })
     }
 
     /// One training iteration of the identified session.
     pub fn step(&self, id: SessionId) -> Result<StepOutcome, ServeError> {
-        let out = self.timed(Op::Step, || {
-            self.call(id.0, |reply| Command::Step { id: id.0, reply })?
-        });
-        if let Ok(outcome) = &out {
-            self.note_route(outcome.route);
-        }
+        let out = self.timed(Op::Step, || self.with_engine(id.0, Engine::step));
         self.enforce_budget();
         out
-    }
-
-    /// Bumps the routed-query counter matching one step outcome's route.
-    fn note_route(&self, route: Option<RouteChoice>) {
-        let metrics = &self.shared.metrics;
-        match route {
-            Some(RouteChoice::Cheap) => metrics.routed_cheap_total.inc(),
-            Some(RouteChoice::Expensive) => metrics.routed_expensive_total.inc(),
-            Some(RouteChoice::Escalated) => metrics.routed_escalated_total.inc(),
-            None => {}
-        }
     }
 
     /// Batched stepping: up to `k` queries, one refit (see
@@ -1047,24 +786,15 @@ impl SessionHub {
             return Err(ServeError::EmptyBatch);
         }
         let out = self.timed(Op::StepBatch, || {
-            self.call(id.0, |reply| Command::StepBatch { id: id.0, k, reply })?
+            self.with_engine(id.0, |e| e.step_batch(k))
         });
-        if let Ok(outcomes) = &out {
-            for outcome in outcomes {
-                self.note_route(outcome.route);
-            }
-        }
         self.enforce_budget();
         out
     }
 
     /// Runs `iterations` single steps on the identified session.
     pub fn run(&self, id: SessionId, iterations: usize) -> Result<(), ServeError> {
-        let out = self.call(id.0, |reply| Command::Run {
-            id: id.0,
-            iterations,
-            reply,
-        })?;
+        let out = self.with_engine(id.0, |e| e.run(iterations));
         self.enforce_budget();
         out
     }
@@ -1072,7 +802,7 @@ impl SessionHub {
     /// Inference-phase evaluation of the identified session.
     pub fn evaluate(&self, id: SessionId) -> Result<EvalReport, ServeError> {
         let out = self.timed(Op::Evaluate, || {
-            self.call(id.0, |reply| Command::Evaluate { id: id.0, reply })?
+            self.with_engine(id.0, |e| e.evaluate_downstream())
         });
         self.enforce_budget();
         out
@@ -1085,121 +815,151 @@ impl SessionHub {
     /// by a later [`SessionHub::load_all`]) until the operator removes
     /// them.
     pub fn close(&self, id: SessionId) -> Result<(), ServeError> {
-        let result: Result<(), ServeError> =
-            self.call(id.0, |reply| Command::Close { id: id.0, reply })?;
-        if result.is_ok() {
-            lock_clean(&self.shared.journals).remove(&id.0);
-        }
-        result
+        self.with_shard(id.0, |engines| {
+            let existed = engines.remove(&id.0).is_some();
+            if !self.note_closed(id.0) {
+                debug_assert!(!existed, "engine without a residency slot");
+                return Err(ServeError::UnknownSession(id));
+            }
+            Ok(())
+        })?;
+        lock_clean(&self.journals).remove(&id.0);
+        Ok(())
     }
 
-    /// Number of open sessions (resident plus cold). A dead shard worker
-    /// is surfaced as [`ServeError::HubClosed`] instead of silently
+    /// Number of open sessions (resident plus cold). A dead shard is
+    /// surfaced as [`ServeError::HubClosed`] instead of silently
     /// undercounting; [`SessionHub::health`] says *which* shard died.
+    /// Takes no shard lock, so it never waits behind a running call.
     pub fn session_count(&self) -> Result<usize, ServeError> {
-        // Ping every shard: the count itself comes from the residency map,
-        // but a hub with a dead worker must not pretend to know it.
-        for shard in &self.shards {
-            let (reply, rx) = channel();
-            shard
-                .send(Command::Count { reply })
-                .map_err(|_| ServeError::HubClosed)?;
-            rx.recv().map_err(|_| ServeError::HubClosed)?;
+        if self.shards.iter().any(Mutex::is_poisoned) {
+            return Err(ServeError::HubClosed);
         }
-        Ok(self.shared.slot_count())
+        Ok(lock_clean(&self.slots).len())
     }
 
     /// A point-in-time health report: per-shard liveness and occupancy,
     /// residency totals and tiering counters. Never fails — a dead shard
     /// shows up as `alive: false`, which is exactly what a health endpoint
-    /// is for.
+    /// is for. Occupancy comes from the residency registry and liveness
+    /// from each shard lock's poison flag, so it never waits behind a
+    /// running call.
     pub fn health(&self) -> HubHealth {
+        let mut per_shard = vec![0; self.shards.len()];
+        let (resident, open) = {
+            let slots = lock_clean(&self.slots);
+            for (&id, _) in slots.iter().filter(|(_, slot)| slot.resident) {
+                per_shard[self.shard_of(id)] += 1;
+            }
+            (per_shard.iter().sum::<usize>(), slots.len())
+        };
         let shards = self
             .shards
             .iter()
+            .zip(per_shard)
             .enumerate()
-            .map(|(k, shard)| {
-                let (reply, rx) = channel();
-                let resident = if shard.send(Command::Count { reply }).is_ok() {
-                    rx.recv().ok()
-                } else {
-                    None
-                };
+            .map(|(k, (shard, resident))| {
+                let alive = !shard.is_poisoned();
                 ShardHealth {
                     shard: k,
-                    alive: resident.is_some(),
-                    resident: resident.unwrap_or(0),
+                    alive,
+                    resident: if alive { resident } else { 0 },
                 }
             })
             .collect();
-        let resident = self.shared.resident_count();
         HubHealth {
             shards,
             resident,
-            cold: self.shared.slot_count().saturating_sub(resident),
+            cold: open - resident,
             max_resident: self.memory_budget(),
-            evicted_total: self.shared.metrics.evicted_total.get(),
-            resumed_total: self.shared.metrics.resumed_total.get(),
+            evicted_total: self.metrics.evicted_total.get(),
+            resumed_total: self.metrics.resumed_total.get(),
         }
     }
 
-    /// Routes one command to the owning shard and blocks on its reply.
-    fn call<T>(&self, id: u64, make: impl FnOnce(Sender<T>) -> Command) -> Result<T, ServeError> {
-        let shard = &self.shards[(id as usize) % self.shards.len()];
-        let (reply, rx) = channel();
-        shard.send(make(reply)).map_err(|_| ServeError::HubClosed)?;
-        rx.recv().map_err(|_| ServeError::HubClosed)
+    fn shard_of(&self, id: u64) -> usize {
+        (id % self.shards.len() as u64) as usize
     }
-}
 
-impl Drop for SessionHub {
-    fn drop(&mut self) {
-        // Closing the senders ends each worker's receive loop; join so no
-        // worker outlives the hub. (Workers hold only `Arc<HubShared>`,
-        // which has no senders in it, so this cannot cycle.)
-        self.shards.clear();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// One shard worker's state: the engines it owns plus the shared hub
-/// state the tiering policy lives in.
-struct ShardState {
-    sessions: HashMap<u64, Engine>,
-    shared: Arc<HubShared>,
-}
-
-impl ShardState {
-    /// Runs `f` over the session's engine, resuming it from its journal
-    /// first when it is cold — the transparent-resume path. Bumps the
-    /// session's LRU position.
-    fn touch<T>(
-        &mut self,
+    /// Runs `f` over `id`'s shard on the calling thread, holding the
+    /// shard's lock. A panic inside `f` is caught here: unwinding through
+    /// the guard poisons the lock, so this call and every later one on
+    /// the shard return [`ServeError::HubClosed`] — a panic mid-step can
+    /// leave an engine half-updated, so the shard is not recovered.
+    fn with_shard<T>(
+        &self,
         id: u64,
-        f: impl FnOnce(&mut Engine) -> Result<T, ServeError>,
+        f: impl FnOnce(&mut Shard) -> Result<T, ServeError>,
     ) -> Result<T, ServeError> {
-        if !self.sessions.contains_key(&id) {
-            match self.shared.residency(id) {
-                Some(false) => {
-                    let start = Instant::now();
-                    let resumed = self.resume_session(id);
-                    self.shared
-                        .metrics
-                        .record(Op::Resume, start.elapsed(), resumed.is_err());
-                    let engine = resumed?;
-                    self.sessions.insert(id, engine);
-                    self.shared.note_resumed(id);
+        let shard = &self.shards[self.shard_of(id)];
+        catch_unwind(AssertUnwindSafe(|| {
+            f(&mut *shard.lock().map_err(|_| ServeError::HubClosed)?)
+        }))
+        .unwrap_or(Err(ServeError::HubClosed))
+    }
+
+    /// Runs `f` over the session's engine under its shard's lock, resuming
+    /// it from its journal first when it is cold — the transparent-resume
+    /// path. Bumps the session's LRU position and counts the dual-oracle
+    /// queries `f` routed.
+    fn with_engine<T>(
+        &self,
+        id: u64,
+        f: impl FnOnce(&mut Engine) -> Result<T, ActiveDpError>,
+    ) -> Result<T, ServeError> {
+        self.with_shard(id, |engines| {
+            let engine = self.resident_engine(engines, id)?;
+            let before = engine.route_stats();
+            let out = f(engine);
+            self.note_routes(before, engine.route_stats());
+            Ok(out?)
+        })
+    }
+
+    /// The session's engine, resumed into `engines` first when it is cold.
+    fn resident_engine<'a>(
+        &self,
+        engines: &'a mut Shard,
+        id: u64,
+    ) -> Result<&'a mut Engine, ServeError> {
+        let engine = match engines.entry(id) {
+            Entry::Occupied(hot) => hot.into_mut(),
+            Entry::Vacant(vacant) => {
+                // A resident slot's engine lives in this very map (same
+                // id, same shard), so only a cold slot can be missing here.
+                if self.residency(id) != Some(false) {
+                    return Err(ServeError::UnknownSession(SessionId(id)));
                 }
-                // `Some(true)` cannot happen — a resident slot's engine
-                // lives in this very map (same id, same shard) — but a
-                // defensive UnknownSession beats a panic on the worker.
-                Some(true) | None => return Err(ServeError::UnknownSession(SessionId(id))),
+                let start = Instant::now();
+                let resumed = self.resume_session(id);
+                self.metrics
+                    .record(Op::Resume, start.elapsed(), resumed.is_err());
+                let engine = vacant.insert(resumed?);
+                self.note_resumed(id);
+                engine
             }
-        }
-        self.shared.touch(id);
-        f(self.sessions.get_mut(&id).expect("engine just ensured"))
+        };
+        self.touch(id);
+        Ok(engine)
+    }
+
+    /// Bumps the routed-query counters by what one engine call added to
+    /// the session's route ledger. An escalated query consults both
+    /// oracles and counts on both sides of the ledger, but only under
+    /// `routed_escalated_total` here.
+    fn note_routes(&self, before: Option<RouteStats>, after: Option<RouteStats>) {
+        let (Some(before), Some(after)) = (before, after) else {
+            return;
+        };
+        let escalated = after.escalations - before.escalations;
+        let metrics = &self.metrics;
+        metrics
+            .routed_cheap_total
+            .add(after.cheap_queries - before.cheap_queries - escalated);
+        metrics
+            .routed_expensive_total
+            .add(after.expensive_queries - before.expensive_queries - escalated);
+        metrics.routed_escalated_total.add(escalated);
     }
 
     /// Runs `f` over a cold session's journal. Eviction checkpointed it,
@@ -1210,7 +970,7 @@ impl ShardState {
         f: impl FnOnce(&mut adp_wal::Journal) -> Result<T, ServeError>,
     ) -> Result<(T, SharedJournal), ServeError> {
         let missing = || ServeError::NotPersistable(SessionId(id));
-        let slot = self.shared.journal_slot(id).ok_or_else(missing)?;
+        let slot = self.journal_slot(id).ok_or_else(missing)?;
         let out = f(lock_clean(&slot).as_mut().ok_or_else(missing)?)?;
         Ok((out, slot))
     }
@@ -1223,43 +983,45 @@ impl ShardState {
     /// from them (see [`EngineBuilder::resume`]) — so a cold touch costs a
     /// read, a decode, the LFs applied to the pool and two predicts.
     fn resume_session(&self, id: u64) -> Result<Engine, ServeError> {
+        #[cfg(test)]
+        tests::RESUMES_HERE.with(|n| n.set(n.get() + 1));
         let (mut engine, slot) =
-            self.with_cold_journal(id, |journal| self.shared.engine_at_tip(journal))?;
+            self.with_cold_journal(id, |journal| self.engine_at_tip(journal))?;
         // Post-resume steps keep appending to the same journal.
         engine.add_observer(JournalObserver::new(slot));
         Ok(engine)
     }
 
     /// Spills a resident session cold; see [`SessionHub::evict`].
-    fn evict_session(&mut self, id: u64) -> Result<bool, ServeError> {
-        let Some(engine) = self.sessions.get(&id) else {
-            return match self.shared.residency(id) {
+    fn evict_session(&self, engines: &mut Shard, id: u64) -> Result<bool, ServeError> {
+        let Some(engine) = engines.get(&id) else {
+            return match self.residency(id) {
                 // Already cold: nothing to do, not an error.
                 Some(_) => Ok(false),
                 None => Err(ServeError::UnknownSession(SessionId(id))),
             };
         };
-        if self.shared.spill_dir.is_none() {
-            self.shared.mark_unevictable(id);
+        if self.spill_dir.is_none() {
+            self.mark_unevictable(id);
             return Ok(false);
         }
         let snapshot = match engine.snapshot() {
             Ok(snapshot) => snapshot,
             Err(ActiveDpError::SnapshotUnsupported { .. }) => {
-                self.shared.mark_unevictable(id);
+                self.mark_unevictable(id);
                 return Ok(false);
             }
             Err(e) => return Err(ServeError::Engine(e)),
         };
-        match self.shared.checkpoint(id, &snapshot) {
+        match self.checkpoint(id, &snapshot) {
             Ok(_) => {}
             // Mid-`create`: the journal is registered right after the
             // insert, and the session is evictable from then on.
             Err(ServeError::NotPersistable(_)) => return Ok(false),
             Err(e) => return Err(e),
         }
-        self.sessions.remove(&id);
-        self.shared.note_evicted(id);
+        engines.remove(&id);
+        self.note_evicted(id);
         Ok(true)
     }
 
@@ -1267,19 +1029,18 @@ impl ShardState {
     /// its engine, a cold one from its journal's base — no resume, no
     /// touch. A session evicted at iteration 0 has no snapshot; its spec
     /// describes it whole.
-    fn probe_status(&mut self, id: u64) -> Result<SessionStatus, ServeError> {
-        if let Some(engine) = self.sessions.get(&id) {
+    fn probe_status(&self, engines: &Shard, id: u64) -> Result<SessionStatus, ServeError> {
+        let durability = self.durability(id);
+        if let Some(engine) = engines.get(&id) {
             return Ok(SessionStatus {
                 iteration: engine.state().iteration,
                 n_lfs: engine.state().lfs.len(),
                 n_selected: engine.state().selected.len(),
-                // The shard worker has no view of the journal registry;
-                // the hub fills this in on the way out.
-                durability: None,
+                durability,
                 route: engine.route_stats(),
             });
         }
-        if self.shared.residency(id).is_none() {
+        if self.residency(id).is_none() {
             return Err(ServeError::UnknownSession(SessionId(id)));
         }
         let (status, _) = self.with_cold_journal(id, |journal| {
@@ -1288,88 +1049,149 @@ impl ShardState {
                     iteration: 0,
                     n_lfs: 0,
                     n_selected: 0,
-                    durability: None,
+                    durability,
                     route: journal.spec().session.build_oracle().route_stats(),
                 });
             }
-            let base = self.shared.journal_base(journal)?;
+            let base = self.journal_base(journal)?;
             Ok(SessionStatus {
                 iteration: base.state.iteration,
                 n_lfs: base.state.lfs.len(),
                 n_selected: base.state.selected.len(),
-                durability: None,
+                durability,
                 route: base.routed.as_ref().map(|r| r.stats),
             })
         })?;
         Ok(status)
     }
-}
 
-fn shard_worker(rx: Receiver<Command>, shared: Arc<HubShared>) {
-    let mut state = ShardState {
-        sessions: HashMap::new(),
-        shared,
-    };
-    // Replies may fail only when the caller gave up (hub dropped mid-call);
-    // the worker just moves on.
-    for command in rx {
-        match command {
-            Command::Insert { id, engine, reply } => {
-                let _ = reply.send(if state.shared.note_inserted(id) {
-                    state.sessions.insert(id, *engine);
-                    Ok(())
-                } else {
-                    Err(engine)
-                });
-            }
-            Command::Snapshot { id, reply } => {
-                let _ = reply.send(state.touch(id, |e| e.snapshot().map_err(ServeError::Engine)));
-            }
-            Command::Status { id, reply } => {
-                let _ = reply.send(state.probe_status(id));
-            }
-            Command::Step { id, reply } => {
-                let _ = reply.send(state.touch(id, |e| e.step().map_err(ServeError::Engine)));
-            }
-            Command::StepBatch { id, k, reply } => {
-                let _ =
-                    reply.send(state.touch(id, |e| e.step_batch(k).map_err(ServeError::Engine)));
-            }
-            Command::Run {
-                id,
-                iterations,
-                reply,
-            } => {
-                let _ =
-                    reply.send(state.touch(id, |e| e.run(iterations).map_err(ServeError::Engine)));
-            }
-            Command::Evaluate { id, reply } => {
-                let _ = reply
-                    .send(state.touch(id, |e| e.evaluate_downstream().map_err(ServeError::Engine)));
-            }
-            Command::Evict { id, reply } => {
-                let start = Instant::now();
-                let result = state.evict_session(id);
-                state
-                    .shared
-                    .metrics
-                    .record(Op::Evict, start.elapsed(), result.is_err());
-                let _ = reply.send(result);
-            }
-            Command::Close { id, reply } => {
-                let existed = state.sessions.remove(&id).is_some();
-                let _ = reply.send(match state.shared.note_closed(id) {
-                    Some(_) => Ok(()),
-                    None => {
-                        debug_assert!(!existed, "engine without a residency slot");
-                        Err(ServeError::UnknownSession(SessionId(id)))
-                    }
-                });
-            }
-            Command::Count { reply } => {
-                let _ = reply.send(state.sessions.len());
-            }
+    fn next_touch(&self) -> u64 {
+        self.touch_seq.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Registers a fresh (resident) slot; `false` when the id is already
+    /// taken by a session, hot or cold.
+    fn note_inserted(&self, id: u64) -> bool {
+        let mut slots = lock_clean(&self.slots);
+        if slots.contains_key(&id) {
+            return false;
         }
+        slots.insert(
+            id,
+            SessionSlot {
+                resident: true,
+                last_touch: self.next_touch(),
+                evictable: true,
+            },
+        );
+        self.metrics.resident.inc();
+        true
+    }
+
+    /// Bumps the session's LRU position.
+    fn touch(&self, id: u64) {
+        let seq = self.next_touch();
+        if let Some(slot) = lock_clean(&self.slots).get_mut(&id) {
+            slot.last_touch = seq;
+        }
+    }
+
+    /// `Some(resident?)` for an open session, `None` for an unknown id.
+    pub(crate) fn residency(&self, id: u64) -> Option<bool> {
+        lock_clean(&self.slots).get(&id).map(|s| s.resident)
+    }
+
+    fn note_evicted(&self, id: u64) {
+        if let Some(slot) = lock_clean(&self.slots).get_mut(&id) {
+            slot.resident = false;
+        }
+        self.metrics.resident.dec();
+        self.metrics.cold.inc();
+        self.metrics.evicted_total.inc();
+    }
+
+    fn note_resumed(&self, id: u64) {
+        let seq = self.next_touch();
+        if let Some(slot) = lock_clean(&self.slots).get_mut(&id) {
+            slot.resident = true;
+            slot.last_touch = seq;
+        }
+        self.metrics.cold.dec();
+        self.metrics.resident.inc();
+        self.metrics.resumed_total.inc();
+    }
+
+    fn mark_unevictable(&self, id: u64) {
+        if let Some(slot) = lock_clean(&self.slots).get_mut(&id) {
+            slot.evictable = false;
+        }
+    }
+
+    /// Removes the session's slot; `false` when there was none.
+    fn note_closed(&self, id: u64) -> bool {
+        let Some(removed) = lock_clean(&self.slots).remove(&id) else {
+            return false;
+        };
+        if removed.resident {
+            self.metrics.resident.dec();
+        } else {
+            self.metrics.cold.dec();
+        }
+        true
+    }
+
+    fn resident_count(&self) -> usize {
+        lock_clean(&self.slots)
+            .values()
+            .filter(|s| s.resident)
+            .count()
+    }
+
+    fn ids_where(&self, keep: impl Fn(&SessionSlot) -> bool) -> Vec<SessionId> {
+        let mut ids: Vec<SessionId> = lock_clean(&self.slots)
+            .iter()
+            .filter(|(_, slot)| keep(slot))
+            .map(|(&id, _)| SessionId(id))
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// The least-recently-touched resident, evictable session outside
+    /// `skip`, if any.
+    fn lru_victim(&self, skip: &HashSet<u64>) -> Option<u64> {
+        lock_clean(&self.slots)
+            .iter()
+            .filter(|(id, s)| s.resident && s.evictable && !skip.contains(id))
+            .min_by_key(|(_, s)| s.last_touch)
+            .map(|(&id, _)| id)
+    }
+
+    /// The identified session's shared journal slot, if it has one.
+    pub(crate) fn journal_slot(&self, id: u64) -> Option<SharedJournal> {
+        lock_clean(&self.journals).get(&id).cloned()
+    }
+
+    /// The shared split for `spec`, generated once per hub. The cache lock
+    /// is *not* held across generation (which can take seconds at paper
+    /// scale), so concurrent `open_spec` calls for different specs generate
+    /// in parallel; a racing duplicate generation of the same spec is
+    /// resolved by keeping the first insert (both copies are
+    /// bitwise-identical anyway — generation is deterministic in the spec).
+    pub(crate) fn dataset_for(&self, spec: DatasetSpec) -> Result<SharedDataset, ServeError> {
+        if let Some(data) = lock_clean(&self.datasets).get(&spec.cache_key()) {
+            return Ok(data.clone());
+        }
+        let data = spec
+            .generate()
+            .map_err(|e| {
+                ServeError::Engine(ActiveDpError::BadConfig {
+                    reason: format!("dataset spec failed to generate: {e}"),
+                })
+            })?
+            .into_shared();
+        let mut cache = lock_clean(&self.datasets);
+        Ok(cache.entry(spec.cache_key()).or_insert(data).clone())
     }
 }
 
@@ -1650,11 +1472,84 @@ mod tests {
     }
 
     #[test]
-    fn dropping_the_hub_joins_workers() {
+    fn dropping_a_hub_with_live_sessions_returns() {
         let hub = SessionHub::new(2);
         let id = hub.create(engine(&tiny(), 1)).unwrap();
         hub.step(id).unwrap();
         drop(hub); // must not hang or panic
+    }
+
+    thread_local! {
+        /// Cold-session resumes run on this thread (see `resume_session`).
+        pub(super) static RESUMES_HERE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    #[test]
+    fn every_hub_call_runs_on_the_calling_thread() {
+        use std::sync::Arc;
+        use std::thread::ThreadId;
+        let dir = unique_tempdir("caller-thread");
+        let hub = SessionHub::with_spill_dir(2, &dir);
+        let seen: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+        let mut e = Engine::builder(spec_of(8).generate().unwrap().into_shared())
+            .seed(8)
+            .build()
+            .unwrap();
+        let record = seen.clone();
+        e.add_observer(move |_o: &StepOutcome| {
+            record.lock().unwrap().push(std::thread::current().id());
+        });
+        let id = hub.create(e).unwrap();
+        hub.step(id).unwrap();
+        hub.step_batch(id, 3).unwrap();
+        hub.run(id, 2).unwrap();
+        let caller = std::thread::current().id();
+        let seen = seen.lock().unwrap().clone();
+        assert_eq!(seen.len(), 6, "one observation per iteration");
+        assert!(seen.iter().all(|&t| t == caller), "{seen:?} vs {caller:?}");
+        // A cold session resumes inside the touch, on the same thread.
+        let cold = hub
+            .open_spec(spec_of(9), SessionConfig::paper_defaults(true, 9))
+            .unwrap();
+        hub.run(cold, 2).unwrap();
+        assert!(hub.evict(cold).unwrap());
+        let before = RESUMES_HERE.with(|n| n.get());
+        assert_eq!(hub.step(cold).unwrap().iteration, 3);
+        assert_eq!(RESUMES_HERE.with(|n| n.get()), before + 1);
+        assert_eq!(hub.metrics().resumed_total.get(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_counts_routed_queries_like_steps() {
+        use activedp::{OracleKind, RouteChoice};
+        let mut spec = ScenarioSpec::new(spec_of(10));
+        spec.session.oracle = OracleKind::noisy();
+        let counters = |hub: &SessionHub| {
+            let m = hub.metrics();
+            [
+                m.routed_cheap_total.get(),
+                m.routed_expensive_total.get(),
+                m.routed_escalated_total.get(),
+            ]
+        };
+        let ran = SessionHub::new(1);
+        let id = ran.create_from_spec(spec.clone()).unwrap();
+        ran.run(id, 12).unwrap();
+        let stepped = SessionHub::new(1);
+        let id = stepped.create_from_spec(spec).unwrap();
+        let mut tally = [0u64; 3];
+        for _ in 0..12 {
+            match stepped.step(id).unwrap().route {
+                Some(RouteChoice::Cheap) => tally[0] += 1,
+                Some(RouteChoice::Expensive) => tally[1] += 1,
+                Some(RouteChoice::Escalated) => tally[2] += 1,
+                None => {}
+            }
+        }
+        assert_eq!(tally.iter().sum::<u64>(), 12);
+        assert_eq!(counters(&stepped), tally);
+        assert_eq!(counters(&ran), tally);
     }
 
     #[test]
@@ -1775,15 +1670,17 @@ mod tests {
         let id = hub
             .open_spec(spec_of(5), SessionConfig::paper_defaults(true, 5))
             .unwrap();
-        let shared = hub.shared.clone();
-        let _ = std::thread::spawn(move || {
-            let _datasets = shared.datasets.lock().unwrap();
-            let _journals = shared.journals.lock().unwrap();
-            let _slots = shared.slots.lock().unwrap();
-            panic!("poison all hub registries");
-        })
-        .join();
-        assert!(hub.shared.datasets.is_poisoned());
+        let _ = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _datasets = hub.datasets.lock().unwrap();
+                    let _journals = hub.journals.lock().unwrap();
+                    let _slots = hub.slots.lock().unwrap();
+                    panic!("poison all hub registries");
+                })
+                .join()
+        });
+        assert!(hub.datasets.is_poisoned());
         // Every path that takes those locks still serves.
         assert_eq!(hub.step(id).unwrap().iteration, 1);
         let second = hub

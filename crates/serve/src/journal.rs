@@ -27,7 +27,7 @@
 //!
 //! [`SessionStatus::durability`]: crate::hub::SessionStatus::durability
 
-use crate::hub::{lock_clean, HubShared, ServeError, SessionHub, SessionId};
+use crate::hub::{lock_clean, ServeError, SessionHub, SessionId};
 use activedp::{Engine, ScenarioSpec, SessionSnapshot, StepEvent, StepObserver, StepOutcome};
 use adp_wal::{Journal, WalError};
 use std::path::{Path, PathBuf};
@@ -113,7 +113,7 @@ impl SessionHub {
     /// journalled (no spill dir, unsnapshotable engine, or a failed
     /// journal).
     pub(crate) fn durability(&self, id: u64) -> Option<DurabilityStatus> {
-        let slot = self.shared.journal_slot(id)?;
+        let slot = self.journal_slot(id)?;
         let guard = lock_clean(&slot);
         let journal = guard.as_ref()?;
         Some(DurabilityStatus {
@@ -142,7 +142,7 @@ impl SessionHub {
                 ServeError::Wal(e)
             })?;
         *lock_clean(slot) = Some(journal);
-        lock_clean(&self.shared.journals).insert(id.raw(), slot.clone());
+        lock_clean(&self.journals).insert(id.raw(), slot.clone());
         Ok(())
     }
 
@@ -157,7 +157,7 @@ impl SessionHub {
         let slot = Arc::new(Mutex::new(Some(journal)));
         engine.add_observer(JournalObserver::new(slot.clone()));
         self.insert_preserving_id(id, engine)?;
-        lock_clean(&self.shared.journals).insert(id, slot);
+        lock_clean(&self.journals).insert(id, slot);
         Ok(SessionId::from_raw(id))
     }
 
@@ -185,9 +185,9 @@ impl SessionHub {
     ) -> Result<(SessionSnapshot, Vec<StepEvent>), ServeError> {
         let read = |journal: &mut Journal| -> Result<_, ServeError> {
             let events = journal.events().map_err(ServeError::Wal)?;
-            Ok((self.shared.journal_base(journal)?, events))
+            Ok((self.journal_base(journal)?, events))
         };
-        if let Some(slot) = self.shared.journal_slot(id.raw()) {
+        if let Some(slot) = self.journal_slot(id.raw()) {
             // Poison-safe: skipping a *live* journal here would re-open a
             // single-writer directory underneath its owner.
             if let Some(journal) = lock_clean(&slot).as_mut() {
@@ -208,9 +208,7 @@ impl SessionHub {
         // degraded): open — and thereby recover — the directory contents.
         read(&mut open_journal(&wal_path, id.raw())?)
     }
-}
 
-impl HubShared {
     /// Makes `snapshot` session `id`'s durable state: the one call behind
     /// save and eviction, [`Journal::checkpoint`]. A session whose journal
     /// degraded after a failed append reopens it first (see
@@ -220,7 +218,7 @@ impl HubShared {
         id: u64,
         snapshot: &SessionSnapshot,
     ) -> Result<PathBuf, ServeError> {
-        let spill = self.spill_dir.as_deref().ok_or(ServeError::NoSpillDir)?;
+        let spill = self.spill_dir().ok_or(ServeError::NoSpillDir)?;
         // Every snapshotable session of a spilling hub is journalled once
         // `create` has registered it; until then there is nowhere to save.
         let slot = self

@@ -2,17 +2,17 @@
 //!
 //! The [`SessionHub`] is the serving layer the ROADMAP's north star asks
 //! for: many labelling sessions live behind one handle, created, stepped,
-//! evaluated and dropped by [`SessionId`]. Sessions are sharded across
-//! worker threads — each worker owns the engines assigned to it, so there
-//! is no lock around an engine and no way for two callers to interleave
-//! within one session's trajectory. Determinism carries over from the
-//! engine: a session stepped through the hub produces the same trajectory,
-//! bit for bit, as the same engine stepped solo, no matter how many other
-//! sessions run next to it (pinned by this crate's tests).
+//! evaluated and dropped by [`SessionId`]. Sessions are sharded over
+//! locks: every call runs on the caller's thread while it holds its
+//! session's shard lock, so two callers can never interleave within one
+//! session's trajectory, and sessions on different shards run in
+//! parallel. Determinism carries over from the engine: a session stepped
+//! through the hub produces the same trajectory, bit for bit, as the same
+//! engine stepped solo, no matter how many other sessions run next to it
+//! (pinned by this crate's tests).
 //!
-//! Everything is std: `mpsc` channels in, `mpsc` reply channels out. The
-//! hub is `Send + Sync`, so one hub can serve calls from any number of
-//! client threads.
+//! Everything is std, and the hub spawns no thread. It is `Send + Sync`,
+//! so one hub can serve calls from any number of client threads.
 //!
 //! Around the hub this crate adds the **durable serving** stack:
 //!

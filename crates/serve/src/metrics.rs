@@ -40,7 +40,12 @@ pub struct Counter(AtomicU64);
 impl Counter {
     /// Adds one.
     pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
+    }
+
+    /// Adds `n`.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The current count.
@@ -175,7 +180,8 @@ impl Histogram {
 
 /// The instrumented hub operations. `Open` covers session establishment
 /// and the protocol's `open` status probe; `Evict`/`Resume` are the
-/// tiering transitions, timed where they happen (on the shard worker).
+/// tiering transitions, timed where they happen (`Resume` inside the
+/// touch that needed it, under the shard lock).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Session creation and the `open` status probe.
@@ -241,13 +247,13 @@ pub struct OpMetrics {
     pub requests: Counter,
     /// Requests that returned an error.
     pub errors: Counter,
-    /// Wall-clock latency (queueing on the shard included — that is what
-    /// callers feel).
+    /// Wall-clock latency (waiting for the shard lock included — that is
+    /// what callers feel).
     pub latency: Histogram,
 }
 
 /// The hub's whole metric surface; one instance lives inside each
-/// `SessionHub` and is shared with the shard workers.
+/// `SessionHub`.
 #[derive(Debug, Default)]
 pub struct HubMetrics {
     ops: [OpMetrics; Op::ALL.len()],
@@ -268,8 +274,8 @@ pub struct HubMetrics {
     /// final evaluation (or the boundary snapshot, for a partial slice).
     pub sweep_cell_latency: Histogram,
     /// Dual-oracle queries answered by the cheap noisy oracle, across the
-    /// step/step_batch outcomes this hub served (escalated queries count
-    /// under `routed_escalated_total` only).
+    /// step, step_batch and run calls this hub served (escalated queries
+    /// count under `routed_escalated_total` only).
     pub routed_cheap_total: Counter,
     /// Dual-oracle queries answered directly by the expensive simulated
     /// user.

@@ -54,7 +54,7 @@ impl SessionHub {
         // must not drag the engine back into memory. (If the session
         // resumes between this check and the snapshot call below, the
         // normal path simply takes over.)
-        if self.shared.residency(id.raw()) == Some(false) {
+        if self.residency(id.raw()) == Some(false) {
             return Ok(wal_dir(&dir, id.raw()));
         }
         let snapshot = match self.snapshot(id) {
@@ -64,7 +64,7 @@ impl SessionHub {
             }
             Err(e) => return Err(e),
         };
-        self.shared.checkpoint(id.raw(), &snapshot)
+        self.checkpoint(id.raw(), &snapshot)
     }
 
     /// Saves every persistable session (see [`SessionHub::save`]) and
@@ -150,11 +150,11 @@ impl SessionHub {
         // A live session with this id already owns its journal directory
         // (single-writer); reject the collision *before* opening — and
         // thereby recovering over — the live journal's open segment.
-        if self.shared.journal_slot(id).is_some() {
+        if self.journal_slot(id).is_some() {
             return Err(ServeError::SessionExists(SessionId::from_raw(id)));
         }
         let mut journal = open_journal(path, id)?;
-        let engine = self.shared.engine_at_tip(&mut journal)?;
+        let engine = self.engine_at_tip(&mut journal)?;
         self.adopt_loaded(id, engine, journal)
     }
 }
@@ -713,7 +713,7 @@ mod tests {
         let dir = unique_tempdir("degraded");
         let hub = SessionHub::with_spill_dir(1, &dir);
         let id = open(&hub, seed);
-        let degrade = || *lock_clean(&hub.shared.journal_slot(id.raw()).unwrap()) = None;
+        let degrade = || *lock_clean(&hub.journal_slot(id.raw()).unwrap()) = None;
         let reloads_at = |at: usize| {
             let fresh = SessionHub::with_spill_dir(1, &dir);
             assert_eq!(fresh.load_all().unwrap(), vec![id]);

@@ -11,7 +11,7 @@
 //! * [`baselines`] — Nemo, IWS, Revising-LF and uncertainty sampling under
 //!   a common [`baselines::Framework`] trait;
 //! * [`serve`] — the concurrent [`serve::SessionHub`]: many sessions by
-//!   id, sharded over worker threads, with snapshot persistence and the
+//!   id, sharded over per-shard locks, with snapshot persistence and the
 //!   `adp-served` JSON-lines network front end;
 //! * [`wal`] — the per-step write-ahead log behind the hub's
 //!   point-in-time recovery;
