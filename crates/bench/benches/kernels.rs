@@ -375,7 +375,7 @@ fn bench_drift_regen(c: &mut Criterion) {
 /// Expansion of a full-size sweep grid into concrete `ScenarioSpec`s —
 /// the `adp-sweep` planner (8 datasets × 6 samplers × 3 label models ×
 /// 4 schedules × 5 seeds = 2880 specs), plus each spec's wire encoding
-/// (what a distributed sweep would ship to workers).
+/// (the bytes a WAL manifest and a snapshot embed).
 fn bench_sweep_expand_grid(c: &mut Criterion) {
     use activedp::{LabelModelKind, SamplerChoice};
     use adp_data::Scale;

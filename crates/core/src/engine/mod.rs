@@ -71,19 +71,17 @@ pub struct ScheduleRun {
     pub batches: usize,
     /// Whether the run is over: budget spent or pool exhausted. A
     /// not-done engine continues from its current batch boundary —
-    /// directly, or via snapshot/resume on another host.
+    /// directly, or after a snapshot/resume round trip.
     pub done: bool,
 }
 
-/// What [`Engine::run_cell`] measured on a cell that ran to completion:
-/// the quantities the sweep's row and the served `run_spec` reply carry,
-/// wall clock aside.
+/// What [`Engine::run_cell`] measured on a finished cell: the quantities
+/// the sweep's row carries, wall clock aside.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellSummary {
     /// Loop iterations consumed (≤ budget when the pool ran dry).
     pub iterations: usize,
-    /// Refit batches the consumed iterations span. Boundaries are
-    /// absolute, so this does not depend on how the cell was sliced.
+    /// Refit batches the consumed iterations span.
     pub refits: usize,
     /// Final downstream test accuracy.
     pub test_accuracy: f64,
@@ -538,12 +536,13 @@ impl Engine {
         Ok(self.run_schedule_batches(usize::MAX)?.outcomes)
     }
 
-    /// Runs at most `max_batches` schedule batches — the bounded slice of
-    /// [`Engine::run_schedule`] the distributed sweep is built on: a
-    /// worker runs a slice, snapshots at the batch boundary it stopped on,
-    /// and ships the checkpoint back; a resumed engine continues the
-    /// schedule exactly where it stopped because batch boundaries are
-    /// aligned to absolute iteration numbers. Slicing is invisible to the
+    /// Runs at most `max_batches` schedule batches — a bounded slice of
+    /// [`Engine::run_schedule`], for callers that time or pause a run per
+    /// batch (the drift-boundary pause in [`Engine::run_cell`], per-refit
+    /// latency benches). The engine stops on a batch boundary, where it
+    /// can snapshot; a resumed engine continues the schedule exactly where
+    /// it stopped because batch boundaries are aligned to absolute
+    /// iteration numbers. Slicing is invisible to the
     /// trajectory: any partition of a run into `run_schedule_batches`
     /// calls (with snapshot/resume between them or not) is bitwise
     /// identical to one uninterrupted [`Engine::run_schedule`].
@@ -578,7 +577,7 @@ impl Engine {
         }
         // The batch cap hit first; the budget may still be unspent. Probe
         // so a slice that happened to end exactly on the budget reports
-        // `done` without costing the caller another round trip.
+        // `done` without costing the caller another call.
         run.done = self
             .schedule
             .next_batch_at(self.state.iteration, self.budget)
@@ -586,47 +585,36 @@ impl Engine {
         Ok(run)
     }
 
-    /// Runs one sweep cell: the scenario's schedule to the end, or at most
-    /// `max_batches` batches of it, then the final evaluation. `None`
-    /// means the cap stopped the run first; the engine then sits on a
-    /// batch boundary, ready to snapshot and continue elsewhere.
+    /// Runs one sweep cell: the scenario's schedule to the end, then the
+    /// final evaluation.
     ///
-    /// An uncapped run of a fresh engine pauses at the drift boundary and
-    /// evaluates there, the baseline [`CellSummary::recovery`] measures
-    /// from. The boundary is a batch boundary and evaluation draws no
-    /// session randomness, so the paused trajectory is bitwise the one
-    /// that never paused. A capped slice, or an engine already past
-    /// iteration 0, cannot see the boundary accuracy and reports no
-    /// recovery.
-    pub fn run_cell(
-        &mut self,
-        max_batches: Option<usize>,
-    ) -> Result<Option<CellSummary>, ActiveDpError> {
+    /// A fresh engine pauses at the drift boundary and evaluates there,
+    /// the baseline [`CellSummary::recovery`] measures from. The boundary
+    /// is a batch boundary and evaluation draws no session randomness, so
+    /// the paused trajectory is bitwise the one that never paused. An
+    /// engine already past iteration 0 cannot see the boundary accuracy
+    /// and reports no recovery.
+    pub fn run_cell(&mut self) -> Result<CellSummary, ActiveDpError> {
         let boundary = self.drift.boundary().filter(|&at| at < self.budget);
-        let boundary_accuracy = match (max_batches, boundary) {
-            (None, Some(at)) if self.state.iteration == 0 => {
+        let boundary_accuracy = match boundary {
+            Some(at) if self.state.iteration == 0 => {
                 self.run_schedule_batches(self.schedule.n_batches(at))?;
                 Some(self.evaluate_downstream()?.test_accuracy)
             }
             _ => None,
         };
-        if !self
-            .run_schedule_batches(max_batches.unwrap_or(usize::MAX))?
-            .done
-        {
-            return Ok(None);
-        }
+        self.run_schedule()?;
         let report = self.evaluate_downstream()?;
         let iterations = self.state.iteration;
         let stats = self.route_stats();
-        Ok(Some(CellSummary {
+        Ok(CellSummary {
             iterations,
             refits: self.schedule.batch_sizes(iterations).len(),
             test_accuracy: report.test_accuracy,
             cheap_fraction: stats.map_or(0.0, |s| s.cheap_fraction()),
             routed_cost: stats.map_or(0.0, |s| s.total_cost()),
             recovery: boundary_accuracy.map_or(0.0, |a| report.test_accuracy - a),
-        }))
+        })
     }
 
     /// Captures everything needed to resume this session later — the full
@@ -1147,7 +1135,8 @@ mod tests {
         let solo_acc = solo.evaluate_downstream().unwrap().test_accuracy;
 
         // Same schedule driven in 1-batch slices with a snapshot/resume
-        // round trip between every slice — the distributed worker's view.
+        // round trip between every slice — a run paused and resumed at
+        // every batch boundary.
         let mut sliced = Engine::from_spec_over(spec, data.clone()).unwrap();
         let mut slices = 0;
         loop {

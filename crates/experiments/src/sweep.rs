@@ -16,7 +16,6 @@ use activedp::{
     ActiveDpError, BudgetSchedule, Engine, LabelModelKind, OracleKind, SamplerChoice, ScenarioSpec,
 };
 use adp_data::{DatasetId, DatasetSpec, DriftSpec, Scale, SharedDataset};
-use adp_wire::{read_envelope, write_envelope};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -128,8 +127,8 @@ impl SweepGrid {
 
     /// [`SweepGrid::expand`] with stable cell ids attached: a cell's id is
     /// its position in expand order, so the same grid always names the
-    /// same cell the same way — the identity the distributed coordinator
-    /// dispatches, reschedules and merges by.
+    /// same cell the same way — the identity parallel workers merge
+    /// their rows by.
     pub fn cells(&self) -> Vec<SweepCell> {
         self.expand()
             .into_iter()
@@ -151,13 +150,6 @@ pub struct SweepCell {
     /// The cell's scenario.
     pub spec: ScenarioSpec,
 }
-
-/// Magic prefix of an encoded [`SweepRow`].
-pub const SWEEP_ROW_MAGIC: &[u8; 8] = b"ADPSWROW";
-/// Current [`SweepRow`] encoding version, and the only one decoded: v2
-/// appended the routing/drift columns (cheap fraction, routed cost,
-/// recovery), and v1 rows are rejected (see MIGRATION.md).
-pub const SWEEP_ROW_VERSION: u32 = 2;
 
 /// One finished run of the sweep.
 #[derive(Debug, Clone)]
@@ -192,52 +184,6 @@ impl SweepRow {
     /// Accuracy bought per refit — the sweep's headline trade-off column.
     pub fn accuracy_per_refit(&self) -> f64 {
         self.test_accuracy / self.refits.max(1) as f64
-    }
-
-    /// Encodes the row as a versioned artefact (`ADPSWROW` v2) — the form
-    /// `adp-coord --spool` persists per completed cell, so an interrupted
-    /// coordinator restart skips cells already computed.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = write_envelope(SWEEP_ROW_MAGIC, SWEEP_ROW_VERSION);
-        w.put_u64(self.cell);
-        let spec = self.spec.to_bytes();
-        w.put_u64(spec.len() as u64);
-        w.put_bytes(&spec);
-        w.put_usize(self.iterations);
-        w.put_usize(self.refits);
-        w.put_f64(self.test_accuracy);
-        w.put_f64(self.wall_ms);
-        w.put_f64(self.cheap_fraction);
-        w.put_f64(self.routed_cost);
-        w.put_f64(self.recovery);
-        w.into_bytes()
-    }
-
-    /// Decodes a row written by [`SweepRow::to_bytes`], rejecting foreign
-    /// magic, every version but [`SWEEP_ROW_VERSION`], truncation and
-    /// trailing garbage.
-    pub fn from_bytes(bytes: &[u8]) -> Result<SweepRow, ActiveDpError> {
-        let (mut r, _) = read_envelope(
-            bytes,
-            SWEEP_ROW_MAGIC,
-            SWEEP_ROW_VERSION..=SWEEP_ROW_VERSION,
-        )?;
-        let cell = r.get_u64()?;
-        let spec_len = r.get_len("sweep row spec", 1)?;
-        let spec = ScenarioSpec::from_bytes(r.get_bytes(spec_len)?)?;
-        let row = SweepRow {
-            cell,
-            spec,
-            iterations: r.get_usize()?,
-            refits: r.get_usize()?,
-            test_accuracy: r.get_f64()?,
-            wall_ms: r.get_f64()?,
-            cheap_fraction: r.get_f64()?,
-            routed_cost: r.get_f64()?,
-            recovery: r.get_f64()?,
-        };
-        r.finish()?;
-        Ok(row)
     }
 }
 
@@ -286,9 +232,7 @@ impl SweepOutcome {
 pub fn run_spec_over(spec: ScenarioSpec, data: SharedDataset) -> Result<SweepRow, ActiveDpError> {
     let mut engine = Engine::from_spec_over(spec.clone(), data)?;
     let start = std::time::Instant::now();
-    let cell = engine
-        .run_cell(None)?
-        .expect("an uncapped cell runs to completion");
+    let cell = engine.run_cell()?;
     Ok(SweepRow {
         cell: 0,
         spec,
@@ -637,51 +581,6 @@ mod tests {
         // The healthy cells still ran to completion.
         for row in &out.rows {
             assert_eq!(row.iterations, 6);
-        }
-    }
-
-    #[test]
-    fn sweep_rows_roundtrip_through_the_codec() {
-        let grid = tiny_grid();
-        let out = run_grid(&grid);
-        for row in &out.rows {
-            let bytes = row.to_bytes();
-            let back = SweepRow::from_bytes(&bytes).unwrap();
-            assert_eq!(back.cell, row.cell);
-            assert_eq!(back.spec, row.spec);
-            assert_eq!(back.iterations, row.iterations);
-            assert_eq!(back.refits, row.refits);
-            assert_eq!(back.test_accuracy.to_bits(), row.test_accuracy.to_bits());
-            assert_eq!(back.wall_ms.to_bits(), row.wall_ms.to_bits());
-            assert_eq!(back.cheap_fraction.to_bits(), row.cheap_fraction.to_bits());
-            assert_eq!(back.routed_cost.to_bits(), row.routed_cost.to_bits());
-            assert_eq!(back.recovery.to_bits(), row.recovery.to_bits());
-        }
-    }
-
-    #[test]
-    fn sweep_row_codec_rejects_corruption() {
-        let row = run_spec(tiny_grid().expand().swap_remove(0)).unwrap();
-        let bytes = row.to_bytes();
-        // Foreign magic.
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xFF;
-        assert!(SweepRow::from_bytes(&bad).is_err());
-        // Truncation.
-        assert!(SweepRow::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        // Trailing garbage.
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(SweepRow::from_bytes(&long).is_err());
-        // Future and retired (v1) versions.
-        for stamp in [0xFFu32, 1] {
-            let mut other = bytes.clone();
-            other[8..12].copy_from_slice(&stamp.to_le_bytes());
-            assert!(matches!(
-                SweepRow::from_bytes(&other),
-                Err(ActiveDpError::SnapshotCodec(adp_wire::WireError::UnknownVersion { found, .. }))
-                    if found == stamp
-            ));
         }
     }
 

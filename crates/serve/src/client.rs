@@ -73,44 +73,6 @@ pub struct EvalReply {
     pub downstream_trained: bool,
 }
 
-/// A finished sweep cell as reported by `run_spec` (`done: true`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellRowReply {
-    /// Loop iterations consumed.
-    pub iterations: u64,
-    /// Refit batches the iterations span.
-    pub refits: u64,
-    /// Final downstream test accuracy.
-    pub test_accuracy: f64,
-    /// The final slice's wall clock, milliseconds.
-    pub wall_ms: f64,
-    /// Fraction of routed queries the cheap oracle answered (0 for
-    /// simulated sessions, and when the server predates routing).
-    pub cheap_fraction: f64,
-    /// Total routed labelling cost (0 under the same conditions).
-    pub routed_cost: f64,
-    /// Post-drift accuracy recovery; 0 for drift-free and sliced cells.
-    pub recovery: f64,
-}
-
-/// One `run_spec` slice's outcome: the finished row, or a checkpoint to
-/// resume from (on this worker or any other).
-#[derive(Debug, Clone, PartialEq)]
-pub enum CellProgressReply {
-    /// The cell ran to completion and was evaluated.
-    Done(CellRowReply),
-    /// The batch cap stopped the slice; resume with
-    /// [`Client::resume_spec_batches`].
-    Partial {
-        /// Iterations consumed so far.
-        iteration: u64,
-        /// This slice's wall clock, milliseconds.
-        wall_ms: f64,
-        /// Opaque boundary snapshot bytes (decoded from the wire's hex).
-        snapshot: Vec<u8>,
-    },
-}
-
 /// A journalled session's durability, as reported by `open`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityReply {
@@ -235,12 +197,6 @@ impl Client {
             .get(key)
             .and_then(Json::as_f64)
             .ok_or_else(|| ClientError::Protocol(format!("missing number \"{key}\": {reply}")))
-    }
-
-    /// A numeric field newer servers emit and older ones omit; absent
-    /// means zero rather than a protocol error.
-    fn optional_f64(reply: &Json, key: &str) -> f64 {
-        reply.get(key).and_then(Json::as_f64).unwrap_or(0.0)
     }
 
     fn step_reply(value: &Json) -> Result<StepReply, ClientError> {
@@ -407,82 +363,6 @@ impl Client {
             ("iteration", Json::int(iteration)),
         ]))?;
         Self::expect_u64(&reply, "session")
-    }
-
-    fn cell_progress(reply: &Json) -> Result<CellProgressReply, ClientError> {
-        match reply.get("done").and_then(Json::as_bool) {
-            Some(true) => Ok(CellProgressReply::Done(CellRowReply {
-                iterations: Self::expect_u64(reply, "iterations")?,
-                refits: Self::expect_u64(reply, "refits")?,
-                test_accuracy: Self::expect_f64(reply, "test_accuracy")?,
-                wall_ms: Self::expect_f64(reply, "wall_ms")?,
-                // Absent on pre-routing servers: default, don't reject.
-                cheap_fraction: Self::optional_f64(reply, "cheap_fraction"),
-                routed_cost: Self::optional_f64(reply, "routed_cost"),
-                recovery: Self::optional_f64(reply, "recovery"),
-            })),
-            Some(false) => {
-                let hex = reply
-                    .get("snapshot")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| ClientError::Protocol(format!("missing snapshot: {reply}")))?;
-                Ok(CellProgressReply::Partial {
-                    iteration: Self::expect_u64(reply, "iteration")?,
-                    wall_ms: Self::expect_f64(reply, "wall_ms")?,
-                    snapshot: crate::hex::decode(hex).map_err(ClientError::Protocol)?,
-                })
-            }
-            None => Err(ClientError::Protocol(format!("missing done: {reply}"))),
-        }
-    }
-
-    /// Runs one whole sweep cell server-side on an ephemeral engine (the
-    /// `run_spec` command with no batch cap) and returns its typed result
-    /// row. No session id is allocated; the only server state touched is
-    /// the shared dataset cache.
-    pub fn run_spec(&mut self, spec: &activedp::ScenarioSpec) -> Result<CellRowReply, ClientError> {
-        let reply = self.call(Json::obj([
-            ("cmd", Json::Str("run_spec".into())),
-            ("spec", crate::spec_json::scenario_to_json(spec)),
-        ]))?;
-        match Self::cell_progress(&reply)? {
-            CellProgressReply::Done(row) => Ok(row),
-            CellProgressReply::Partial { .. } => Err(ClientError::Protocol(
-                "uncapped run_spec replied with a partial slice".into(),
-            )),
-        }
-    }
-
-    /// Starts a sweep cell and runs at most `max_batches` schedule
-    /// batches of it — the checkpointed form of [`Client::run_spec`]. A
-    /// partial reply carries the boundary snapshot to feed
-    /// [`Client::resume_spec_batches`], here or on another worker.
-    pub fn run_spec_batches(
-        &mut self,
-        spec: &activedp::ScenarioSpec,
-        max_batches: u64,
-    ) -> Result<CellProgressReply, ClientError> {
-        let reply = self.call(Json::obj([
-            ("cmd", Json::Str("run_spec".into())),
-            ("spec", crate::spec_json::scenario_to_json(spec)),
-            ("max_batches", Json::int(max_batches)),
-        ]))?;
-        Self::cell_progress(&reply)
-    }
-
-    /// Continues a sweep cell from a checkpoint returned by an earlier
-    /// partial slice, running at most `max_batches` further batches.
-    pub fn resume_spec_batches(
-        &mut self,
-        snapshot: &[u8],
-        max_batches: u64,
-    ) -> Result<CellProgressReply, ClientError> {
-        let reply = self.call(Json::obj([
-            ("cmd", Json::Str("run_spec".into())),
-            ("resume", Json::Str(crate::hex::encode(snapshot))),
-            ("max_batches", Json::int(max_batches)),
-        ]))?;
-        Self::cell_progress(&reply)
     }
 
     /// The server's metrics in the Prometheus text exposition format.

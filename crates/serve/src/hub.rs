@@ -278,66 +278,6 @@ struct SessionSlot {
     evictable: bool,
 }
 
-/// Where one [`SessionHub::run_cell`] call starts from: a fresh spec, or
-/// a checkpoint a previous slice (possibly on another worker) shipped
-/// back.
-#[derive(Debug, Clone)]
-pub enum CellStart {
-    /// Build the cell's engine from scratch (boxed to keep the enum
-    /// slim — clippy's large-variant lint).
-    Spec(Box<ScenarioSpec>),
-    /// Resume the cell from a boundary snapshot; the dataset regenerates
-    /// (or is served from cache) from the provenance the snapshot embeds.
-    /// Boxed: a snapshot dwarfs a spec.
-    Resume(Box<SessionSnapshot>),
-}
-
-/// A finished sweep cell as computed by [`SessionHub::run_cell`] — the
-/// same quantities the local sweep's `SweepRow` carries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellResult {
-    /// Loop iterations consumed (≤ budget when the pool ran dry).
-    pub iterations: usize,
-    /// Refit batches the consumed iterations span (absolute boundaries,
-    /// so this is independent of how the cell was sliced).
-    pub refits: usize,
-    /// Final downstream test accuracy.
-    pub test_accuracy: f64,
-    /// This slice's wall clock, milliseconds (dataset generation
-    /// excluded). For a sliced cell the coordinator sums slice walls.
-    pub wall_ms: f64,
-    /// Fraction of routed queries the cheap oracle answered; 0 for plain
-    /// simulated sessions. Survives slicing — the route ledger rides the
-    /// checkpoint snapshot.
-    pub cheap_fraction: f64,
-    /// Total routed labelling cost across both oracles; 0 for simulated
-    /// sessions. Also slice-invariant.
-    pub routed_cost: f64,
-    /// Post-drift accuracy recovery (final minus at-boundary accuracy).
-    /// Measured only by *uncapped* cells: a sliced cell cannot carry the
-    /// boundary evaluation across workers, so capped slices report 0.
-    pub recovery: f64,
-}
-
-/// What one [`SessionHub::run_cell`] slice produced.
-#[derive(Debug, Clone)]
-pub enum CellProgress {
-    /// The cell ran to completion (budget spent or pool exhausted) and
-    /// was evaluated.
-    Done(CellResult),
-    /// The batch cap stopped the slice first; the checkpoint resumes the
-    /// cell on any worker.
-    Partial {
-        /// Iterations consumed so far.
-        iteration: usize,
-        /// This slice's wall clock, milliseconds.
-        wall_ms: f64,
-        /// Boundary snapshot to resume from (boxed: it dwarfs the other
-        /// variant).
-        snapshot: Box<SessionSnapshot>,
-    },
-}
-
 /// The engines resident on one shard, by raw session id.
 type Shard = HashMap<u64, Engine>;
 
@@ -645,65 +585,6 @@ impl SessionHub {
     ) -> Result<SessionId, ServeError> {
         let engine = Engine::builder(data).resume(snapshot)?;
         self.create(engine)
-    }
-
-    /// Runs one sweep cell (or a bounded slice of one) to serve the
-    /// `run_spec` protocol command — the distributed sweep's unit of work.
-    ///
-    /// The engine is **ephemeral**: built fresh from the spec (or resumed
-    /// from a shipped checkpoint), run for at most `max_batches` schedule
-    /// batches through [`Engine::run_cell`], and dropped when the call
-    /// returns. No session id is allocated and no shard is locked — cells
-    /// carry their whole state in the request/response, which is what
-    /// makes a dead worker rescheduable: the coordinator holds the last
-    /// returned checkpoint and replays it on any other worker. Only the
-    /// dataset split is shared, through the hub's generate-once cache.
-    ///
-    /// Slicing is bitwise-invisible (schedule batch boundaries are
-    /// absolute): any partition of a cell into `run_cell` calls — across
-    /// any mix of workers — produces the same iterations/refits/accuracy
-    /// as one uninterrupted local run.
-    pub fn run_cell(
-        &self,
-        start: CellStart,
-        max_batches: Option<usize>,
-    ) -> Result<CellProgress, ServeError> {
-        self.timed(Op::RunSpec, || {
-            let mut engine = match start {
-                CellStart::Spec(spec) => {
-                    spec.validate().map_err(ServeError::Engine)?;
-                    let data = self.dataset_for(spec.dataset)?;
-                    Engine::from_spec_over(*spec, data)?
-                }
-                CellStart::Resume(snapshot) => {
-                    let data = self.dataset_for(snapshot.spec.dataset)?;
-                    Engine::builder(data).resume(*snapshot)?
-                }
-            };
-            // The clock starts after dataset generation, matching the
-            // local sweep's convention (the artefact times the loop).
-            let wall = Instant::now();
-            let Some(cell) = engine.run_cell(max_batches)? else {
-                let snapshot = engine.snapshot()?;
-                self.metrics.sweep_cell_latency.observe(wall.elapsed());
-                return Ok(CellProgress::Partial {
-                    iteration: engine.state().iteration,
-                    wall_ms: wall.elapsed().as_secs_f64() * 1e3,
-                    snapshot: Box::new(snapshot),
-                });
-            };
-            self.metrics.sweep_cells_total.inc();
-            self.metrics.sweep_cell_latency.observe(wall.elapsed());
-            Ok(CellProgress::Done(CellResult {
-                iterations: cell.iterations,
-                refits: cell.refits,
-                test_accuracy: cell.test_accuracy,
-                wall_ms: wall.elapsed().as_secs_f64() * 1e3,
-                cheap_fraction: cell.cheap_fraction,
-                routed_cost: cell.routed_cost,
-                recovery: cell.recovery,
-            }))
-        })
     }
 
     /// Captures the identified session's [`SessionSnapshot`] (the session
@@ -1709,7 +1590,8 @@ mod tests {
             "sessions must land on different shards"
         );
         assert_eq!(hub.session_count().unwrap(), 2);
-        // Stepping the rigged session kills its shard worker mid-command.
+        // Stepping the rigged session panics under its shard's lock,
+        // poisoning the shard mid-command.
         assert!(matches!(hub.step(bomb), Err(ServeError::HubClosed)));
         // Regression: session_count used `unwrap_or(0)`, silently
         // reporting 1 here. A dead shard is now a typed error…
@@ -1721,7 +1603,7 @@ mod tests {
         assert_eq!(dead.shard, (bomb.raw() % 2) as usize);
         assert!(health.shards.iter().any(|s| s.alive));
         assert_eq!(hub.step(healthy).unwrap().iteration, 1);
-        drop(hub); // joining a panicked worker must not hang or re-panic
+        drop(hub); // dropping a hub with a poisoned shard must not re-panic
     }
 
     #[test]

@@ -45,7 +45,6 @@
 //! deliberately trivial to re-host on one.
 
 pub mod client;
-pub mod hex;
 pub mod hub;
 pub mod journal;
 pub mod json;
@@ -55,13 +54,10 @@ pub mod server;
 pub mod spec_json;
 
 pub use client::{
-    CellProgressReply, CellRowReply, Client, ClientError, DurabilityReply, EvalReply, HealthReply,
-    OpenReply, ShardHealthReply, StepReply,
+    Client, ClientError, DurabilityReply, EvalReply, HealthReply, OpenReply, ShardHealthReply,
+    StepReply,
 };
-pub use hub::{
-    CellProgress, CellResult, CellStart, HubHealth, ServeError, SessionHub, SessionId,
-    SessionStatus, ShardHealth,
-};
+pub use hub::{HubHealth, ServeError, SessionHub, SessionId, SessionStatus, ShardHealth};
 pub use journal::DurabilityStatus;
 pub use json::Json;
 pub use metrics::{HubMetrics, Op};

@@ -150,31 +150,19 @@ impl Histogram {
 
     fn render_into(&self, out: &mut String, name: &str, op: &str) {
         use std::fmt::Write;
-        // An empty `op` renders an unlabelled family (`le` is still a
-        // per-bucket label); a named one prefixes every series with it.
-        let op_label = if op.is_empty() {
-            String::new()
-        } else {
-            format!("op=\"{op}\",")
-        };
-        let plain = if op.is_empty() {
-            String::new()
-        } else {
-            format!("{{op=\"{op}\"}}")
-        };
         let mut cumulative = 0u64;
         for (idx, bucket) in self.buckets.iter().enumerate() {
             cumulative += bucket.load(Ordering::Relaxed);
             let _ = writeln!(
                 out,
-                "{name}_bucket{{{op_label}le=\"{}\"}} {cumulative}",
+                "{name}_bucket{{op=\"{op}\",le=\"{}\"}} {cumulative}",
                 BUCKET_LABELS[idx]
             );
         }
         cumulative += self.overflow.load(Ordering::Relaxed);
-        let _ = writeln!(out, "{name}_bucket{{{op_label}le=\"+Inf\"}} {cumulative}");
-        let _ = writeln!(out, "{name}_sum{plain} {}", self.sum_seconds());
-        let _ = writeln!(out, "{name}_count{plain} {}", self.count());
+        let _ = writeln!(out, "{name}_bucket{{op=\"{op}\",le=\"+Inf\"}} {cumulative}");
+        let _ = writeln!(out, "{name}_sum{{op=\"{op}\"}} {}", self.sum_seconds());
+        let _ = writeln!(out, "{name}_count{{op=\"{op}\"}} {}", self.count());
     }
 }
 
@@ -196,22 +184,17 @@ pub enum Op {
     Evict,
     /// Bringing a cold session back on first touch.
     Resume,
-    /// One `run_spec` slice: build-or-resume an ephemeral engine, run a
-    /// bounded piece of its schedule (the distributed sweep's unit of
-    /// work).
-    RunSpec,
 }
 
 impl Op {
     /// Every instrumented operation, in render order.
-    pub const ALL: [Op; 7] = [
+    pub const ALL: [Op; 6] = [
         Op::Open,
         Op::Step,
         Op::StepBatch,
         Op::Evaluate,
         Op::Evict,
         Op::Resume,
-        Op::RunSpec,
     ];
 
     /// The `op` label value.
@@ -223,7 +206,6 @@ impl Op {
             Op::Evaluate => "evaluate",
             Op::Evict => "evict",
             Op::Resume => "resume",
-            Op::RunSpec => "run_spec",
         }
     }
 
@@ -235,7 +217,6 @@ impl Op {
             Op::Evaluate => 3,
             Op::Evict => 4,
             Op::Resume => 5,
-            Op::RunSpec => 6,
         }
     }
 }
@@ -267,12 +248,6 @@ pub struct HubMetrics {
     pub resumed_total: Counter,
     /// Creates rejected with `ServeError::Saturated`.
     pub saturated_total: Counter,
-    /// Sweep cells completed by `run_spec` on this worker (a cell sliced
-    /// across several `run_spec` calls counts once, at its final slice).
-    pub sweep_cells_total: Counter,
-    /// Whole-cell `run_spec` wall clock: engine build/resume through the
-    /// final evaluation (or the boundary snapshot, for a partial slice).
-    pub sweep_cell_latency: Histogram,
     /// Dual-oracle queries answered by the cheap noisy oracle, across the
     /// step, step_batch and run calls this hub served (escalated queries
     /// count under `routed_escalated_total` only).
@@ -367,17 +342,6 @@ impl HubMetrics {
                 counter.get()
             );
         }
-        out.push_str("# HELP adp_sweep_cells_total Sweep cells completed via run_spec.\n");
-        out.push_str("# TYPE adp_sweep_cells_total counter\n");
-        let _ = writeln!(
-            out,
-            "adp_sweep_cells_total {}",
-            self.sweep_cells_total.get()
-        );
-        out.push_str("# HELP adp_sweep_cell_seconds run_spec slice wall clock.\n");
-        out.push_str("# TYPE adp_sweep_cell_seconds histogram\n");
-        self.sweep_cell_latency
-            .render_into(&mut out, "adp_sweep_cell_seconds", "");
         out
     }
 }
@@ -440,33 +404,6 @@ mod tests {
         h.observe(Duration::from_secs(1)); // +Inf
         assert_eq!(h.quantile_upper_bound(0.5), Some(0.00025));
         assert_eq!(h.quantile_upper_bound(1.0), Some(f64::INFINITY));
-    }
-
-    #[test]
-    fn sweep_cell_counters_render_unlabelled() {
-        let m = HubMetrics::new();
-        m.sweep_cells_total.inc();
-        m.sweep_cells_total.inc();
-        m.sweep_cell_latency.observe(Duration::from_millis(2));
-        let text = m.render();
-        assert!(text.contains("adp_sweep_cells_total 2"), "{text}");
-        // The histogram family has `le` buckets but no `op` label.
-        assert!(
-            text.contains("adp_sweep_cell_seconds_bucket{le=\"0.0025\"} 1"),
-            "{text}"
-        );
-        assert!(text.contains("adp_sweep_cell_seconds_count 1"), "{text}");
-        assert!(
-            !text.contains("adp_sweep_cell_seconds_bucket{op="),
-            "{text}"
-        );
-        // And run_spec shows up in the per-op request families.
-        m.record(Op::RunSpec, Duration::from_micros(90), false);
-        let text = m.render();
-        assert!(
-            text.contains("adp_requests_total{op=\"run_spec\"} 1"),
-            "{text}"
-        );
     }
 
     #[test]

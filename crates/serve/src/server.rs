@@ -20,20 +20,8 @@
 //! | `{"cmd":"save_all"}`                                            | `{"ok":true,"saved":[0,1]}`                |
 //! | `{"cmd":"recover","session":0,"iteration":8}`                   | `{"ok":true,"session":3,"iteration":8}`    |
 //! | `{"cmd":"close","session":0}`                                   | `{"ok":true}`                              |
-//! | `{"cmd":"run_spec","spec":{…}[,"max_batches":N]}`               | `{"ok":true,"done":true,"iterations":48,…}`|
-//! | `{"cmd":"run_spec","resume":"<hex>","max_batches":N}`           | `{"ok":true,"done":false,"snapshot":"…"}`  |
 //! | `{"cmd":"metrics"}`                                             | `{"ok":true,"text":"# HELP adp_…"}`        |
 //! | `{"cmd":"health"}`                                              | `{"ok":true,"healthy":true,"shards":[…]}`  |
-//!
-//! `run_spec` is the distributed sweep's verb (see the `adp-coord`
-//! binary): it runs one whole grid cell — or, with `max_batches`, a
-//! bounded slice of one — on an **ephemeral** engine, no session id
-//! involved. A finished cell replies `done:true` with the sweep row
-//! fields (`iterations`, `refits`, `test_accuracy`, `wall_ms`); an
-//! unfinished slice replies `done:false` with a hex-encoded boundary
-//! snapshot that resumes the cell on this worker or any other (shipped
-//! back via `resume`). Snapshots at paper scales are well under the 1 MiB
-//! request-line cap.
 //!
 //! `metrics` returns the hub's Prometheus text exposition (see
 //! [`crate::metrics`]) inside the JSON reply; `health` reports per-shard
@@ -64,10 +52,10 @@
 //! [`SessionHub::load_all`] — the kill/reload/resume cycle the integration
 //! test drives.
 
-use crate::hub::{CellProgress, CellStart, HubHealth, ServeError, SessionHub, SessionId};
+use crate::hub::{HubHealth, ServeError, SessionHub, SessionId};
 use crate::json::Json;
 use crate::spec_json::scenario_from_json;
-use activedp::{ScenarioSpec, SessionSnapshot, StepOutcome};
+use activedp::{ScenarioSpec, StepOutcome};
 use adp_data::{DatasetId, DatasetSpec, Scale};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -250,57 +238,6 @@ fn dispatch(hub: &SessionHub, request: &Json) -> Result<Json, String> {
             let id = session_field(request)?;
             hub.close(id).map_err(serve_err)?;
             Ok(ok_reply([]))
-        }
-        "run_spec" => {
-            // The distributed sweep's unit of work: run a whole cell (no
-            // "max_batches") or a bounded slice of one, from a fresh spec
-            // or a shipped checkpoint. Stateless between calls — no
-            // session id is allocated; a partial reply carries the
-            // boundary snapshot (hex) the coordinator resumes with, on
-            // this worker or any other.
-            let max_batches = match request.get("max_batches") {
-                None => None,
-                Some(v) => Some(
-                    v.as_u64()
-                        .ok_or("\"max_batches\" must be a non-negative integer")?
-                        as usize,
-                ),
-            };
-            let start = match request.get("resume") {
-                Some(resume) => {
-                    let hex = resume.as_str().ok_or("\"resume\" must be a hex string")?;
-                    let bytes = crate::hex::decode(hex).map_err(|e| format!("bad resume: {e}"))?;
-                    let snapshot = SessionSnapshot::from_bytes(&bytes)
-                        .map_err(|e| format!("bad resume snapshot: {e}"))?;
-                    CellStart::Resume(Box::new(snapshot))
-                }
-                None => CellStart::Spec(Box::new(scenario_from_json(field(request, "spec")?)?)),
-            };
-            match hub.run_cell(start, max_batches).map_err(serve_err)? {
-                CellProgress::Done(cell) => Ok(ok_reply([
-                    ("done", Json::Bool(true)),
-                    ("iterations", Json::int(cell.iterations as u64)),
-                    ("refits", Json::int(cell.refits as u64)),
-                    ("test_accuracy", Json::Num(cell.test_accuracy)),
-                    ("wall_ms", Json::Num(cell.wall_ms)),
-                    ("cheap_fraction", Json::Num(cell.cheap_fraction)),
-                    ("routed_cost", Json::Num(cell.routed_cost)),
-                    ("recovery", Json::Num(cell.recovery)),
-                ])),
-                CellProgress::Partial {
-                    iteration,
-                    wall_ms,
-                    snapshot,
-                } => Ok(ok_reply([
-                    ("done", Json::Bool(false)),
-                    ("iteration", Json::int(iteration as u64)),
-                    ("wall_ms", Json::Num(wall_ms)),
-                    (
-                        "snapshot",
-                        Json::Str(crate::hex::encode(&snapshot.to_bytes())),
-                    ),
-                ])),
-            }
         }
         "metrics" => Ok(ok_reply([("text", Json::Str(hub.metrics().render()))])),
         "health" => Ok(ok_reply(health_fields(&hub.health()))),
@@ -709,91 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn run_spec_runs_a_whole_cell_without_a_session() {
-        let hub = hub();
-        let reply = handle_line(
-            &hub,
-            r#"{"cmd":"run_spec","spec":{
-                "dataset":{"id":"youtube","scale":"tiny","seed":7},
-                "session":{"seed":1,"sampler":"US"},
-                "schedule":{"kind":"fixed_batch","k":4},
-                "budget":8}}"#,
-        );
-        assert_eq!(reply.get("ok").unwrap().as_bool(), Some(true), "{reply}");
-        assert_eq!(reply.get("done").unwrap().as_bool(), Some(true));
-        assert_eq!(reply.get("iterations").unwrap().as_u64(), Some(8));
-        assert_eq!(reply.get("refits").unwrap().as_u64(), Some(2));
-        let acc = reply.get("test_accuracy").unwrap().as_f64().unwrap();
-        assert!((0.0..=1.0).contains(&acc));
-        // Ephemeral: no session id was allocated, but the cell counters
-        // and the run_spec op family moved.
-        assert_eq!(hub.session_count().unwrap(), 0);
-        assert_eq!(hub.metrics().sweep_cells_total.get(), 1);
-        assert_eq!(
-            hub.metrics().op(crate::metrics::Op::RunSpec).requests.get(),
-            1
-        );
-    }
-
-    #[test]
-    fn run_spec_slices_resume_bitwise_across_the_wire() {
-        let spec_json = r#""spec":{
-            "dataset":{"id":"youtube","scale":"tiny","seed":7},
-            "session":{"seed":3,"sampler":"ADP"},
-            "schedule":{"kind":"fixed_batch","k":4},
-            "budget":12}"#;
-        let hub_a = hub();
-        let solo = handle_line(&hub_a, &format!(r#"{{"cmd":"run_spec",{spec_json}}}"#));
-        let solo_acc = solo.get("test_accuracy").unwrap().as_f64().unwrap();
-
-        // The same cell in 1-batch slices, checkpoint round-tripping
-        // through the hex wire form on a *different* hub each time —
-        // exactly a cell bouncing across workers after failures.
-        let mut reply = handle_line(
-            &hub_a,
-            &format!(r#"{{"cmd":"run_spec",{spec_json},"max_batches":1}}"#),
-        );
-        let mut slices = 1;
-        while reply.get("done").unwrap().as_bool() == Some(false) {
-            let snapshot = reply.get("snapshot").unwrap().as_str().unwrap().to_string();
-            let next_hub = hub();
-            reply = handle_line(
-                &next_hub,
-                &format!(r#"{{"cmd":"run_spec","resume":"{snapshot}","max_batches":1}}"#),
-            );
-            assert_eq!(reply.get("ok").unwrap().as_bool(), Some(true), "{reply}");
-            slices += 1;
-        }
-        assert_eq!(slices, 3, "12 budget / k=4 = 3 slices");
-        let sliced_acc = reply.get("test_accuracy").unwrap().as_f64().unwrap();
-        assert_eq!(sliced_acc.to_bits(), solo_acc.to_bits());
-        assert_eq!(reply.get("refits").unwrap().as_u64(), Some(3));
-        assert_eq!(reply.get("iterations").unwrap().as_u64(), Some(12));
-    }
-
-    #[test]
-    fn run_spec_rejects_bad_requests_with_typed_errors() {
-        let hub = hub();
-        for bad in [
-            // No spec and no resume.
-            r#"{"cmd":"run_spec"}"#,
-            // Invalid spec (k = 0 fails validation).
-            r#"{"cmd":"run_spec","spec":{
-                "dataset":{"id":"youtube","scale":"tiny","seed":7},
-                "schedule":{"kind":"fixed_batch","k":0},"budget":4}}"#,
-            // Resume payloads that are not hex / not a snapshot.
-            r#"{"cmd":"run_spec","resume":"zz","max_batches":1}"#,
-            r#"{"cmd":"run_spec","resume":"deadbeef","max_batches":1}"#,
-            r#"{"cmd":"run_spec","resume":42,"max_batches":1}"#,
-        ] {
-            let reply = handle_line(&hub, bad);
-            assert_eq!(reply.get("ok").unwrap().as_bool(), Some(false), "{bad}");
-            assert!(reply.get("error").is_some(), "{bad}");
-        }
-        assert_eq!(hub.session_count().unwrap(), 0);
-    }
-
-    #[test]
     fn malformed_requests_get_error_replies() {
         let hub = hub();
         for bad in [
@@ -805,6 +657,12 @@ mod tests {
             r#"{"cmd":"create","dataset":"Youtube","scale":"galactic","data_seed":1,"seed":1}"#,
             r#"{"cmd":"create","dataset":"Youtube","scale":"tiny","data_seed":1,"seed":1,"parallel":"yes"}"#,
             r#"{"session":1}"#,
+            // A valid spec under the retired `run_spec` verb.
+            r#"{"cmd":"run_spec","spec":{
+                "dataset":{"id":"youtube","scale":"tiny","seed":7},
+                "session":{"seed":1,"sampler":"US"},
+                "schedule":{"kind":"fixed_batch","k":4},
+                "budget":8}}"#,
         ] {
             let reply = handle_line(&hub, bad);
             assert_eq!(reply.get("ok").unwrap().as_bool(), Some(false), "{bad}");

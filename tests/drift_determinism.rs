@@ -192,8 +192,8 @@ fn snapshot_resume_at_every_refit_boundary_is_bitwise() {
             let mut engine = Engine::from_spec(spec.clone()).unwrap();
             engine.run_schedule_batches(boundary).unwrap();
             let snapshot = engine.snapshot().unwrap();
-            // Round-trip the snapshot through bytes: what a spill file,
-            // the WAL checkpoint and the distributed sweep all ship.
+            // Round-trip the snapshot through bytes, as the WAL
+            // checkpoint stores it.
             let bytes = snapshot.to_bytes();
             let restored = activedp_repro::core::SessionSnapshot::from_bytes(&bytes).unwrap();
             let resumed = Engine::resume(restored).unwrap();
