@@ -22,7 +22,7 @@ pub mod tables;
 pub use args::{RunOpts, SweepOpts};
 pub use protocol::{run_framework_curve, run_session_curve, Curve, Method, ProtocolConfig};
 pub use sweep::{
-    grid_table, run_grid, run_grid_jobs, run_grid_jobs_streaming, run_spec, run_spec_over,
-    CellFailure, SweepCell, SweepGrid, SweepOutcome, SweepRow,
+    grid_table, run_grid, run_grid_jobs, run_grid_jobs_streaming, run_spec_over, CellFailure,
+    SweepCell, SweepGrid, SweepOutcome, SweepRow,
 };
 pub use tables::{format_row, write_csv, TableWriter};

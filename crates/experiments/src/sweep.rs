@@ -155,7 +155,7 @@ pub struct SweepCell {
 #[derive(Debug, Clone)]
 pub struct SweepRow {
     /// The cell that produced the row (its [`SweepGrid::expand`] index;
-    /// 0 for standalone [`run_spec`]/[`run_spec_over`] runs).
+    /// 0 for standalone [`run_spec_over`] runs).
     pub cell: u64,
     /// The spec that produced the row.
     pub spec: ScenarioSpec,
@@ -244,18 +244,6 @@ pub fn run_spec_over(spec: ScenarioSpec, data: SharedDataset) -> Result<SweepRow
         routed_cost: cell.routed_cost,
         recovery: cell.recovery,
     })
-}
-
-/// Runs one spec, generating its dataset first.
-pub fn run_spec(spec: ScenarioSpec) -> Result<SweepRow, ActiveDpError> {
-    let data = spec
-        .dataset
-        .generate()
-        .map_err(|e| ActiveDpError::BadConfig {
-            reason: format!("dataset spec failed to generate: {e}"),
-        })?
-        .into_shared();
-    run_spec_over(spec, data)
 }
 
 /// Expands and runs a whole grid serially, generating each distinct
@@ -510,8 +498,10 @@ mod tests {
     #[test]
     fn runs_are_deterministic_in_the_spec() {
         let spec = tiny_grid().expand().swap_remove(1);
-        let a = run_spec(spec.clone()).unwrap();
-        let b = run_spec(spec).unwrap();
+        // Each run generates its own split, as separate processes would.
+        let run = || run_spec_over(spec.clone(), spec.dataset.generate().unwrap().into_shared());
+        let a = run().unwrap();
+        let b = run().unwrap();
         assert_eq!(a.test_accuracy.to_bits(), b.test_accuracy.to_bits());
         assert_eq!(a.refits, b.refits);
         assert_eq!(a.iterations, b.iterations);
@@ -655,7 +645,8 @@ mod tests {
         // spec run straight through (evaluation is read-only).
         let spec = routed_grid().expand().swap_remove(3);
         assert_ne!(spec.drift, DriftSpec::None);
-        let row = run_spec(spec.clone()).unwrap();
+        let data = spec.dataset.generate().unwrap().into_shared();
+        let row = run_spec_over(spec.clone(), data).unwrap();
         let mut engine = Engine::from_spec(spec).unwrap();
         engine.run_schedule().unwrap();
         let unpaused = engine.evaluate_downstream().unwrap().test_accuracy;

@@ -81,8 +81,6 @@ pub struct DurabilityReply {
     /// Last iteration durable on disk as a commit point — where a crash
     /// right now would recover to.
     pub durable_iteration: u64,
-    /// Live write-ahead-log segment files.
-    pub live_segments: u64,
 }
 
 /// Where a session stands, as reported by `open`.
@@ -256,7 +254,6 @@ impl Client {
             Some(DurabilityReply {
                 checkpoint_iteration: Self::expect_u64(&reply, "checkpoint_iteration")?,
                 durable_iteration: Self::expect_u64(&reply, "durable_iteration")?,
-                live_segments: Self::expect_u64(&reply, "live_segments")?,
             })
         } else {
             None

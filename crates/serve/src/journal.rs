@@ -43,8 +43,6 @@ pub struct DurabilityStatus {
     /// The last iteration durable on disk as a commit point — where a
     /// crash right now would recover to.
     pub durable_iteration: usize,
-    /// Live segment files (sealed plus a non-empty open segment).
-    pub live_segments: usize,
 }
 
 /// The journal slot a session's [`JournalObserver`] and the hub share.
@@ -119,7 +117,6 @@ impl SessionHub {
         Some(DurabilityStatus {
             checkpoint_iteration: journal.checkpoint_iteration(),
             durable_iteration: journal.durable_iteration(),
-            live_segments: journal.live_segments(),
         })
     }
 

@@ -5,20 +5,19 @@
 //! ```text
 //! <spill_dir>/
 //!   wal-<id>/
-//!     manifest.adpwman     session id, scenario spec, checkpoint, segments
+//!     manifest.adpwman     session id, scenario spec, checkpoint
 //!     checkpoint.adpsnap   SessionSnapshot at the checkpoint (absent at 0)
-//!     seg-*.adpwal         sealed step events past the checkpoint
-//!     open.adpwal          the segment being appended
+//!     open.adpwal          the append-only log of step events
 //! ```
 //!
 //! Saving ([`SessionHub::save`]) and evicting a session are the same
 //! operation: [`adp_wal::Journal::checkpoint`] with the session's current
 //! snapshot, which writes the snapshot atomically
-//! ([`adp_wire::atomic::atomic_write`]: stage, fsync, rename), then the
-//! manifest, then compacts the log behind it. Loading
-//! ([`SessionHub::load_all`]) opens each journal, takes its base — the
-//! checkpoint snapshot, or the manifest's spec at checkpoint 0 — and
-//! replays the tail to the last committed step. Corrupt files fail the
+//! (`adp_wire::atomic::atomic_write`: stage, fsync, rename), then the
+//! manifest, then truncates the log if the checkpoint covers all of it.
+//! Loading ([`SessionHub::load_all`]) opens each journal, takes its base
+//! — the checkpoint snapshot, or the manifest's spec at checkpoint 0 —
+//! and replays the tail to the last committed step. Corrupt files fail the
 //! load with typed errors ([`ServeError::Wal`],
 //! [`ServeError::CorruptJournal`], [`ServeError::CorruptSnapshot`]), never
 //! a panic or a half-restored session.
@@ -149,7 +148,7 @@ impl SessionHub {
         }
         // A live session with this id already owns its journal directory
         // (single-writer); reject the collision *before* opening — and
-        // thereby recovering over — the live journal's open segment.
+        // thereby recovering over — the live journal's log.
         if self.journal_slot(id).is_some() {
             return Err(ServeError::SessionExists(SessionId::from_raw(id)));
         }
@@ -414,7 +413,6 @@ mod tests {
         let d = hub.status(id).unwrap().durability.expect("journalled");
         assert_eq!(d.checkpoint_iteration, 0);
         assert_eq!(d.durable_iteration, 3);
-        assert!(d.live_segments >= 1);
         let wal = wal_dir(&dir, id.raw());
         assert!(wal.join("manifest.adpwman").is_file());
         // Saving advances the checkpoint and compacts the log behind it.
@@ -518,6 +516,23 @@ mod tests {
             "partial load must roll back"
         );
         fs::write(&manifest, &good).unwrap();
+
+        // One flipped bit inside a committed log record that is not the
+        // last (the log holds iterations 4 and 5) is corruption, not a
+        // torn append to truncate.
+        let log = wal_dir(&dir, id.raw()).join("open.adpwal");
+        let good_log = fs::read(&log).unwrap();
+        let first = &adp_wal::segment::decode_segment(&log, &good_log).unwrap()[0];
+        assert_eq!(first.event.iteration, 4);
+        let mut bad_log = good_log.clone();
+        bad_log[first.end - 6] ^= 0x10;
+        fs::write(&log, &bad_log).unwrap();
+        assert!(matches!(
+            fresh.load_all(),
+            Err(ServeError::Wal(adp_wal::WalError::Corrupt { .. }))
+        ));
+        assert_eq!(fresh.session_count().unwrap(), 0);
+        fs::write(&log, &good_log).unwrap();
 
         // A checkpoint with no snapshot on disk cannot recover.
         let snap = wal_dir(&dir, id.raw()).join("checkpoint.adpsnap");
@@ -646,11 +661,11 @@ mod tests {
 
     #[test]
     fn every_crash_point_of_a_checkpoint_loads_the_last_commit() {
-        // One checkpoint, over a log with a sealed segment (1..=32) and an
-        // open one (33..=34), stopped after each of its steps: snapshot
-        // written, manifest rewritten, covered segment deleted, open
-        // segment truncated. Every intermediate directory must load at the
-        // last commit, evaluating bitwise like the uninterrupted run.
+        // One checkpoint over a 34-record log, stopped after each of its
+        // steps: snapshot written, manifest rewritten, log truncated. Every
+        // intermediate directory must load at the last commit, evaluating
+        // bitwise like the uninterrupted run, and keep journalling from
+        // there.
         const STEPS: usize = 34;
         let seed = 16;
         let dir = unique_tempdir("crashpoints");
@@ -660,10 +675,7 @@ mod tests {
         let wal = wal_dir(&dir, id.raw());
         let before = unique_tempdir("crashpoints-before");
         copy_dir(&wal, &before);
-        assert_eq!(
-            names(&before),
-            ["manifest.adpwman", "open.adpwal", "seg-000000000001.adpwal"]
-        );
+        assert_eq!(names(&before), ["manifest.adpwman", "open.adpwal"]);
         hub.save(id).unwrap();
         let after = unique_tempdir("crashpoints-after");
         copy_dir(&wal, &after);
@@ -674,14 +686,13 @@ mod tests {
         drop(hub);
 
         let reference = solo(seed, STEPS);
-        let take = |wal: &Path, from: &Path, name: &str| {
-            fs::copy(from.join(name), wal.join(name)).unwrap();
+        let take = |wal: &Path, name: &str| {
+            fs::copy(after.join(name), wal.join(name)).unwrap();
         };
-        let stages: [&dyn Fn(&Path); 4] = [
-            &|wal| take(wal, &after, "checkpoint.adpsnap"),
-            &|wal| take(wal, &after, "manifest.adpwman"),
-            &|wal| fs::remove_file(wal.join("seg-000000000001.adpwal")).unwrap(),
-            &|wal| take(wal, &after, "open.adpwal"),
+        let stages: [&dyn Fn(&Path); 3] = [
+            &|wal| take(wal, "checkpoint.adpsnap"),
+            &|wal| take(wal, "manifest.adpwman"),
+            &|wal| take(wal, "open.adpwal"),
         ];
         for crash in 0..=stages.len() {
             let _ = fs::remove_dir_all(&dir);
@@ -694,6 +705,11 @@ mod tests {
             assert_eq!(fresh.status(id).unwrap().iteration, STEPS);
             let at = bits(fresh.evaluate(id).unwrap());
             assert_eq!(at, reference, "crash after {crash} stages");
+            fresh.run(id, 2).unwrap();
+            drop(fresh);
+            let again = SessionHub::with_spill_dir(1, &dir);
+            assert_eq!(again.load_all().unwrap(), vec![id], "crash after {crash}");
+            assert_eq!(again.status(id).unwrap().iteration, STEPS + 2);
         }
         for d in [&dir, &before, &after] {
             let _ = fs::remove_dir_all(d);

@@ -39,7 +39,7 @@
 //!
 //! When the requested session is journalled (the hub has a spill directory
 //! and the engine snapshots), the `open` reply also carries
-//! `checkpoint_iteration`, `durable_iteration` and `live_segments` — the
+//! `checkpoint_iteration` and `durable_iteration` — the
 //! [`DurabilityStatus`](crate::journal::DurabilityStatus) fields. `recover`
 //! rebuilds the state `session` had at any journalled commit point as a
 //! **new** session and returns its id; the source session is untouched.
@@ -165,7 +165,6 @@ fn dispatch(hub: &SessionHub, request: &Json) -> Result<Json, String> {
                         Json::int(d.checkpoint_iteration as u64),
                     ),
                     ("durable_iteration", Json::int(d.durable_iteration as u64)),
-                    ("live_segments", Json::int(d.live_segments as u64)),
                 ]);
             }
             if let Some(r) = status.route {
@@ -695,7 +694,6 @@ mod tests {
         let open = handle_line(&hub, &format!(r#"{{"cmd":"open","session":{session}}}"#));
         assert_eq!(open.get("durable_iteration").unwrap().as_u64(), Some(4));
         assert_eq!(open.get("checkpoint_iteration").unwrap().as_u64(), Some(0));
-        assert!(open.get("live_segments").unwrap().as_u64().unwrap() >= 1);
 
         // Recover iteration 2 as a new session and check it reports it.
         let rec = handle_line(

@@ -22,10 +22,10 @@ pub enum WalError {
         /// The underlying codec error.
         source: adp_wire::WireError,
     },
-    /// A file decoded but its contents are inconsistent — a failed
-    /// checksum, a sealed segment whose events do not match the manifest,
-    /// trailing garbage, a missing manifest, a checkpoint snapshot that is
-    /// missing or disagrees with the manifest.
+    /// A file decoded but its contents are inconsistent — a damaged log
+    /// record before the log's tail, a log that skips iterations, a missing
+    /// manifest, a checkpoint snapshot that is missing or disagrees with
+    /// the manifest.
     Corrupt {
         /// The offending file.
         path: PathBuf,
@@ -88,11 +88,11 @@ mod tests {
     #[test]
     fn display_names_the_file_and_sources_chain() {
         let e = WalError::Corrupt {
-            path: PathBuf::from("/j/seg-1.adpwal"),
+            path: PathBuf::from("/j/open.adpwal"),
             reason: "checksum mismatch".into(),
         };
         let msg = e.to_string();
-        assert!(msg.contains("seg-1.adpwal") && msg.contains("checksum"));
+        assert!(msg.contains("open.adpwal") && msg.contains("checksum"));
         assert!(e.source().is_none());
 
         let io = WalError::Io {

@@ -17,21 +17,20 @@
 //!
 //! ```text
 //! wal-<session>/
-//!   manifest.adpwman     # session id, scenario spec, checkpoint, sealed list
+//!   manifest.adpwman     # session id, scenario spec, checkpoint
 //!   checkpoint.adpsnap   # SessionSnapshot at the checkpoint (absent at 0)
-//!   seg-000000000033.adpwal   # sealed segment: events 33..=64
-//!   open.adpwal          # the append-mode segment being written
+//!   open.adpwal          # the append-only event log
 //! ```
 //!
 //! The base the events fold onto is `checkpoint.adpsnap`, which exists
 //! exactly when the manifest's checkpoint is past 0; at checkpoint 0 the
-//! manifest's scenario spec rebuilds the iteration-0 state. Segments hold
+//! manifest's scenario spec rebuilds the iteration-0 state. The log holds
 //! length-prefixed, CRC-guarded event records behind the same versioned
 //! `adp-wire` envelope as every other artefact in the workspace. The
-//! snapshot, sealed segments and the manifest are written with
-//! [`adp_wire::atomic::atomic_write`] (stage + fsync + rename); the open
-//! segment is appended in place, fsynced at every commit point, and reset
-//! by truncating it back to its header.
+//! snapshot and the manifest are written with
+//! [`adp_wire::atomic::atomic_write`] (stage + fsync + rename); the log is
+//! appended in place, fsynced at every commit point, and emptied by
+//! truncating it back to its header.
 //!
 //! # Crash discipline
 //!
@@ -39,22 +38,18 @@
 //! recoverable directory:
 //!
 //! * **Appends** land in `open.adpwal` before being acknowledged; a torn
-//!   trailing record (or an uncommitted batch tail) is truncated on
+//!   final record and an uncommitted batch tail are truncated on
 //!   [`Journal::open`], never propagated.
-//! * **Sealing** copies the open segment to its sealed name *first*, then
-//!   rewrites the manifest, then truncates the open file. Recovery drops
-//!   open-segment events already covered by a sealed segment, so the
-//!   overlap window is harmless, and sealed files the manifest does not
-//!   name are ignored and cleaned up.
 //! * **Checkpoints** ([`Journal::checkpoint`]) write the snapshot, then
-//!   the manifest, then delete covered segment files and truncate a
-//!   covered open segment. A snapshot ahead of the manifest (a crash
-//!   between the two writes) is accepted by [`Journal::open`], which
-//!   finishes the checkpoint; a crash during compaction leaves stale
-//!   files, not lost events.
+//!   the manifest, then truncate the log if the checkpoint covers all of
+//!   it. A snapshot ahead of the manifest (a crash between the two writes)
+//!   is accepted by [`Journal::open`], which finishes the checkpoint; a
+//!   crash before the truncate leaves covered records, which recovery
+//!   drops.
 //!
-//! Sealed segments and the snapshot were written atomically, so any
-//! damage inside one is real corruption and surfaces as a typed
+//! Only an append can be cut short, so only the log's final record may be
+//! damaged by a crash. Damage anywhere else — in an earlier record, the
+//! snapshot or the manifest — is real corruption and surfaces as a typed
 //! [`WalError`] instead of a silent truncation.
 
 pub mod error;
@@ -63,7 +58,7 @@ pub mod manifest;
 pub mod segment;
 
 pub use error::WalError;
-pub use journal::{Journal, DEFAULT_SEGMENT_CAP};
+pub use journal::Journal;
 pub use manifest::{Manifest, MANIFEST_MAGIC, MANIFEST_VERSION};
 pub use segment::{SEGMENT_MAGIC, SEGMENT_VERSION};
 
@@ -89,8 +84,8 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC-32 (IEEE) of `bytes` — the per-record integrity check in WAL
-/// segments.
+/// CRC-32 (IEEE) of `bytes` — the per-record integrity check in the WAL
+/// log.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {

@@ -1,15 +1,14 @@
-//! The journal manifest: which segments are live and what checkpoint
-//! covers everything before them.
+//! The journal manifest: whose journal it is and what checkpoint covers
+//! the log's prefix.
 //!
 //! ```text
 //! ADPWMAN\0 | u32 version | u64 session | ScenarioSpec | u64 checkpoint
-//!           | u64 n_sealed | (u64 first, u64 last)*
 //! ```
 //!
-//! The manifest is the journal's root pointer: recovery reads it first and
-//! trusts only the segment files it names (plus `open.adpwal`). It is
-//! rewritten with [`adp_wire::atomic::atomic_write`] on every seal and
-//! checkpoint, so readers always observe a complete manifest.
+//! The manifest is the journal's root pointer: recovery reads it first,
+//! then the checkpoint snapshot it implies and the log past it. It is
+//! rewritten with [`adp_wire::atomic::atomic_write`] on every checkpoint,
+//! so readers always observe a complete manifest.
 
 use crate::error::WalError;
 use activedp::ScenarioSpec;
@@ -18,10 +17,11 @@ use std::path::Path;
 
 /// Magic bytes opening the manifest file.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"ADPWMAN\0";
-/// Current manifest format version, and the only one decoded: v2 embeds
-/// the current scenario body (oracle + drift fields). v1 manifests, which
-/// embedded the pre-oracle body, are rejected (see MIGRATION.md).
-pub const MANIFEST_VERSION: u32 = 2;
+/// Current manifest format version, and the only one decoded: v3 drops
+/// v2's segment list, since a journal keeps one log file. v1 (the
+/// pre-oracle scenario body) and v2 manifests are rejected (see
+/// MIGRATION.md).
+pub const MANIFEST_VERSION: u32 = 3;
 
 /// The decoded manifest (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
@@ -31,13 +31,9 @@ pub struct Manifest {
     /// The run's full declarative description — enough to rebuild the
     /// session's iteration-0 state even without any snapshot on disk.
     pub spec: ScenarioSpec,
-    /// Iteration of the snapshot covering everything before the segments:
-    /// events at or below this are compacted away.
+    /// Iteration of the snapshot covering the log's prefix: events at or
+    /// below this are compacted away or skipped.
     pub checkpoint: usize,
-    /// Sealed segments as `(first, last)` iteration ranges, in order. The
-    /// open segment is implicit — recovery reads `open.adpwal` whether or
-    /// not it exists.
-    pub sealed: Vec<(usize, usize)>,
 }
 
 impl Manifest {
@@ -47,66 +43,25 @@ impl Manifest {
         w.put_u64(self.session);
         w.put(&self.spec);
         w.put_usize(self.checkpoint);
-        w.put_usize(self.sealed.len());
-        for &(first, last) in &self.sealed {
-            w.put_usize(first);
-            w.put_usize(last);
-        }
         w.into_bytes()
     }
 
-    /// Decodes and validates manifest bytes read from `path`.
+    /// Decodes manifest bytes read from `path`.
     pub fn from_bytes(path: &Path, bytes: &[u8]) -> Result<Manifest, WalError> {
         let codec = |source| WalError::Codec {
             path: path.to_path_buf(),
             source,
-        };
-        let corrupt = |reason: String| WalError::Corrupt {
-            path: path.to_path_buf(),
-            reason,
         };
         let (mut r, _) = read_envelope(bytes, MANIFEST_MAGIC, MANIFEST_VERSION..=MANIFEST_VERSION)
             .map_err(codec)?;
         let session = r.get_u64().map_err(codec)?;
         let spec: ScenarioSpec = r.get().map_err(codec)?;
         let checkpoint = r.get_usize().map_err(codec)?;
-        let n = r
-            .get_len("manifest sealed-segment list", 16)
-            .map_err(codec)?;
-        let mut sealed = Vec::with_capacity(n);
-        for _ in 0..n {
-            let first = r.get_usize().map_err(codec)?;
-            let last = r.get_usize().map_err(codec)?;
-            sealed.push((first, last));
-        }
         r.finish().map_err(codec)?;
-        // Ranges must be well-formed and strictly consecutive — anything
-        // else means the manifest was not produced by a journal.
-        for &(first, last) in &sealed {
-            if first == 0 || first > last {
-                return Err(corrupt(format!("malformed segment range {first}..={last}")));
-            }
-        }
-        for pair in sealed.windows(2) {
-            let ((_, prev_last), (next_first, _)) = (pair[0], pair[1]);
-            if next_first != prev_last + 1 {
-                return Err(corrupt(format!(
-                    "segment ranges are not consecutive: ..={prev_last} then {next_first}.."
-                )));
-            }
-        }
-        if let Some(&(first, _)) = sealed.first() {
-            if first > checkpoint + 1 {
-                return Err(corrupt(format!(
-                    "segments start at iteration {first}, leaving a gap after checkpoint {checkpoint}"
-                )));
-            }
-        }
         Ok(Manifest {
             session,
             spec,
             checkpoint,
-            sealed,
         })
     }
 }
@@ -130,7 +85,6 @@ mod tests {
             session: 42,
             spec: spec(),
             checkpoint: 10,
-            sealed: vec![(5, 12), (13, 40)],
         }
     }
 
@@ -143,14 +97,6 @@ mod tests {
         let m = sample();
         let bytes = m.to_bytes();
         assert_eq!(Manifest::from_bytes(&p(), &bytes).unwrap(), m);
-        let empty = Manifest {
-            sealed: vec![],
-            ..sample()
-        };
-        assert_eq!(
-            Manifest::from_bytes(&p(), &empty.to_bytes()).unwrap(),
-            empty
-        );
     }
 
     #[test]
@@ -162,8 +108,8 @@ mod tests {
             Manifest::from_bytes(&p(), &bytes),
             Err(WalError::Codec { .. })
         ));
-        // Future and retired (v1) versions.
-        for stamp in [MANIFEST_VERSION + 1, 1] {
+        // Future and retired (v1, v2) versions.
+        for stamp in [MANIFEST_VERSION + 1, 1, 2] {
             let mut bytes = sample().to_bytes();
             bytes[8..12].copy_from_slice(&stamp.to_le_bytes());
             assert!(matches!(
@@ -186,26 +132,5 @@ mod tests {
         for cut in 0..whole.len() {
             assert!(Manifest::from_bytes(&p(), &whole[..cut]).is_err());
         }
-        // Non-consecutive ranges.
-        let gapped = Manifest {
-            sealed: vec![(5, 12), (20, 30)],
-            ..sample()
-        };
-        let err = Manifest::from_bytes(&p(), &gapped.to_bytes()).unwrap_err();
-        assert!(err.to_string().contains("not consecutive"));
-        // Inverted range.
-        let inverted = Manifest {
-            sealed: vec![(12, 5)],
-            ..sample()
-        };
-        assert!(Manifest::from_bytes(&p(), &inverted.to_bytes()).is_err());
-        // A gap between the checkpoint and the first segment.
-        let late = Manifest {
-            checkpoint: 2,
-            sealed: vec![(5, 12)],
-            ..sample()
-        };
-        let err = Manifest::from_bytes(&p(), &late.to_bytes()).unwrap_err();
-        assert!(err.to_string().contains("gap after checkpoint"));
     }
 }

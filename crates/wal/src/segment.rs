@@ -1,4 +1,4 @@
-//! Segment files: a versioned envelope followed by CRC-guarded event
+//! The log file format: a versioned envelope followed by CRC-guarded event
 //! records.
 //!
 //! ```text
@@ -6,10 +6,13 @@
 //! record := u32 payload_len | payload (StepEvent bytes) | u32 crc32(payload)
 //! ```
 //!
-//! The same byte layout backs both sealed segments (written atomically,
-//! decoded *strictly* — any damage is an error) and the open segment
-//! (appended in place, decoded *leniently* — a torn trailing record marks
-//! where the valid prefix ends and is truncated by recovery).
+//! The log is appended in place, one whole record per write, so a crash
+//! can damage only its final record: an append that did not fully land.
+//! The decoder therefore tolerates damage exactly there — a record whose
+//! declared end reaches end of file — and reports everything else as a
+//! typed [`WalError`]. A length word damaged so that it points past end of
+//! file reads as a torn append too; framing alone cannot tell the two
+//! apart.
 
 use crate::crc32;
 use crate::error::WalError;
@@ -17,12 +20,12 @@ use activedp::StepEvent;
 use adp_wire::{read_envelope, write_envelope, Reader, Writer};
 use std::path::Path;
 
-/// Magic bytes opening every segment file.
+/// Magic bytes opening every log file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"ADPWSEG\0";
-/// Current segment format version.
+/// Current log format version.
 pub const SEGMENT_VERSION: u32 = 1;
 
-/// The envelope bytes a fresh (empty) segment file starts with.
+/// The envelope bytes a fresh (empty) log file starts with.
 pub fn segment_header() -> Vec<u8> {
     write_envelope(SEGMENT_MAGIC, SEGMENT_VERSION).into_bytes()
 }
@@ -39,102 +42,85 @@ pub fn encode_record(event: &StepEvent) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// A decoded segment: its events plus where the valid bytes end.
-#[derive(Debug)]
-pub struct DecodedSegment {
-    /// Every intact record, in file order.
-    pub events: Vec<StepEvent>,
-    /// Byte length of the valid prefix (envelope + intact records). Equal
-    /// to the file length for a clean segment; shorter when a lenient
-    /// decode stopped at a torn tail.
-    pub valid_len: usize,
+/// One intact record of a log.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Record {
+    /// The journalled event.
+    pub event: StepEvent,
+    /// Byte offset in the file just past this record.
+    pub end: usize,
 }
 
-/// Decodes a segment file's bytes.
+/// Decodes a log file's bytes into its intact records, in file order.
 ///
-/// `strict` is for sealed segments: any incomplete or damaged record is a
-/// typed [`WalError`]. Lenient mode is for the open segment: decoding
-/// stops at the first incomplete/damaged record and reports the valid
-/// prefix, which recovery truncates to. The envelope itself is always
-/// strict — a file that does not even open as a WAL segment is corrupt in
-/// both modes.
-pub fn decode_segment(path: &Path, bytes: &[u8], strict: bool) -> Result<DecodedSegment, WalError> {
+/// A torn final append (a record whose declared end reaches end of file
+/// and that is incomplete or fails its checksum) ends the log silently;
+/// the caller truncates to the last record's `end`. Damage with more bytes
+/// after it, an undecodable payload, and an envelope that does not open as
+/// a WAL log are typed errors.
+pub fn decode_segment(path: &Path, bytes: &[u8]) -> Result<Vec<Record>, WalError> {
     let (reader, _version) = read_envelope(bytes, SEGMENT_MAGIC, SEGMENT_VERSION..=SEGMENT_VERSION)
         .map_err(|source| WalError::Codec {
             path: path.to_path_buf(),
             source,
         })?;
-    let header_len = bytes.len() - reader.remaining();
-    let mut events = Vec::new();
-    let mut offset = header_len;
-    loop {
+    let mut offset = bytes.len() - reader.remaining();
+    let mut records = Vec::new();
+    while offset < bytes.len() {
         match decode_one(&bytes[offset..]) {
-            RecordOutcome::Done => break,
-            RecordOutcome::Record { event, consumed } => {
-                events.push(event);
+            Ok((event, consumed)) => {
                 offset += consumed;
+                records.push(Record { event, end: offset });
             }
-            RecordOutcome::Bad(reason) => {
-                if strict {
-                    return Err(WalError::Corrupt {
-                        path: path.to_path_buf(),
-                        reason: format!("record at byte {offset}: {reason}"),
-                    });
-                }
-                break;
+            Err(Damage::Torn) => break,
+            Err(Damage::Corrupt(reason)) => {
+                return Err(WalError::Corrupt {
+                    path: path.to_path_buf(),
+                    reason: format!("record at byte {offset}: {reason}"),
+                })
             }
         }
     }
-    Ok(DecodedSegment {
-        events,
-        valid_len: offset,
-    })
+    Ok(records)
 }
 
-enum RecordOutcome {
-    /// The buffer is exhausted exactly at a record boundary.
-    Done,
-    /// One intact record.
-    Record { event: StepEvent, consumed: usize },
-    /// The bytes do not form a complete, checksummed, decodable record.
-    Bad(String),
+/// Why the bytes at some offset are not an intact record.
+enum Damage {
+    /// The record's declared end reaches end of file: a torn final append.
+    Torn,
+    /// Anything else, which no crash of an append produces.
+    Corrupt(String),
 }
 
-fn decode_one(buf: &[u8]) -> RecordOutcome {
-    if buf.is_empty() {
-        return RecordOutcome::Done;
-    }
-    if buf.len() < 4 {
-        return RecordOutcome::Bad("incomplete length prefix".into());
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
+/// Decodes the record at the start of `buf`, returning it with its length.
+fn decode_one(buf: &[u8]) -> Result<(StepEvent, usize), Damage> {
+    let Some(len) = buf.get(..4) else {
+        return Err(Damage::Torn);
+    };
+    let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
     let total = 4 + len + 4;
     if buf.len() < total {
-        return RecordOutcome::Bad(format!(
-            "incomplete record: {} of {total} bytes present",
-            buf.len()
-        ));
+        return Err(Damage::Torn);
     }
     let payload = &buf[4..4 + len];
     let stored = u32::from_le_bytes(buf[4 + len..total].try_into().expect("4 bytes"));
     let computed = crc32(payload);
     if stored != computed {
-        return RecordOutcome::Bad(format!(
-            "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-        ));
+        return Err(if buf.len() == total {
+            Damage::Torn
+        } else {
+            Damage::Corrupt(format!(
+                "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
+            ))
+        });
     }
     let mut r = Reader::new(payload);
-    let event: StepEvent = match r.get() {
-        Ok(event) => event,
-        Err(e) => return RecordOutcome::Bad(format!("undecodable payload: {e}")),
-    };
-    if r.finish().is_err() {
-        return RecordOutcome::Bad("trailing bytes inside record payload".into());
-    }
-    RecordOutcome::Record {
-        event,
-        consumed: total,
-    }
+    let event: StepEvent = r
+        .get()
+        .map_err(|e| Damage::Corrupt(format!("undecodable payload: {e}")))?;
+    r.finish()
+        .map_err(|_| Damage::Corrupt("trailing bytes inside record payload".into()))?;
+    Ok((event, total))
 }
 
 #[cfg(test)]
@@ -163,45 +149,62 @@ mod tests {
     }
 
     fn p() -> PathBuf {
-        PathBuf::from("seg-test.adpwal")
+        PathBuf::from("open.adpwal")
+    }
+
+    fn events(records: Vec<Record>) -> Vec<StepEvent> {
+        records.into_iter().map(|r| r.event).collect()
     }
 
     #[test]
-    fn records_roundtrip_in_both_modes() {
+    fn records_roundtrip_with_their_end_offsets() {
         let bytes = segment_bytes(4);
-        for strict in [true, false] {
-            let d = decode_segment(&p(), &bytes, strict).unwrap();
-            assert_eq!(d.events.len(), 4);
-            assert_eq!(d.valid_len, bytes.len());
-            assert_eq!(d.events[0], event(1, false));
-            assert_eq!(d.events[3], event(4, true));
-        }
+        let records = decode_segment(&p(), &bytes).unwrap();
+        assert_eq!(records.len(), 4);
+        assert_eq!(records[3].end, bytes.len());
+        assert_eq!(records[2].end, segment_bytes(3).len());
+        assert_eq!(records[0].event, event(1, false));
+        assert_eq!(records[3].event, event(4, true));
     }
 
     #[test]
-    fn torn_tail_truncates_leniently_and_errors_strictly() {
+    fn a_torn_tail_ends_the_log_and_is_corrupt_before_another_record() {
         let whole = segment_bytes(3);
         let two = segment_bytes(2).len();
-        // Cut anywhere inside the third record.
+        let fourth = encode_record(&event(4, true));
+        // Cut anywhere inside the third record: the log ends after two…
         for cut in two + 1..whole.len() {
-            let d = decode_segment(&p(), &whole[..cut], false).unwrap();
-            assert_eq!(d.events.len(), 2, "cut at {cut}");
-            assert_eq!(d.valid_len, two);
-            let err = decode_segment(&p(), &whole[..cut], true).unwrap_err();
-            assert!(matches!(err, WalError::Corrupt { .. }), "cut at {cut}");
+            let records = decode_segment(&p(), &whole[..cut]).unwrap();
+            assert_eq!(records.len(), 2, "cut at {cut}");
+            assert_eq!(records[1].end, two);
+            // …but once its length word is whole, the same torn bytes with a
+            // record behind them are not a torn append, so they are corrupt.
+            if cut >= two + 4 {
+                let mut bytes = whole[..cut].to_vec();
+                bytes.extend_from_slice(&fourth);
+                let err = decode_segment(&p(), &bytes).unwrap_err();
+                assert!(matches!(err, WalError::Corrupt { .. }), "cut at {cut}");
+            }
         }
+        // A whole final record whose checksum fails is a torn append too.
+        let mut bytes = whole.clone();
+        let n = bytes.len();
+        bytes[n - 6] ^= 0x40;
+        assert_eq!(
+            events(decode_segment(&p(), &bytes).unwrap()),
+            [event(1, false), event(2, false)]
+        );
     }
 
     #[test]
     fn flipped_bits_fail_the_checksum() {
-        let mut bytes = segment_bytes(2);
-        let n = bytes.len();
-        bytes[n - 6] ^= 0x40; // inside the second record's payload
-        let err = decode_segment(&p(), &bytes, true).unwrap_err();
-        assert!(err.to_string().contains("checksum mismatch"));
-        // Leniently, the damage truncates the segment there.
-        let d = decode_segment(&p(), &bytes, false).unwrap();
-        assert_eq!(d.events.len(), 1);
+        let mut bytes = segment_bytes(3);
+        let one = segment_bytes(1).len();
+        bytes[one + 6] ^= 0x40; // inside the second record's payload
+        let err = decode_segment(&p(), &bytes).unwrap_err();
+        assert!(matches!(err, WalError::Corrupt { .. }));
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        assert!(err.to_string().contains(&format!("byte {one}")), "{err}");
     }
 
     #[test]
@@ -209,7 +212,7 @@ mod tests {
         let mut bytes = segment_bytes(1);
         bytes[0] = b'X';
         assert!(matches!(
-            decode_segment(&p(), &bytes, false),
+            decode_segment(&p(), &bytes),
             Err(WalError::Codec {
                 source: adp_wire::WireError::BadMagic { .. },
                 ..
@@ -218,7 +221,7 @@ mod tests {
         let mut bytes = segment_bytes(1);
         bytes[8..12].copy_from_slice(&(SEGMENT_VERSION + 1).to_le_bytes());
         assert!(matches!(
-            decode_segment(&p(), &bytes, true),
+            decode_segment(&p(), &bytes),
             Err(WalError::Codec {
                 source: adp_wire::WireError::UnknownVersion { .. },
                 ..
@@ -227,10 +230,16 @@ mod tests {
     }
 
     #[test]
-    fn trailing_garbage_is_rejected_strictly() {
+    fn a_checksummed_record_that_does_not_decode_is_corrupt() {
+        // Three bytes of garbage framed with a valid checksum: no torn
+        // append produces that, so it is corrupt even at the end of the
+        // file.
+        let garbage = [0xAB; 3];
         let mut bytes = segment_bytes(2);
-        bytes.extend_from_slice(&[0xAB; 3]);
-        let err = decode_segment(&p(), &bytes, true).unwrap_err();
-        assert!(matches!(err, WalError::Corrupt { .. }));
+        bytes.extend_from_slice(&(garbage.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&garbage);
+        bytes.extend_from_slice(&crc32(&garbage).to_le_bytes());
+        let err = decode_segment(&p(), &bytes).unwrap_err();
+        assert!(err.to_string().contains("undecodable payload"), "{err}");
     }
 }
