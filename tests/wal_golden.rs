@@ -1,18 +1,18 @@
 //! Golden-bytes pin of the on-disk write-ahead-log format.
 //!
-//! `tests/fixtures/wal_v2.bin` is a committed encoding of a fixed
+//! `tests/fixtures/wal_v3.bin` is a committed encoding of a fixed
 //! journal: session 7 over Youtube · Tiny · dataset seed 7 · session
 //! seed 7 with a **routed noisy oracle and a label shift at iteration 4**,
-//! journalled from iteration 0 through 6 single steps (6 commit points,
-//! all in the open segment — the default cap is far larger). The fixture
-//! concatenates the two files a fresh journal writes,
+//! journalled from iteration 0 through 6 single steps (6 commit points).
+//! The fixture concatenates the two files a fresh journal writes,
 //! `[u32 manifest_len | manifest.adpwman | open.adpwal]`, so it pins the
 //! manifest format (embedding a current-version scenario), the
-//! length/payload/CRC record framing, and the per-event route tag that
-//! keeps replays of routed sessions bitwise.
+//! length/payload/CRC record framing of the log, and the per-event route
+//! tag that keeps replays of routed sessions bitwise.
 //!
-//! The manifest decoder reads the current version only; a v1 manifest
-//! (embedding the pre-oracle scenario body) is a typed codec error.
+//! The manifest decoder reads the current version only; v1 (embedding the
+//! pre-oracle scenario body) and v2 (carrying a segment list) manifests
+//! are typed codec errors.
 //!
 //! Today's writer must reproduce the current bytes **exactly**: the event
 //! stream, the codec and the CRC are all deterministic and
@@ -31,7 +31,7 @@ use activedp_repro::wal::Journal;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 
-const FIXTURE: &str = "tests/fixtures/wal_v2.bin";
+const FIXTURE: &str = "tests/fixtures/wal_v3.bin";
 
 const STEPS: usize = 6;
 
@@ -96,7 +96,7 @@ fn write_fixture_journal(dir: &Path) -> Vec<u8> {
         journal.append(&event).expect("journal appends");
     }
     let manifest = std::fs::read(dir.join("manifest.adpwman")).expect("manifest exists");
-    let open = std::fs::read(dir.join("open.adpwal")).expect("open segment exists");
+    let open = std::fs::read(dir.join("open.adpwal")).expect("log exists");
     let mut bytes = Vec::with_capacity(4 + manifest.len() + open.len());
     bytes.extend_from_slice(&(manifest.len() as u32).to_le_bytes());
     bytes.extend_from_slice(&manifest);
