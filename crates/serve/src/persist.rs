@@ -661,12 +661,12 @@ mod tests {
 
     #[test]
     fn every_crash_point_of_a_checkpoint_loads_the_last_commit() {
-        // One checkpoint over a 34-record log, stopped after each of its
+        // One checkpoint over a six-record log, stopped after each of its
         // steps: snapshot written, manifest rewritten, log truncated. Every
         // intermediate directory must load at the last commit, evaluating
         // bitwise like the uninterrupted run, and keep journalling from
         // there.
-        const STEPS: usize = 34;
+        const STEPS: usize = 6;
         let seed = 16;
         let dir = unique_tempdir("crashpoints");
         let hub = SessionHub::with_spill_dir(1, &dir);

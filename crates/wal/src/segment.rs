@@ -43,7 +43,7 @@ pub fn encode_record(event: &StepEvent) -> Vec<u8> {
 }
 
 /// One intact record of a log.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct Record {
     /// The journalled event.
     pub event: StepEvent,
