@@ -572,15 +572,42 @@ mod tests {
         let open = dir.join(LOG_FILE);
         let good = fs::read(&open).unwrap();
         let records = decode_segment(&open, &good).unwrap();
-        // One bit inside record 3's payload: committed, and not the last.
+        // One bit inside record 3's payload (past its 8-byte header):
+        // committed, and not the last.
         let mut bad = good.clone();
-        bad[records[1].end + 6] ^= 0x01;
+        bad[records[1].end + 10] ^= 0x01;
         fs::write(&open, &bad).unwrap();
         let err = Journal::open(&dir).unwrap_err();
         assert!(matches!(err, WalError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
         // The failed open left the log as it found it.
         assert_eq!(fs::read(&open).unwrap(), bad);
+        fs::write(&open, &good).unwrap();
+        assert_eq!(Journal::open(&dir).unwrap().durable_iteration(), 10);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_flipped_bit_of_a_length_word_is_corrupt() {
+        // A damaged length can point past end of file exactly like a torn
+        // append does; its checksum is what tells the two apart, so no flip
+        // may drop the committed records after it.
+        let dir = tmp_dir("length");
+        let mut j = Journal::create(&dir, 4, spec(), 0).unwrap();
+        append_range(&mut j, 1..=10);
+        drop(j);
+        let open = dir.join(LOG_FILE);
+        let good = fs::read(&open).unwrap();
+        let records = decode_segment(&open, &good).unwrap();
+        let third = records[1].end;
+        for bit in 0..32 {
+            let mut bad = good.clone();
+            bad[third + bit / 8] ^= 1 << (bit % 8);
+            fs::write(&open, &bad).unwrap();
+            let err = Journal::open(&dir).unwrap_err();
+            assert!(matches!(err, WalError::Corrupt { .. }), "bit {bit}: {err}");
+            assert_eq!(fs::read(&open).unwrap(), bad, "bit {bit}");
+        }
         fs::write(&open, &good).unwrap();
         assert_eq!(Journal::open(&dir).unwrap().durable_iteration(), 10);
         fs::remove_dir_all(&dir).unwrap();

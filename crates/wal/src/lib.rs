@@ -25,7 +25,8 @@
 //! The base the events fold onto is `checkpoint.adpsnap`, which exists
 //! exactly when the manifest's checkpoint is past 0; at checkpoint 0 the
 //! manifest's scenario spec rebuilds the iteration-0 state. The log holds
-//! length-prefixed, CRC-guarded event records behind the same versioned
+//! length-prefixed event records, the length and the payload each guarded
+//! by its own CRC, behind the same versioned
 //! `adp-wire` envelope as every other artefact in the workspace. The
 //! snapshot and the manifest are written with
 //! [`adp_wire::atomic::atomic_write`] (stage + fsync + rename); the log is

@@ -3,16 +3,19 @@
 //!
 //! ```text
 //! ADPWSEG\0 | u32 version | record*
-//! record := u32 payload_len | payload (StepEvent bytes) | u32 crc32(payload)
+//! record := u32 payload_len | u32 crc32(payload_len) | payload (StepEvent bytes)
+//!           | u32 crc32(payload)
 //! ```
 //!
 //! The log is appended in place, one whole record per write, so a crash
 //! can damage only its final record: an append that did not fully land.
-//! The decoder therefore tolerates damage exactly there — a record whose
-//! declared end reaches end of file — and reports everything else as a
-//! typed [`WalError`]. A length word damaged so that it points past end of
-//! file reads as a torn append too; framing alone cannot tell the two
-//! apart.
+//! The decoder therefore tolerates damage exactly there — a record header
+//! cut short by end of file, or a checked header whose declared end
+//! reaches end of file — and reports everything else as a typed
+//! [`WalError`]. The length word carries its own checksum so that a
+//! damaged length cannot pass for a torn append: without it, a flipped
+//! bit that pushed the declared end past end of file would silently drop
+//! every committed record after it.
 
 use crate::crc32;
 use crate::error::WalError;
@@ -22,21 +25,27 @@ use std::path::Path;
 
 /// Magic bytes opening every log file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"ADPWSEG\0";
-/// Current log format version.
-pub const SEGMENT_VERSION: u32 = 1;
+/// Current log format version: 2 since record lengths carry their own
+/// checksum (version 1 logs are a typed codec error).
+pub const SEGMENT_VERSION: u32 = 2;
+
+/// Bytes of a record header: the length word and its checksum.
+const HEADER_LEN: usize = 8;
 
 /// The envelope bytes a fresh (empty) log file starts with.
 pub fn segment_header() -> Vec<u8> {
     write_envelope(SEGMENT_MAGIC, SEGMENT_VERSION).into_bytes()
 }
 
-/// Encodes one event as a `len | payload | crc` record.
+/// Encodes one event as a `len | crc(len) | payload | crc(payload)` record.
 pub fn encode_record(event: &StepEvent) -> Vec<u8> {
     let mut payload = Writer::new();
     payload.put(event);
     let payload = payload.into_bytes();
+    let len = (payload.len() as u32).to_le_bytes();
     let mut w = Writer::new();
-    w.put_u32(payload.len() as u32);
+    w.put_bytes(&len);
+    w.put_u32(crc32(&len));
     w.put_bytes(&payload);
     w.put_u32(crc32(&payload));
     w.into_bytes()
@@ -53,11 +62,12 @@ pub struct Record {
 
 /// Decodes a log file's bytes into its intact records, in file order.
 ///
-/// A torn final append (a record whose declared end reaches end of file
-/// and that is incomplete or fails its checksum) ends the log silently;
-/// the caller truncates to the last record's `end`. Damage with more bytes
-/// after it, an undecodable payload, and an envelope that does not open as
-/// a WAL log are typed errors.
+/// A torn final append (a header cut short by end of file, or a checked
+/// header whose declared end reaches end of file over a payload that is
+/// incomplete or fails its checksum) ends the log silently; the caller
+/// truncates to the last record's `end`. A header that fails its checksum,
+/// payload damage with more bytes after it, an undecodable payload, and an
+/// envelope that does not open as a WAL log are typed errors.
 pub fn decode_segment(path: &Path, bytes: &[u8]) -> Result<Vec<Record>, WalError> {
     let (reader, _version) = read_envelope(bytes, SEGMENT_MAGIC, SEGMENT_VERSION..=SEGMENT_VERSION)
         .map_err(|source| WalError::Codec {
@@ -86,7 +96,8 @@ pub fn decode_segment(path: &Path, bytes: &[u8]) -> Result<Vec<Record>, WalError
 
 /// Why the bytes at some offset are not an intact record.
 enum Damage {
-    /// The record's declared end reaches end of file: a torn final append.
+    /// The record's header, or its checked declared end, reaches end of
+    /// file: a torn final append.
     Torn,
     /// Anything else, which no crash of an append produces.
     Corrupt(String),
@@ -94,16 +105,26 @@ enum Damage {
 
 /// Decodes the record at the start of `buf`, returning it with its length.
 fn decode_one(buf: &[u8]) -> Result<(StepEvent, usize), Damage> {
-    let Some(len) = buf.get(..4) else {
+    let Some(header) = buf.get(..HEADER_LEN) else {
         return Err(Damage::Torn);
     };
+    let (len, stored) = header.split_at(4);
+    let stored = u32::from_le_bytes(stored.try_into().expect("4 bytes"));
+    let computed = crc32(len);
+    if stored != computed {
+        // An append lands as a prefix, so a whole header is the one that
+        // was written: a mismatch is damage, wherever the record ends.
+        return Err(Damage::Corrupt(format!(
+            "length checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
+        )));
+    }
     let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
-    let total = 4 + len + 4;
+    let total = HEADER_LEN + len + 4;
     if buf.len() < total {
         return Err(Damage::Torn);
     }
-    let payload = &buf[4..4 + len];
-    let stored = u32::from_le_bytes(buf[4 + len..total].try_into().expect("4 bytes"));
+    let payload = &buf[HEADER_LEN..HEADER_LEN + len];
+    let stored = u32::from_le_bytes(buf[HEADER_LEN + len..total].try_into().expect("4 bytes"));
     let computed = crc32(payload);
     if stored != computed {
         return Err(if buf.len() == total {
@@ -177,14 +198,13 @@ mod tests {
             let records = decode_segment(&p(), &whole[..cut]).unwrap();
             assert_eq!(records.len(), 2, "cut at {cut}");
             assert_eq!(records[1].end, two);
-            // …but once its length word is whole, the same torn bytes with a
-            // record behind them are not a torn append, so they are corrupt.
-            if cut >= two + 4 {
-                let mut bytes = whole[..cut].to_vec();
-                bytes.extend_from_slice(&fourth);
-                let err = decode_segment(&p(), &bytes).unwrap_err();
-                assert!(matches!(err, WalError::Corrupt { .. }), "cut at {cut}");
-            }
+            // …but the same torn bytes with a record behind them are not a
+            // torn append, so they are corrupt — even when so little of the
+            // header landed that its length word is the next record's.
+            let mut bytes = whole[..cut].to_vec();
+            bytes.extend_from_slice(&fourth);
+            let err = decode_segment(&p(), &bytes).unwrap_err();
+            assert!(matches!(err, WalError::Corrupt { .. }), "cut at {cut}");
         }
         // A whole final record whose checksum fails is a torn append too.
         let mut bytes = whole.clone();
@@ -200,7 +220,7 @@ mod tests {
     fn flipped_bits_fail_the_checksum() {
         let mut bytes = segment_bytes(3);
         let one = segment_bytes(1).len();
-        bytes[one + 6] ^= 0x40; // inside the second record's payload
+        bytes[one + HEADER_LEN + 2] ^= 0x40; // inside the second record's payload
         let err = decode_segment(&p(), &bytes).unwrap_err();
         assert!(matches!(err, WalError::Corrupt { .. }));
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
@@ -235,8 +255,10 @@ mod tests {
         // append produces that, so it is corrupt even at the end of the
         // file.
         let garbage = [0xAB; 3];
+        let len = (garbage.len() as u32).to_le_bytes();
         let mut bytes = segment_bytes(2);
-        bytes.extend_from_slice(&(garbage.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&len);
+        bytes.extend_from_slice(&crc32(&len).to_le_bytes());
         bytes.extend_from_slice(&garbage);
         bytes.extend_from_slice(&crc32(&garbage).to_le_bytes());
         let err = decode_segment(&p(), &bytes).unwrap_err();

@@ -7,7 +7,8 @@
 //! The fixture concatenates the two files a fresh journal writes,
 //! `[u32 manifest_len | manifest.adpwman | open.adpwal]`, so it pins the
 //! manifest format (embedding a current-version scenario), the
-//! length/payload/CRC record framing of the log, and the per-event route
+//! `len | crc(len) | payload | crc(payload)` record framing of the log
+//! (`SEGMENT_VERSION` 2), and the per-event route
 //! tag that keeps replays of routed sessions bitwise.
 //!
 //! The manifest decoder reads the current version only; v1 (embedding the
