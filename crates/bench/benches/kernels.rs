@@ -320,7 +320,7 @@ fn bench_wal(c: &mut Criterion) {
 /// the cheap noisy oracle and the expensive simulated user answer — the
 /// per-query overhead the router adds to a labelling session.
 fn bench_oracle_route(c: &mut Criterion) {
-    use activedp::{ConfusionSpec, LatencyModel, NoisyOracle, Oracle, OracleRouter, RoutePolicy};
+    use activedp::{ConfusionSpec, LatencyModel, NoisyOracle, OracleRouter, RoutePolicy};
     use adp_lf::SimulatedUser;
 
     const QUERIES: usize = 1000;
@@ -341,7 +341,7 @@ fn bench_oracle_route(c: &mut Criterion) {
                 for q in 0..QUERIES {
                     let hint = Some(if q % 2 == 0 { 0.1 } else { 0.45 });
                     let (lf, choice) =
-                        router.respond_routed(&space, &split.train, &split.train, q % n, hint);
+                        router.respond(&space, &split.train, &split.train, q % n, hint);
                     black_box((lf, choice));
                 }
                 black_box(router.stats().total_cost())

@@ -6,7 +6,7 @@ use crate::labelpick::LabelPickConfig;
 use adp_classifier::LogRegConfig;
 use adp_labelmodel::LabelModelKind;
 use adp_lf::{SimulatedUser, UserConfig};
-use adp_oracle::{NoisyOracle, Oracle, OracleKind, OracleRouter};
+use adp_oracle::{OracleKind, SessionOracle};
 
 /// XOR mask separating the oracle's RNG stream from the master seed.
 ///
@@ -281,24 +281,13 @@ impl SessionConfig {
 
     /// The label source [`SessionConfig::oracle`] describes:
     /// the plain simulated user under [`OracleKind::Simulated`], or an
-    /// [`OracleRouter`] over the user and a [`NoisyOracle`] (seeded from
+    /// [`OracleRouter`](adp_oracle::OracleRouter) over the user and a
+    /// [`NoisyOracle`](adp_oracle::NoisyOracle) (seeded from
     /// [`SessionConfig::cheap_oracle_seed`]) under [`OracleKind::Noisy`].
     /// The single construction path for the engine, the builder and resume,
     /// so the seed derivations can never drift apart.
-    pub fn build_oracle(&self) -> Box<dyn Oracle> {
-        match self.oracle {
-            OracleKind::Simulated => Box::new(self.simulated_user()),
-            OracleKind::Noisy {
-                confusion,
-                latency,
-                policy,
-            } => Box::new(OracleRouter::new(
-                self.simulated_user(),
-                NoisyOracle::new(confusion, self.acc_threshold, self.cheap_oracle_seed()),
-                policy,
-                latency,
-            )),
-        }
+    pub fn build_oracle(&self) -> SessionOracle {
+        SessionOracle::new(self.oracle, self.simulated_user(), self.cheap_oracle_seed())
     }
 
     pub(crate) fn validate(&self) -> Result<(), ActiveDpError> {

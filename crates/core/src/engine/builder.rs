@@ -1,8 +1,8 @@
 //! Validating construction of the owned [`Engine`].
 //!
 //! The builder is the ergonomic construction path for engines: dataset
-//! first, then the oracle, the sampler, the ablation switches, and the
-//! seed last — mirroring how a session is described in the paper.
+//! first, then the oracle kind, the sampler, the ablation switches, and
+//! the seed last — mirroring how a session is described in the paper.
 //! `Engine::builder(data).config(cfg).build()?` is the plain "run this
 //! configuration" session every experiment drives. [`SessionConfig`]
 //! stays the serialisable core underneath; the builder starts from
@@ -17,14 +17,16 @@ use crate::scenario::{BudgetSchedule, ScenarioSpec, DEFAULT_BUDGET};
 use adp_data::{DriftSpec, SharedDataset};
 use adp_labelmodel::LabelModelKind;
 use adp_lf::LabelFunction;
-use adp_oracle::{Oracle, OracleKind};
+use adp_oracle::OracleKind;
 
 /// Builder for [`Engine`]: `Engine::builder(data).seed(7).build()?`.
 ///
 /// The builder is an ergonomic layer over [`ScenarioSpec`]: every setter
 /// edits one field of the declarative description, and
 /// [`EngineBuilder::build`] hands the finished spec to the one true
-/// constructor ([`Engine::from_spec_over`] assembly). Defaults: the paper
+/// constructor, [`Engine::from_spec_over`]. The dataset must therefore
+/// carry its regenerable provenance (every [`adp_data::generate`]d split
+/// does). Defaults: the paper
 /// configuration for the dataset's modality
 /// ([`SessionConfig::paper_defaults`]), the simulated user of §4.1.4 as the
 /// oracle (seeded via [`SessionConfig::oracle_seed`]), seed 0, a
@@ -36,7 +38,6 @@ pub struct EngineBuilder {
     schedule: BudgetSchedule,
     budget: usize,
     drift: DriftSpec,
-    oracle: Option<Box<dyn Oracle>>,
     observers: Vec<Box<dyn StepObserver>>,
 }
 
@@ -52,7 +53,6 @@ impl EngineBuilder {
             schedule: BudgetSchedule::FixedStep,
             budget: DEFAULT_BUDGET,
             drift: DriftSpec::None,
-            oracle: None,
             observers: Vec::new(),
         }
     }
@@ -73,15 +73,6 @@ impl EngineBuilder {
     /// Setters called afterwards still apply on top.
     pub fn config(mut self, config: SessionConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Plugs in a custom oracle (e.g. an interactive UI). Without this the
-    /// engine uses [`SessionConfig::simulated_user`]. A custom oracle owns
-    /// its own randomness; the builder's [`seed`](Self::seed) only reaches
-    /// it when it was constructed from [`SessionConfig::oracle_seed`].
-    pub fn oracle(mut self, oracle: Box<dyn Oracle>) -> Self {
-        self.oracle = Some(oracle);
         self
     }
 
@@ -194,20 +185,17 @@ impl EngineBuilder {
 
     /// Validates the assembled [`ScenarioSpec`] and builds the engine —
     /// the same assembly [`Engine::from_spec`] runs, plus this builder's
-    /// oracle and observers. Datasets without regenerable provenance still
-    /// build (the spec's dataset part is simply absent; see
-    /// [`Engine::scenario`]).
+    /// observers. A split without regenerable provenance has no spec to
+    /// describe it and is rejected with [`ActiveDpError::BadConfig`].
     pub fn build(self) -> Result<Engine, ActiveDpError> {
-        Engine::assemble(
-            self.data.clone(),
-            self.data.provenance,
-            self.config,
-            self.schedule,
-            self.budget,
-            self.drift,
-            self.oracle,
-            self.observers,
-        )
+        let spec = self.scenario().ok_or_else(|| ActiveDpError::BadConfig {
+            reason: "the dataset has no regenerable provenance, so no scenario spec describes \
+                     the session"
+                .into(),
+        })?;
+        let mut engine = Engine::from_spec_over(spec, self.data)?;
+        engine.observers = self.observers;
+        Ok(engine)
     }
 
     /// Assembles an engine that resumes `snapshot` exactly where it was
@@ -222,14 +210,10 @@ impl EngineBuilder {
     ///
     /// The dataset must be the one the snapshot was taken over (typically
     /// regenerated from the spec — [`Engine::resume`] does exactly that);
-    /// a split whose provenance disagrees with the snapshot's spec, a
-    /// state that does not fit it and parameters no fit could produce are
-    /// typed errors. A custom oracle passed via
-    /// [`EngineBuilder::oracle`] must implement [`Oracle::load_state`],
-    /// otherwise resuming fails with
-    /// [`ActiveDpError::SnapshotUnsupported`].
-    ///
-    /// [`Oracle::load_state`]: crate::Oracle::load_state
+    /// a split whose provenance is missing or disagrees with the
+    /// snapshot's spec, routed-oracle state that does not match the spec's
+    /// oracle kind, a state that does not fit the split and parameters no
+    /// fit could produce are typed errors.
     pub fn resume(self, snapshot: crate::SessionSnapshot) -> Result<Engine, ActiveDpError> {
         self.restore(snapshot, false)
     }
@@ -249,18 +233,16 @@ impl EngineBuilder {
             oracle,
             routed,
         } = snapshot;
-        if let Some(provenance) = self.data.provenance {
-            if provenance != spec.dataset {
-                return Err(ActiveDpError::BadConfig {
-                    reason: format!(
-                        "dataset provenance {provenance:?} does not match the snapshot's {:?}",
-                        spec.dataset
-                    ),
-                });
-            }
+        if self.data.provenance != Some(spec.dataset) {
+            return Err(ActiveDpError::BadConfig {
+                reason: format!(
+                    "dataset provenance {:?} does not match the snapshot's {:?}",
+                    self.data.provenance, spec.dataset
+                ),
+            });
         }
         let ScenarioSpec {
-            dataset,
+            dataset: _,
             session,
             schedule,
             budget,
@@ -271,24 +253,19 @@ impl EngineBuilder {
         self.budget = budget;
         self.drift = drift;
         let mut engine = self.build()?;
-        // A provenance-less split that nevertheless passed the shape check
-        // below is the snapshot's split as far as anyone can tell; record
-        // the snapshot's own provenance so the session stays describable.
-        engine.dataset_spec = Some(dataset);
         state.validate_for(&engine.data)?;
+        if !engine.querying.restore_routed(routed.as_ref()) {
+            let oracle = engine.config.oracle;
+            let reason = match routed {
+                Some(_) => {
+                    format!("the snapshot carries routed state, but oracle {oracle} does not route")
+                }
+                None => format!("the snapshot lacks the routed state oracle {oracle} needs"),
+            };
+            return Err(ActiveDpError::BadConfig { reason });
+        }
         engine.sampling.restore_rng_state(sampler_rng);
-        if !engine.querying.restore_oracle(&oracle) {
-            return Err(ActiveDpError::SnapshotUnsupported {
-                reason: "the session's oracle cannot replay snapshot state".into(),
-            });
-        }
-        if let Some(routed) = &routed {
-            if !engine.querying.restore_routed(routed) {
-                return Err(ActiveDpError::SnapshotUnsupported {
-                    reason: "the session's oracle cannot replay routed state".into(),
-                });
-            }
-        }
+        engine.querying.restore_oracle(&oracle);
         let s = &mut engine.state;
         for &row in &state.queried {
             s.queried[row] = true;
@@ -326,7 +303,6 @@ impl EngineBuilder {
 mod tests {
     use super::*;
     use adp_data::{generate, DatasetId, Scale, SplitDataset};
-    use adp_lf::SimulatedUser;
     use std::sync::Arc;
 
     fn tiny() -> SharedDataset {
@@ -397,35 +373,50 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_rejects_oracles_without_state() {
-        struct Mute;
-        impl adp_oracle::Oracle for Mute {
-            fn respond(
-                &mut self,
-                _space: &adp_lf::CandidateSpace,
-                _train: &adp_data::Dataset,
-                _query_dataset: &adp_data::Dataset,
-                _idx: usize,
-            ) -> Option<adp_lf::LabelFunction> {
-                None
-            }
-        }
-        let mut e = Engine::builder(tiny())
-            .oracle(Box::new(Mute))
+    fn build_and_resume_reject_a_provenance_stripped_split() {
+        // Without provenance no spec describes the split, so no engine is
+        // built over it: not fresh, and not from a snapshot of the very
+        // split it was stripped from.
+        let snap = Engine::builder(tiny())
+            .seed(5)
             .build()
+            .unwrap()
+            .snapshot()
             .unwrap();
-        e.step().unwrap();
-        assert!(matches!(
-            e.snapshot(),
-            Err(ActiveDpError::SnapshotUnsupported { .. })
-        ));
-        // And a default-oracle snapshot cannot resume onto a mute oracle.
-        let snap = Engine::builder(tiny()).build().unwrap().snapshot().unwrap();
-        let err = Engine::builder(tiny()).oracle(Box::new(Mute)).resume(snap);
-        assert!(matches!(
-            err,
-            Err(ActiveDpError::SnapshotUnsupported { .. })
-        ));
+        let stripped = || {
+            let mut data = (*tiny()).clone();
+            data.provenance = None;
+            data
+        };
+        let err = Engine::builder(stripped()).seed(5).build();
+        assert!(matches!(err, Err(ActiveDpError::BadConfig { .. })));
+        let err = Engine::builder(stripped()).resume(snap);
+        assert!(matches!(err, Err(ActiveDpError::BadConfig { .. })));
+    }
+
+    #[test]
+    fn resume_rejects_routed_state_the_spec_does_not_describe() {
+        let snapshot_of = |kind: OracleKind| {
+            let mut e = Engine::builder(tiny())
+                .seed(5)
+                .oracle_kind(kind)
+                .build()
+                .unwrap();
+            e.run(3).unwrap();
+            e.snapshot().unwrap()
+        };
+        // A noisy session's snapshot without its routed state would resume
+        // with a fresh cheap oracle and zeroed costs…
+        let mut noisy = snapshot_of(OracleKind::noisy());
+        assert!(noisy.routed.take().is_some());
+        let err = Engine::builder(tiny()).resume(noisy);
+        assert!(matches!(err, Err(ActiveDpError::BadConfig { .. })));
+        // …and a simulated session has no router to give routed state to.
+        let mut plain = snapshot_of(OracleKind::Simulated);
+        plain.routed = snapshot_of(OracleKind::noisy()).routed;
+        assert!(plain.routed.is_some());
+        let err = Engine::builder(tiny()).resume(plain);
+        assert!(matches!(err, Err(ActiveDpError::BadConfig { .. })));
     }
 
     #[test]
@@ -741,19 +732,6 @@ mod tests {
         let other = generate(DatasetId::Imdb, Scale::Tiny, 5).unwrap();
         let err = Engine::builder(other).resume(snap);
         assert!(matches!(err, Err(ActiveDpError::BadConfig { .. })));
-    }
-
-    #[test]
-    fn custom_oracle_is_used() {
-        // A noise-free user seeded differently from the default stream
-        // changes nothing structural — the point is it plugs in.
-        let data = tiny();
-        let mut e = Engine::builder(data)
-            .oracle(Box::new(SimulatedUser::with_defaults(123)))
-            .build()
-            .unwrap();
-        e.run(5).unwrap();
-        assert_eq!(e.state().iteration, 5);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! 4. [`inference`] — ConFusion aggregation and downstream evaluation
 //!    (§3.2, run on demand rather than per iteration).
 //!
-//! [`Engine`] wires the stages together; samplers, oracles, label models
-//! and classifiers all plug in behind their existing traits. The engine
+//! [`Engine`] wires the stages together; samplers, label models and
+//! classifiers plug in behind their existing traits, and the oracle is the
+//! one the session's [`OracleKind`](crate::OracleKind) names. The engine
 //! *owns* its dataset behind a [`SharedDataset`] handle and is
 //! `Send + 'static`, so sessions can be stored in registries, moved across
 //! threads, and served concurrently (see the `adp-serve` crate's
@@ -119,10 +120,7 @@ pub trait StepObserver: Send {
     /// replayable [`StepEvent`] — after every [`StepObserver::on_step`] of
     /// the same `step()`/`step_batch()` call — on observers whose
     /// [`StepObserver::wants_events`] is `true`. This is the journalling
-    /// seam: the `adp-wal` crate's writer is such an observer. Not called
-    /// when the session's oracle exposes no RNG position (see
-    /// [`Oracle::rng_words`](crate::Oracle::rng_words)) — such sessions
-    /// cannot snapshot, so there is no checkpoint to replay from either.
+    /// seam: the `adp-wal` crate's writer is such an observer.
     fn on_event(&mut self, event: &StepEvent) {
         let _ = event;
     }
@@ -153,10 +151,9 @@ pub struct Engine {
     drift: DriftSpec,
     /// Whether the drift boundary has been crossed and `data` swapped.
     drift_applied: bool,
-    /// Dataset provenance, when the split was generated from a spec — what
-    /// makes the session describable as a [`ScenarioSpec`] and therefore
-    /// snapshottable.
-    dataset_spec: Option<DatasetSpec>,
+    /// Dataset provenance — what makes the session describable as a
+    /// [`ScenarioSpec`] and therefore snapshottable.
+    dataset_spec: DatasetSpec,
     state: SessionState,
     sampling: SamplingStage,
     querying: QueryingStage,
@@ -193,7 +190,7 @@ impl Engine {
     ///     seed: 7,
     /// });
     /// let engine = Engine::from_spec(spec.clone()).unwrap();
-    /// assert_eq!(engine.scenario(), Some(spec));
+    /// assert_eq!(engine.scenario(), spec);
     /// ```
     pub fn from_spec(spec: ScenarioSpec) -> Result<Engine, ActiveDpError> {
         let data = spec
@@ -211,7 +208,11 @@ impl Engine {
     /// between all sessions naming the same dataset spec). The split's
     /// recorded provenance must equal `spec.dataset`; handing in a
     /// different (or hand-built, provenance-less) split is rejected, since
-    /// the spec would then misdescribe the run.
+    /// the spec would then misdescribe the run. This is the single assembly
+    /// point underneath every constructor: it validates the spec, builds
+    /// the oracle with [`SessionConfig::build_oracle`] (the simulated user,
+    /// or the router over it under [`OracleKind::Noisy`](crate::OracleKind)),
+    /// and wires the stages.
     pub fn from_spec_over(
         spec: ScenarioSpec,
         data: SharedDataset,
@@ -225,39 +226,12 @@ impl Engine {
             });
         }
         let ScenarioSpec {
-            dataset,
-            session,
+            dataset: dataset_spec,
+            session: config,
             schedule,
             budget,
             drift,
         } = spec;
-        Engine::assemble(
-            data,
-            Some(dataset),
-            session,
-            schedule,
-            budget,
-            drift,
-            None,
-            vec![],
-        )
-    }
-
-    /// The single assembly point underneath every constructor: validates,
-    /// defaults the oracle to [`SessionConfig::build_oracle`] (the
-    /// simulated user, or the router over it under
-    /// [`OracleKind::Noisy`](crate::OracleKind)), and wires the stages.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        data: SharedDataset,
-        dataset_spec: Option<DatasetSpec>,
-        config: SessionConfig,
-        schedule: BudgetSchedule,
-        budget: usize,
-        drift: DriftSpec,
-        oracle: Option<Box<dyn adp_oracle::Oracle>>,
-        observers: Vec<Box<dyn StepObserver>>,
-    ) -> Result<Engine, ActiveDpError> {
         config.validate()?;
         schedule.validate()?;
         drift
@@ -274,14 +248,10 @@ impl Engine {
                 });
             }
         }
-        let oracle = match oracle {
-            Some(oracle) => oracle,
-            None => config.build_oracle(),
-        };
         Ok(Engine {
             state: SessionState::new(&data),
             sampling: SamplingStage::from_config(&config),
-            querying: QueryingStage::new(&data, oracle),
+            querying: QueryingStage::new(&data, config.build_oracle()),
             training: TrainingStage::from_config(&data, &config),
             data,
             config,
@@ -290,7 +260,7 @@ impl Engine {
             drift,
             drift_applied: false,
             dataset_spec,
-            observers,
+            observers: Vec::new(),
         })
     }
 
@@ -382,19 +352,16 @@ impl Engine {
         self.budget
     }
 
-    /// The complete declarative description of this session, when its
-    /// dataset carries regenerable provenance (always, for engines built
-    /// by [`Engine::from_spec`] or over [`adp_data::generate`]d splits).
-    /// `None` for hand-built datasets — such sessions run fine but cannot
-    /// be serialized as a spec, and therefore cannot be snapshot.
-    pub fn scenario(&self) -> Option<ScenarioSpec> {
-        self.dataset_spec.map(|dataset| ScenarioSpec {
-            dataset,
+    /// The complete declarative description of this session: every engine
+    /// is built from one (see [`Engine::from_spec_over`]).
+    pub fn scenario(&self) -> ScenarioSpec {
+        ScenarioSpec {
+            dataset: self.dataset_spec,
             session: self.config.clone(),
             schedule: self.schedule.clone(),
             budget: self.budget,
             drift: self.drift,
-        })
+        }
     }
 
     /// The scenario's streaming mutation (see [`DriftSpec`]).
@@ -626,27 +593,11 @@ impl Engine {
     /// Resuming via [`Engine::resume`] (or [`EngineBuilder::resume`] over
     /// a dataset already in hand) and running the remaining iterations is
     /// **bitwise identical** to never having stopped (pinned by
-    /// `tests/engine_parity.rs`). Fails with
-    /// [`ActiveDpError::SnapshotUnsupported`] when the session runs a
-    /// custom oracle that does not expose snapshot state
-    /// (see [`Oracle::save_state`](crate::Oracle::save_state)) or when its
-    /// dataset carries no regenerable provenance
-    /// (see [`Engine::scenario`]).
+    /// `tests/engine_parity.rs`). Every engine can snapshot.
     pub fn snapshot(&self) -> Result<crate::SessionSnapshot, ActiveDpError> {
-        let spec = self
-            .scenario()
-            .ok_or_else(|| ActiveDpError::SnapshotUnsupported {
-                reason: "the session's dataset has no regenerable provenance".into(),
-            })?;
-        let oracle =
-            self.querying
-                .oracle_state()
-                .ok_or_else(|| ActiveDpError::SnapshotUnsupported {
-                    reason: "the session's oracle does not expose snapshot state".into(),
-                })?;
         let state = &self.state;
         Ok(crate::SessionSnapshot {
-            spec,
+            spec: self.scenario(),
             state: crate::PersistedState {
                 lfs: state.lfs.clone(),
                 queried: (0..state.queried.len())
@@ -660,7 +611,7 @@ impl Engine {
                 params: self.training.params(state),
             },
             sampler_rng: self.sampling.rng_state(),
-            oracle,
+            oracle: self.querying.oracle_state(),
             routed: self.querying.routed_state(),
         })
     }
@@ -790,8 +741,7 @@ impl Engine {
     }
 
     /// Builds the [`StepEvent`] for one completed iteration, or `None`
-    /// when no observer wants events or the oracle exposes no RNG
-    /// position.
+    /// when no observer wants events.
     fn capture_event(
         &self,
         iteration: usize,
@@ -803,7 +753,7 @@ impl Engine {
         if !self.events_wanted() {
             return None;
         }
-        let oracle_rng = self.querying.oracle_rng_words()?;
+        let oracle_rng = self.querying.oracle_rng_words();
         // Which oracle answered, and where the cheap stream ended up — what
         // replay needs to reposition both sides of the router bitwise.
         let route = route.and_then(|choice| {

@@ -6,17 +6,18 @@ use super::state::SessionState;
 use crate::error::ActiveDpError;
 use adp_data::SplitDataset;
 use adp_lf::{CandidateSpace, LabelFunction, ABSTAIN};
-use adp_oracle::{Oracle, RouteChoice, RouteStats, RoutedState};
+use adp_oracle::{RouteChoice, RouteStats, RoutedState, SessionOracle};
 
 /// Owns the oracle and the candidate-LF space it draws from.
 pub struct QueryingStage {
     space: CandidateSpace,
-    oracle: Box<dyn Oracle>,
+    oracle: SessionOracle,
 }
 
 impl QueryingStage {
-    /// Builds the per-dataset candidate space and wraps `oracle`.
-    pub fn new(data: &SplitDataset, oracle: Box<dyn Oracle>) -> Self {
+    /// Builds the per-dataset candidate space and wraps `oracle` (see
+    /// [`SessionConfig::build_oracle`](crate::SessionConfig::build_oracle)).
+    pub fn new(data: &SplitDataset, oracle: SessionOracle) -> Self {
         QueryingStage {
             space: CandidateSpace::build(&data.train),
             oracle,
@@ -37,39 +38,37 @@ impl QueryingStage {
         self.space = CandidateSpace::build(&data.train);
     }
 
-    /// The oracle's snapshotable state, when it has one (see
-    /// [`Oracle::save_state`]).
-    pub(crate) fn oracle_state(&self) -> Option<adp_lf::UserState> {
+    /// The oracle's snapshotable state (see [`SessionOracle::save_state`]).
+    pub(crate) fn oracle_state(&self) -> adp_lf::UserState {
         self.oracle.save_state()
     }
 
-    /// Replays oracle state captured by [`QueryingStage::oracle_state`];
-    /// `false` when the oracle cannot resume it.
-    pub(crate) fn restore_oracle(&mut self, state: &adp_lf::UserState) -> bool {
+    /// Replays oracle state captured by [`QueryingStage::oracle_state`].
+    pub(crate) fn restore_oracle(&mut self, state: &adp_lf::UserState) {
         self.oracle.load_state(state)
     }
 
-    /// The oracle's RNG stream position, when it exposes one (see
-    /// [`Oracle::rng_words`]) — captured into every journalled
-    /// [`StepEvent`](crate::StepEvent).
-    pub(crate) fn oracle_rng_words(&self) -> Option<[u64; 4]> {
+    /// The oracle's RNG stream position (see [`SessionOracle::rng_words`])
+    /// — captured into every journalled [`StepEvent`](crate::StepEvent).
+    pub(crate) fn oracle_rng_words(&self) -> [u64; 4] {
         self.oracle.rng_words()
     }
 
     /// The routed-oracle snapshot state, when the oracle is a router (see
-    /// [`Oracle::save_routed`]).
+    /// [`SessionOracle::save_routed`]).
     pub(crate) fn routed_state(&self) -> Option<RoutedState> {
         self.oracle.save_routed()
     }
 
     /// Replays routed-oracle state captured by
-    /// [`QueryingStage::routed_state`]; `false` when the oracle cannot.
-    pub(crate) fn restore_routed(&mut self, state: &RoutedState) -> bool {
+    /// [`QueryingStage::routed_state`]; `false` when its presence does not
+    /// match the oracle's kind (see [`SessionOracle::load_routed`]).
+    pub(crate) fn restore_routed(&mut self, state: Option<&RoutedState>) -> bool {
         self.oracle.load_routed(state)
     }
 
     /// The cheap oracle's RNG stream position, when the session routes
-    /// between two oracles (see [`Oracle::cheap_rng_words`]).
+    /// between two oracles (see [`SessionOracle::cheap_rng_words`]).
     pub(crate) fn cheap_rng_words(&self) -> Option<[u64; 4]> {
         self.oracle.cheap_rng_words()
     }
@@ -83,7 +82,7 @@ impl QueryingStage {
     /// votes to both matrices and pseudo-labels the query instance with the
     /// LF's own vote. Returns the LF (already recorded in `state`) plus the
     /// routing decision, when the oracle routes (see
-    /// [`Oracle::respond_routed`]); `uncertainty` is the AL model's
+    /// [`SessionOracle::respond`]); `uncertainty` is the AL model's
     /// uncertainty about the query, the hint threshold policies split on.
     pub fn query(
         &mut self,
@@ -94,7 +93,7 @@ impl QueryingStage {
     ) -> Result<(Option<LabelFunction>, Option<RouteChoice>), ActiveDpError> {
         let (lf, route) =
             self.oracle
-                .respond_routed(&self.space, &data.train, &data.train, query, uncertainty);
+                .respond(&self.space, &data.train, &data.train, query, uncertainty);
         if let Some(lf) = &lf {
             state.seen_keys.insert(lf.key());
             state.train_matrix.push_lf(lf, &data.train)?;
@@ -114,18 +113,14 @@ impl QueryingStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SessionConfig;
     use adp_data::{generate, DatasetId, Scale};
-    use adp_lf::{SimulatedUser, UserConfig};
 
     fn stage(data: &SplitDataset, seed: u64) -> QueryingStage {
-        let user = SimulatedUser::new(
-            UserConfig {
-                acc_threshold: 0.6,
-                noise_rate: 0.0,
-            },
-            seed,
-        );
-        QueryingStage::new(data, Box::new(user))
+        QueryingStage::new(
+            data,
+            SessionConfig::paper_defaults(true, seed).build_oracle(),
+        )
     }
 
     #[test]
@@ -171,14 +166,7 @@ mod tests {
             vocab: None,
             provenance: None,
         };
-        let user = SimulatedUser::new(
-            UserConfig {
-                acc_threshold: 0.6,
-                noise_rate: 0.0,
-            },
-            5,
-        );
-        let mut q = QueryingStage::new(&data, Box::new(user));
+        let mut q = stage(&data, 5);
         let mut state = SessionState::new(&data);
         assert!(q.query(&data, &mut state, 0, None).unwrap().0.is_none());
         assert!(state.lfs.is_empty());

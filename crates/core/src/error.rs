@@ -22,12 +22,6 @@ pub enum ActiveDpError {
     Linalg(adp_linalg::LinalgError),
     /// Label-matrix manipulation failure.
     Lf(adp_lf::LfError),
-    /// The session's oracle cannot capture or replay snapshot state (e.g. a
-    /// custom interactive oracle behind `EngineBuilder::oracle`).
-    SnapshotUnsupported {
-        /// What could not be snapshot or resumed.
-        reason: String,
-    },
     /// An encoded snapshot failed to decode.
     SnapshotCodec(adp_wire::WireError),
     /// A WAL replay was inconsistent with its checkpoint or event stream
@@ -49,9 +43,6 @@ impl fmt::Display for ActiveDpError {
             ActiveDpError::Glasso(e) => write!(f, "graphical lasso: {e}"),
             ActiveDpError::Linalg(e) => write!(f, "linear algebra: {e}"),
             ActiveDpError::Lf(e) => write!(f, "label functions: {e}"),
-            ActiveDpError::SnapshotUnsupported { reason } => {
-                write!(f, "snapshot unsupported: {reason}")
-            }
             ActiveDpError::SnapshotCodec(e) => write!(f, "snapshot codec: {e}"),
             ActiveDpError::Replay { reason } => write!(f, "wal replay: {reason}"),
         }

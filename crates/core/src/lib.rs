@@ -7,8 +7,9 @@
 //! 1. the [`AdpSampler`] (§3.3, Eq. 2) picks the query instance whose
 //!    uncertainty is highest under a geometric mixture of the
 //!    active-learning model and the label model;
-//! 2. the user (an [`Oracle`]; experiments use the simulated user of
-//!    §4.1.4) inspects the instance and returns a label function;
+//! 2. the user (the [`SessionOracle`]: the simulated user of §4.1.4, or
+//!    a router between it and a cheap noisy oracle) inspects the instance
+//!    and returns a label function;
 //! 3. the query instance receives a *pseudo-label* — the LF's vote on its
 //!    own query — and joins the AL model's training set;
 //! 4. [`LabelPick`] (§3.4) prunes LFs worse than random on the validation
@@ -57,8 +58,8 @@ pub mod snapshot;
 pub use adp_classifier::LogRegConfig;
 pub use adp_labelmodel::LabelModelKind;
 pub use adp_oracle::{
-    ConfusionSpec, LatencyModel, NoisyOracle, Oracle, OracleKind, OracleRouter, RouteChoice,
-    RoutePolicy, RouteStats, RoutedState, RoutedStep, UnknownOracleKind,
+    ConfusionSpec, LatencyModel, NoisyOracle, OracleKind, OracleRouter, RouteChoice, RoutePolicy,
+    RouteStats, RoutedState, RoutedStep, SessionOracle, UnknownOracleKind,
 };
 pub use adp_sampler::AdpSampler;
 pub use config::{CandidateStrategy, SamplerChoice, SessionConfig, UnknownSampler};

@@ -206,7 +206,8 @@ pub struct SplitDataset {
     /// [`registry::generate`](crate::registry::generate) — the provenance a
     /// declarative scenario records so the identical split can be
     /// regenerated later. `None` for hand-built splits, which therefore
-    /// cannot be described by a serializable scenario.
+    /// cannot be described by a serializable scenario, and which no
+    /// `activedp` engine is built over.
     pub provenance: Option<crate::registry::DatasetSpec>,
 }
 

@@ -4,15 +4,14 @@
 //! expensive simulated user of paper §4.1.4 ([`adp_lf::SimulatedUser`]).
 //! This crate generalises that into a small subsystem:
 //!
-//! * the [`Oracle`] trait — anything that can answer a query instance with
-//!   a label function (an interactive deployment would implement it over a
-//!   real UI);
 //! * [`NoisyOracle`] — a cheap, biased, confusion-matrix-structured
 //!   labeller standing in for an LLM: it answers from the candidate set of
 //!   a label *drawn from a confusion row* of the true label, the way the
 //!   original Data Programming paper models noisy sources;
 //! * [`OracleRouter`] — budget-aware routing between the two, with
 //!   per-query cost accounting ([`RouteStats`]) under a [`RoutePolicy`];
+//! * [`SessionOracle`] — the one label source a session runs, built from
+//!   its [`OracleKind`]: the simulated user alone, or the router over it;
 //! * [`OracleKind`] — the serializable spec (`simulated` |
 //!   `noisy:ACC[>BIAS][@POLICY][!CHEAP/EXPENSIVE]`) that scenario files
 //!   carry and `SessionConfig` embeds.
@@ -127,25 +126,61 @@ pub struct RoutedState {
     pub stats: RouteStats,
 }
 
-/// A source of label functions in response to query instances.
-pub trait Oracle: Send {
+/// The label source of one session: the simulated user of paper §4.1.4,
+/// or an [`OracleRouter`] between that user and a cheap [`NoisyOracle`].
+/// `SessionConfig::build_oracle` builds it from the session's
+/// [`OracleKind`], so every oracle a session runs is one its spec
+/// describes, and its whole mutable state round-trips through a snapshot:
+/// the user's [`UserState`], plus a router's [`RoutedState`].
+#[derive(Debug)]
+pub struct SessionOracle(Source);
+
+#[derive(Debug)]
+enum Source {
+    Simulated(SimulatedUser),
+    Routed(OracleRouter),
+}
+
+impl SessionOracle {
+    /// The oracle `kind` describes over `user`. Under [`OracleKind::Noisy`]
+    /// the cheap side shares the user's accuracy threshold and draws from
+    /// its own stream, seeded with `cheap_seed`.
+    pub fn new(kind: OracleKind, user: SimulatedUser, cheap_seed: u64) -> Self {
+        SessionOracle(match kind {
+            OracleKind::Simulated => Source::Simulated(user),
+            OracleKind::Noisy {
+                confusion,
+                latency,
+                policy,
+            } => {
+                let cheap = NoisyOracle::new(confusion, user.acc_threshold(), cheap_seed);
+                Source::Routed(OracleRouter::new(user, cheap, policy, latency))
+            }
+        })
+    }
+
+    fn user(&self) -> &SimulatedUser {
+        match &self.0 {
+            Source::Simulated(user) => user,
+            Source::Routed(router) => &router.expensive,
+        }
+    }
+
+    fn router(&self) -> Option<&OracleRouter> {
+        match &self.0 {
+            Source::Simulated(_) => None,
+            Source::Routed(router) => Some(router),
+        }
+    }
+
     /// Inspects instance `idx` of `query_dataset` and (optionally) returns
     /// a new label function. `None` still consumes the iteration's budget,
     /// mirroring a user who cannot think of a rule for the instance.
-    fn respond(
-        &mut self,
-        space: &CandidateSpace,
-        train: &Dataset,
-        query_dataset: &Dataset,
-        idx: usize,
-    ) -> Option<LabelFunction>;
-
-    /// Routed variant of [`Oracle::respond`]: `uncertainty` is the model's
-    /// uncertainty hint for the query instance (`None` before any model is
-    /// fit), and the second return names which source answered. The default
-    /// delegates to `respond` and reports no route — single-oracle sessions
-    /// stay byte-for-byte what they were.
-    fn respond_routed(
+    /// `uncertainty` is the model's uncertainty about the instance (`None`
+    /// before any model is fit), which a router's policy may split on; the
+    /// second return names which source answered, and is `None` for a
+    /// plain simulated user.
+    pub fn respond(
         &mut self,
         space: &CandidateSpace,
         train: &Dataset,
@@ -153,85 +188,66 @@ pub trait Oracle: Send {
         idx: usize,
         uncertainty: Option<f64>,
     ) -> (Option<LabelFunction>, Option<RouteChoice>) {
-        let _ = uncertainty;
-        (self.respond(space, train, query_dataset, idx), None)
+        match &mut self.0 {
+            Source::Simulated(user) => (user.respond(space, train, query_dataset, idx), None),
+            Source::Routed(router) => {
+                let (lf, choice) = router.respond(space, train, query_dataset, idx, uncertainty);
+                (lf, Some(choice))
+            }
+        }
     }
 
-    /// Captures the oracle's mutable state for a session snapshot, when the
-    /// oracle supports it. The default is `None`: a custom oracle (a human
-    /// behind a UI, say) has no replayable state, and `Engine::snapshot`
-    /// reports `SnapshotUnsupported` for such sessions instead of silently
-    /// writing one that cannot resume faithfully.
-    fn save_state(&self) -> Option<UserState> {
-        None
+    /// The simulated user's mutable state, for a session snapshot.
+    pub fn save_state(&self) -> UserState {
+        self.user().state()
     }
 
-    /// Restores state captured by [`Oracle::save_state`]. Returns `false`
-    /// (the default) when the oracle cannot replay it, which makes resuming
-    /// fail loudly rather than continue with a desynchronised oracle.
-    fn load_state(&mut self, state: &UserState) -> bool {
-        let _ = state;
-        false
+    /// Restores state captured by [`SessionOracle::save_state`]. The user's
+    /// configuration (threshold, noise rate) stays as built from the spec;
+    /// only the mutable parts are replayed.
+    pub fn load_state(&mut self, state: &UserState) {
+        let user = match &mut self.0 {
+            Source::Simulated(user) => user,
+            Source::Routed(router) => &mut router.expensive,
+        };
+        *user = SimulatedUser::from_state(user.config(), state);
     }
 
-    /// The oracle's RNG stream position alone — what a per-step event
-    /// records (the rest of the oracle's state is reconstructed from the
-    /// logged LFs at replay time). The default derives it from
-    /// [`Oracle::save_state`]; oracles with a cheaper accessor should
-    /// override it, since this runs once per journalled step.
-    fn rng_words(&self) -> Option<[u64; 4]> {
-        self.save_state().map(|s| s.rng)
+    /// The simulated user's RNG stream position alone: what a per-step
+    /// event records (the rest of the state is reconstructed from the
+    /// logged LFs at replay time).
+    pub fn rng_words(&self) -> [u64; 4] {
+        self.user().rng_state()
     }
 
-    /// Routing state beyond [`Oracle::save_state`] — `None` (the default)
-    /// for single-source oracles, the cheap side + stats for a router.
-    fn save_routed(&self) -> Option<RoutedState> {
-        None
+    /// A router's cheap side and totals; `None` for a plain simulated user.
+    pub fn save_routed(&self) -> Option<RoutedState> {
+        self.router().map(OracleRouter::state)
     }
 
-    /// Restores state captured by [`Oracle::save_routed`]. `false` (the
-    /// default) means this oracle has no routed side to restore.
-    fn load_routed(&mut self, state: &RoutedState) -> bool {
-        let _ = state;
-        false
+    /// Restores state captured by [`SessionOracle::save_routed`]. Returns
+    /// `false`, restoring nothing, when `state` is present for a plain user
+    /// or absent for a router: it then belongs to a session of another
+    /// oracle kind.
+    pub fn load_routed(&mut self, state: Option<&RoutedState>) -> bool {
+        match (&mut self.0, state) {
+            (Source::Simulated(_), None) => true,
+            (Source::Routed(router), Some(state)) => {
+                router.restore(state);
+                true
+            }
+            _ => false,
+        }
     }
 
-    /// The cheap side's RNG words, when there is one.
-    fn cheap_rng_words(&self) -> Option<[u64; 4]> {
-        None
+    /// The cheap side's RNG words, for a router.
+    pub fn cheap_rng_words(&self) -> Option<[u64; 4]> {
+        self.router().map(|router| router.cheap.rng_state())
     }
 
-    /// Accumulated routing totals, when this oracle routes.
-    fn route_stats(&self) -> Option<RouteStats> {
-        None
-    }
-}
-
-impl Oracle for SimulatedUser {
-    fn respond(
-        &mut self,
-        space: &CandidateSpace,
-        train: &Dataset,
-        query_dataset: &Dataset,
-        idx: usize,
-    ) -> Option<LabelFunction> {
-        SimulatedUser::respond(self, space, train, query_dataset, idx)
-    }
-
-    fn save_state(&self) -> Option<UserState> {
-        Some(SimulatedUser::state(self))
-    }
-
-    fn load_state(&mut self, state: &UserState) -> bool {
-        // The config (thresholds, noise rate) stays whatever this user was
-        // constructed with — the snapshot's `SessionConfig` rebuilds it —
-        // so only the mutable parts are replayed here.
-        *self = SimulatedUser::from_state(self.config(), state);
-        true
-    }
-
-    fn rng_words(&self) -> Option<[u64; 4]> {
-        Some(SimulatedUser::rng_state(self))
+    /// Accumulated routing totals, for a router.
+    pub fn route_stats(&self) -> Option<RouteStats> {
+        self.router().map(OracleRouter::stats)
     }
 }
 
@@ -253,27 +269,56 @@ mod tests {
         }
     }
 
+    fn noisy(policy: RoutePolicy) -> OracleKind {
+        OracleKind::Noisy {
+            confusion: ConfusionSpec::Uniform { accuracy: 1.0 },
+            latency: LatencyModel::default(),
+            policy,
+        }
+    }
+
     #[test]
     fn simulated_user_implements_oracle() {
         let d = tiny_text();
         let space = CandidateSpace::build(&d);
-        let mut user: Box<dyn Oracle> = Box::new(SimulatedUser::with_defaults(0));
+        let mut user =
+            SessionOracle::new(OracleKind::Simulated, SimulatedUser::with_defaults(0), 1);
         // Token 0 has accuracy 0.5 on each label -> below threshold -> None.
-        assert!(user.respond(&space, &d, &d, 0).is_none());
+        assert!(user.respond(&space, &d, &d, 0, None).0.is_none());
         // A plain user has no routed side.
         assert!(user.save_routed().is_none());
         assert!(user.cheap_rng_words().is_none());
         assert!(user.route_stats().is_none());
+        assert_eq!(user.rng_words(), user.save_state().rng);
     }
 
     #[test]
     fn default_routed_respond_reports_no_route() {
         let d = tiny_text();
         let space = CandidateSpace::build(&d);
-        let mut user = SimulatedUser::with_defaults(0);
-        let (lf, route) = user.respond_routed(&space, &d, &d, 0, Some(0.4));
+        let mut user =
+            SessionOracle::new(OracleKind::Simulated, SimulatedUser::with_defaults(0), 1);
+        let (lf, route) = user.respond(&space, &d, &d, 0, Some(0.4));
         assert!(lf.is_none());
         assert!(route.is_none());
+    }
+
+    #[test]
+    fn routed_state_must_match_the_oracle_kind() {
+        let mut plain =
+            SessionOracle::new(OracleKind::Simulated, SimulatedUser::with_defaults(7), 8);
+        let mut routed = SessionOracle::new(
+            noisy(RoutePolicy::AlwaysCheap),
+            SimulatedUser::with_defaults(7),
+            8,
+        );
+        let state = routed.save_routed().unwrap();
+        assert!(!plain.load_routed(Some(&state)));
+        assert!(!routed.load_routed(None));
+        assert!(plain.load_routed(None));
+        assert!(routed.load_routed(Some(&state)));
+        // The expensive side is seeded exactly as the plain user is.
+        assert_eq!(routed.rng_words(), plain.rng_words());
     }
 
     #[test]

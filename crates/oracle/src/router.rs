@@ -1,8 +1,8 @@
 //! Budget-aware routing between the expensive user and the cheap oracle.
 
-use crate::{LatencyModel, NoisyOracle, Oracle, RouteChoice, RoutePolicy, RouteStats, RoutedState};
+use crate::{LatencyModel, NoisyOracle, RouteChoice, RoutePolicy, RouteStats, RoutedState};
 use adp_data::Dataset;
-use adp_lf::{CandidateSpace, LabelFunction, SimulatedUser, UserState};
+use adp_lf::{CandidateSpace, LabelFunction, SimulatedUser};
 
 /// Routes each query to the expensive simulated user or the cheap
 /// [`NoisyOracle`] under a [`RoutePolicy`], billing every consult against a
@@ -17,8 +17,8 @@ use adp_lf::{CandidateSpace, LabelFunction, SimulatedUser, UserState};
 /// source ever re-proposes a rule the session already holds.
 #[derive(Debug)]
 pub struct OracleRouter {
-    expensive: SimulatedUser,
-    cheap: NoisyOracle,
+    pub(crate) expensive: SimulatedUser,
+    pub(crate) cheap: NoisyOracle,
     policy: RoutePolicy,
     latency: LatencyModel,
     stats: RouteStats,
@@ -44,6 +44,53 @@ impl OracleRouter {
     /// Accumulated routing totals so far.
     pub fn stats(&self) -> RouteStats {
         self.stats
+    }
+
+    /// The cheap side's state and the routing totals, for a snapshot (the
+    /// expensive user's state is captured on its own).
+    pub fn state(&self) -> RoutedState {
+        RoutedState {
+            cheap: self.cheap.state(),
+            stats: self.stats,
+        }
+    }
+
+    /// Restores state captured by [`OracleRouter::state`]. Immutable
+    /// parameters (confusion shape, threshold, policy) come from the spec
+    /// that rebuilt this router; only the mutable parts replay.
+    pub fn restore(&mut self, state: &RoutedState) {
+        self.cheap.restore(&state.cheap);
+        self.stats = state.stats;
+    }
+
+    /// Routes one query under the policy: `uncertainty` is the model's
+    /// uncertainty hint for the query instance (`None` before any model is
+    /// fit, which an `UncertaintyThreshold` policy treats as maximally
+    /// uncertain), and the second return names which source answered.
+    pub fn respond(
+        &mut self,
+        space: &CandidateSpace,
+        train: &Dataset,
+        query_dataset: &Dataset,
+        idx: usize,
+        uncertainty: Option<f64>,
+    ) -> (Option<LabelFunction>, RouteChoice) {
+        let go_expensive = match self.policy {
+            RoutePolicy::AlwaysCheap | RoutePolicy::CheapThenEscalate => false,
+            // No model yet means no confidence to lean on: spend the human.
+            RoutePolicy::UncertaintyThreshold { tau } => uncertainty.map_or(true, |u| u >= tau),
+        };
+        if go_expensive {
+            let lf = self.consult_expensive(space, train, query_dataset, idx);
+            return (lf, RouteChoice::Expensive);
+        }
+        let lf = self.consult_cheap(space, train, query_dataset, idx);
+        if lf.is_none() && self.policy == RoutePolicy::CheapThenEscalate {
+            self.stats.escalations += 1;
+            let lf = self.consult_expensive(space, train, query_dataset, idx);
+            return (lf, RouteChoice::Escalated);
+        }
+        (lf, RouteChoice::Cheap)
     }
 
     fn consult_cheap(
@@ -76,85 +123,6 @@ impl OracleRouter {
             self.cheap.note_returned(lf.key());
         }
         lf
-    }
-}
-
-impl Oracle for OracleRouter {
-    /// Unhinted respond: routes as [`Oracle::respond_routed`] with no
-    /// uncertainty signal (an `UncertaintyThreshold` policy treats that as
-    /// maximally uncertain and consults the expensive user).
-    fn respond(
-        &mut self,
-        space: &CandidateSpace,
-        train: &Dataset,
-        query_dataset: &Dataset,
-        idx: usize,
-    ) -> Option<LabelFunction> {
-        self.respond_routed(space, train, query_dataset, idx, None)
-            .0
-    }
-
-    fn respond_routed(
-        &mut self,
-        space: &CandidateSpace,
-        train: &Dataset,
-        query_dataset: &Dataset,
-        idx: usize,
-        uncertainty: Option<f64>,
-    ) -> (Option<LabelFunction>, Option<RouteChoice>) {
-        let go_expensive = match self.policy {
-            RoutePolicy::AlwaysCheap | RoutePolicy::CheapThenEscalate => false,
-            // No model yet means no confidence to lean on: spend the human.
-            RoutePolicy::UncertaintyThreshold { tau } => uncertainty.map_or(true, |u| u >= tau),
-        };
-        if go_expensive {
-            let lf = self.consult_expensive(space, train, query_dataset, idx);
-            return (lf, Some(RouteChoice::Expensive));
-        }
-        let lf = self.consult_cheap(space, train, query_dataset, idx);
-        if lf.is_none() && self.policy == RoutePolicy::CheapThenEscalate {
-            self.stats.escalations += 1;
-            let lf = self.consult_expensive(space, train, query_dataset, idx);
-            return (lf, Some(RouteChoice::Escalated));
-        }
-        (lf, Some(RouteChoice::Cheap))
-    }
-
-    fn save_state(&self) -> Option<UserState> {
-        Some(self.expensive.state())
-    }
-
-    fn load_state(&mut self, state: &UserState) -> bool {
-        let config = self.expensive.config();
-        self.expensive = SimulatedUser::from_state(config, state);
-        true
-    }
-
-    fn rng_words(&self) -> Option<[u64; 4]> {
-        Some(self.expensive.rng_state())
-    }
-
-    fn save_routed(&self) -> Option<RoutedState> {
-        Some(RoutedState {
-            cheap: self.cheap.state(),
-            stats: self.stats,
-        })
-    }
-
-    fn load_routed(&mut self, state: &RoutedState) -> bool {
-        // Immutable parameters (confusion shape, threshold) come from the
-        // spec that rebuilt this router; only the mutable parts replay.
-        self.cheap.restore(&state.cheap);
-        self.stats = state.stats;
-        true
-    }
-
-    fn cheap_rng_words(&self) -> Option<[u64; 4]> {
-        Some(self.cheap.rng_state())
-    }
-
-    fn route_stats(&self) -> Option<RouteStats> {
-        Some(self.stats)
     }
 }
 
@@ -192,8 +160,8 @@ mod tests {
         let space = CandidateSpace::build(&d);
         let mut r = router(RoutePolicy::AlwaysCheap);
         for i in 0..4 {
-            let (_, choice) = r.respond_routed(&space, &d, &d, i, Some(0.5));
-            assert_eq!(choice, Some(RouteChoice::Cheap));
+            let (_, choice) = r.respond(&space, &d, &d, i, Some(0.5));
+            assert_eq!(choice, RouteChoice::Cheap);
         }
         let stats = r.stats();
         assert_eq!(stats.cheap_queries, 4);
@@ -209,13 +177,13 @@ mod tests {
         let space = CandidateSpace::build(&d);
         let mut r = router(RoutePolicy::UncertaintyThreshold { tau: 0.3 });
         // No hint -> maximally uncertain -> expensive.
-        let (_, c0) = r.respond_routed(&space, &d, &d, 0, None);
-        assert_eq!(c0, Some(RouteChoice::Expensive));
+        let (_, c0) = r.respond(&space, &d, &d, 0, None);
+        assert_eq!(c0, RouteChoice::Expensive);
         // Confident -> cheap; uncertain -> expensive.
-        let (_, c1) = r.respond_routed(&space, &d, &d, 1, Some(0.1));
-        assert_eq!(c1, Some(RouteChoice::Cheap));
-        let (_, c2) = r.respond_routed(&space, &d, &d, 2, Some(0.45));
-        assert_eq!(c2, Some(RouteChoice::Expensive));
+        let (_, c1) = r.respond(&space, &d, &d, 1, Some(0.1));
+        assert_eq!(c1, RouteChoice::Cheap);
+        let (_, c2) = r.respond(&space, &d, &d, 2, Some(0.45));
+        assert_eq!(c2, RouteChoice::Expensive);
         let stats = r.stats();
         assert_eq!((stats.cheap_queries, stats.expensive_queries), (1, 2));
         assert_eq!(stats.total_cost(), 1.0 + 20.0);
@@ -231,8 +199,8 @@ mod tests {
         // has nothing fresh: both were noted across).
         let mut escalated = None;
         for _ in 0..3 {
-            let (lf, choice) = r.respond_routed(&space, &d, &d, 0, None);
-            if choice == Some(RouteChoice::Escalated) {
+            let (lf, choice) = r.respond(&space, &d, &d, 0, None);
+            if choice == RouteChoice::Escalated {
                 escalated = Some(lf);
                 break;
             }
@@ -259,7 +227,7 @@ mod tests {
         for round in 0..6 {
             let hint = if round % 2 == 0 { Some(0.1) } else { Some(0.5) };
             for i in 0..4 {
-                if let (Some(lf), _) = r.respond_routed(&space, &d, &d, i, hint) {
+                if let (Some(lf), _) = r.respond(&space, &d, &d, i, hint) {
                     assert!(keys.insert(lf.key()), "duplicate LF across sources");
                 }
             }
@@ -273,20 +241,20 @@ mod tests {
         let space = CandidateSpace::build(&d);
         let mut r = router(RoutePolicy::CheapThenEscalate);
         for i in 0..3 {
-            let _ = r.respond_routed(&space, &d, &d, i, None);
+            let _ = r.respond(&space, &d, &d, i, None);
         }
-        let user = r.save_state().unwrap();
-        let routed = r.save_routed().unwrap();
+        let user = r.expensive.state();
+        let routed = r.state();
         let tail: Vec<_> = (0..4)
-            .map(|i| r.respond_routed(&space, &d, &d, i, None))
+            .map(|i| r.respond(&space, &d, &d, i, None))
             .map(|(lf, c)| (lf.map(|lf| lf.key()), c))
             .collect();
         let mut resumed = router(RoutePolicy::CheapThenEscalate);
-        assert!(resumed.load_state(&user));
-        assert!(resumed.load_routed(&routed));
-        assert_eq!(resumed.route_stats(), Some(routed.stats));
+        resumed.expensive = SimulatedUser::from_state(resumed.expensive.config(), &user);
+        resumed.restore(&routed);
+        assert_eq!(resumed.stats(), routed.stats);
         let resumed_tail: Vec<_> = (0..4)
-            .map(|i| resumed.respond_routed(&space, &d, &d, i, None))
+            .map(|i| resumed.respond(&space, &d, &d, i, None))
             .map(|(lf, c)| (lf.map(|lf| lf.key()), c))
             .collect();
         assert_eq!(tail, resumed_tail);
@@ -301,11 +269,11 @@ mod tests {
         let mut a = router(RoutePolicy::AlwaysCheap);
         let mut b = router(RoutePolicy::UncertaintyThreshold { tau: 0.9 });
         for i in 0..4 {
-            let (la, _) = a.respond_routed(&space, &d, &d, i, Some(0.0));
-            let (lb, _) = b.respond_routed(&space, &d, &d, i, Some(0.0));
+            let (la, _) = a.respond(&space, &d, &d, i, Some(0.0));
+            let (lb, _) = b.respond(&space, &d, &d, i, Some(0.0));
             assert_eq!(la.map(|l| l.key()), lb.map(|l| l.key()));
         }
-        assert_eq!(a.cheap_rng_words(), b.cheap_rng_words());
-        assert_eq!(a.rng_words(), b.rng_words());
+        assert_eq!(a.cheap.rng_state(), b.cheap.rng_state());
+        assert_eq!(a.expensive.rng_state(), b.expensive.rng_state());
     }
 }

@@ -12,12 +12,15 @@
 //!          [--mix OPEN:STEP:EVICT] [--seed 42] [--spill-dir DIR]
 //! ```
 //!
-//! `--mix` weights the three operations (default `1:6:1`). `--max-resident 0`
-//! removes the budget. Exits non-zero when any operation fails — saturation
-//! backpressure (`ServeError::Saturated`) is expected under a tight budget
-//! and is tallied separately, not as an error.
+//! An open creates a session from a [`ScenarioSpec`] through
+//! [`SessionHub::create_from_spec`], the path the `create_spec` protocol
+//! request takes. `--mix` weights the three operations (default `1:6:1`).
+//! `--max-resident 0` removes the budget. Exits non-zero when any
+//! operation fails — saturation backpressure (`ServeError::Saturated`) is
+//! expected under a tight budget and is tallied separately, not as an
+//! error.
 
-use activedp::SessionConfig;
+use activedp::{ScenarioSpec, SessionConfig};
 use adp_data::{DatasetId, DatasetSpec, Scale};
 use adp_serve::metrics::Op;
 use adp_serve::{ServeError, SessionHub, SessionId};
@@ -118,10 +121,10 @@ fn spec_of(seed: u64) -> DatasetSpec {
 fn open_session(hub: &SessionHub, n: u64, seed: u64) -> Result<SessionId, ServeError> {
     // A handful of distinct data seeds exercises the dataset cache without
     // regenerating a dataset per session.
-    hub.open_spec(
-        spec_of(seed ^ (n % 3)),
-        SessionConfig::paper_defaults(true, seed.wrapping_add(n)),
-    )
+    hub.create_from_spec(ScenarioSpec {
+        session: SessionConfig::paper_defaults(true, seed.wrapping_add(n)),
+        ..ScenarioSpec::new(spec_of(seed ^ (n % 3)))
+    })
 }
 
 fn main() -> ExitCode {

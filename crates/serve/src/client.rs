@@ -207,33 +207,9 @@ impl Client {
         })
     }
 
-    /// Creates a session over a generated dataset and returns its id.
-    /// `parallel: None` keeps the server's default execution policy.
-    pub fn create(
-        &mut self,
-        dataset: &str,
-        scale: &str,
-        data_seed: u64,
-        seed: u64,
-        parallel: Option<bool>,
-    ) -> Result<u64, ClientError> {
-        let mut fields = vec![
-            ("cmd", Json::Str("create".into())),
-            ("dataset", Json::Str(dataset.into())),
-            ("scale", Json::Str(scale.into())),
-            ("data_seed", Json::int(data_seed)),
-            ("seed", Json::int(seed)),
-        ];
-        if let Some(parallel) = parallel {
-            fields.push(("parallel", Json::Bool(parallel)));
-        }
-        let reply = self.call(Json::obj(fields))?;
-        Self::expect_u64(&reply, "session")
-    }
-
-    /// Creates the session a [`ScenarioSpec`] describes — the declarative
-    /// sibling of [`Client::create`] (the `create_spec` request; the spec
-    /// is shipped as its JSON form, see [`crate::spec_json`]).
+    /// Creates the session a [`ScenarioSpec`] describes and returns its id
+    /// (the `create_spec` request; the spec is shipped as its JSON form,
+    /// see [`crate::spec_json`]).
     ///
     /// [`ScenarioSpec`]: activedp::ScenarioSpec
     pub fn create_spec(&mut self, spec: &activedp::ScenarioSpec) -> Result<u64, ClientError> {

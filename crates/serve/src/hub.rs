@@ -87,11 +87,6 @@ pub enum ServeError {
     /// A persistence call on a hub with no spill directory (neither
     /// [`SessionHub::with_spill_dir`] nor `ADP_SPILL_DIR`).
     NoSpillDir,
-    /// The session cannot be described as a [`ScenarioSpec`] — its dataset
-    /// carries no regenerable provenance (a hand-built split), or its
-    /// oracle exposes no snapshot state — so there is nothing to spill
-    /// that could be restored at load time.
-    NotPersistable(SessionId),
     /// A filesystem operation on the spill directory failed.
     Io {
         /// The path being read or written.
@@ -127,9 +122,9 @@ pub enum ServeError {
         path: PathBuf,
     },
     /// The hub is at its memory budget and no resident session can be
-    /// evicted to make room (no spill directory, or every resident session
-    /// is unevictable) — backpressure, not failure: retry after closing or
-    /// evicting something.
+    /// evicted to make room (an in-memory hub, which has no spill
+    /// directory) — backpressure, not failure: retry after closing
+    /// something.
     Saturated {
         /// Resident sessions at rejection time.
         resident: usize,
@@ -153,12 +148,6 @@ impl fmt::Display for ServeError {
                 write!(
                     f,
                     "no spill directory (set ADP_SPILL_DIR or use with_spill_dir)"
-                )
-            }
-            ServeError::NotPersistable(id) => {
-                write!(
-                    f,
-                    "{id} has no scenario to persist (hand-built dataset or stateless oracle)"
                 )
             }
             ServeError::Io { path, source } => write!(f, "io on {}: {source}", path.display()),
@@ -215,9 +204,9 @@ pub struct SessionStatus {
     /// LFs currently selected by LabelPick.
     pub n_selected: usize,
     /// Write-ahead-log durability, for journalled sessions: last
-    /// checkpointed iteration, last durable iteration, live segment count.
-    /// `None` when the session is not journalled (no spill directory,
-    /// unsnapshotable engine, or a degraded journal).
+    /// checkpointed iteration, last durable iteration. `None` when the
+    /// session is not journalled (no spill directory, or a degraded
+    /// journal).
     pub durability: Option<DurabilityStatus>,
     /// The dual-oracle cost ledger — per-oracle query counts and accrued
     /// spend — for sessions routing between a simulated user and a noisy
@@ -273,9 +262,6 @@ struct SessionSlot {
     /// Monotone touch sequence number; the LRU victim is the resident
     /// session with the smallest value.
     last_touch: u64,
-    /// Cleared when an eviction attempt finds the session cannot spill
-    /// (no snapshot support), so the LRU scan stops proposing it.
-    evictable: bool,
 }
 
 /// The engines resident on one shard, by raw session id.
@@ -419,16 +405,15 @@ impl SessionHub {
 
     /// Registers a ready-built engine and returns its session id.
     ///
-    /// Persistence follows the engine: sessions whose engine can describe
-    /// itself as a [`ScenarioSpec`] (see `Engine::scenario`) spill and
-    /// reload normally; engines over hand-built, provenance-less datasets
-    /// serve fine but are skipped by [`SessionHub::save_all`].
-    ///
-    /// When the hub has a spill directory, every snapshotable session is
-    /// additionally **journalled by default**: its per-step events stream
-    /// into a write-ahead log under `wal-<id>/`, making the session
-    /// recoverable to its last committed iteration after a crash — and to
-    /// any earlier commit point via [`SessionHub::recover`].
+    /// Every engine is described by its [`ScenarioSpec`] (see
+    /// `Engine::scenario`), so every session can spill and reload. When
+    /// the hub has a spill directory, every session is **journalled**: its
+    /// journal under `wal-<id>/` starts at the engine's snapshot, and its
+    /// per-step events stream into the journal's write-ahead log, making
+    /// the session recoverable to its last committed iteration after a
+    /// crash — and to any earlier commit point via
+    /// [`SessionHub::recover`]. The journal is created under the session's
+    /// shard lock, before any other call can reach the new id.
     ///
     /// Under a memory budget, a create that cannot be absorbed — the hub
     /// is at the cap and nothing resident can be evicted — is rejected
@@ -437,30 +422,29 @@ impl SessionHub {
         self.timed(Op::Open, || self.create_inner(engine))
     }
 
-    fn create_inner(&self, engine: Engine) -> Result<SessionId, ServeError> {
+    fn create_inner(&self, mut engine: Engine) -> Result<SessionId, ServeError> {
         self.admit()?;
-        // Decide journalability before the engine is moved: exactly the
-        // sessions that can snapshot can journal (the snapshot doubles as
-        // the journal's checkpoint description).
-        let journal_base = match self.spill_dir() {
+        // The snapshot is the journal's base. The observer is armed before
+        // the id — and therefore the journal directory — is known; the
+        // engine cannot step before `create` returns the id to anyone, so
+        // no event outruns the journal.
+        let journal = match self.spill_dir() {
             None => None,
-            Some(_) => match engine.snapshot() {
-                Ok(snapshot) => Some(snapshot),
-                Err(ActiveDpError::SnapshotUnsupported { .. }) => None,
-                Err(e) => return Err(ServeError::Engine(e)),
-            },
+            Some(_) => {
+                let slot = new_journal_slot();
+                engine.add_observer(JournalObserver::new(slot.clone()));
+                Some((engine.snapshot()?, slot))
+            }
         };
-        let mut engine = engine;
-        let slot = journal_base.as_ref().map(|_| new_journal_slot());
-        if let Some(slot) = &slot {
-            // Armed only after the id — and therefore the journal
-            // directory — is known; the engine cannot step before `create`
-            // returns the id to anyone, so no event outruns the journal.
-            engine.add_observer(JournalObserver::new(slot.clone()));
-        }
         let id = loop {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            match self.try_insert(id, engine)? {
+            // A failure to establish the journal fails the create rather
+            // than serve a session that silently is not durable.
+            let register = |id| match &journal {
+                Some((base, slot)) => self.init_journal(id, base, slot),
+                None => Ok(()),
+            };
+            match self.try_insert(id, engine, register)? {
                 Ok(()) => break SessionId(id),
                 // A concurrent `load_all` restored this very id before its
                 // allocator bump landed; that id belongs to the restored
@@ -468,24 +452,15 @@ impl SessionHub {
                 Err(returned) => engine = returned,
             }
         };
-        if let (Some(snapshot), Some(slot)) = (journal_base, slot) {
-            if let Err(e) = self.init_journal(id, snapshot, &slot) {
-                // The caller asked for a durable hub and the journal could
-                // not be established — fail the create rather than serve a
-                // session that silently is not durable.
-                let _ = self.close(id);
-                return Err(e);
-            }
-        }
         self.enforce_budget();
         Ok(id)
     }
 
     /// Admission control: under a budget, a create is rejected when the
     /// hub is at the cap and eviction cannot make room (no spill
-    /// directory, or every resident session is unevictable). When an
-    /// eviction *can* absorb the new session, the create is admitted and
-    /// `enforce_budget` spills the LRU victim right after the insert.
+    /// directory). When an eviction *can* absorb the new session, the
+    /// create is admitted and `enforce_budget` spills the LRU victim right
+    /// after the insert.
     fn admit(&self) -> Result<(), ServeError> {
         let Some(cap) = self.memory_budget() else {
             return Ok(());
@@ -494,7 +469,7 @@ impl SessionHub {
         if resident < cap {
             return Ok(());
         }
-        if self.spill_dir().is_some() && self.lru_victim(&HashSet::new()).is_some() {
+        if self.lru_victim(&HashSet::new()).is_some() {
             return Ok(());
         }
         self.metrics.saturated_total.inc();
@@ -502,9 +477,9 @@ impl SessionHub {
     }
 
     /// Evicts least-recently-touched sessions until the resident count is
-    /// back inside the budget. Victims that turn out unevictable are
-    /// marked and skipped, so the loop always terminates. Called with no
-    /// shard lock held: a victim may live on any shard.
+    /// back inside the budget. A victim whose spill fails is skipped for
+    /// the rest of the sweep, so the loop always terminates. Called with
+    /// no shard lock held: a victim may live on any shard.
     fn enforce_budget(&self) {
         let Some(cap) = self.memory_budget() else {
             return;
@@ -516,8 +491,8 @@ impl SessionHub {
             };
             match self.evict(SessionId(victim)) {
                 Ok(true) => {}
-                // Unevictable, already cold, or the spill failed — do not
-                // retry it this sweep.
+                // Already cold, closed, or the spill failed — do not retry
+                // it this sweep.
                 Ok(false) | Err(_) => {
                     skip.insert(victim);
                 }
@@ -528,8 +503,7 @@ impl SessionHub {
     /// Spills the identified session cold: snapshot → journal checkpoint →
     /// engine dropped. Returns `Ok(true)` when the session
     /// went cold, `Ok(false)` when it already was — or cannot be evicted
-    /// (no spill directory, or its engine cannot snapshot; such sessions
-    /// are marked and the LRU policy leaves them alone). The session stays
+    /// because the hub has no spill directory. The session stays
     /// fully serviceable either way: its next touch resumes it in place,
     /// on the exact trajectory it would have had uninterrupted.
     pub fn evict(&self, id: SessionId) -> Result<bool, ServeError> {
@@ -623,29 +597,50 @@ impl SessionHub {
         self.ids_where(|slot| !slot.resident)
     }
 
-    /// Registers `engine` under a *specific* id (the `load_all` path, which
-    /// preserves ids across restarts so client handles stay valid). Bumps
-    /// the id allocator past `id` and rejects collisions with live
-    /// sessions.
-    pub(crate) fn insert_preserving_id(&self, id: u64, engine: Engine) -> Result<(), ServeError> {
+    /// Registers `engine` and its open `journal` under a *specific* id (the
+    /// `load_all` path, which preserves ids across restarts so client
+    /// handles stay valid). Bumps the id allocator past `id` and rejects
+    /// collisions with live sessions.
+    pub(crate) fn insert_preserving_id(
+        &self,
+        id: u64,
+        engine: Engine,
+        journal: SharedJournal,
+    ) -> Result<(), ServeError> {
         // `id` comes from a journal, i.e. from disk: saturate instead of
         // computing `id + 1` so a tampered file carrying u64::MAX cannot
         // panic (dev) or wrap the allocator to 0 (release). The persist
         // layer additionally rejects that id as corrupt before calling in.
         self.next_id
             .fetch_max(id.saturating_add(1), Ordering::Relaxed);
-        match self.try_insert(id, engine)? {
+        let register = |_| {
+            lock_clean(&self.journals).insert(id, journal);
+            Ok(())
+        };
+        match self.try_insert(id, engine, register)? {
             Ok(()) => Ok(()),
             Err(_) => Err(ServeError::SessionExists(SessionId(id))),
         }
     }
 
     /// Inserts `engine` into `id`'s shard; the inner `Err` returns the
-    /// engine when the id is already occupied.
-    fn try_insert(&self, id: u64, engine: Engine) -> Result<Result<(), Engine>, ServeError> {
+    /// engine when the id is already occupied. `register` runs under the
+    /// same shard lock once the id is claimed — it attaches the session's
+    /// journal, so no save or eviction ever finds the session without
+    /// one — and its failure releases the id again.
+    fn try_insert(
+        &self,
+        id: u64,
+        engine: Engine,
+        register: impl FnOnce(SessionId) -> Result<(), ServeError>,
+    ) -> Result<Result<(), Engine>, ServeError> {
         self.with_shard(id, |engines| {
             if !self.note_inserted(id) {
                 return Ok(Err(engine));
+            }
+            if let Err(e) = register(SessionId(id)) {
+                self.note_closed(id);
+                return Err(e);
             }
             engines.insert(id, engine);
             Ok(Ok(()))
@@ -850,7 +845,9 @@ impl SessionHub {
         id: u64,
         f: impl FnOnce(&mut adp_wal::Journal) -> Result<T, ServeError>,
     ) -> Result<(T, SharedJournal), ServeError> {
-        let missing = || ServeError::NotPersistable(SessionId(id));
+        // Every session of a spilling hub is journalled from its insert on,
+        // so a missing journal means the session is gone.
+        let missing = || ServeError::UnknownSession(SessionId(id));
         let slot = self.journal_slot(id).ok_or_else(missing)?;
         let out = f(lock_clean(&slot).as_mut().ok_or_else(missing)?)?;
         Ok((out, slot))
@@ -883,24 +880,9 @@ impl SessionHub {
             };
         };
         if self.spill_dir.is_none() {
-            self.mark_unevictable(id);
             return Ok(false);
         }
-        let snapshot = match engine.snapshot() {
-            Ok(snapshot) => snapshot,
-            Err(ActiveDpError::SnapshotUnsupported { .. }) => {
-                self.mark_unevictable(id);
-                return Ok(false);
-            }
-            Err(e) => return Err(ServeError::Engine(e)),
-        };
-        match self.checkpoint(id, &snapshot) {
-            Ok(_) => {}
-            // Mid-`create`: the journal is registered right after the
-            // insert, and the session is evictable from then on.
-            Err(ServeError::NotPersistable(_)) => return Ok(false),
-            Err(e) => return Err(e),
-        }
+        self.checkpoint(id, &engine.snapshot()?)?;
         engines.remove(&id);
         self.note_evicted(id);
         Ok(true)
@@ -962,7 +944,6 @@ impl SessionHub {
             SessionSlot {
                 resident: true,
                 last_touch: self.next_touch(),
-                evictable: true,
             },
         );
         self.metrics.resident.inc();
@@ -1002,12 +983,6 @@ impl SessionHub {
         self.metrics.resumed_total.inc();
     }
 
-    fn mark_unevictable(&self, id: u64) {
-        if let Some(slot) = lock_clean(&self.slots).get_mut(&id) {
-            slot.evictable = false;
-        }
-    }
-
     /// Removes the session's slot; `false` when there was none.
     fn note_closed(&self, id: u64) -> bool {
         let Some(removed) = lock_clean(&self.slots).remove(&id) else {
@@ -1038,12 +1013,13 @@ impl SessionHub {
         ids
     }
 
-    /// The least-recently-touched resident, evictable session outside
-    /// `skip`, if any.
+    /// The least-recently-touched resident session outside `skip`, if
+    /// any; never one of an in-memory hub, which has nowhere to spill.
     fn lru_victim(&self, skip: &HashSet<u64>) -> Option<u64> {
+        self.spill_dir.as_ref()?;
         lock_clean(&self.slots)
             .iter()
-            .filter(|(id, s)| s.resident && s.evictable && !skip.contains(id))
+            .filter(|(id, s)| s.resident && !skip.contains(id))
             .min_by_key(|(_, s)| s.last_touch)
             .map(|(&id, _)| id)
     }
@@ -1487,35 +1463,6 @@ mod tests {
         // Closing the resident session makes room again.
         hub.close(id).unwrap();
         assert!(hub.create(engine(&tiny(), 3)).is_ok());
-    }
-
-    #[test]
-    fn unevictable_sessions_saturate_a_spilling_hub() {
-        // Provenance-stripped datasets cannot snapshot, so their sessions
-        // cannot spill: with every resident slot pinned by one, a budgeted
-        // hub must refuse further creates even though it has a spill dir.
-        let dir = unique_tempdir("pinned");
-        let hub = SessionHub::with_spill_dir(1, &dir).with_memory_budget(1);
-        let adhoc = || {
-            let mut data = spec_of(1).generate().unwrap();
-            data.provenance = None;
-            Engine::builder(data).seed(1).build().unwrap()
-        };
-        let pinned = hub.create(adhoc()).unwrap();
-        // The second create is admitted optimistically (the slot still
-        // looks evictable), the budget sweep discovers both are pinned…
-        let second = hub.create(adhoc()).unwrap();
-        // …and from then on the hub reports saturation.
-        assert!(matches!(
-            hub.create(adhoc()),
-            Err(ServeError::Saturated { .. })
-        ));
-        assert!(hub.metrics().saturated_total.get() >= 1);
-        // Pinned sessions keep serving; explicit evict says "no" politely.
-        assert_eq!(hub.step(pinned).unwrap().iteration, 1);
-        assert!(matches!(hub.evict(pinned), Ok(false)));
-        assert!(matches!(hub.evict(second), Ok(false)));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Hub-side write-ahead logging and point-in-time recovery.
 //!
-//! When a [`SessionHub`] has a spill directory, every session whose engine
-//! can snapshot is **journalled by default**: an [`adp_wal::Journal`] under
+//! When a [`SessionHub`] has a spill directory, every session is
+//! **journalled**: an [`adp_wal::Journal`] under
 //! `<spill_dir>/wal-<id>/` receives the engine's per-step
 //! [`StepEvent`]s through a [`StepObserver`] hook, and holds the
 //! session's checkpoint snapshot (`checkpoint.adpsnap`, written by every
@@ -108,8 +108,7 @@ pub(crate) fn corrupt_journal(path: &Path, reason: impl Into<String>) -> ServeEr
 
 impl SessionHub {
     /// Durability of the identified session, `None` when it is not
-    /// journalled (no spill dir, unsnapshotable engine, or a failed
-    /// journal).
+    /// journalled (no spill dir, or a failed journal).
     pub(crate) fn durability(&self, id: u64) -> Option<DurabilityStatus> {
         let slot = self.journal_slot(id)?;
         let guard = lock_clean(&slot);
@@ -128,12 +127,12 @@ impl SessionHub {
     pub(crate) fn init_journal(
         &self,
         id: SessionId,
-        snapshot: SessionSnapshot,
+        snapshot: &SessionSnapshot,
         slot: &SharedJournal,
     ) -> Result<(), ServeError> {
         let dir = wal_dir(&self.require_spill_dir()?, id.raw());
         let journal = Journal::create(&dir, id.raw(), snapshot.spec.clone(), 0)
-            .and_then(|mut journal| journal.checkpoint(&snapshot).map(|()| journal))
+            .and_then(|mut journal| journal.checkpoint(snapshot).map(|()| journal))
             .map_err(|e| {
                 let _ = std::fs::remove_dir_all(&dir);
                 ServeError::Wal(e)
@@ -153,8 +152,7 @@ impl SessionHub {
     ) -> Result<SessionId, ServeError> {
         let slot = Arc::new(Mutex::new(Some(journal)));
         engine.add_observer(JournalObserver::new(slot.clone()));
-        self.insert_preserving_id(id, engine)?;
-        lock_clean(&self.journals).insert(id, slot);
+        self.insert_preserving_id(id, engine, slot)?;
         Ok(SessionId::from_raw(id))
     }
 
@@ -192,17 +190,12 @@ impl SessionHub {
             }
         }
         let wal_path = wal_dir(&self.require_spill_dir()?, id.raw());
-        if !wal_path.is_dir() {
-            // Nothing recoverable on disk. Distinguish "no such session"
-            // from "live but journal-free".
-            return Err(if self.status(id).is_ok() {
-                ServeError::NotPersistable(id)
-            } else {
-                ServeError::UnknownSession(id)
-            });
+        if !wal_path.is_dir() && self.residency(id.raw()).is_none() {
+            return Err(ServeError::UnknownSession(id));
         }
         // No live writer (session closed, never reloaded, or its journal
         // degraded): open — and thereby recover — the directory contents.
+        // A live session whose directory is gone fails here, typed.
         read(&mut open_journal(&wal_path, id.raw())?)
     }
 
@@ -216,11 +209,11 @@ impl SessionHub {
         snapshot: &SessionSnapshot,
     ) -> Result<PathBuf, ServeError> {
         let spill = self.spill_dir().ok_or(ServeError::NoSpillDir)?;
-        // Every snapshotable session of a spilling hub is journalled once
-        // `create` has registered it; until then there is nowhere to save.
+        // Every session of a spilling hub is journalled from its insert on,
+        // so a missing journal means the session was closed.
         let slot = self
             .journal_slot(id)
-            .ok_or(ServeError::NotPersistable(SessionId::from_raw(id)))?;
+            .ok_or(ServeError::UnknownSession(SessionId::from_raw(id)))?;
         let dir = wal_dir(spill, id);
         let mut guard = lock_clean(&slot);
         let Some(journal) = guard.as_mut() else {

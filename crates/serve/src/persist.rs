@@ -29,7 +29,6 @@
 
 use crate::hub::{ServeError, SessionHub, SessionId};
 use crate::journal::{corrupt_journal, open_journal, wal_dir};
-use activedp::ActiveDpError;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -43,9 +42,7 @@ impl SessionHub {
 
     /// Checkpoints one session's journal at its current state (the
     /// session keeps running) and returns the journal directory,
-    /// `wal-<id>/` under the spill directory. Sessions that cannot be
-    /// described as a `ScenarioSpec` — hand-built datasets, stateless
-    /// custom oracles — fail with [`ServeError::NotPersistable`].
+    /// `wal-<id>/` under the spill directory.
     pub fn save(&self, id: SessionId) -> Result<PathBuf, ServeError> {
         let dir = self.require_spill_dir()?;
         // A cold session's checkpoint IS its current state — eviction
@@ -56,30 +53,22 @@ impl SessionHub {
         if self.residency(id.raw()) == Some(false) {
             return Ok(wal_dir(&dir, id.raw()));
         }
-        let snapshot = match self.snapshot(id) {
-            Ok(snapshot) => snapshot,
-            Err(ServeError::Engine(ActiveDpError::SnapshotUnsupported { .. })) => {
-                return Err(ServeError::NotPersistable(id))
-            }
-            Err(e) => return Err(e),
-        };
+        let snapshot = self.snapshot(id)?;
         self.checkpoint(id.raw(), &snapshot)
     }
 
-    /// Saves every persistable session (see [`SessionHub::save`]) and
-    /// returns the ids saved, ascending. Sessions without a scenario
-    /// description are skipped — they could not be restored at load time —
-    /// so a mixed hub still saves everything it can.
+    /// Saves every session (see [`SessionHub::save`]) and returns the ids
+    /// saved, ascending.
     pub fn save_all(&self) -> Result<Vec<SessionId>, ServeError> {
         self.require_spill_dir()?;
         let mut saved = Vec::new();
         for id in self.session_ids() {
             match self.save(id) {
                 Ok(_) => saved.push(id),
-                // Skipped, not fatal: no dataset provenance, or the session
-                // was closed by another client between the id listing and
-                // this save — the rest of the sweep must still land.
-                Err(ServeError::NotPersistable(_)) | Err(ServeError::UnknownSession(_)) => {}
+                // Skipped, not fatal: the session was closed by another
+                // client between the id listing and this save — the rest of
+                // the sweep must still land.
+                Err(ServeError::UnknownSession(_)) => {}
                 Err(e) => return Err(e),
             }
         }
@@ -238,38 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn unpersistable_sessions_are_skipped_not_fatal() {
-        let dir = unique_tempdir("mixed");
-        let hub = SessionHub::with_spill_dir(1, &dir);
-        let durable = open(&hub, 1);
-        // A hand-built split (provenance stripped) cannot be described as
-        // a scenario, so its session cannot spill.
-        let mut adhoc = spec(2).generate().unwrap();
-        adhoc.provenance = None;
-        let ephemeral = hub
-            .create(Engine::builder(adhoc).seed(2).build().unwrap())
-            .unwrap();
-        let saved = hub.save_all().unwrap();
-        assert_eq!(saved, vec![durable]);
-        assert!(matches!(
-            hub.save(ephemeral),
-            Err(ServeError::NotPersistable(id)) if id == ephemeral
-        ));
-        // Raw engines over *generated* splits carry provenance in the
-        // data itself, so `create` no longer loses durability.
-        let generated = hub
-            .create(
-                Engine::builder(spec(3).generate().unwrap())
-                    .seed(3)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
-        assert!(hub.save(generated).is_ok());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn scenario_spec_roundtrips_through_the_spill_cycle() {
         use activedp::{BudgetSchedule, ScenarioSpec};
         // spec → create_from_spec → snapshot → save → (new hub) load_all →
@@ -420,6 +377,16 @@ mod tests {
         let d = hub.status(id).unwrap().durability.unwrap();
         assert_eq!(d.checkpoint_iteration, 3);
         assert_eq!(d.durable_iteration, 3);
+        // A raw engine over a generated split carries its provenance in the
+        // data itself, so `create` journals and saves it like any other.
+        let raw = Engine::builder(spec(3).generate().unwrap())
+            .seed(3)
+            .build()
+            .unwrap();
+        let raw = hub.create(raw).unwrap();
+        assert!(hub.status(raw).unwrap().durability.is_some());
+        assert!(hub.save(raw).is_ok());
+        assert_eq!(hub.save_all().unwrap(), vec![id, raw]);
         let _ = fs::remove_dir_all(&dir);
     }
 

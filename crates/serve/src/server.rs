@@ -7,8 +7,6 @@
 //!
 //! | request                                                        | response                                   |
 //! |----------------------------------------------------------------|--------------------------------------------|
-//! | `{"cmd":"create","dataset":"Youtube","scale":"tiny",`           | `{"ok":true,"session":0}`                  |
-//! | ` "data_seed":7,"seed":5[,"parallel":false]}`                   |                                            |
 //! | `{"cmd":"create_spec","spec":{"dataset":{…},"session":{…},`     | `{"ok":true,"session":0}`                  |
 //! | ` "schedule":{…},"budget":64}}` (see [`crate::spec_json`])      |                                            |
 //! | `{"cmd":"open","session":0}`                                    | `{"ok":true,"session":0,"iteration":8,...}`|
@@ -37,15 +35,16 @@
 //! `{"ok":false,"error":"idle timeout…"}` line and is disconnected, so a
 //! stalled peer cannot pin a handler thread forever.
 //!
-//! When the requested session is journalled (the hub has a spill directory
-//! and the engine snapshots), the `open` reply also carries
+//! When the requested session is journalled (the hub has a spill
+//! directory), the `open` reply also carries
 //! `checkpoint_iteration` and `durable_iteration` — the
 //! [`DurabilityStatus`](crate::journal::DurabilityStatus) fields. `recover`
 //! rebuilds the state `session` had at any journalled commit point as a
 //! **new** session and returns its id; the source session is untouched.
 //!
-//! Sessions created here are opened through [`SessionHub::open_spec`], so
-//! they persist across restarts: every committed step is journalled,
+//! Sessions created here are opened through
+//! [`SessionHub::create_from_spec`], so they persist across restarts: every
+//! committed step is journalled,
 //! `save_all` (or per-session `snapshot`) checkpoints the journals, and a
 //! freshly started server with the same spill directory
 //! re-serves them **under their original ids** after
@@ -55,8 +54,7 @@
 use crate::hub::{HubHealth, ServeError, SessionHub, SessionId};
 use crate::json::Json;
 use crate::spec_json::scenario_from_json;
-use activedp::{ScenarioSpec, StepOutcome};
-use adp_data::{DatasetId, DatasetSpec, Scale};
+use activedp::StepOutcome;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -114,37 +112,7 @@ fn dispatch(hub: &SessionHub, request: &Json) -> Result<Json, String> {
         .as_str()
         .ok_or("\"cmd\" must be a string")?;
     match cmd {
-        "create" => {
-            // The flat per-field form, kept for simple clients; it is
-            // sugar that assembles the same ScenarioSpec `create_spec`
-            // takes whole.
-            let dataset = field(request, "dataset")?
-                .as_str()
-                .ok_or("\"dataset\" must be a string")?;
-            let id = DatasetId::from_name(dataset)
-                .ok_or_else(|| format!("unknown dataset {dataset:?}"))?;
-            let scale_name = field(request, "scale")?
-                .as_str()
-                .ok_or("\"scale\" must be a string")?;
-            let scale = Scale::from_name(scale_name)
-                .ok_or_else(|| format!("unknown scale {scale_name:?}"))?;
-            let data_seed = u64_field(request, "data_seed")?;
-            let seed = u64_field(request, "seed")?;
-            let mut spec = ScenarioSpec::new(DatasetSpec {
-                id,
-                scale,
-                seed: data_seed,
-            });
-            spec.session.seed = seed;
-            if let Some(parallel) = request.get("parallel") {
-                spec.session.parallel =
-                    parallel.as_bool().ok_or("\"parallel\" must be a boolean")?;
-            }
-            let session = hub.create_from_spec(spec).map_err(serve_err)?;
-            Ok(ok_reply([("session", Json::int(session.raw()))]))
-        }
         "create_spec" => {
-            // The declarative form: one JSON ScenarioSpec, verbatim.
             let spec = scenario_from_json(field(request, "spec")?)?;
             let session = hub.create_from_spec(spec).map_err(serve_err)?;
             Ok(ok_reply([("session", Json::int(session.raw()))]))
@@ -562,7 +530,7 @@ mod tests {
 
     fn create_line(seed: u64) -> String {
         format!(
-            r#"{{"cmd":"create","dataset":"Youtube","scale":"tiny","data_seed":7,"seed":{seed}}}"#
+            r#"{{"cmd":"create_spec","spec":{{"dataset":{{"id":"Youtube","scale":"tiny","seed":7}},"session":{{"seed":{seed}}}}}}}"#
         )
     }
 
@@ -652,9 +620,12 @@ mod tests {
             r#"{"cmd":"teleport"}"#,
             r#"{"cmd":"step"}"#,
             r#"{"cmd":"step","session":"three"}"#,
-            r#"{"cmd":"create","dataset":"NotADataset","scale":"tiny","data_seed":1,"seed":1}"#,
-            r#"{"cmd":"create","dataset":"Youtube","scale":"galactic","data_seed":1,"seed":1}"#,
-            r#"{"cmd":"create","dataset":"Youtube","scale":"tiny","data_seed":1,"seed":1,"parallel":"yes"}"#,
+            r#"{"cmd":"create_spec","spec":{"dataset":{"id":"NotADataset","scale":"tiny","seed":1}}}"#,
+            r#"{"cmd":"create_spec","spec":{"dataset":{"id":"Youtube","scale":"galactic","seed":1}}}"#,
+            r#"{"cmd":"create_spec","spec":{"dataset":{"id":"Youtube","scale":"tiny","seed":1},
+                "session":{"seed":1,"parallel":"yes"}}}"#,
+            // A valid session under the retired flat `create` verb.
+            r#"{"cmd":"create","dataset":"Youtube","scale":"tiny","data_seed":1,"seed":1}"#,
             r#"{"session":1}"#,
             // A valid spec under the retired `run_spec` verb.
             r#"{"cmd":"run_spec","spec":{

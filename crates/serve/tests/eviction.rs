@@ -8,7 +8,7 @@
 //! eviction racing `save_all`/`close` from other threads, and the
 //! `Saturated` backpressure path over the network front end.
 
-use activedp::{Engine, SessionConfig};
+use activedp::{Engine, ScenarioSpec, SessionConfig};
 use adp_data::{generate, DatasetId, DatasetSpec, Scale};
 use adp_serve::{Client, ClientError, ServeError, Server, SessionHub, SessionId};
 use std::path::PathBuf;
@@ -33,6 +33,13 @@ fn spec_of(seed: u64) -> DatasetSpec {
         scale: Scale::Tiny,
         seed,
     }
+}
+
+/// What a client sends to open a session with seed `seed`.
+fn wire_spec(seed: u64) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::new(spec_of(DATA_SEED));
+    spec.session.seed = seed;
+    spec
 }
 
 fn config_of(seed: u64, parallel: bool) -> SessionConfig {
@@ -260,12 +267,8 @@ fn saturation_backpressure_reaches_clients_over_the_wire() {
     assert!(hub.spill_dir().is_none(), "test requires a spill-free hub");
     let server = Server::bind("127.0.0.1:0", Arc::new(hub)).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    let admitted = client
-        .create("Youtube", "tiny", DATA_SEED, 1, None)
-        .unwrap();
-    let err = client
-        .create("Youtube", "tiny", DATA_SEED, 2, None)
-        .unwrap_err();
+    let admitted = client.create_spec(&wire_spec(1)).unwrap();
+    let err = client.create_spec(&wire_spec(2)).unwrap_err();
     assert!(
         matches!(&err, ClientError::Server(e) if e.contains("saturated")),
         "expected saturation backpressure, got {err}"
@@ -277,8 +280,6 @@ fn saturation_backpressure_reaches_clients_over_the_wire() {
     assert_eq!(health.resident, 1);
     // Closing the admitted session frees the budget slot.
     client.close_session(admitted).unwrap();
-    let replacement = client
-        .create("Youtube", "tiny", DATA_SEED, 3, None)
-        .unwrap();
+    let replacement = client.create_spec(&wire_spec(3)).unwrap();
     assert_ne!(replacement, admitted);
 }

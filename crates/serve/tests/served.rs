@@ -2,13 +2,12 @@
 //! sockets, concurrent clients, and the kill/reload/resume cycle durable
 //! sessions exist for.
 
-use activedp::{Engine, SessionConfig};
-use adp_data::{generate, DatasetId, Scale};
+use activedp::{Engine, ScenarioSpec, SessionConfig};
+use adp_data::{generate, DatasetId, DatasetSpec, Scale};
 use adp_serve::{Client, ClientError, Server, SessionHub, StepReply};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-const DATASET: &str = "Youtube";
 const DATA_SEED: u64 = 7;
 const ITERS: u64 = 10;
 
@@ -37,6 +36,18 @@ fn solo_fingerprint(seed: u64, iters: u64) -> (Vec<Option<u64>>, u64) {
     (queries, report.test_accuracy.to_bits())
 }
 
+/// The scenario every session here runs: Youtube · Tiny · data seed 7
+/// under the default configuration with session seed `seed`.
+fn wire_spec(seed: u64) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::new(DatasetSpec {
+        id: DatasetId::Youtube,
+        scale: Scale::Tiny,
+        seed: DATA_SEED,
+    });
+    spec.session.seed = seed;
+    spec
+}
+
 fn served_fingerprint(outcomes: &[StepReply], accuracy: f64) -> (Vec<Option<u64>>, u64) {
     (
         outcomes.iter().map(|o| o.query).collect(),
@@ -57,9 +68,7 @@ fn concurrent_clients_reproduce_solo_trajectories() {
             .map(|seed| {
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("connects");
-                    let session = client
-                        .create(DATASET, "tiny", DATA_SEED, seed, None)
-                        .expect("creates");
+                    let session = client.create_spec(&wire_spec(seed)).expect("creates");
                     let outcomes: Vec<StepReply> = (0..ITERS)
                         .map(|_| client.step(session).expect("steps"))
                         .collect();
@@ -102,9 +111,7 @@ fn kill_reload_resume_cycle_is_bitwise_transparent() {
     let mut first_halves = Vec::new();
     for seed in 0..CLIENTS {
         let mut client = Client::connect(addr1).unwrap();
-        let session = client
-            .create(DATASET, "tiny", DATA_SEED, seed, None)
-            .unwrap();
+        let session = client.create_spec(&wire_spec(seed)).unwrap();
         let outcomes: Vec<StepReply> = (0..SPLIT).map(|_| client.step(session).unwrap()).collect();
         sessions.push(session);
         first_halves.push(outcomes);
@@ -208,9 +215,7 @@ fn sigkill_crash_recovers_to_the_durable_tip() {
 
     let first = ServedProc::spawn(&dir);
     let mut client = Client::connect(&first.addr).unwrap();
-    let session = client
-        .create(DATASET, "tiny", DATA_SEED, SEED, None)
-        .unwrap();
+    let session = client.create_spec(&wire_spec(SEED)).unwrap();
     let first_half: Vec<StepReply> = (0..SPLIT).map(|_| client.step(session).unwrap()).collect();
     // Every single step is a durable commit point; the client confirms.
     let opened = client.open(session).unwrap();
@@ -251,10 +256,10 @@ fn sigkill_crash_recovers_to_the_durable_tip() {
 fn one_connection_can_multiplex_sessions_and_batches() {
     let server = Server::bind("127.0.0.1:0", Arc::new(SessionHub::new(2))).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    let a = client.create(DATASET, "tiny", DATA_SEED, 1, None).unwrap();
-    let b = client
-        .create(DATASET, "tiny", DATA_SEED, 2, Some(false))
-        .unwrap();
+    let a = client.create_spec(&wire_spec(1)).unwrap();
+    let mut sequential = wire_spec(2);
+    sequential.session.parallel = false;
+    let b = client.create_spec(&sequential).unwrap();
     assert_ne!(a, b);
     let outcomes = client.step_batch(a, 4).unwrap();
     assert_eq!(outcomes.len(), 4);
@@ -269,28 +274,21 @@ fn one_connection_can_multiplex_sessions_and_batches() {
 }
 
 #[test]
-fn create_spec_over_the_wire_matches_the_flat_create() {
-    use activedp::ScenarioSpec;
-    use adp_data::{DatasetSpec, Scale};
-    // The declarative request and the flat per-field one route through the
-    // same hub path, so two sessions created either way from the same
-    // description serve identical trajectories.
+fn create_spec_over_the_wire_matches_the_in_process_hub() {
+    // The spec's JSON round trip and the hub's own constructor build the
+    // same session, so a session created over the wire and one created on
+    // the hub directly from the same spec serve identical trajectories.
     let server = Server::bind("127.0.0.1:0", Arc::new(SessionHub::new(2))).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    let mut spec = ScenarioSpec::new(DatasetSpec {
-        id: DATASET.parse().unwrap(),
-        scale: Scale::Tiny,
-        seed: DATA_SEED,
-    });
-    spec.session.seed = 5;
-    let declarative = client.create_spec(&spec).unwrap();
-    let flat = client.create(DATASET, "tiny", DATA_SEED, 5, None).unwrap();
-    assert_ne!(declarative, flat);
-    let a = client.step_batch(declarative, 5).unwrap();
-    let b = client.step_batch(flat, 5).unwrap();
+    let spec = wire_spec(5);
+    let wire = client.create_spec(&spec).unwrap();
+    let local = server.hub().create_from_spec(spec).unwrap().raw();
+    assert_ne!(wire, local);
+    let a = client.step_batch(wire, 5).unwrap();
+    let b = client.step_batch(local, 5).unwrap();
     assert_eq!(a, b);
-    let ea = client.evaluate(declarative).unwrap();
-    let eb = client.evaluate(flat).unwrap();
+    let ea = client.evaluate(wire).unwrap();
+    let eb = client.evaluate(local).unwrap();
     assert_eq!(ea.test_accuracy.to_bits(), eb.test_accuracy.to_bits());
 }
 
@@ -298,10 +296,12 @@ fn create_spec_over_the_wire_matches_the_flat_create() {
 fn protocol_errors_do_not_poison_the_connection() {
     let server = Server::bind("127.0.0.1:0", Arc::new(SessionHub::new(1))).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    // Unknown dataset → server error reply…
-    let err = client.create("Atlantis", "tiny", 1, 1, None).unwrap_err();
+    // An out-of-range knob → server error reply…
+    let mut invalid = wire_spec(1);
+    invalid.session.alpha = 7.0;
+    let err = client.create_spec(&invalid).unwrap_err();
     assert!(matches!(err, ClientError::Server(_)));
     // …after which the same connection still works.
-    let session = client.create(DATASET, "tiny", DATA_SEED, 3, None).unwrap();
+    let session = client.create_spec(&wire_spec(3)).unwrap();
     assert_eq!(client.step(session).unwrap().iteration, 1);
 }
