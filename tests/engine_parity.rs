@@ -8,7 +8,7 @@
 //! query instances, same LF picks, same LabelPick selections, same final
 //! accuracy to the last bit.
 
-use activedp_repro::core::{Engine, SessionConfig};
+use activedp_repro::core::{BudgetSchedule, Engine, SamplerChoice, SessionConfig};
 use activedp_repro::data::{generate, DatasetId, Scale, SharedDataset};
 
 const ITERS: usize = 15;
@@ -168,6 +168,256 @@ fn step_batch_is_deterministic_for_any_k() {
     };
     assert_eq!(run(5), run(5));
     assert_eq!(run(3), run(3));
+}
+
+/// One batched golden run: the Youtube Tiny fixture under
+/// `FixedBatch{k}` for `ITERS` iterations with the named sampler.
+struct BatchedGolden {
+    sampler: SamplerChoice,
+    k: usize,
+    queries: [usize; ITERS],
+    lf_keys: [Option<&'static str>; ITERS],
+    /// The sampler's RNG words after the run, read from a snapshot.
+    sampler_rng: [u64; 4],
+    test_accuracy_bits: u64,
+}
+
+/// Batched trajectories, pinned so that a change to how the samplers
+/// score or cache their pool cannot move a pick or a tie-break draw. A
+/// batch of `k > 1` selects several queries against one pair of model
+/// caches (the cold-start batch against none, so every row ties), which
+/// the one-query-per-refit goldens above never exercise.
+const BATCHED_GOLDENS: [BatchedGolden; 6] = [
+    BatchedGolden {
+        sampler: SamplerChoice::Adp,
+        k: 1,
+        queries: [88, 101, 39, 117, 119, 27, 23, 66, 51, 116, 0, 3, 30, 8, 86],
+        lf_keys: [
+            Some("Keyword(21, 1)"),
+            Some("Keyword(189, 1)"),
+            Some("Keyword(354, 1)"),
+            None,
+            Some("Keyword(22, 1)"),
+            Some("Keyword(28, 0)"),
+            Some("Keyword(222, 0)"),
+            Some("Keyword(289, 0)"),
+            Some("Keyword(173, 0)"),
+            Some("Keyword(164, 0)"),
+            Some("Keyword(343, 1)"),
+            Some("Keyword(305, 1)"),
+            Some("Keyword(272, 0)"),
+            Some("Keyword(0, 0)"),
+            Some("Keyword(190, 1)"),
+        ],
+        sampler_rng: [
+            0x30239e4b54384803,
+            0x01c16e9272601619,
+            0xc930a02695ac8c24,
+            0x830da5d40538888f,
+        ],
+        test_accuracy_bits: 0x3fe3333333333333, // 0.6
+    },
+    BatchedGolden {
+        sampler: SamplerChoice::Adp,
+        k: 5,
+        queries: [
+            88, 59, 92, 109, 91, 39, 117, 82, 15, 103, 17, 72, 38, 56, 19,
+        ],
+        lf_keys: [
+            Some("Keyword(21, 1)"),
+            Some("Keyword(17, 0)"),
+            Some("Keyword(223, 0)"),
+            Some("Keyword(28, 0)"),
+            Some("Keyword(111, 0)"),
+            Some("Keyword(20, 1)"),
+            None,
+            Some("Keyword(152, 0)"),
+            Some("Keyword(24, 1)"),
+            Some("Keyword(43, 1)"),
+            Some("Keyword(41, 1)"),
+            Some("Keyword(7, 0)"),
+            Some("Keyword(19, 1)"),
+            Some("Keyword(167, 0)"),
+            Some("Keyword(1, 0)"),
+        ],
+        sampler_rng: [
+            0x408d91d3bdd9b0e0,
+            0x3a042f1a83682f62,
+            0x3ddfa4a263e5108f,
+            0x2960959dc13ca29e,
+        ],
+        test_accuracy_bits: 0x3fe2666666666666, // 0.575
+    },
+    BatchedGolden {
+        sampler: SamplerChoice::Adp,
+        k: 8,
+        queries: [
+            88, 59, 92, 109, 91, 66, 119, 104, 63, 20, 77, 82, 103, 95, 96,
+        ],
+        lf_keys: [
+            Some("Keyword(21, 1)"),
+            Some("Keyword(17, 0)"),
+            Some("Keyword(223, 0)"),
+            Some("Keyword(28, 0)"),
+            Some("Keyword(111, 0)"),
+            Some("Keyword(54, 0)"),
+            Some("Keyword(148, 1)"),
+            Some("Keyword(14, 1)"),
+            Some("Keyword(87, 0)"),
+            Some("Keyword(26, 1)"),
+            Some("Keyword(23, 0)"),
+            Some("Keyword(8, 0)"),
+            Some("Keyword(43, 1)"),
+            Some("Keyword(130, 1)"),
+            Some("Keyword(1, 0)"),
+        ],
+        sampler_rng: [
+            0xba7504438d4d40fd,
+            0x919d8e5d66cc7901,
+            0xa676487575068597,
+            0xbbe84fd0ca7156e6,
+        ],
+        test_accuracy_bits: 0x3fe2666666666666, // 0.575
+    },
+    BatchedGolden {
+        sampler: SamplerChoice::Uncertainty,
+        k: 1,
+        queries: [
+            88, 101, 52, 39, 117, 119, 27, 23, 66, 109, 47, 72, 7, 15, 50,
+        ],
+        lf_keys: [
+            Some("Keyword(21, 1)"),
+            Some("Keyword(189, 1)"),
+            Some("Keyword(146, 1)"),
+            Some("Keyword(153, 1)"),
+            None,
+            Some("Keyword(22, 1)"),
+            Some("Keyword(171, 0)"),
+            Some("Keyword(28, 0)"),
+            Some("Keyword(54, 0)"),
+            Some("Keyword(234, 0)"),
+            Some("Keyword(287, 0)"),
+            Some("Keyword(7, 0)"),
+            Some("Keyword(133, 1)"),
+            Some("Keyword(24, 1)"),
+            Some("Keyword(139, 0)"),
+        ],
+        sampler_rng: [
+            0xb47fb79464dacf9f,
+            0x00c2e2bd1e74187e,
+            0xd076c787e25ed8f2,
+            0xc0bbfdb20c47eda4,
+        ],
+        test_accuracy_bits: 0x3fe6666666666666, // 0.7
+    },
+    BatchedGolden {
+        sampler: SamplerChoice::Uncertainty,
+        k: 5,
+        queries: [
+            88, 59, 92, 109, 91, 39, 117, 82, 15, 103, 17, 72, 106, 28, 38,
+        ],
+        lf_keys: [
+            Some("Keyword(21, 1)"),
+            Some("Keyword(17, 0)"),
+            Some("Keyword(223, 0)"),
+            Some("Keyword(28, 0)"),
+            Some("Keyword(111, 0)"),
+            Some("Keyword(20, 1)"),
+            None,
+            Some("Keyword(152, 0)"),
+            Some("Keyword(24, 1)"),
+            Some("Keyword(43, 1)"),
+            Some("Keyword(41, 1)"),
+            Some("Keyword(7, 0)"),
+            Some("Keyword(235, 1)"),
+            Some("Keyword(64, 1)"),
+            Some("Keyword(307, 1)"),
+        ],
+        sampler_rng: [
+            0x408d91d3bdd9b0e0,
+            0x3a042f1a83682f62,
+            0x3ddfa4a263e5108f,
+            0x2960959dc13ca29e,
+        ],
+        test_accuracy_bits: 0x3fe3333333333333, // 0.6
+    },
+    BatchedGolden {
+        sampler: SamplerChoice::Uncertainty,
+        k: 8,
+        queries: [
+            88, 59, 92, 109, 91, 66, 119, 104, 63, 15, 20, 77, 82, 103, 95,
+        ],
+        lf_keys: [
+            Some("Keyword(21, 1)"),
+            Some("Keyword(17, 0)"),
+            Some("Keyword(223, 0)"),
+            Some("Keyword(28, 0)"),
+            Some("Keyword(111, 0)"),
+            Some("Keyword(54, 0)"),
+            Some("Keyword(148, 1)"),
+            Some("Keyword(14, 1)"),
+            Some("Keyword(87, 0)"),
+            Some("Keyword(195, 1)"),
+            Some("Keyword(36, 1)"),
+            Some("Keyword(260, 0)"),
+            Some("Keyword(289, 0)"),
+            Some("Keyword(53, 1)"),
+            Some("Keyword(20, 1)"),
+        ],
+        sampler_rng: [
+            0xba7504438d4d40fd,
+            0x919d8e5d66cc7901,
+            0xa676487575068597,
+            0xbbe84fd0ca7156e6,
+        ],
+        test_accuracy_bits: 0x3fdccccccccccccd, // 0.45
+    },
+];
+
+#[test]
+fn batched_schedules_match_golden_trajectories() {
+    for golden in &BATCHED_GOLDENS {
+        for parallel in [false, true] {
+            let label = format!("{:?} k={} parallel={parallel}", golden.sampler, golden.k);
+            let (data, cfg) = fixture();
+            let cfg = SessionConfig {
+                sampler: golden.sampler,
+                ..cfg
+            };
+            let mut engine = Engine::builder(data)
+                .config(cfg)
+                .parallel(parallel)
+                .schedule(BudgetSchedule::FixedBatch { k: golden.k })
+                .budget(ITERS)
+                .build()
+                .unwrap();
+            let outcomes = engine.run_schedule().unwrap();
+            let queries: Vec<_> = outcomes.iter().map(|o| o.query).collect();
+            let expected: Vec<_> = golden.queries.iter().map(|&q| Some(q)).collect();
+            assert_eq!(queries, expected, "{label}: query sequence diverged");
+            let lf_keys: Vec<_> = outcomes
+                .iter()
+                .map(|o| o.lf.as_ref().map(|lf| format!("{:?}", lf.key())))
+                .collect();
+            let expected: Vec<_> = golden
+                .lf_keys
+                .iter()
+                .map(|k| k.map(str::to_string))
+                .collect();
+            assert_eq!(lf_keys, expected, "{label}: LF picks diverged");
+            assert_eq!(
+                engine.snapshot().unwrap().sampler_rng,
+                golden.sampler_rng,
+                "{label}: sampler RNG stream diverged"
+            );
+            let accuracy = engine.evaluate_downstream().unwrap().test_accuracy;
+            assert_eq!(
+                accuracy.to_bits(),
+                golden.test_accuracy_bits,
+                "{label}: test accuracy {accuracy}"
+            );
+        }
+    }
 }
 
 /// Schedule parity, part 1: `run_schedule` under the default `FixedStep`
