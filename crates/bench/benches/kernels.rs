@@ -1,5 +1,6 @@
 //! Microbenchmarks of the computational substrates.
 
+use activedp::AdpSampler;
 use adp_bench::{bench_corpus, bench_dataset, planted_votes};
 use adp_classifier::{LogRegConfig, LogisticRegression, Targets};
 use adp_data::DatasetId;
@@ -7,6 +8,7 @@ use adp_glasso::{graphical_lasso, graphical_lasso_with, GlassoConfig};
 use adp_labelmodel::{predict_columns, DawidSkene, LabelModel, TripletMetal};
 use adp_lf::{CandidateSpace, LabelMatrix};
 use adp_linalg::{correlation_matrix, covariance_matrix, Cholesky, Execution, Matrix};
+use adp_sampler::{Sampler, SamplerContext};
 use adp_text::TfidfVectorizer;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -408,44 +410,72 @@ fn bench_sweep_expand_grid(c: &mut Criterion) {
     });
 }
 
-/// Exact sampler scoring over large unlabeled pools: the entropy of a
-/// logistic model's posterior at every row, then the argmax.
+/// The ADP sampler's selections on a 20k-row, 2-class pool: `rescore`
+/// changes one cached posterior before every selection, so each one scores
+/// the whole pool; `batch5` draws five queries (marking each queried)
+/// against one pair of caches, the shape of a `FixedBatch{k: 5}` refit.
 fn bench_sampler_pool(c: &mut Criterion) {
-    const DIM: usize = 16;
-    let entropy = |p: f64| {
-        let q = 1.0 - p;
-        let term = |v: f64| if v > 0.0 { -v * v.ln() } else { 0.0 };
-        term(p) + term(q)
+    const N: usize = 20_000;
+    let pool = adp_data::Dataset {
+        name: "pool".into(),
+        task: adp_data::Task::OccupancyPrediction,
+        n_classes: 2,
+        features: adp_data::FeatureSet::Dense(Matrix::zeros(N, 1)),
+        labels: vec![0; N],
+        texts: None,
+        encoded_docs: None,
     };
-    let weights: Vec<f64> = (0..DIM).map(|j| ((j % 5) as f64 - 2.0) * 0.3).collect();
-    let score = |x: &Matrix, i: usize| {
-        let mut z = 0.0;
-        for (j, w) in weights.iter().enumerate() {
-            z += x[(i, j)] * w;
-        }
-        entropy(1.0 / (1.0 + (-z).exp()))
+    let posterior = |salt: usize| {
+        Matrix::from_fn(N, 2, |i, c| {
+            let p = 0.02 + 0.96 * (((i * 37 + salt) % 1009) as f64 / 1008.0);
+            if c == 1 {
+                p
+            } else {
+                1.0 - p
+            }
+        })
+    };
+    let mut al = posterior(0);
+    let lm = posterior(5);
+    let mut queried = vec![false; N];
+    let mut sampler = AdpSampler::new(0.5, 7);
+    let mut flip = 0.1;
+    // Moves one AL posterior value, so the next selection sees new caches.
+    let mut refit = |al: &mut Matrix| {
+        flip = 0.3 - flip;
+        al[(0, 1)] = flip;
+        al[(0, 0)] = 1.0 - flip;
+    };
+    let select = |sampler: &mut AdpSampler, queried: &[bool], al: &Matrix| {
+        sampler.select(&SamplerContext {
+            train: &pool,
+            queried,
+            al_probs: Some(al),
+            lm_probs: Some(&lm),
+            n_labeled: 0,
+            space: None,
+            seen_lfs: None,
+            visible: None,
+        })
     };
 
-    for (tag, n) in [("10k", 10_000usize), ("100k", 100_000)] {
-        // A pool with planted cluster structure plus per-row jitter.
-        let x = Matrix::from_fn(n, DIM, |i, j| {
-            let centre = ((i * 37) % 64) as f64 * 0.5;
-            centre + (((i * 31 + j * 17) % 23) as f64 - 11.0) * 0.05
-        });
-
-        c.bench_function(&format!("sampler_pool_{tag}_exact"), |b| {
-            b.iter(|| {
-                let mut best = (f64::NEG_INFINITY, 0usize);
-                for i in 0..n {
-                    let h = score(&x, i);
-                    if h > best.0 {
-                        best = (h, i);
-                    }
-                }
-                black_box(best)
-            })
-        });
-    }
+    c.bench_function("sampler_pool_20k_rescore", |b| {
+        b.iter(|| {
+            refit(&mut al);
+            black_box(select(&mut sampler, &queried, &al))
+        })
+    });
+    c.bench_function("sampler_pool_20k_batch5", |b| {
+        b.iter(|| {
+            refit(&mut al);
+            queried.fill(false);
+            for _ in 0..5 {
+                let pick = select(&mut sampler, &queried, &al).expect("pool not exhausted");
+                queried[pick] = true;
+            }
+            black_box(&queried);
+        })
+    });
 }
 
 /// The refit's two bulk predictions at Census paper scale (25,541

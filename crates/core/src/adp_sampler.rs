@@ -10,16 +10,20 @@
 //! as maximal (uniform), so iteration 1 degenerates to a uniform-random
 //! draw.
 
-use adp_sampler::{Sampler, SamplerContext};
-use rand::{Rng, SeedableRng};
+use adp_linalg::Matrix;
+use adp_sampler::{PoolScores, Sampler, SamplerContext};
+use rand::SeedableRng;
 
 /// Entropy-product sampler combining the AL model and the label model.
 ///
-/// The per-instance entropy-product scoring runs through
-/// [`adp_sampler::score_items`] under the fixed-chunk contract; the
-/// RNG-consuming reservoir tie-break stays a serial pass over the scores,
-/// so selections and the tie-break stream are bitwise identical at every
-/// thread count.
+/// The entropy product depends only on the two cached posteriors, which
+/// move only at a refit, so the scores live in an
+/// [`adp_sampler::PoolScores`] cache: the pool is scored once per pair of
+/// caches (chunked under the fixed-chunk contract) and every selection
+/// against the same caches reuses those scores. The RNG-consuming
+/// reservoir tie-break stays a serial pass over the scores in ascending
+/// row order, so selections and the tie-break stream are bitwise identical
+/// at every thread count, cached or not.
 #[derive(Debug)]
 pub struct AdpSampler {
     alpha: f64,
@@ -27,6 +31,7 @@ pub struct AdpSampler {
     /// Fan the per-instance scoring out over scoped threads when the pool
     /// is large enough (scheduling only; selections are identical).
     pub parallel: bool,
+    scores: PoolScores,
 }
 
 impl AdpSampler {
@@ -44,6 +49,7 @@ impl AdpSampler {
             alpha,
             rng: rand::rngs::StdRng::seed_from_u64(seed),
             parallel: true,
+            scores: PoolScores::new(),
         }
     }
 
@@ -56,41 +62,15 @@ impl AdpSampler {
 impl Sampler for AdpSampler {
     fn select(&mut self, ctx: &SamplerContext<'_>) -> Option<usize> {
         let max_h = (ctx.train.n_classes as f64).ln();
-        let pool: Vec<usize> = ctx.candidate_pool();
         let alpha = self.alpha;
-        let scores = adp_sampler::score_items(&pool, self.parallel, |&i| {
-            let h_al = match ctx.al_probs {
-                Some(p) => adp_linalg::entropy(p.row(i)),
-                None => max_h,
-            };
-            let h_lm = match ctx.lm_probs {
-                Some(p) => adp_linalg::entropy(p.row(i)),
-                None => max_h,
-            };
-            h_al.powf(alpha) * h_lm.powf(1.0 - alpha)
-        });
-        let mut best: Option<(usize, f64)> = None;
-        let mut ties = 0usize;
-        for (&i, &score) in pool.iter().zip(&scores) {
-            match best {
-                None => {
-                    best = Some((i, score));
-                    ties = 1;
-                }
-                Some((_, b)) if score > b + 1e-15 => {
-                    best = Some((i, score));
-                    ties = 1;
-                }
-                Some((_, b)) if (score - b).abs() <= 1e-15 => {
-                    ties += 1;
-                    if self.rng.gen_range(0..ties) == 0 {
-                        best = Some((i, score));
-                    }
-                }
-                _ => {}
-            }
-        }
-        best.map(|(i, _)| i)
+        let entropy = |probs: Option<&Matrix>, i: usize| match probs {
+            Some(p) => adp_linalg::entropy(p.row(i)),
+            None => max_h,
+        };
+        self.scores
+            .select(ctx, self.parallel, 1e-15, &mut self.rng, |i| {
+                entropy(ctx.al_probs, i).powf(alpha) * entropy(ctx.lm_probs, i).powf(1.0 - alpha)
+            })
     }
 
     fn name(&self) -> &'static str {
@@ -213,5 +193,97 @@ mod tests {
         let s = AdpSampler::new(0.99, 0);
         assert_eq!(s.name(), "ADP");
         assert_eq!(s.alpha(), 0.99);
+    }
+
+    /// The per-selection ADP scorer the cache replaced, kept as the
+    /// reference: collect the candidate pool, score it, reservoir pass.
+    fn select_per_selection(
+        alpha: f64,
+        rng: &mut rand::rngs::StdRng,
+        ctx: &SamplerContext<'_>,
+    ) -> Option<usize> {
+        use rand::Rng;
+        let max_h = (ctx.train.n_classes as f64).ln();
+        let pool = ctx.candidate_pool();
+        let entropy = |probs: Option<&Matrix>, i: usize| match probs {
+            Some(p) => adp_linalg::entropy(p.row(i)),
+            None => max_h,
+        };
+        let mut best: Option<(usize, f64)> = None;
+        let mut ties = 0usize;
+        for &i in &pool {
+            let score =
+                entropy(ctx.al_probs, i).powf(alpha) * entropy(ctx.lm_probs, i).powf(1.0 - alpha);
+            match best {
+                None => {
+                    best = Some((i, score));
+                    ties = 1;
+                }
+                Some((_, b)) if score > b + 1e-15 => {
+                    best = Some((i, score));
+                    ties = 1;
+                }
+                Some((_, b)) if (score - b).abs() <= 1e-15 => {
+                    ties += 1;
+                    if rng.gen_range(0..ties) == 0 {
+                        best = Some((i, score));
+                    }
+                }
+                _ => {}
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    #[test]
+    fn cached_scores_match_per_selection_scoring() {
+        let n = 48;
+        let d = pool(n);
+        let tied = |salt: usize| {
+            let ps: Vec<f64> = (0..n).map(|i| [0.5, 0.8, 0.6][(i + salt) % 3]).collect();
+            probs(&ps)
+        };
+        let mut queried = vec![false; n];
+        let mut al: Option<Matrix> = None;
+        let mut lm: Option<Matrix> = None;
+        let mut visible = None;
+        let mut cached = AdpSampler::new(0.5, 21);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        // (edit, whether the pool must be rescored)
+        let script: [(&str, bool); 7] = [
+            ("cold start", true),
+            ("caches appear", true),
+            ("AL re-allocated with equal bits", false),
+            ("LM changed in place", true),
+            ("arrival cap", false),
+            ("LM disappears", true),
+            ("nothing changed", false),
+        ];
+        let mut rescores = 0;
+        for (what, rescore) in script {
+            match what {
+                "caches appear" => (al, lm) = (Some(tied(0)), Some(tied(1))),
+                "AL re-allocated with equal bits" => {
+                    let old = al.as_ref().unwrap();
+                    al = Some(Matrix::from_vec(n, 2, old.as_slice().to_vec()).unwrap());
+                }
+                "LM changed in place" => lm.as_mut().unwrap().as_mut_slice()[3] += 1e-3,
+                "arrival cap" => visible = Some(n - 6),
+                "LM disappears" => lm = None,
+                _ => {}
+            }
+            rescores += usize::from(rescore);
+            for _ in 0..4 {
+                let c = SamplerContext {
+                    visible,
+                    ..ctx(&d, &queried, al.as_ref(), lm.as_ref())
+                };
+                let pick = cached.select(&c);
+                assert_eq!(pick, select_per_selection(0.5, &mut rng, &c), "{what}");
+                assert_eq!(cached.rng_state(), rng.state(), "{what}");
+                assert_eq!(cached.scores.rescores(), rescores, "{what}");
+                queried[pick.unwrap()] = true;
+            }
+        }
     }
 }

@@ -48,7 +48,11 @@ impl SamplingStage {
     /// Builds the sampler named by `config.sampler`, seeded from the
     /// master seed via [`SessionConfig::sampler_seed`]. The config's master
     /// `parallel` switch reaches the samplers with a chunked scoring pass
-    /// (ADP, US, QBC); selections are bitwise identical either way.
+    /// (ADP, US, QBC); selections are bitwise identical either way. ADP and
+    /// US keep their pool scores until the state's probability caches
+    /// change (an [`adp_sampler::PoolScores`]), so a fresh or resumed stage
+    /// rescores on its first selection and nothing of the scores is
+    /// snapshotted.
     pub fn from_config(config: &SessionConfig) -> Self {
         let seed = config.sampler_seed();
         let sampler = match config.sampler {

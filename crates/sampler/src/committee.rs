@@ -135,28 +135,7 @@ impl Sampler for Committee {
             let member_votes: Vec<usize> = members.iter().map(|m| m.predict(features, i)).collect();
             vote_entropy(&member_votes, n_classes)
         });
-        let mut best: Option<(usize, f64)> = None;
-        let mut ties = 0usize;
-        for (&i, &h) in candidates.iter().zip(&scores) {
-            match best {
-                None => {
-                    best = Some((i, h));
-                    ties = 1;
-                }
-                Some((_, bh)) if h > bh + 1e-12 => {
-                    best = Some((i, h));
-                    ties = 1;
-                }
-                Some((_, bh)) if (h - bh).abs() <= 1e-12 => {
-                    ties += 1;
-                    if self.rng.gen_range(0..ties) == 0 {
-                        best = Some((i, h));
-                    }
-                }
-                _ => {}
-            }
-        }
-        best.map(|(i, _)| i)
+        crate::reservoir_argmax(candidates.iter().copied().zip(scores), 1e-12, &mut self.rng)
     }
 
     fn name(&self) -> &'static str {

@@ -17,17 +17,21 @@
 //!
 //! The paper's own ADP sampler needs both the AL model and the label model
 //! and lives with the rest of the ActiveDP framework in the `activedp`
-//! crate, implementing the same trait.
+//! crate, implementing the same trait. It shares [`PoolScores`] with
+//! [`Uncertainty`]: one score per pool row, kept until the model caches
+//! change. Every scoring sampler breaks ties with the same reservoir pass.
 
 pub mod committee;
 pub mod lal;
 pub mod passive;
+pub mod pool_scores;
 pub mod seu;
 pub mod uncertainty;
 
 pub use committee::Committee;
 pub use lal::Lal;
 pub use passive::Passive;
+pub use pool_scores::PoolScores;
 pub use seu::Seu;
 pub use uncertainty::Uncertainty;
 
@@ -35,6 +39,7 @@ use adp_data::Dataset;
 use adp_lf::{CandidateSpace, LfKey};
 use adp_linalg::parallel::{self, Execution};
 use adp_linalg::Matrix;
+use rand::Rng;
 use std::borrow::Cow;
 use std::collections::HashSet;
 
@@ -53,10 +58,11 @@ pub const MIN_PARALLEL_SCORE: usize = 4096;
 /// Each score is a pure function of its item, so the output — and any
 /// serial argmax/tie-break pass consuming it afterwards — is **bitwise
 /// identical** at every thread count. This is the split the samplers use:
-/// the embarrassingly parallel per-instance scoring goes through here, the
-/// RNG-consuming reservoir tie-break stays a serial pass over the returned
-/// scores, and the selection (plus the sampler's RNG stream position) comes
-/// out the same either way.
+/// the embarrassingly parallel per-instance scoring goes through here (or
+/// through [`PoolScores`], which scores the whole pool into a kept buffer
+/// under the same chunks), the RNG-consuming reservoir tie-break stays a
+/// serial pass over the scores, and the selection (plus the sampler's RNG
+/// stream position) comes out the same either way.
 pub fn score_items<T: Sync>(
     items: &[T],
     parallel: bool,
@@ -83,6 +89,42 @@ pub fn score_items_with<T: Sync>(
     .into_iter()
     .flatten()
     .collect()
+}
+
+/// The argmax of `(row, score)` pairs, ties broken uniformly at random.
+///
+/// A score more than `tolerance` above the best so far replaces it; one
+/// within `tolerance` of it is a tie, and the `t`-th tie replaces the best
+/// with probability `1/t` (reservoir sampling), drawing one
+/// `rng.gen_range(0..t)`. The pick and the draws therefore depend on the
+/// order of `items`. `None` when `items` is empty.
+pub(crate) fn reservoir_argmax(
+    items: impl IntoIterator<Item = (usize, f64)>,
+    tolerance: f64,
+    rng: &mut impl Rng,
+) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    let mut ties = 0usize;
+    for (i, score) in items {
+        match best {
+            None => {
+                best = Some((i, score));
+                ties = 1;
+            }
+            Some((_, b)) if score > b + tolerance => {
+                best = Some((i, score));
+                ties = 1;
+            }
+            Some((_, b)) if (score - b).abs() <= tolerance => {
+                ties += 1;
+                if rng.gen_range(0..ties) == 0 {
+                    best = Some((i, score));
+                }
+            }
+            _ => {}
+        }
+    }
+    best.map(|(i, _)| i)
 }
 
 /// Everything a sampler may look at when choosing the next query.
@@ -112,14 +154,18 @@ impl<'a> SamplerContext<'a> {
     /// The pool every selector scores: the unqueried instances below the
     /// arrival cap, ascending. Empty means the (visible) pool is exhausted.
     pub fn candidate_pool(&self) -> Vec<usize> {
-        let end = self
-            .visible
-            .map_or(self.queried.len(), |v| v.min(self.queried.len()));
-        self.queried[..end]
+        self.queried[..self.pool_end()]
             .iter()
             .enumerate()
             .filter_map(|(i, &q)| (!q).then_some(i))
             .collect()
+    }
+
+    /// One past the last row that may be queried: the arrival cap, clamped
+    /// to the pool.
+    pub(crate) fn pool_end(&self) -> usize {
+        self.visible
+            .map_or(self.queried.len(), |v| v.min(self.queried.len()))
     }
 
     /// The "primary" model distribution for instance `i`: the AL model when

@@ -1,23 +1,27 @@
 //! Uncertainty sampling (Lewis 1995): maximum predictive entropy.
 
-use crate::{Sampler, SamplerContext};
-use rand::{Rng, SeedableRng};
+use crate::{PoolScores, Sampler, SamplerContext};
+use rand::SeedableRng;
 
 /// Selects the unqueried instance with the highest predictive entropy under
 /// the context's primary model (AL model, else label model). Before any
 /// model exists every instance ties at maximum entropy; ties break randomly
 /// so the cold start is not index-biased.
 ///
-/// The per-instance entropy scoring runs through [`crate::score_items`]
-/// under the fixed-chunk contract; the RNG-consuming reservoir tie-break is
-/// a serial pass over the scores, so selections (and the tie-break stream)
-/// are bitwise identical at every thread count.
+/// The entropies live in a [`PoolScores`] cache: the pool is scored once
+/// per pair of model caches, chunked under the fixed-chunk contract, and
+/// every selection against the same caches (the rest of a batch, or a
+/// batch whose oracle returned no LF) reuses those scores. The
+/// RNG-consuming reservoir tie-break is a serial pass over the scores in
+/// ascending row order, so selections (and the tie-break stream) are
+/// bitwise identical at every thread count, cached or not.
 #[derive(Debug)]
 pub struct Uncertainty {
     rng: rand::rngs::StdRng,
     /// Fan the per-instance scoring out over scoped threads when the pool
     /// is large enough (scheduling only; selections are identical).
     pub parallel: bool,
+    scores: PoolScores,
 }
 
 impl Uncertainty {
@@ -26,39 +30,17 @@ impl Uncertainty {
         Uncertainty {
             rng: rand::rngs::StdRng::seed_from_u64(seed),
             parallel: true,
+            scores: PoolScores::new(),
         }
     }
 }
 
 impl Sampler for Uncertainty {
     fn select(&mut self, ctx: &SamplerContext<'_>) -> Option<usize> {
-        let pool: Vec<usize> = ctx.candidate_pool();
-        let scores = crate::score_items(&pool, self.parallel, |&i| {
-            adp_linalg::entropy(&ctx.primary_probs(i))
-        });
-        let mut best: Option<(usize, f64)> = None;
-        let mut ties = 0usize;
-        for (&i, &h) in pool.iter().zip(&scores) {
-            match best {
-                None => {
-                    best = Some((i, h));
-                    ties = 1;
-                }
-                Some((_, bh)) if h > bh + 1e-12 => {
-                    best = Some((i, h));
-                    ties = 1;
-                }
-                Some((_, bh)) if (h - bh).abs() <= 1e-12 => {
-                    // Reservoir sampling over tied maxima.
-                    ties += 1;
-                    if self.rng.gen_range(0..ties) == 0 {
-                        best = Some((i, h));
-                    }
-                }
-                _ => {}
-            }
-        }
-        best.map(|(i, _)| i)
+        self.scores
+            .select(ctx, self.parallel, 1e-12, &mut self.rng, |i| {
+                adp_linalg::entropy(&ctx.primary_probs(i))
+            })
     }
 
     fn name(&self) -> &'static str {
@@ -77,7 +59,9 @@ impl Sampler for Uncertainty {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool_scores::tests::{assert_script_parity, select_per_selection};
     use crate::testutil::{pool, probs};
+    use rand::rngs::StdRng;
 
     #[test]
     fn picks_most_uncertain() {
@@ -156,5 +140,29 @@ mod tests {
             visible: None,
         };
         assert_eq!(Uncertainty::new(0).select(&ctx), None);
+    }
+
+    #[test]
+    fn uncertainty_cache_matches_per_selection_scoring() {
+        for (n, parallel) in [(40, false), (40, true), (5000, true)] {
+            let mut cached = Uncertainty::new(3);
+            cached.parallel = parallel;
+            let mut rng = StdRng::seed_from_u64(3);
+            assert_script_parity(
+                n,
+                |ctx| {
+                    (
+                        cached.select(ctx),
+                        cached.rng_state(),
+                        cached.scores.rescores(),
+                    )
+                },
+                |ctx| {
+                    let score = |i| adp_linalg::entropy(&ctx.primary_probs(i));
+                    let pick = select_per_selection(ctx, parallel, 1e-12, &mut rng, score);
+                    (pick, rng.state())
+                },
+            );
+        }
     }
 }
